@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -22,7 +22,14 @@ import numpy as np
 from .sweepproto import Measurement, PowerPlan, median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 1
+MODEL_FILE_VERSION = 2
+
+# A tree is five flat arrays indexed by node; see _grow_trees.
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+# Trees grown side by side: more share the per-level NumPy calls, but the
+# work arrays grow with their total row count.
+_TREES_PER_BATCH = 5
 
 
 class SingularSystemError(ArithmeticError):
@@ -107,6 +114,8 @@ class Dataset:
             raise ValueError("feature/target row counts differ")
         if self.features.shape[1] != len(self.feature_names):
             raise ValueError("feature name count does not match columns")
+        if not (np.isfinite(self.features).all() and np.isfinite(self.targets).all()):
+            raise ValueError("features and targets must be finite")
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -159,19 +168,45 @@ class TrainedModel:
             beta = np.asarray(self.params["beta"])
             powers = [tuple(p) for p in self.params["powers"]]
             return polynomial_expand(X, powers) @ beta
-        preds = np.array([self.per_tree_predictions(row) for row in X])
-        return preds.mean(axis=1)
+        return _forest_outputs(self.params["trees"], X).mean(axis=1)
 
     def per_tree_predictions(self, features: Sequence[float]) -> np.ndarray:
         """Individual tree outputs for one row (forest models only)."""
         if self.spec.kind != ModelKind.RANDOM_FOREST:
             raise ValueError("per-tree outputs only exist for forest models")
-        x = np.asarray(features, dtype=float)
-        return np.array([_tree_predict(tree, x) for tree in self.params["trees"]])
+        x = np.asarray(features, dtype=float).reshape(1, -1)
+        return _forest_outputs(self.params["trees"], x)[0]
 
 
 # ---------------------------------------------------------------------------
 # dataset assembly and splitting
+
+FEATURE_NAMES = {
+    FeatureMode.ALL_TX: ("rssi_dbm", "tx_power_dbm"),
+    FeatureMode.MEDIAN_TX: ("rssi_dbm",),
+}
+
+
+def feature_matrix(
+    measurements: Sequence[Measurement],
+    mode: FeatureMode,
+    median_tx_power: int | None = None,
+) -> tuple[list[Measurement], np.ndarray]:
+    """The packets a model in ``mode`` sees, and their feature rows.
+
+    ALL_TX keeps every packet with features [rssi, tx_power]; MEDIAN_TX
+    keeps the packets sent at ``median_tx_power``, feature [rssi].
+    """
+    if mode == FeatureMode.ALL_TX:
+        kept = list(measurements)
+        rows = [[m.rssi, float(m.tx_power)] for m in kept]
+    else:
+        kept = [m for m in measurements if m.tx_power == median_tx_power]
+        if not kept:
+            raise ValueError(f"no measurements at the median power {median_tx_power} dBm")
+        rows = [[m.rssi] for m in kept]
+    return kept, np.array(rows, dtype=float).reshape(len(kept), len(FEATURE_NAMES[mode]))
+
 
 def assemble(
     measurements: Sequence[Measurement],
@@ -194,24 +229,14 @@ def assemble(
             "assembling a training set needs the vwc_truth column"
         )
 
-    if mode == FeatureMode.ALL_TX:
-        X = [[m.rssi, float(m.tx_power)] for m in measurements]
-        y = [100.0 * m.vwc_truth for m in measurements]
-        return Dataset(
-            np.array(X), np.array(y), mode, ("rssi_dbm", "tx_power_dbm")
-        )
-
-    if plan is None:
-        plan = PowerPlan(tuple(sorted({m.tx_power for m in measurements})))
-    med = median_power(plan)
-    kept = [m for m in measurements if m.tx_power == med]
-    if not kept:
-        raise ValueError(f"no measurements at the median power {med} dBm")
-    X = [[m.rssi] for m in kept]
+    med = None
+    if mode == FeatureMode.MEDIAN_TX:
+        if plan is None:
+            plan = PowerPlan(tuple(sorted({m.tx_power for m in measurements})))
+        med = median_power(plan)
+    kept, X = feature_matrix(measurements, mode, med)
     y = [100.0 * m.vwc_truth for m in kept]
-    return Dataset(
-        np.array(X), np.array(y), mode, ("rssi_dbm",), median_tx_power=med
-    )
+    return Dataset(X, np.array(y), mode, FEATURE_NAMES[mode], median_tx_power=med)
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -294,74 +319,228 @@ def _fit_polynomial(X: np.ndarray, y: np.ndarray, degree: int) -> dict:
     return {"beta": _solve_least_squares(design, y), "powers": powers}
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Greedy variance-reduction split; ties go to the lowest feature
-    index, then the lowest threshold. Returns (feature, threshold) or None."""
-    n = len(y)
-    total_sse = float(np.sum(y * y) - np.sum(y) ** 2 / n)
-    best_gain = 0.0
-    best = None
+def _segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.sum`` of every segment ``values[:, start:start + count]``, bit for bit.
+
+    NumPy sums pairwise, so a sum depends on the segment's length. Segments
+    of one length are stacked into a C-ordered 3-D array and reduced along
+    its last axis, which repeats the 1-D sum exactly. ``np.add.reduceat``
+    does not, and neither does a reduction along an axis that is not
+    contiguous in memory (``values[:, index]`` is laid out that way).
+    """
+    out = np.empty((len(values), len(counts)))
+    by_size = np.argsort(counts, kind="stable")
+    sizes, firsts = np.unique(counts[by_size], return_index=True)
+    bounds = firsts.tolist() + [len(counts)]
+    for size, lo, hi in zip(sizes.tolist(), bounds, bounds[1:]):
+        seg = by_size[lo:hi]
+        stacked = np.take(values, starts[seg, None] + np.arange(size), axis=1)
+        out[:, seg] = np.add.reduce(stacked, axis=2)
+    return out
+
+
+def _best_splits(
+    X: np.ndarray,
+    y: np.ndarray,
+    node: np.ndarray,
+    sort_key: np.ndarray,
+    counts: np.ndarray,
+    total_sse: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy variance-reduction split of every node of a level at once.
+
+    Row i of ``X``/``y`` belongs to node ``node[i]``. Sorting by the unique
+    keys ``sort_key[:, j]`` groups the rows by node and orders each node's
+    rows by feature j, ties in sample order. Running sums restart at every
+    node: each node's sorted targets fill one row of a zero-padded matrix,
+    whose row-wise ``cumsum`` adds in the same order as a ``cumsum`` of the
+    node alone. Ties go to the lowest feature index, then the lowest
+    threshold. Returns (feature, threshold) per node, feature -1 where no
+    split reduces the squared error.
+    """
+    m = len(counts)
+    at = np.arange(len(node))
+    starts = np.cumsum(counts) - counts
+    last = starts + counts - 1
+    best_gain = np.zeros(m)
+    best_feature = np.full(m, -1)
+    best_threshold = np.zeros(m)
+    padded = np.zeros((2, m, int(counts.max())))
     for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        left_n = np.arange(1, n)
-        valid = (xs[1:] != xs[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not valid.any():
-            continue
-        cy = np.cumsum(ys)[:-1]
-        cyy = np.cumsum(ys * ys)[:-1]
-        sse_left = cyy - cy * cy / left_n
-        sse_right = (cyy[-1] + ys[-1] * ys[-1] - cyy) - (
-            (cy[-1] + ys[-1] - cy) ** 2 / (n - left_n)
+        order = np.argsort(sort_key[:, j])
+        seg = node[order]
+        pos = at - starts[seg]
+        xs, ys = X[order, j], y[order]
+        padded[0, seg, pos] = ys
+        padded[1, seg, pos] = ys * ys
+        cy, cyy = np.cumsum(padded, axis=2)[:, seg, pos]
+        left_n = pos + 1
+        right_n = counts[seg] - left_n
+        with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at each node's end
+            sse_left = cyy - cy * cy / left_n
+            sse_right = (cyy[last][seg] - cyy) - (cy[last][seg] - cy) ** 2 / right_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        valid[:-1] &= xs[1:] != xs[:-1]
+        gains = np.where(valid, total_sse[seg] - sse_left - sse_right, -np.inf)
+        # first max of each node: lowest threshold wins ties; a node whose
+        # gains hold NaN has no max and no split on this feature
+        top = np.maximum.reduceat(gains, starts)
+        k = np.minimum.reduceat(np.where(gains == top[seg], at, len(at)), starts)
+        found = k < len(at)
+        gain = np.where(found, top, -np.inf)
+        k = np.where(found, k, 0)
+        lo, hi = xs[k], xs[k + 1]
+        thr = (lo + hi) / 2.0
+        thr = np.where(thr < hi, thr, lo)  # adjacent floats: fall back to left value
+        better = gain > best_gain
+        best_gain = np.where(better, gain, best_gain)
+        best_feature[better] = j
+        best_threshold[better] = thr[better]
+    return best_feature, best_threshold
+
+
+def _grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: np.ndarray,
+    max_depth: int | None,
+    min_leaf: int,
+) -> list[dict[str, np.ndarray]]:
+    """Grow one tree per row of ``samples`` (row indices into ``X``/``y``).
+
+    The trees grow together, breadth-first: every node of one depth, in
+    every tree, is searched at once. A node becomes a leaf at
+    ``max_depth``, below ``2 * min_leaf`` rows, when its targets are all
+    equal, or when no split reduces the squared error; its value is the
+    mean target. Each tree comes back as flat arrays indexed by node,
+    numbered level by level from the root at 0, so every child's index
+    exceeds its parent's. Leaves have feature, left and right -1 and
+    threshold 0; split nodes have value 0.
+    """
+    n_trees, n = samples.shape
+    X, y = X[samples.ravel()], y[samples.ravel()]
+    # Each row's place in a stable sort of each feature column.
+    x_rank = np.empty(X.shape, dtype=np.intp)
+    for j in range(X.shape[1]):
+        x_rank[np.argsort(X[:, j], kind="stable"), j] = np.arange(len(X))
+    # Nodes of all trees are numbered level by level, each level ordered by
+    # tree and then by parent, so each tree's nodes keep their order.
+    feature = np.full(2 * len(X), -1)
+    threshold = np.zeros(2 * len(X))
+    left = np.full(2 * len(X), -1)
+    right = np.full(2 * len(X), -1)
+    value = np.zeros(2 * len(X))
+    tree = np.zeros(2 * len(X), dtype=np.intp)
+    tree[:n_trees] = np.arange(n_trees)
+    rows = np.arange(len(X))  # rows of the level's nodes, in sample order
+    node = rows // n  # each row's node, numbered within the level
+    first, width, depth = 0, n_trees, 0  # the level holds nodes first .. first + width - 1
+    while width:
+        counts = np.bincount(node, minlength=width)
+        starts = np.cumsum(counts) - counts
+        ys = y[rows[np.argsort(node, kind="stable")]]  # node by node, in sample order
+        sums, sums_sq = _segment_sums(np.stack([ys, ys * ys]), starts, counts)
+        open_ = counts >= 2 * min_leaf
+        if max_depth is not None and depth >= max_depth:
+            open_[:] = False
+        open_ &= np.maximum.reduceat(ys, starts) != np.minimum.reduceat(ys, starts)
+        split_feature = np.full(width, -1)
+        split_threshold = np.zeros(width)
+        if open_.any():
+            # ``** 2`` on a Python float is libm pow, which rounds differently
+            # from x * x about once in 1500 squares; the pinned trees use pow.
+            sq = np.array([s ** 2 for s in sums[open_].tolist()])
+            total_sse = sums_sq[open_] - sq / counts[open_]
+            inside = open_[node]
+            searched = (np.cumsum(open_) - 1)[node[inside]]
+            split_feature[open_], split_threshold[open_] = _best_splits(
+                X[rows[inside]],
+                y[rows[inside]],
+                searched,
+                searched[:, None] * len(X) + x_rank[rows[inside]],
+                counts[open_],
+                total_sse,
+                min_leaf,
+            )
+
+        ids = first + np.arange(width)
+        splits = split_feature >= 0
+        leaves = ~splits
+        value[ids[leaves]] = sums[leaves] / counts[leaves]
+        rank = np.cumsum(splits) - 1
+        parents = ids[splits]
+        children = first + width + 2 * rank[splits]
+        feature[parents] = split_feature[splits]
+        threshold[parents] = split_threshold[splits]
+        left[parents] = children
+        right[parents] = children + 1
+        tree[children] = tree[children + 1] = tree[parents]
+
+        inside = splits[node]
+        rows, node = rows[inside], node[inside]
+        goes_left = X[rows, split_feature[node]] <= split_threshold[node]
+        node = 2 * rank[node] + ~goes_left
+        first, width, depth = first + width, 2 * len(parents), depth + 1
+
+    # Renumber each tree's nodes from 0, keeping their order.
+    tree = tree[:first]
+    by_tree = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=n_trees)
+    local = np.empty(first, dtype=np.intp)
+    local[by_tree] = np.arange(first) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    for children in (left, right):
+        children[:first] = np.where(children[:first] >= 0, local[children[:first]], -1)
+    arrays = dict(zip(TREE_ARRAYS, (feature, threshold, left, right, value)))
+    return [
+        {key: a[nodes] for key, a in arrays.items()}
+        for nodes in np.split(by_tree, np.cumsum(sizes)[:-1])
+    ]
+
+
+def _forest_outputs(trees: Sequence[dict], X: np.ndarray) -> np.ndarray:
+    """Every tree's prediction for every row, as a C-ordered (rows, trees) array.
+
+    The trees are stacked into one set of arrays whose leaves point to
+    themselves, and all rows descend through all trees one level per step
+    until no row moves.
+    """
+    sizes = np.array([len(t["value"]) for t in trees])
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, value = (
+        np.concatenate([t[key] for t in trees]) for key in TREE_ARRAYS
+    )
+    leaf = feature < 0
+    index = np.arange(len(feature))
+    offset = np.repeat(roots, sizes)
+    left = np.where(leaf, index, left + offset)
+    right = np.where(leaf, index, right + offset)
+    feature = np.where(leaf, 0, feature)
+    at_row = np.arange(len(X))[:, None]
+    node = np.tile(roots, (len(X), 1))
+    while True:
+        step = np.where(
+            X[at_row, feature[node]] <= threshold[node], left[node], right[node]
         )
-        gains = np.where(valid, total_sse - sse_left - sse_right, -np.inf)
-        k = int(np.argmax(gains))  # first max: lowest threshold wins ties
-        if gains[k] > best_gain:
-            thr = (xs[k] + xs[k + 1]) / 2.0
-            if not thr < xs[k + 1]:  # adjacent floats: fall back to left value
-                thr = xs[k]
-            best_gain = float(gains[k])
-            best = (j, float(thr))
-    return best
-
-
-def _grow_tree(
-    X: np.ndarray, y: np.ndarray, max_depth: int | None, min_leaf: int, depth: int = 0
-) -> dict:
-    n = len(y)
-    if (
-        (max_depth is not None and depth >= max_depth)
-        or n < 2 * min_leaf
-        or np.all(y == y[0])
-    ):
-        return {"value": float(np.mean(y))}
-    found = _best_split(X, y, min_leaf)
-    if found is None:
-        return {"value": float(np.mean(y))}
-    feature, threshold = found
-    mask = X[:, feature] <= threshold
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _grow_tree(X[mask], y[mask], max_depth, min_leaf, depth + 1),
-        "right": _grow_tree(X[~mask], y[~mask], max_depth, min_leaf, depth + 1),
-    }
-
-
-def _tree_predict(node: dict, x: np.ndarray) -> float:
-    while "value" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["value"]
+        if np.array_equal(step, node):
+            return value[node]
+        node = step
 
 
 def _fit_forest(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> dict:
     rng = np.random.default_rng(spec.seed)
     n = len(y)
+    samples = np.array(
+        [
+            rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
+            for _ in range(spec.n_trees)
+        ]
+    )
     trees = []
-    for _ in range(spec.n_trees):
-        idx = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
-        trees.append(_grow_tree(X[idx], y[idx], spec.max_depth, spec.min_leaf))
+    for batch in range(0, spec.n_trees, _TREES_PER_BATCH):
+        trees += _grow_trees(
+            X, y, samples[batch : batch + _TREES_PER_BATCH], spec.max_depth, spec.min_leaf
+        )
     return {"trees": trees}
 
 
@@ -430,65 +609,165 @@ def evaluate(model: TrainedModel, test: Dataset) -> Evaluation:
 # ---------------------------------------------------------------------------
 # model persistence
 
+_MODEL_KEYS = (
+    "format", "version", "spec", "feature_mode", "feature_names",
+    "median_tx_power", "params", "metadata",
+)
+_PARAM_KEYS = {
+    ModelKind.LINEAR: ("beta",),
+    ModelKind.RIDGE: ("beta",),
+    ModelKind.POLYNOMIAL: ("beta", "powers"),
+    ModelKind.RANDOM_FOREST: ("trees",),
+}
+
+
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Write a self-describing JSON model file; load_model inverts it."""
-    params = dict(model.params)
-    if "beta" in params:
-        params["beta"] = [float(b) for b in params["beta"]]
-    if "powers" in params:
-        params["powers"] = [list(p) for p in params["powers"]]
+    spec = {f.name: getattr(model.spec, f.name) for f in fields(ModelSpec)}
+    spec["kind"] = model.spec.kind.value
     payload = {
         "format": MODEL_FILE_FORMAT,
         "version": MODEL_FILE_VERSION,
-        "spec": {
-            "kind": model.spec.kind.value,
-            "poly_degree": model.spec.poly_degree,
-            "ridge_lambda": model.spec.ridge_lambda,
-            "n_trees": model.spec.n_trees,
-            "max_depth": model.spec.max_depth,
-            "min_leaf": model.spec.min_leaf,
-            "bootstrap": model.spec.bootstrap,
-            "seed": model.spec.seed,
-        },
+        "spec": spec,
         "feature_mode": model.feature_mode.value,
         "feature_names": list(model.feature_names),
         "median_tx_power": model.median_tx_power,
-        "params": params,
+        "params": model.params,
         "metadata": model.metadata,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != MODEL_FILE_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FILE_FORMAT} file")
-    if payload.get("version") != MODEL_FILE_VERSION:
-        raise ValueError(f"{path}: unsupported model file version")
-    spec_d = payload["spec"]
-    spec = ModelSpec(
-        kind=ModelKind(spec_d["kind"]),
-        poly_degree=spec_d["poly_degree"],
-        ridge_lambda=spec_d["ridge_lambda"],
-        n_trees=spec_d["n_trees"],
-        max_depth=spec_d["max_depth"],
-        min_leaf=spec_d["min_leaf"],
-        bootstrap=spec_d["bootstrap"],
-        seed=spec_d["seed"],
+    text = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=lambda a: a.tolist()
     )
-    params = payload["params"]
-    if "beta" in params:
-        params["beta"] = np.array(params["beta"], dtype=float)
-    if "powers" in params:
-        params["powers"] = [tuple(p) for p in params["powers"]]
+    Path(path).write_text(text + "\n")
+
+
+def _require_keys(obj, keys: Sequence[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    missing, extra = set(keys) - obj.keys(), obj.keys() - set(keys)
+    if missing or extra:
+        problems = [
+            f"{label} key(s) {', '.join(map(repr, sorted(found)))}"
+            for label, found in (("missing", missing), ("unexpected", extra))
+            if found
+        ]
+        raise ValueError(f"{where}: {'; '.join(problems)}")
+
+
+def _json_array(values, integer: bool, where: str) -> np.ndarray:
+    """A JSON list as a 1-D array of integers, or of finite floats."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in ("i" if integer else "if")):
+        raise ValueError(f"{where} is not a list of {'integers' if integer else 'numbers'}")
+    if integer:
+        return arr.astype(np.intp)
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} holds a non-finite value")
+    return arr
+
+
+def _tree_from_json(tree, n_features: int, where: str) -> dict[str, np.ndarray]:
+    """One tree's arrays, checked so that every row's descent ends at a leaf."""
+    _require_keys(tree, TREE_ARRAYS, where)
+    arrays = {
+        key: _json_array(tree[key], key in ("feature", "left", "right"), f"{where} {key}")
+        for key in TREE_ARRAYS
+    }
+    size = len(arrays["value"])
+    if size == 0 or any(len(a) != size for a in arrays.values()):
+        raise ValueError(f"{where}: arrays are empty or differ in length")
+    feature = arrays["feature"]
+    split = feature != -1
+    if not ((feature[split] >= 0) & (feature[split] < n_features)).all():
+        raise ValueError(f"{where}: feature index outside [0, {n_features})")
+    index = np.arange(size)[split]
+    for side in ("left", "right"):
+        child = arrays[side]
+        if (child[~split] != -1).any() or not (
+            (child[split] > index) & (child[split] < size)
+        ).all():
+            raise ValueError(
+                f"{where}: {side} child index out of range or not after its node"
+            )
+    return arrays
+
+
+def _params_from_json(params, kind: ModelKind, n_trees: int, n_features: int) -> dict:
+    _require_keys(params, _PARAM_KEYS[kind], "params")
+    if kind == ModelKind.RANDOM_FOREST:
+        trees = params["trees"]
+        if not isinstance(trees, list) or len(trees) != n_trees:
+            raise ValueError(f"params: trees is not a list of {n_trees} tree(s)")
+        return {
+            "trees": [
+                _tree_from_json(tree, n_features, f"tree {i}")
+                for i, tree in enumerate(trees)
+            ]
+        }
+    beta = _json_array(params["beta"], False, "beta")
+    if kind != ModelKind.POLYNOMIAL:
+        if len(beta) != n_features + 1:
+            raise ValueError(f"beta has {len(beta)} coefficient(s), want {n_features + 1}")
+        return {"beta": beta}
+    powers = np.asarray(params["powers"])
+    if (
+        powers.shape != (len(beta), n_features)
+        or powers.dtype.kind != "i"
+        or (powers < 0).any()
+    ):
+        raise ValueError(
+            f"powers is not a list of {len(beta)} non-negative exponent "
+            f"list(s) of length {n_features}"
+        )
+    return {"beta": beta, "powers": [tuple(p) for p in powers.tolist()]}
+
+
+def _model_from_json(payload: dict) -> TrainedModel:
+    _require_keys(payload, _MODEL_KEYS, "model file")
+    spec_d = payload["spec"]
+    _require_keys(spec_d, [f.name for f in fields(ModelSpec)], "spec")
+    try:
+        spec = ModelSpec(**{**spec_d, "kind": ModelKind(spec_d["kind"])})
+    except TypeError as err:
+        raise ValueError(f"spec: {err}") from None
+    names = payload["feature_names"]
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        raise ValueError("feature_names is not a non-empty list of strings")
+    median = payload["median_tx_power"]
+    if median is not None and (type(median) is not int):
+        raise ValueError("median_tx_power is not an integer or null")
+    if not isinstance(payload["metadata"], dict):
+        raise ValueError("metadata is not a JSON object")
     return TrainedModel(
         spec=spec,
         feature_mode=FeatureMode(payload["feature_mode"]),
-        feature_names=tuple(payload["feature_names"]),
-        params=params,
-        median_tx_power=payload["median_tx_power"],
-        metadata=payload.get("metadata", {}),
+        feature_names=tuple(names),
+        params=_params_from_json(payload["params"], spec.kind, spec.n_trees, len(names)),
+        median_tx_power=median,
+        metadata=payload["metadata"],
     )
+
+
+def load_model(path: str | Path) -> TrainedModel:
+    """Read a model file written by save_model.
+
+    Any other file raises ValueError naming the first problem found: another
+    format or version, a missing or extra key, a malformed value, or tree
+    arrays whose descent could leave the tree or never end.
+    """
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FILE_FORMAT:
+        raise ValueError(f"{path}: not a {MODEL_FILE_FORMAT} file")
+    if payload.get("version") != MODEL_FILE_VERSION:
+        raise ValueError(
+            f"{path}: model file version {payload.get('version')!r} is not supported "
+            f"(this smol reads version {MODEL_FILE_VERSION}); retrain with `smol train`"
+        )
+    try:
+        return _model_from_json(payload)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -170,23 +170,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = calibrate.load_model(args.model)
     log = campaign.read_measurements(args.log)
-    if model.feature_mode == FeatureMode.MEDIAN_TX:
-        rows = [m for m in log if m.tx_power == model.median_tx_power]
-        if not rows:
-            raise ValueError(
-                f"log has no packets at the model's median power "
-                f"({model.median_tx_power} dBm); cannot apply a median-mode model"
-            )
-        features = [[m.rssi] for m in rows]
-    else:
-        rows = list(log)
-        features = [[m.rssi, float(m.tx_power)] for m in rows]
-
+    rows, features = calibrate.feature_matrix(
+        log, model.feature_mode, model.median_tx_power
+    )
+    predictions = model.predict_many(features).tolist()
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(campaign.CSV_COLUMNS) + ["vwc_pred_pct"])
-        for m, x in zip(rows, features):
-            writer.writerow(campaign.measurement_row(m) + [repr(model.predict(x))])
+        for m, pred in zip(rows, predictions):
+            writer.writerow(campaign.measurement_row(m) + [repr(pred)])
     print(f"wrote {len(rows)} predictions to {args.out}")
     return EXIT_OK
 

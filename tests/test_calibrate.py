@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smol.calibrate import (
+    TREE_ARRAYS,
     CompareRow,
     Dataset,
     FeatureMode,
@@ -89,6 +90,12 @@ class TestAssemble:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             assemble([], FeatureMode.ALL_TX)
+
+    def test_rejects_non_finite_rssi(self):
+        log = _sweep_log()
+        log[3] = _measurement(float("nan"), log[3].tx_power, log[3].vwc_truth)
+        with pytest.raises(ValueError, match="finite"):
+            assemble(log, FeatureMode.ALL_TX)
 
 
 class TestSplit:
@@ -236,7 +243,31 @@ class TestForest:
         ds = _dataset(X, y)
         a = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5, seed=1), ds)
         b = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5, seed=1), ds)
-        assert a.params == b.params
+        other = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5, seed=2), ds)
+
+        def same(m1, m2):
+            return all(
+                np.array_equal(t1[key], t2[key])
+                for t1, t2 in zip(m1.params["trees"], m2.params["trees"], strict=True)
+                for key in TREE_ARRAYS
+            )
+
+        assert same(a, b)
+        assert not same(a, other)
+
+    def test_gain_ties_go_to_lowest_feature_then_lowest_threshold(self):
+        # Targets 0, 1, 1, 0: cutting off either end row gains the same. The
+        # second column orders the rows in reverse, so both of its end cuts
+        # tie with the first column's too.
+        X = np.array([[0.0, 13.0], [1.0, 12.0], [2.0, 11.0], [3.0, 10.0]])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        spec = ModelSpec(
+            ModelKind.RANDOM_FOREST, n_trees=1, max_depth=1, min_leaf=1, bootstrap=False
+        )
+        for columns, threshold in (([0, 1], 0.5), ([1, 0], 10.5)):
+            tree = fit(spec, _dataset(X[:, columns], y)).params["trees"][0]
+            assert tree["feature"].tolist() == [0, -1, -1]
+            assert tree["threshold"][0] == threshold
 
     def test_learns_a_smooth_surface(self):
         rng = np.random.default_rng(10)

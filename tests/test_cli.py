@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from smol import calibrate, campaign
+from smol.calibrate import FeatureMode, ModelKind
 from smol.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from smol.sweepproto import Measurement
 
@@ -218,3 +221,88 @@ def test_model_zoo_via_cli(tmp_path, small_log):
         )
         model = calibrate.load_model(out)
         assert model.spec.kind.value == kind
+
+
+@pytest.mark.parametrize("mode", [m.value for m in FeatureMode])
+@pytest.mark.parametrize("kind", [k.value for k in ModelKind])
+def test_predict_writes_predict_many_outputs(tmp_path, small_log, kind, mode):
+    model_path = tmp_path / "model.json"
+    assert (
+        main(["train", "--log", str(small_log), "--model", kind, "--mode", mode,
+              "--trees", "5", "--out", str(model_path)])
+        == EXIT_OK
+    )
+    preds_path = tmp_path / "preds.csv"
+    assert (
+        main(["predict", "--model", str(model_path), "--log", str(small_log),
+              "--out", str(preds_path)])
+        == EXIT_OK
+    )
+    model = calibrate.load_model(model_path)
+    log = campaign.read_measurements(small_log)
+    if mode == "all_tx":
+        X = np.array([[m.rssi, m.tx_power] for m in log], dtype=float)
+    else:
+        X = np.array([[m.rssi] for m in log if m.tx_power == 13])
+    with open(preds_path) as fh:
+        written = [row["vwc_pred_pct"] for row in csv.DictReader(fh)]
+    assert written == [repr(p) for p in model.predict_many(X).tolist()]
+
+
+def _first_tree(payload):
+    return payload["params"]["trees"][0]
+
+
+def _set_root(array, value):
+    """Set the root node's entry in one array of the first tree."""
+    def mutate(payload):
+        tree = _first_tree(payload)
+        tree[array][0] = value(tree) if callable(value) else value
+    return mutate
+
+
+def _nan_leaf(payload):
+    tree = _first_tree(payload)
+    tree["value"][tree["feature"].index(-1)] = math.nan
+
+
+BAD_MODELS = {
+    "version 1": ("random_forest", lambda p: p.update(version=1)),
+    "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
+    "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
+    "missing spec key": ("random_forest", lambda p: p["spec"].pop("min_leaf")),
+    "missing params key": ("random_forest", lambda p: p["params"].pop("trees")),
+    "missing tree key": ("random_forest", lambda p: _first_tree(p).pop("value")),
+    "extra tree key": ("random_forest", lambda p: _first_tree(p).update(depth=[0])),
+    "too few trees": ("random_forest", lambda p: p["params"]["trees"].pop()),
+    "unequal array lengths": ("random_forest", lambda p: _first_tree(p)["threshold"].pop()),
+    "child index out of range": ("random_forest", _set_root("left", lambda t: len(t["left"]))),
+    "child index not after parent": ("random_forest", _set_root("right", 0)),
+    "fractional child index": ("random_forest", _set_root("left", 1.5)),
+    "feature index too large": ("random_forest", _set_root("feature", 2)),
+    "negative feature index": ("random_forest", _set_root("feature", -2)),
+    "non-finite threshold": ("random_forest", _set_root("threshold", math.inf)),
+    "non-finite leaf value": ("random_forest", _nan_leaf),
+    "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
+    "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_predict_rejects_a_malformed_model(tmp_path, small_log, capsys, case):
+    kind, mutate = BAD_MODELS[case]
+    model_path = tmp_path / "model.json"
+    assert (
+        main(["train", "--log", str(small_log), "--model", kind, "--trees", "2",
+              "--out", str(model_path)])
+        == EXIT_OK
+    )
+    payload = json.loads(model_path.read_text())
+    mutate(payload)
+    model_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model_path), "--log", str(small_log),
+                 "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

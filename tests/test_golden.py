@@ -1,0 +1,64 @@
+"""Golden outputs of the stock random forest.
+
+The hashes and the table below were computed with the recursive,
+one-node-at-a-time grower that the array-backed forest replaced. A forest
+rewrite that changes any split, threshold, leaf value or the order of a
+float summation moves at least one of them. They also rest on NumPy's
+pairwise ``np.sum`` and the C library's ``pow``: a platform where either
+rounds differently fails here with unchanged code.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from smol import calibrate, campaign, cli
+from smol.calibrate import FeatureMode, ModelKind, ModelSpec
+
+GOLDEN_PREDICTIONS = {
+    FeatureMode.ALL_TX: "59e85877f4069ae9f18bb3590262bf1b68e65b5b1ce1ed2f8a2831eb50b3921b",
+    FeatureMode.MEDIAN_TX: "2e075f4f0c61bc4d6ff2bd30c89474f5c1a9bd8a605bf6d17a3befe8e63b5446",
+}
+
+GOLDEN_TABLE_CSV = (
+    'model,mode,r_squared,mae,best\n'
+    'random_forest,all_tx,0.9495426078139733,1.9839196534536527,1\n'
+    'polynomial,all_tx,0.9333470943924006,2.4495606389054236,0\n'
+    'linear,all_tx,0.9298107198264521,2.545015342178257,0\n'
+    'random_forest,median_tx,0.8707105477000806,2.3639046897275753,0\n'
+    'polynomial,median_tx,0.8690326505980126,2.4466684736824615,0\n'
+    'linear,median_tx,0.8584359168449164,2.6740388653204468,0\n'
+)
+
+
+def _probe_grid(features: np.ndarray) -> np.ndarray:
+    """Half-dB steps across the training range: every midpoint threshold
+    of integer features is hit exactly, and so is each side of it."""
+    axes = [
+        np.arange(features[:, j].min() - 1.0, features[:, j].max() + 1.5, 0.5)
+        for j in range(features.shape[1])
+    ]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+@pytest.fixture(scope="module")
+def stock_log():
+    return campaign.run_campaign(campaign.CampaignConfig())
+
+
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_stock_forest_predictions_are_pinned(stock_log, mode):
+    dataset = calibrate.assemble(stock_log, mode)
+    train, _ = calibrate.split(dataset, 0.8, seed=0)
+    model = calibrate.fit(ModelSpec(ModelKind.RANDOM_FOREST), train)
+    X = np.vstack([dataset.features, _probe_grid(dataset.features)])
+    preds = np.ascontiguousarray(model.predict_many(X), dtype="<f8")
+    assert hashlib.sha256(preds.tobytes()).hexdigest() == GOLDEN_PREDICTIONS[mode]
+
+
+def test_stock_report_table_is_pinned(tmp_path):
+    log = tmp_path / "campaign.csv"
+    assert cli.main(["simulate", "--out", str(log)]) == cli.EXIT_OK
+    assert cli.main(["report", "--log", str(log), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert (tmp_path / "table.csv").read_text() == GOLDEN_TABLE_CSV
