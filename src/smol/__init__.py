@@ -34,7 +34,7 @@ from .campaign import (
     save_config,
     write_measurements,
 )
-from .groundtruth import TdrSensor, calibrate_sensor, read_vwc
+from .groundtruth import TdrSensor, read_vwc
 from .soilchan import (
     Dielectric,
     LinkGeometry,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sweepproto import Measurement, PowerPlan, median_power
+from .sweepproto import Measurement, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
 MODEL_FILE_VERSION = 2
@@ -68,8 +68,9 @@ class ModelSpec:
     """Hyperparameters for one regressor family.
 
     Only the fields relevant to ``kind`` matter; the rest ride along so a
-    spec stays a plain value object. ``bootstrap=False`` lets a single
-    fully-grown tree see every training row (useful for sanity checks).
+    spec stays a plain value object, and every field is checked whatever
+    the kind. ``bootstrap=False`` lets a single fully-grown tree see every
+    training row (useful for sanity checks).
     """
 
     kind: ModelKind
@@ -82,17 +83,19 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind == ModelKind.POLYNOMIAL and self.poly_degree < 2:
-            raise ValueError("polynomial degree must be >= 2")
-        if self.kind == ModelKind.RIDGE and self.ridge_lambda < 0.0:
-            raise ValueError("ridge penalty must be >= 0")
-        if self.kind == ModelKind.RANDOM_FOREST:
-            if self.n_trees < 1:
-                raise ValueError("forest needs at least one tree")
-            if self.max_depth is not None and self.max_depth < 1:
-                raise ValueError("max depth must be >= 1 (or None for unbounded)")
-            if self.min_leaf < 1:
-                raise ValueError("min leaf size must be >= 1")
+        ModelKind(self.kind)  # an unknown kind raises ValueError
+        minimums = {"poly_degree": 2, "n_trees": 1, "min_leaf": 1, "seed": 0}
+        if self.max_depth is not None:  # None: unbounded depth
+            minimums["max_depth"] = 1
+        for name, low in minimums.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        lam = self.ridge_lambda
+        if type(lam) not in (int, float) or not math.isfinite(lam) or lam < 0.0:
+            raise ValueError(f"ridge_lambda must be a finite number >= 0, got {lam!r}")
+        if type(self.bootstrap) is not bool:
+            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass
@@ -208,17 +211,12 @@ def feature_matrix(
     return kept, np.array(rows, dtype=float).reshape(len(kept), len(FEATURE_NAMES[mode]))
 
 
-def assemble(
-    measurements: Sequence[Measurement],
-    mode: FeatureMode,
-    plan: PowerPlan | None = None,
-) -> Dataset:
+def assemble(measurements: Sequence[Measurement], mode: FeatureMode) -> Dataset:
     """Build a training dataset from ground-truthed measurements.
 
     ALL_TX keeps every packet with features [rssi, tx_power]; MEDIAN_TX
-    keeps only packets sent at the plan's median power, feature [rssi].
-    When no plan is given the levels are inferred from the log itself.
-    Targets are VWC percent.
+    keeps only packets sent at the median power of the plan the log was
+    swept with. Targets are VWC percent.
     """
     if len(measurements) == 0:
         raise ValueError("no measurements to assemble")
@@ -229,11 +227,7 @@ def assemble(
             "assembling a training set needs the vwc_truth column"
         )
 
-    med = None
-    if mode == FeatureMode.MEDIAN_TX:
-        if plan is None:
-            plan = PowerPlan(tuple(sorted({m.tx_power for m in measurements})))
-        med = median_power(plan)
+    med = log_median_power(measurements) if mode == FeatureMode.MEDIAN_TX else None
     kept, X = feature_matrix(measurements, mode, med)
     y = [100.0 * m.vwc_truth for m in kept]
     return Dataset(X, np.array(y), mode, FEATURE_NAMES[mode], median_tx_power=med)
@@ -727,10 +721,7 @@ def _model_from_json(payload: dict) -> TrainedModel:
     _require_keys(payload, _MODEL_KEYS, "model file")
     spec_d = payload["spec"]
     _require_keys(spec_d, [f.name for f in fields(ModelSpec)], "spec")
-    try:
-        spec = ModelSpec(**{**spec_d, "kind": ModelKind(spec_d["kind"])})
-    except TypeError as err:
-        raise ValueError(f"spec: {err}") from None
+    spec = ModelSpec(**{**spec_d, "kind": ModelKind(spec_d["kind"])})
     names = payload["feature_names"]
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise ValueError("feature_names is not a non-empty list of strings")
@@ -817,7 +808,6 @@ def compare(
     modes: Sequence[FeatureMode],
     train_fraction: float = 0.8,
     split_seed: int = 0,
-    plan: PowerPlan | None = None,
 ) -> list[CompareRow]:
     """Assemble/split/fit/evaluate every (spec, mode) pair.
 
@@ -827,7 +817,7 @@ def compare(
     rows: list[CompareRow] = []
     for mode in modes:
         try:
-            dataset = assemble(measurements, mode, plan=plan)
+            dataset = assemble(measurements, mode)
             train, test = split(dataset, train_fraction, split_seed)
         except (ValueError, SingularSystemError) as err:
             rows.extend(

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
+from .calibrate import _require_keys
 from .groundtruth import TdrSensor, read_vwc
 from .soilchan import (
     WATER_LOSS_FACTOR_DEFAULT,
@@ -35,7 +37,7 @@ from .sweepproto import (
     Measurement,
     PowerPlan,
     SimulatedLink,
-    median_power,
+    log_median_power,
     run_sweep,
 )
 
@@ -78,6 +80,11 @@ DEFAULT_SCENARIOS: tuple[Scenario, ...] = (
 DEFAULT_VWC_GRID: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
 
 
+def _finite_number(value) -> bool:
+    """An int or float, not a bool, that is finite."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything a simulated campaign needs, in one value object.
@@ -112,18 +119,29 @@ class CampaignConfig:
     bandwidth_hz: float = 125_000.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float":
+                if not _finite_number(value):
+                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            elif f.type in ("int", "bool") and type(value).__name__ != f.type:
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if not self.scenarios:
             raise ConfigError("campaign needs at least one scenario")
         if not self.vwc_grid:
             raise ConfigError("vwc grid must not be empty")
         for v in self.vwc_grid:
-            if not 0.0 <= v <= self.porosity:
+            if not (_finite_number(v) and 0.0 <= v <= self.porosity):
                 raise ConfigError(
-                    f"grid vwc {v} outside [0, porosity={self.porosity}]"
+                    f"grid vwc {v!r} outside [0, porosity={self.porosity}]"
                 )
         for s in self.scenarios:
-            if s.receiver_height_cm < 0 or s.burial_depth_cm < 0:
-                raise ConfigError(f"scenario {s.label}: negative geometry")
+            depths = (s.receiver_height_cm, s.burial_depth_cm)
+            valid_depths = all(_finite_number(d) and d >= 0 for d in depths)
+            if type(s.label) is not str or not valid_depths:
+                raise ConfigError(
+                    f"scenario {s.label!r}: needs a text label and finite depths >= 0"
+                )
         if self.sweeps_per_cell < 1:
             raise ConfigError("sweeps_per_cell must be >= 1")
         # Fail fast on anything the physics layer would reject later.
@@ -216,7 +234,10 @@ def _fraction_to_pct_str(fraction: float) -> str:
 
 
 def _pct_str_to_fraction(text: str) -> float:
-    return float(Decimal(text) / 100)
+    try:
+        return float(Decimal(text) / 100)
+    except ArithmeticError:
+        raise ValueError(f"vwc_truth_pct {text!r} is not a number") from None
 
 
 def measurement_row(m: Measurement) -> list:
@@ -242,27 +263,31 @@ def write_measurements(path: str | Path, measurements: Sequence[Measurement]) ->
 
 
 def read_measurements(path: str | Path) -> list[Measurement]:
+    """The log at ``path``; the first bad row raises ValueError as ``path:line: why``."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_COLUMNS:
             raise ValueError(f"{path}: not a measurement log (bad header)")
         out = []
-        for row in reader:
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            out.append(
-                Measurement(
-                    timestamp=float(row[0]),
-                    device_id=int(row[1]),
-                    tx_power=int(row[2]),
-                    rssi=float(row[3]),
-                    height_cm=float(row[4]),
-                    depth_cm=float(row[5]),
-                    scenario=row[6],
-                    vwc_truth=None if row[7] == "" else _pct_str_to_fraction(row[7]),
+        try:
+            for row in reader:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(row)} columns, want {len(CSV_COLUMNS)}")
+                out.append(
+                    Measurement(
+                        timestamp=float(row[0]),
+                        device_id=int(row[1]),
+                        tx_power=int(row[2]),
+                        rssi=float(row[3]),
+                        height_cm=float(row[4]),
+                        depth_cm=float(row[5]),
+                        scenario=row[6],
+                        vwc_truth=None if row[7] == "" else _pct_str_to_fraction(row[7]),
+                    )
                 )
-            )
+        except (ValueError, csv.Error) as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     return out
 
 
@@ -279,13 +304,9 @@ class CurvePoint:
     mean_rssi_dbm: float
 
 
-def median_power_curves(
-    measurements: Sequence[Measurement], plan: PowerPlan | None = None
-) -> list[CurvePoint]:
+def median_power_curves(measurements: Sequence[Measurement]) -> list[CurvePoint]:
     """Per-height RSSI-vs-moisture curves from the median-power packets."""
-    if plan is None:
-        plan = PowerPlan(tuple(sorted({m.tx_power for m in measurements})))
-    med = median_power(plan)
+    med = log_median_power(measurements)
     groups: dict[tuple[str, float, float], list[float]] = {}
     for m in measurements:
         if m.tx_power != med:
@@ -315,56 +336,37 @@ def write_curves(path: str | Path, points: Sequence[CurvePoint]) -> None:
 # config persistence (versioned JSON)
 
 def config_to_dict(config: CampaignConfig) -> dict:
-    return {
-        "format": CONFIG_FILE_FORMAT,
-        "version": CONFIG_FILE_VERSION,
-        "scenarios": [
-            {
-                "label": s.label,
-                "burial_depth_cm": s.burial_depth_cm,
-                "receiver_height_cm": s.receiver_height_cm,
-            }
-            for s in config.scenarios
-        ],
-        "vwc_grid": list(config.vwc_grid),
-        "porosity": config.porosity,
-        "solid_permittivity": config.solid_permittivity,
-        "water_eps_real": config.water_eps_real,
-        "water_loss_factor": config.water_loss_factor,
-        "frequency_hz": config.frequency_hz,
-        "tx_gain_db": config.tx_gain_db,
-        "rx_gain_db": config.rx_gain_db,
-        "power_levels": list(config.power_levels),
-        "rssi_sigma_db": config.rssi_sigma_db,
-        "quantize_rssi": config.quantize_rssi,
-        "drop_prob": config.drop_prob,
-        "wrap_high_power": config.wrap_high_power,
-        "tdr_error_bound": config.tdr_error_bound,
-        "tdr_spots": config.tdr_spots,
-        "sweeps_per_cell": config.sweeps_per_cell,
-        "training_mode": config.training_mode,
-        "device_id": config.device_id,
-        "seed": config.seed,
-        "epoch": config.epoch,
-        "sweep_interval_s": config.sweep_interval_s,
-        "spread_factor": config.spread_factor,
-        "bandwidth_hz": config.bandwidth_hz,
-    }
+    return {"format": CONFIG_FILE_FORMAT, "version": CONFIG_FILE_VERSION, **asdict(config)}
 
 
-def config_from_dict(data: dict) -> CampaignConfig:
-    if data.get("format") != CONFIG_FILE_FORMAT:
+def config_from_dict(data) -> CampaignConfig:
+    """The config a ``config_to_dict`` dict describes.
+
+    Every field is required: a missing or unknown key, at the top level or
+    in a scenario, raises ConfigError, as does any value CampaignConfig
+    rejects.
+    """
+    if not isinstance(data, dict) or data.get("format") != CONFIG_FILE_FORMAT:
         raise ConfigError(f"not a {CONFIG_FILE_FORMAT} config")
     if data.get("version") != CONFIG_FILE_VERSION:
         raise ConfigError("unsupported config version")
-    fields = {k: v for k, v in data.items() if k not in ("format", "version")}
-    fields["scenarios"] = tuple(Scenario(**s) for s in data["scenarios"])
-    fields["vwc_grid"] = tuple(data["vwc_grid"])
-    fields["power_levels"] = tuple(data["power_levels"])
     try:
-        return CampaignConfig(**fields)
+        names = [f.name for f in fields(CampaignConfig)]
+        _require_keys(data, ["format", "version", *names], "config")
+        values = {name: data[name] for name in names}
+        for name in ("scenarios", "vwc_grid", "power_levels"):
+            if not isinstance(values[name], list):
+                raise ConfigError(f"config: {name} is not a list")
+            values[name] = tuple(values[name])
+        scenario_keys = [f.name for f in fields(Scenario)]
+        for i, s in enumerate(values["scenarios"]):
+            _require_keys(s, scenario_keys, f"config: scenario {i}")
+        values["scenarios"] = tuple(Scenario(**s) for s in values["scenarios"])
+        return CampaignConfig(**values)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     except TypeError as err:
-        raise ConfigError(f"bad config field: {err}") from err
+        raise ConfigError(f"config: a value has the wrong type ({err})") from None
 
 
 def save_config(config: CampaignConfig, path: str | Path) -> None:

@@ -1,15 +1,14 @@
 """Reference moisture sensor emulator (TDR-style probe).
 
-Reads the true volumetric water content with bounded uniform error,
-averages a handful of probe spots per session, and maps raw instrument
-units through a two-point air/water calibration. The waveguide physics
-of the real instrument is abstracted away: a reading is truth plus
-noise on the calibrated scale.
+Reads the true volumetric water content with bounded uniform error and
+averages a handful of probe spots per session. The waveguide physics of
+the real instrument is abstracted away: a reading is truth plus noise on
+the percent scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,6 @@ class TdrSensor:
 
     error_bound: float = 0.03
     spots: int = 10
-    cal_air: float = 0.0
-    cal_water: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -31,32 +28,15 @@ class TdrSensor:
             raise ValueError("error bound must be >= 0")
         if self.spots < 1:
             raise ValueError("need at least one probe spot per reading")
-        if self.cal_water <= self.cal_air:
-            raise ValueError("water calibration point must exceed the air point")
-
-
-def calibrate_sensor(sensor: TdrSensor, air_raw: float, water_raw: float) -> TdrSensor:
-    """Two-point calibration: air_raw maps to 0%, water_raw to 100%."""
-    if water_raw <= air_raw:
-        raise ValueError(
-            f"degenerate calibration: water raw {water_raw} <= air raw {air_raw}"
-        )
-    return replace(sensor, cal_air=air_raw, cal_water=water_raw)
-
-
-def map_raw_to_percent(sensor: TdrSensor, raw: float) -> float:
-    """Linear raw-units to percent mapping set by the calibration points."""
-    return 100.0 * (raw - sensor.cal_air) / (sensor.cal_water - sensor.cal_air)
 
 
 def read_vwc(sensor: TdrSensor, true_state: SoilState, draw_index: int = 0) -> float:
     """One reading session: percent VWC in [0, 100].
 
     Averages ``sensor.spots`` independent probe readings, each the true
-    vwc plus uniform noise within +/- error_bound. Readings are produced
-    directly on the calibrated percent scale (the affine raw mapping
-    cancels for a calibrated probe). ``draw_index`` names the session so
-    repeated sessions under one seed stay independent yet reproducible.
+    vwc plus uniform noise within +/- error_bound, on the percent scale.
+    ``draw_index`` names the session so repeated sessions under one seed
+    stay independent yet reproducible.
     """
     if sensor.error_bound == 0.0:
         return min(100.0, max(0.0, 100.0 * true_state.vwc))

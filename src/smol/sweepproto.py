@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from math import isfinite
+from typing import Iterable
 
 import numpy as np
 
@@ -96,9 +98,9 @@ class PowerPlan:
         if len(set(self.levels)) != len(self.levels):
             raise ValueError("power plan has duplicate levels")
         for p in self.levels:
-            if not TX_POWER_MIN_DBM <= p <= TX_POWER_MAX_DBM:
+            if type(p) is not int or not TX_POWER_MIN_DBM <= p <= TX_POWER_MAX_DBM:
                 raise ValueError(
-                    f"plan level {p} dBm outside "
+                    f"plan level {p!r} is not an integer dBm in "
                     f"[{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}]"
                 )
 
@@ -111,7 +113,8 @@ class Measurement:
     """One received packet: what was sent, what was heard, and where.
 
     ``vwc_truth`` is the reference-sensor reading as a fraction in [0, 1];
-    it is only present when the campaign ran in training mode.
+    it is only present when the campaign ran in training mode. The other
+    numbers must be finite and ``tx_power`` a level the radio can send.
     """
 
     timestamp: float
@@ -124,6 +127,18 @@ class Measurement:
     vwc_truth: float | None = None
 
     def __post_init__(self) -> None:
+        if not (
+            isfinite(self.timestamp)
+            and isfinite(self.rssi)
+            and isfinite(self.height_cm)
+            and isfinite(self.depth_cm)
+        ):
+            raise ValueError(f"non-finite number in {self}")
+        if not TX_POWER_MIN_DBM <= self.tx_power <= TX_POWER_MAX_DBM:
+            raise ValueError(
+                f"tx power {self.tx_power} dBm outside "
+                f"[{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}]"
+            )
         if self.vwc_truth is not None and not 0.0 <= self.vwc_truth <= 1.0:
             raise ValueError(f"vwc_truth {self.vwc_truth} outside [0, 1]")
 
@@ -167,6 +182,12 @@ def median_power(plan: PowerPlan) -> int:
     """Lower median of the plan's levels (even counts break downward)."""
     ordered = sorted(plan.levels)
     return ordered[(len(ordered) - 1) // 2]
+
+
+def log_median_power(measurements: Iterable[Measurement]) -> int:
+    """Median power of the plan a log was swept with, inferred from the
+    distinct TX powers it holds."""
+    return median_power(PowerPlan(tuple({m.tx_power for m in measurements})))
 
 
 class SweepTransmitter:

@@ -26,7 +26,7 @@ from smol.calibrate import (
     save_model,
     split,
 )
-from smol.sweepproto import Measurement, PowerPlan
+from smol.sweepproto import Measurement
 
 
 def _measurement(rssi, tx, truth, scenario="lab"):
@@ -71,11 +71,10 @@ class TestAssemble:
         assert ds.features.shape == (10, 1)
         assert ds.median_tx_power == 13
 
-    def test_explicit_plan_controls_the_median(self):
-        ds = assemble(
-            _sweep_log(), FeatureMode.MEDIAN_TX, plan=PowerPlan(tuple(range(5, 20)))
-        )
+    def test_median_power_comes_from_the_logged_plan(self):
+        ds = assemble(_sweep_log(levels=range(5, 20)), FeatureMode.MEDIAN_TX)
         assert ds.median_tx_power == 12
+        assert len(ds) == 10
 
     def test_targets_are_percent(self):
         ds = assemble(_sweep_log(), FeatureMode.ALL_TX)
@@ -92,10 +91,13 @@ class TestAssemble:
             assemble([], FeatureMode.ALL_TX)
 
     def test_rejects_non_finite_rssi(self):
+        # A Measurement refuses a nan RSSI itself; a Dataset built without
+        # one refuses it too.
         log = _sweep_log()
-        log[3] = _measurement(float("nan"), log[3].tx_power, log[3].vwc_truth)
         with pytest.raises(ValueError, match="finite"):
-            assemble(log, FeatureMode.ALL_TX)
+            assemble(log[:3] + [_measurement(float("nan"), 8, 0.05)], FeatureMode.ALL_TX)
+        with pytest.raises(ValueError, match="finite"):
+            _dataset([[float("nan"), 8.0]], [5.0])
 
 
 class TestSplit:

@@ -65,6 +65,62 @@ def test_simulate_config_round_trip(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
+
+
+def _edit(change):
+    """Apply ``change`` to the config dict in place, then return the dict."""
+    def mutate(data):
+        change(data)
+        return data
+    return mutate
+
+
+BAD_CONFIGS = {
+    "missing top-level key": _edit(lambda d: d.pop("scenarios")),
+    "missing seed": _edit(lambda d: d.pop("seed")),
+    "missing rssi_sigma_db": _edit(lambda d: d.pop("rssi_sigma_db")),
+    "extra top-level key": _edit(lambda d: d.update(mystery_knob=1)),
+    "scenario missing a key": _edit(lambda d: d["scenarios"][0].pop("label")),
+    "scenario with an extra key": _edit(lambda d: d["scenarios"][0].update(tilt_deg=3.0)),
+    "top-level list": lambda d: [d],
+    "scenarios not a list": _edit(lambda d: d.update(scenarios={"label": "x"})),
+    "frequency_hz NaN": _edit(lambda d: d.update(frequency_hz=math.nan)),
+    "fractional tdr_spots": _edit(lambda d: d.update(tdr_spots=2.5)),
+    "fractional seed": _edit(lambda d: d.update(seed=1.5)),
+    "fractional power level": _edit(lambda d: d["power_levels"].append(23.5)),
+    "string for a bool": _edit(lambda d: d.update(quantize_rssi="no")),
+    "bool for a grid level": _edit(lambda d: d["vwc_grid"].append(False)),
+    "bool for a scenario height": _edit(
+        lambda d: d["scenarios"][0].update(receiver_height_cm=True)
+    ),
+    "number for a scenario label": _edit(lambda d: d["scenarios"][0].update(label=7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, case):
+    stock = json.loads(json.dumps(campaign.config_to_dict(campaign.CampaignConfig())))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(BAD_CONFIGS[case](stock)))
+    code = main(["simulate", "--out", str(tmp_path / "x.csv"), "--config", str(cfg_path)])
+    assert code == EXIT_VALIDATION
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--noise-sigma", "nan"], ["--epoch", "inf"], ["--drop-prob", "nan"]],
+)
+def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
+    code = main(["simulate", "--out", str(tmp_path / "x.csv"), *flags])
+    assert code == EXIT_VALIDATION
+    _one_error_line(capsys)
+
+
 def test_simulate_rejects_bad_config(tmp_path):
     cfg_path = tmp_path / "bad.json"
     data = campaign.config_to_dict(campaign.CampaignConfig())
@@ -285,6 +341,10 @@ BAD_MODELS = {
     "non-finite leaf value": ("random_forest", _nan_leaf),
     "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
     "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
+    "forest spec of the wrong types": (
+        "random_forest", lambda p: p["spec"].update(ridge_lambda="x", bootstrap="yes")
+    ),
+    "linear spec out of range": ("linear", lambda p: p["spec"].update(n_trees=0, seed=1.5)),
 }
 
 
@@ -306,3 +366,39 @@ def test_predict_rejects_a_malformed_model(tmp_path, small_log, capsys, case):
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+BAD_LOG_ROWS = {
+    "nan rssi": (3, "nan"),
+    "tx power 99": (2, "99"),
+    "fractional tx power": (2, "13.5"),
+    "bad timestamp": (0, "noon"),
+    "bad truth percent": (7, "wet"),
+    "truth percent out of range": (7, "140"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("case", sorted(BAD_LOG_ROWS) + ["short row"])
+def test_commands_reject_a_bad_log_row_with_its_line(
+    tmp_path, small_log, capsys, command, case
+):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--log", str(small_log), "--model", "linear",
+                 "--out", str(model_path)]) == EXIT_OK
+    lines = small_log.read_text().splitlines()
+    row = lines[4].split(",")
+    if case == "short row":
+        row = row[:-1]
+    else:
+        column, value = BAD_LOG_ROWS[case]
+        row[column] = value
+    lines[4] = ",".join(row)
+    bad_log = tmp_path / "bad.csv"
+    bad_log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = {"train": ["train", "--log", str(bad_log), "--out", str(tmp_path / "m.json")],
+            "predict": ["predict", "--model", str(model_path), "--log", str(bad_log),
+                        "--out", str(tmp_path / "p.csv")]}[command]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"{bad_log}:5: " in _one_error_line(capsys)

@@ -1,11 +1,15 @@
-"""Golden outputs of the stock random forest.
+"""Golden outputs of the stock random forest and of the config file.
 
-The hashes and the table below were computed with the recursive,
+The forest hashes and the table below were computed with the recursive,
 one-node-at-a-time grower that the array-backed forest replaced. A forest
 rewrite that changes any split, threshold, leaf value or the order of a
 float summation moves at least one of them. They also rest on NumPy's
 pairwise ``np.sum`` and the C library's ``pow``: a platform where either
 rounds differently fails here with unchanged code.
+
+The config hashes were computed with the hand-listed ``config_to_dict``
+that ``dataclasses.asdict`` replaced; they pin the file's key order and
+number formatting.
 """
 
 import hashlib
@@ -19,6 +23,11 @@ from smol.calibrate import FeatureMode, ModelKind, ModelSpec
 GOLDEN_PREDICTIONS = {
     FeatureMode.ALL_TX: "59e85877f4069ae9f18bb3590262bf1b68e65b5b1ce1ed2f8a2831eb50b3921b",
     FeatureMode.MEDIAN_TX: "2e075f4f0c61bc4d6ff2bd30c89474f5c1a9bd8a605bf6d17a3befe8e63b5446",
+}
+
+GOLDEN_CONFIG_SHA256 = {
+    "stock": "0f8e987a2c16b974913812693311eeb98ddb45a4e63be11606e88dab2e3e1d5c",
+    "large": "fbd783467260b79d613a7cdce8f92fe71d783b92900c2afeac8a07bf59c3f1dd",
 }
 
 GOLDEN_TABLE_CSV = (
@@ -62,3 +71,31 @@ def test_stock_report_table_is_pinned(tmp_path):
     assert cli.main(["simulate", "--out", str(log)]) == cli.EXIT_OK
     assert cli.main(["report", "--log", str(log), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
     assert (tmp_path / "table.csv").read_text() == GOLDEN_TABLE_CSV
+
+
+def _large_config() -> campaign.CampaignConfig:
+    """36 placements x 16 moisture levels with packet drops."""
+    return campaign.CampaignConfig(
+        scenarios=tuple(
+            campaign.Scenario(f"d{depth:02.0f}_h{height:03.0f}", depth, height)
+            for depth in (5.0, 12.0, 19.0, 26.0, 33.0, 40.0)
+            for height in (0.0, 80.0, 160.0, 240.0, 320.0, 400.0)
+        ),
+        vwc_grid=tuple(0.025 * k for k in range(1, 17)),
+        sweeps_per_cell=3,
+        drop_prob=0.02,
+        sweep_interval_s=60.0,
+        seed=1234,
+    )
+
+
+def test_config_files_are_pinned(tmp_path):
+    stock = tmp_path / "stock.json"
+    argv = ["simulate", "--out", str(tmp_path / "log.csv"), "--dump-config", str(stock)]
+    assert cli.main(argv) == cli.EXIT_OK
+    large = tmp_path / "large.json"
+    campaign.save_config(_large_config(), large)
+    for name, path in (("stock", stock), ("large", large)):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_CONFIG_SHA256[name], name
+    assert campaign.load_config(large) == _large_config()

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smol.groundtruth import TdrSensor, calibrate_sensor, map_raw_to_percent, read_vwc
+from smol.groundtruth import TdrSensor, read_vwc
 from smol.soilchan import SoilState
 
 
@@ -11,28 +11,11 @@ def _soil(vwc: float) -> SoilState:
 
 
 class TestCalibration:
-    def test_unit_span_maps_halfway(self):
-        sensor = calibrate_sensor(TdrSensor(), 0.0, 1.0)
-        assert map_raw_to_percent(sensor, 0.5) == pytest.approx(50.0)
-
-    def test_offset_span_endpoints(self):
-        sensor = calibrate_sensor(TdrSensor(), 10.0, 110.0)
-        assert map_raw_to_percent(sensor, 10.0) == 0.0
-        assert map_raw_to_percent(sensor, 110.0) == pytest.approx(100.0)
-
-    def test_degenerate_points_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_sensor(TdrSensor(), 5.0, 5.0)
-        with pytest.raises(ValueError):
-            calibrate_sensor(TdrSensor(), 5.0, 4.0)
-
     def test_sensor_validation(self):
         with pytest.raises(ValueError):
             TdrSensor(error_bound=-0.01)
         with pytest.raises(ValueError):
             TdrSensor(spots=0)
-        with pytest.raises(ValueError):
-            TdrSensor(cal_air=1.0, cal_water=0.5)
 
 
 class TestReadVwc:

@@ -229,3 +229,23 @@ class TestMeasurement:
     def test_truth_is_optional(self):
         m = Measurement(0.0, 1, 13, -50.0, 0.0, 15.0, "x")
         assert m.vwc_truth is None
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("timestamp", float("inf")),
+            ("rssi", float("nan")),
+            ("height_cm", float("-inf")),
+            ("depth_cm", float("nan")),
+            ("tx_power", 4),
+            ("tx_power", 99),
+        ],
+    )
+    def test_rejects_non_finite_numbers_and_unsendable_powers(self, field, value):
+        values = dict(
+            timestamp=0.0, device_id=1, tx_power=13, rssi=-50.0,
+            height_cm=0.0, depth_cm=15.0, scenario="x",
+        )
+        values[field] = value
+        with pytest.raises(ValueError, match="finite|outside"):
+            Measurement(**values)
