@@ -44,6 +44,7 @@ from .soilchan import (
     mix_permittivity,
     path_loss,
     sweep_curve,
+    sweep_rssi,
     synth_rssi,
 )
 from .sweepproto import (
@@ -54,6 +55,7 @@ from .sweepproto import (
     SweepPacket,
     decode_packet,
     encode_packet,
+    encode_plan,
     median_power,
     run_sweep,
 )

@@ -31,12 +31,14 @@ from .soilchan import (
     LinkGeometry,
     NoiseModel,
     SoilState,
+    path_loss,
 )
 from .sweepproto import (
     DEFAULT_POWER_LEVELS,
     Measurement,
     PowerPlan,
     SimulatedLink,
+    encode_plan,
     log_median_power,
     run_sweep,
 )
@@ -196,8 +198,10 @@ def run_campaign(config: CampaignConfig) -> list[Measurement]:
     Each cell is visited ``sweeps_per_cell`` times, with a fresh reference
     reading and noise stream per visit; every visit gets its own derived
     seed and timestamp, so the whole log is a pure function of the config.
+    The sweep frames and each cell's path loss are computed once.
     """
     plan = PowerPlan(config.power_levels)
+    frames = encode_plan(config.device_id, plan)
     sensor = config.tdr_sensor()
     log: list[Measurement] = []
     cell = 0
@@ -205,6 +209,7 @@ def run_campaign(config: CampaignConfig) -> list[Measurement]:
         geom = config.geometry(scenario)
         for vwc in config.vwc_grid:
             state = config.soil_state(vwc)
+            loss = path_loss(state, geom)
             for _ in range(config.sweeps_per_cell):
                 truth = None
                 if config.training_mode:
@@ -218,8 +223,9 @@ def run_campaign(config: CampaignConfig) -> list[Measurement]:
                     scenario=scenario.label,
                     vwc_truth=truth,
                     timestamp=config.epoch + cell * config.sweep_interval_s,
+                    loss_db=loss,
                 )
-                log.extend(run_sweep(config.device_id, plan, link))
+                log.extend(run_sweep(config.device_id, plan, link, frames=frames))
                 cell += 1
     return log
 

@@ -17,15 +17,15 @@ from .soilchan import SoilState
 
 @dataclass(frozen=True)
 class TdrSensor:
-    """Probe configuration. error_bound is absolute, in VWC fraction."""
+    """Probe configuration. error_bound is absolute, in VWC fraction, at most 1."""
 
     error_bound: float = 0.03
     spots: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.error_bound < 0.0:
-            raise ValueError("error bound must be >= 0")
+        if not 0.0 <= self.error_bound <= 1.0:
+            raise ValueError(f"error bound {self.error_bound} not a VWC fraction in [0, 1]")
         if self.spots < 1:
             raise ValueError("need at least one probe spot per reading")
 

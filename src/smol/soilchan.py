@@ -9,7 +9,8 @@ given transmit power. The model is deliberately simple and monotone:
 - free-space spreading over the buried + above-ground path, with each
   segment measured in its own wavelength,
 - a single soil/air Fresnel interface at normal incidence,
-- additive Gaussian receiver noise and optional integer-dBm quantization.
+- additive Gaussian receiver noise and optional integer-dBm quantization,
+  drawn for a whole sweep of transmit powers at once.
 
 Lengths at the API are centimeters (converted to meters internally),
 frequencies Hz, powers/gains dB(m).
@@ -20,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -236,6 +238,39 @@ def path_loss(soil: SoilState, geom: LinkGeometry) -> float:
     return loss
 
 
+def sweep_rssi(
+    tx_powers: Sequence[float],
+    loss_db: float,
+    geom: LinkGeometry,
+    noise: NoiseModel,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Received-signal-strength samples, dBm, one per transmit power, in order.
+
+    rssi = tx + antenna gains - loss_db + noise, rounded to integer dBm
+    when the noise model quantizes. ``loss_db`` is the link's ``path_loss``,
+    which does not depend on the power. The noise is one draw of
+    ``len(tx_powers)`` samples, equal to that many single draws from the
+    same generator.
+
+    With sigma 0 and quantization off the noise path is skipped entirely,
+    so rssi(p) - rssi(q) == p - q holds exactly.
+    """
+    rssi = (
+        np.asarray(tx_powers, dtype=float)
+        + geom.tx_antenna_gain_db
+        + geom.rx_antenna_gain_db
+        - loss_db
+    )
+    if noise.rssi_sigma_db > 0.0:
+        if rng is None:
+            rng = noise.rng()
+        rssi += rng.normal(0.0, noise.rssi_sigma_db, size=len(rssi))
+    if noise.quantize:
+        rssi = np.floor(rssi + 0.5)
+    return rssi
+
+
 def synth_rssi(
     tx_power_dbm: float,
     soil: SoilState,
@@ -243,28 +278,8 @@ def synth_rssi(
     noise: NoiseModel,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """One received-signal-strength sample, dBm.
-
-    rssi = tx + antenna gains - path_loss + noise, rounded to integer dBm
-    when the noise model quantizes. Callers are expected to stay within
-    the transceiver's 5..23 dBm range; the physics itself does not care.
-
-    With sigma 0 and quantization off the noise path is skipped entirely,
-    so rssi(p) - rssi(q) == p - q holds exactly.
-    """
-    rssi = (
-        tx_power_dbm
-        + geom.tx_antenna_gain_db
-        + geom.rx_antenna_gain_db
-        - path_loss(soil, geom)
-    )
-    if noise.rssi_sigma_db > 0.0:
-        if rng is None:
-            rng = noise.rng()
-        rssi += rng.normal(0.0, noise.rssi_sigma_db)
-    if noise.quantize:
-        rssi = math.floor(rssi + 0.5)
-    return float(rssi)
+    """One received-signal-strength sample, dBm: ``sweep_rssi`` of one power."""
+    return sweep_rssi([tx_power_dbm], path_loss(soil, geom), geom, noise, rng).item()
 
 
 def sweep_curve(
@@ -287,5 +302,5 @@ def sweep_curve(
                 f"tx power {p} dBm outside device range "
                 f"[{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}]"
             )
-    rng = noise.rng()
-    return [(p, synth_rssi(p, soil, geom, noise, rng=rng)) for p in powers]
+    rssi = sweep_rssi(powers, path_loss(soil, geom), geom, noise)
+    return list(zip(powers, rssi.tolist()))

@@ -1,9 +1,10 @@
 """Power-sweep measurement protocol over a simulated link.
 
 The transmitter steps through a plan of transmit powers, broadcasting one
-framed packet per level; the receiver decodes, validates and logs one
-Measurement per delivered frame. A SimulatedLink stands in for the radio
-pair and stamps every delivery with a synthesized RSSI.
+framed packet per level (``encode_plan``); the receiver decodes, validates
+and logs one Measurement per delivered frame. A SimulatedLink stands in for the radio
+pair: it carries a whole sweep at once, drawing its drops and its noise
+as one vector each, and stamps every delivery with a synthesized RSSI.
 
 Frame layout (7 bytes, big-endian):
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from math import isfinite
-from typing import Iterable
+from math import inf, isfinite
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .soilchan import (
     LinkGeometry,
     NoiseModel,
     SoilState,
-    synth_rssi,
+    path_loss,
+    sweep_rssi,
 )
 
 FRAME_MAGIC = 0x53
@@ -114,7 +116,8 @@ class Measurement:
 
     ``vwc_truth`` is the reference-sensor reading as a fraction in [0, 1];
     it is only present when the campaign ran in training mode. The other
-    numbers must be finite and ``tx_power`` a level the radio can send.
+    numbers must be finite, height and depth >= 0, ``device_id`` a u16 and
+    ``tx_power`` a level the radio can send.
     """
 
     timestamp: float
@@ -127,13 +130,12 @@ class Measurement:
     vwc_truth: float | None = None
 
     def __post_init__(self) -> None:
-        if not (
-            isfinite(self.timestamp)
-            and isfinite(self.rssi)
-            and isfinite(self.height_cm)
-            and isfinite(self.depth_cm)
-        ):
+        if not (isfinite(self.timestamp) and isfinite(self.rssi)):
             raise ValueError(f"non-finite number in {self}")
+        if not (0.0 <= self.height_cm < inf and 0.0 <= self.depth_cm < inf):
+            raise ValueError(f"height and depth must be finite and >= 0 cm in {self}")
+        if not 0 <= self.device_id <= 0xFFFF:
+            raise ValueError(f"device_id {self.device_id} outside [0, 65535]")
         if not TX_POWER_MIN_DBM <= self.tx_power <= TX_POWER_MAX_DBM:
             raise ValueError(
                 f"tx power {self.tx_power} dBm outside "
@@ -190,32 +192,17 @@ def log_median_power(measurements: Iterable[Measurement]) -> int:
     return median_power(PowerPlan(tuple({m.tx_power for m in measurements})))
 
 
-class SweepTransmitter:
-    """Walks the power plan, emitting one framed packet per level."""
+def encode_plan(device_id: int, plan: PowerPlan) -> tuple[bytes, ...]:
+    """The transmitter's frames for one sweep: one per plan level, in plan
+    order, sequence numbers from 0.
 
-    def __init__(self, device_id: int, plan: PowerPlan):
-        self.device_id = device_id
-        self.plan = plan
-        self._next = 0
-
-    @property
-    def done(self) -> bool:
-        return self._next >= len(self.plan.levels)
-
-    def next_frame(self) -> tuple[int, bytes] | None:
-        """Advance one step: (actual PA power, encoded frame), or None."""
-        if self.done:
-            return None
-        power = self.plan.levels[self._next]
-        frame = encode_packet(
-            SweepPacket(
-                device_id=self.device_id,
-                sequence=self._next & 0xFF,
-                tx_power=power,
-            )
-        )
-        self._next += 1
-        return power, frame
+    The frames depend only on the device and the plan, so a campaign
+    encodes them once and hands them to every sweep.
+    """
+    return tuple(
+        encode_packet(SweepPacket(device_id=device_id, sequence=i, tx_power=power))
+        for i, power in enumerate(plan.levels)
+    )
 
 
 class SweepReceiver:
@@ -264,9 +251,11 @@ class SweepReceiver:
 class SimulatedLink:
     """Radio pair stand-in: applies channel physics, loss and metadata.
 
-    ``wrap_high_power`` reproduces the hardware quirk where requesting
-    23 dBm actually transmits at 5 dBm; the frame still says 23.
-    Dropped frames never reach the receiver and are only counted here.
+    ``loss_db`` is the link's path loss; it is computed from ``soil`` and
+    ``geom`` when not given. ``wrap_high_power`` reproduces the hardware
+    quirk where requesting 23 dBm actually transmits at 5 dBm; the frame
+    still says 23. Dropped frames never reach the receiver and are only
+    counted here.
     """
 
     soil: SoilState
@@ -277,6 +266,7 @@ class SimulatedLink:
     scenario: str = ""
     vwc_truth: float | None = None
     timestamp: float = 0.0
+    loss_db: float | None = None
     dropped: int = field(default=0, init=False)
     _noise_rng: np.random.Generator = field(init=False, repr=False)
     _drop_rng: np.random.Generator = field(init=False, repr=False)
@@ -284,20 +274,31 @@ class SimulatedLink:
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop probability must be in [0, 1]")
+        if self.loss_db is None:
+            self.loss_db = path_loss(self.soil, self.geom)
         noise_seq, drop_seq = np.random.SeedSequence(self.noise.seed).spawn(2)
         self._noise_rng = np.random.default_rng(noise_seq)
         self._drop_rng = np.random.default_rng(drop_seq)
 
-    def transmit(self, tx_power: int, frame: bytes) -> tuple[bytes, float] | None:
-        """Carry one frame; returns (frame, rssi) or None when dropped."""
-        if self.drop_prob > 0.0 and self._drop_rng.random() < self.drop_prob:
-            self.dropped += 1
-            return None
-        effective = tx_power
-        if self.wrap_high_power and tx_power == TX_POWER_MAX_DBM:
-            effective = TX_POWER_MIN_DBM
-        rssi = synth_rssi(effective, self.soil, self.geom, self.noise, rng=self._noise_rng)
-        return frame, rssi
+    def carry(
+        self, plan: PowerPlan, frames: Sequence[bytes]
+    ) -> list[tuple[bytes, float]]:
+        """Carry one sweep: ``frames[i]`` is sent at ``plan.levels[i]``.
+
+        Returns (frame, rssi) for each delivered frame, in plan order. The
+        drop draws are one vector over the whole plan, the noise one vector
+        over the delivered frames.
+        """
+        kept = range(len(plan))
+        if self.drop_prob > 0.0:
+            draws = self._drop_rng.random(len(plan)).tolist()
+            kept = [i for i, r in enumerate(draws) if r >= self.drop_prob]
+            self.dropped += len(plan) - len(kept)
+        powers = [plan.levels[i] for i in kept]
+        if self.wrap_high_power:
+            powers = [TX_POWER_MIN_DBM if p == TX_POWER_MAX_DBM else p for p in powers]
+        rssi = sweep_rssi(powers, self.loss_db, self.geom, self.noise, self._noise_rng)
+        return [(frames[i], r) for i, r in zip(kept, rssi.tolist())]
 
 
 def run_sweep(
@@ -305,25 +306,23 @@ def run_sweep(
     plan: PowerPlan,
     link: SimulatedLink,
     receiver: SweepReceiver | None = None,
+    frames: Sequence[bytes] | None = None,
 ) -> list[Measurement]:
-    """Drive transmitter and receiver in lockstep over one full sweep.
+    """Drive transmitter and receiver over one full sweep.
 
     Returns the receiver's log: one Measurement per delivered valid
-    frame, in plan order. Pass your own receiver to inspect reject
+    frame, in plan order. ``frames`` is ``encode_plan(device_id, plan)``,
+    encoded here when not given. Pass your own receiver to inspect reject
     counters; drop counts live on the link.
     """
-    tx = SweepTransmitter(device_id, plan)
+    if frames is None:
+        frames = encode_plan(device_id, plan)
     rx = receiver or SweepReceiver(
         scenario=link.scenario,
         height_cm=link.geom.receiver_height_cm,
         depth_cm=link.geom.burial_depth_cm,
         vwc_truth=link.vwc_truth,
     )
-    while (step := tx.next_frame()) is not None:
-        power, frame = step
-        delivery = link.transmit(power, frame)
-        if delivery is None:
-            continue
-        frame, rssi = delivery
+    for frame, rssi in link.carry(plan, frames):
         rx.handle(frame, rssi, link.timestamp)
     return list(rx.measurements)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from smol import campaign, soilchan, sweepproto
 from smol.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
@@ -91,6 +92,34 @@ class TestRunCampaign:
     def test_drop_probability_shrinks_the_log(self):
         lossy = small_config(drop_prob=0.5)
         assert len(run_campaign(lossy)) < 3 * 18
+
+    def test_path_loss_at_most_once_per_sweep_and_one_decode_per_delivery(self, monkeypatch):
+        calls = {"path_loss": 0, "decode_packet": 0, "encode_packet": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (soilchan, sweepproto, campaign):
+            counted(module, "path_loss")
+        counted(sweepproto, "decode_packet")
+        counted(sweepproto, "encode_packet")
+        cfg = small_config(
+            scenarios=(Scenario("a", 15.0, 0.0), Scenario("b", 5.0, 90.0)),
+            sweeps_per_cell=2,
+            drop_prob=0.2,
+        )
+        log = run_campaign(cfg)
+        sweeps = 2 * 3 * 2
+        assert 0 < len(log) < sweeps * 18
+        assert 1 <= calls["path_loss"] <= sweeps
+        assert calls["decode_packet"] == len(log)
+        assert calls["encode_packet"] == 18  # once per campaign
 
     def test_noise_free_preset(self):
         cfg = small_config().without_noise()

@@ -98,6 +98,7 @@ BAD_CONFIGS = {
         lambda d: d["scenarios"][0].update(receiver_height_cm=True)
     ),
     "number for a scenario label": _edit(lambda d: d["scenarios"][0].update(label=7)),
+    "tdr_error_bound above one": _edit(lambda d: d.update(tdr_error_bound=1e308)),
 }
 
 
@@ -375,10 +376,14 @@ BAD_LOG_ROWS = {
     "bad timestamp": (0, "noon"),
     "bad truth percent": (7, "wet"),
     "truth percent out of range": (7, "140"),
+    "device id -1": (1, "-1"),
+    "device id 70000": (1, "70000"),
+    "negative height": (4, "-1.0"),
+    "negative depth": (5, "-15.0"),
 }
 
 
-@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("command", ["train", "predict", "report"])
 @pytest.mark.parametrize("case", sorted(BAD_LOG_ROWS) + ["short row"])
 def test_commands_reject_a_bad_log_row_with_its_line(
     tmp_path, small_log, capsys, command, case
@@ -399,6 +404,7 @@ def test_commands_reject_a_bad_log_row_with_its_line(
     capsys.readouterr()
     argv = {"train": ["train", "--log", str(bad_log), "--out", str(tmp_path / "m.json")],
             "predict": ["predict", "--model", str(model_path), "--log", str(bad_log),
-                        "--out", str(tmp_path / "p.csv")]}[command]
+                        "--out", str(tmp_path / "p.csv")],
+            "report": ["report", "--log", str(bad_log), "--out-dir", str(tmp_path / "r")]}[command]
     assert main(argv) == EXIT_VALIDATION
     assert f"{bad_log}:5: " in _one_error_line(capsys)

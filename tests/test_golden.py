@@ -10,6 +10,12 @@ rounds differently fails here with unchanged code.
 The config hashes were computed with the hand-listed ``config_to_dict``
 that ``dataclasses.asdict`` replaced; they pin the file's key order and
 number formatting.
+
+The log hashes were computed with the packet-at-a-time simulator, which
+drew one drop decision and one noise sample per packet and recomputed the
+path loss for each; the sweep-at-a-time simulator must write the same
+bytes. The wrap case covers the 23 dBm quirk, antenna gains, unquantized
+noise and drops in one small campaign.
 """
 
 import hashlib
@@ -28,6 +34,14 @@ GOLDEN_PREDICTIONS = {
 GOLDEN_CONFIG_SHA256 = {
     "stock": "0f8e987a2c16b974913812693311eeb98ddb45a4e63be11606e88dab2e3e1d5c",
     "large": "fbd783467260b79d613a7cdce8f92fe71d783b92900c2afeac8a07bf59c3f1dd",
+}
+
+GOLDEN_LOG_SHA256 = {
+    "stock": "0261881f0a95bb30593914f74f8e82bcf4ac320f4410b431ef7ae062c81c7f0a",
+    "no-noise": "c79302d5bbc642e3254e2d5676ebe50cbba742fc786969301023dcc3569cdeb9",
+    "inference": "1cb609b8f802038563f705baff711418bc4f3946b217c316ad86e0024d768cf4",
+    "large": "054a48df042f4679d91ba7b248647302b2828f9f0677ef276538be3fb8f7aff4",
+    "wrap": "0b3490eafb37be270c08c29dfa879ac9152247c3641ab9d3e3205f6e3048c244",
 }
 
 GOLDEN_TABLE_CSV = (
@@ -87,6 +101,39 @@ def _large_config() -> campaign.CampaignConfig:
         sweep_interval_s=60.0,
         seed=1234,
     )
+
+
+def _wrap_config() -> campaign.CampaignConfig:
+    """Two placements with the 23 dBm wrap quirk, antenna gains, drops and
+    unquantized noise."""
+    return campaign.CampaignConfig(
+        scenarios=(
+            campaign.Scenario("wrap_a", 10.0, 50.0),
+            campaign.Scenario("wrap_b", 0.0, 120.0),
+        ),
+        vwc_grid=(0.05, 0.2, 0.4),
+        tx_gain_db=2.5,
+        rx_gain_db=-1.25,
+        power_levels=(23, 5, 9, 14, 22),
+        quantize_rssi=False,
+        drop_prob=0.1,
+        wrap_high_power=True,
+        seed=77,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LOG_SHA256))
+def test_simulated_logs_are_pinned(tmp_path, case):
+    out = tmp_path / "log.csv"
+    argv = ["simulate", "--out", str(out)]
+    if case in ("large", "wrap"):
+        config = tmp_path / "config.json"
+        campaign.save_config({"large": _large_config, "wrap": _wrap_config}[case](), config)
+        argv += ["--config", str(config)]
+    elif case != "stock":
+        argv.append(f"--{case}")
+    assert cli.main(argv) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256[case]
 
 
 def test_config_files_are_pinned(tmp_path):

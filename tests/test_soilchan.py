@@ -17,6 +17,7 @@ from smol.soilchan import (
     mix_permittivity,
     path_loss,
     sweep_curve,
+    sweep_rssi,
     synth_rssi,
 )
 
@@ -264,6 +265,29 @@ class TestSweepCurve:
         assert sweep_curve(soil, GEOM_BURIED, powers, noise) == sweep_curve(
             soil, GEOM_BURIED, powers, noise
         )
+
+
+class TestSweepRssi:
+    @given(seed=st.integers(0, 2**32 - 1), quantize=st.booleans())
+    @settings(max_examples=50)
+    def test_one_sweep_draw_equals_one_draw_per_packet(self, seed, quantize):
+        soil = SoilState(0.2, 0.45)
+        geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=1.5, rx_antenna_gain_db=-0.5)
+        noise = NoiseModel(rssi_sigma_db=2.0, quantize=quantize, seed=seed)
+        powers = [23, 5, 9, 13, 22]
+        swept = sweep_rssi(powers, path_loss(soil, geom), geom, noise, noise.rng())
+        rng = noise.rng()
+        one_by_one = [synth_rssi(p, soil, geom, noise, rng=rng) for p in powers]
+        assert swept.tolist() == one_by_one
+
+    def test_quantized_samples_are_whole_dbm(self):
+        noise = NoiseModel(rssi_sigma_db=2.0, quantize=True, seed=3)
+        rssi = sweep_rssi(list(range(5, 23)), 71.3, GEOM_BURIED, noise)
+        assert np.array_equal(rssi, np.round(rssi))
+
+    def test_noise_free_offsets_are_exact(self):
+        rssi = sweep_rssi([5, 6, 22], 71.3, GEOM_BURIED, NoiseModel())
+        assert rssi.tolist() == [5 - 71.3, 6 - 71.3, 22 - 71.3]
 
 
 class TestGeometryValidation:

@@ -17,9 +17,9 @@ from smol.sweepproto import (
     SimulatedLink,
     SweepPacket,
     SweepReceiver,
-    SweepTransmitter,
     decode_packet,
     encode_packet,
+    encode_plan,
     median_power,
     run_sweep,
 )
@@ -205,13 +205,10 @@ class TestRunSweep:
         assert rx.rejected == {"BadMagic": 1, "BadLength": 1}
 
     def test_transmitter_sequences_from_zero(self):
-        tx = SweepTransmitter(9, PowerPlan((5, 6, 7)))
-        seqs = []
-        while (step := tx.next_frame()) is not None:
-            _, frame = step
-            seqs.append(decode_packet(frame).sequence)
-        assert seqs == [0, 1, 2]
-        assert tx.done
+        packets = [decode_packet(f) for f in encode_plan(9, PowerPlan((7, 5, 6)))]
+        assert [p.sequence for p in packets] == [0, 1, 2]
+        assert [p.tx_power for p in packets] == [7, 5, 6]
+        assert {p.device_id for p in packets} == {9}
 
     @given(seed=st.integers(0, 2**31 - 1), drop=st.floats(0.0, 1.0))
     @settings(max_examples=50)
@@ -248,4 +245,17 @@ class TestMeasurement:
         )
         values[field] = value
         with pytest.raises(ValueError, match="finite|outside"):
+            Measurement(**values)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("device_id", -1), ("device_id", 70000), ("height_cm", -1.0), ("depth_cm", -0.5)],
+    )
+    def test_rejects_ids_and_placements_no_campaign_can_log(self, field, value):
+        values = dict(
+            timestamp=0.0, device_id=1, tx_power=13, rssi=-50.0,
+            height_cm=0.0, depth_cm=15.0, scenario="x",
+        )
+        values[field] = value
+        with pytest.raises(ValueError, match="device_id|height and depth"):
             Measurement(**values)
