@@ -9,8 +9,9 @@ noisy campaign. Shows why small loss factors (weak absorption) leave
 """
 
 import argparse
-from collections import defaultdict
 from dataclasses import replace
+
+import numpy as np
 
 from smol.calibrate import DEFAULT_COMPARISON_SPECS, FeatureMode, compare
 from smol.campaign import CampaignConfig, run_campaign
@@ -18,11 +19,10 @@ from smol.campaign import CampaignConfig, run_campaign
 
 def rssi_swing_by_height(config: CampaignConfig) -> dict[str, float]:
     log = run_campaign(config.without_noise())
-    by_height = defaultdict(list)
-    for m in log:
-        if m.tx_power == 13:
-            by_height[m.scenario].append(m.rssi)
-    return {s: max(r) - min(r) for s, r in by_height.items()}
+    at_13 = log.take(log.tx_power == 13)
+    return {
+        s: float(np.ptp(at_13.rssi[at_13.scenario == s])) for s in set(at_13.scenario)
+    }
 
 
 def main() -> None:

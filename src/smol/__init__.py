@@ -49,7 +49,7 @@ from .soilchan import (
 )
 from .sweepproto import (
     FrameError,
-    Measurement,
+    MeasurementLog,
     PowerPlan,
     SimulatedLink,
     SweepPacket,
@@ -57,7 +57,6 @@ from .sweepproto import (
     encode_packet,
     encode_plan,
     median_power,
-    run_sweep,
 )
 
 __version__ = "0.1.0"

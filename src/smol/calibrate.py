@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sweepproto import Measurement, log_median_power
+from .sweepproto import MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
 MODEL_FILE_VERSION = 2
@@ -148,37 +148,29 @@ class TrainedModel:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def predict(self, features: Sequence[float]) -> float:
-        """Point estimate (VWC percent) for one feature vector."""
-        x = np.asarray(features, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.n_features:
-            raise ValueError(
-                f"model expects {self.n_features} feature(s), got shape {x.shape}"
-            )
-        return float(self.predict_many(x.reshape(1, -1))[0])
-
     def predict_many(self, X: np.ndarray) -> np.ndarray:
+        """Point estimates (VWC percent), one per feature row.
+
+        Raises FloatingPointError when an estimate is not finite, as when a
+        huge coefficient or leaf value overflows.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
                 f"model expects (n, {self.n_features}) features, got {X.shape}"
             )
-        kind = self.spec.kind
-        if kind in (ModelKind.LINEAR, ModelKind.RIDGE):
-            beta = np.asarray(self.params["beta"])
-            return beta[0] + X @ beta[1:]
-        if kind == ModelKind.POLYNOMIAL:
-            beta = np.asarray(self.params["beta"])
-            powers = [tuple(p) for p in self.params["powers"]]
-            return polynomial_expand(X, powers) @ beta
-        return _forest_outputs(self.params["trees"], X).mean(axis=1)
-
-    def per_tree_predictions(self, features: Sequence[float]) -> np.ndarray:
-        """Individual tree outputs for one row (forest models only)."""
-        if self.spec.kind != ModelKind.RANDOM_FOREST:
-            raise ValueError("per-tree outputs only exist for forest models")
-        x = np.asarray(features, dtype=float).reshape(1, -1)
-        return _forest_outputs(self.params["trees"], x)[0]
+        kind, params = self.spec.kind, self.params
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == ModelKind.RANDOM_FOREST:
+                out = _forest_outputs(params["trees"], X).mean(axis=1)
+            elif kind == ModelKind.POLYNOMIAL:
+                out = polynomial_expand(X, params["powers"]) @ params["beta"]
+            else:
+                out = params["beta"][0] + X @ params["beta"][1:]
+        bad = np.count_nonzero(~np.isfinite(out))
+        if bad:
+            raise FloatingPointError(f"{bad} of {len(out)} predictions are not finite")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,46 +183,42 @@ FEATURE_NAMES = {
 
 
 def feature_matrix(
-    measurements: Sequence[Measurement],
+    log: MeasurementLog,
     mode: FeatureMode,
     median_tx_power: int | None = None,
-) -> tuple[list[Measurement], np.ndarray]:
+) -> tuple[MeasurementLog, np.ndarray]:
     """The packets a model in ``mode`` sees, and their feature rows.
 
     ALL_TX keeps every packet with features [rssi, tx_power]; MEDIAN_TX
     keeps the packets sent at ``median_tx_power``, feature [rssi].
     """
     if mode == FeatureMode.ALL_TX:
-        kept = list(measurements)
-        rows = [[m.rssi, float(m.tx_power)] for m in kept]
-    else:
-        kept = [m for m in measurements if m.tx_power == median_tx_power]
-        if not kept:
-            raise ValueError(f"no measurements at the median power {median_tx_power} dBm")
-        rows = [[m.rssi] for m in kept]
-    return kept, np.array(rows, dtype=float).reshape(len(kept), len(FEATURE_NAMES[mode]))
+        return log, np.column_stack([log.rssi, log.tx_power.astype(float)])
+    kept = log.take(log.tx_power == median_tx_power)
+    if len(kept) == 0:
+        raise ValueError(f"no measurements at the median power {median_tx_power} dBm")
+    return kept, kept.rssi.reshape(-1, 1)
 
 
-def assemble(measurements: Sequence[Measurement], mode: FeatureMode) -> Dataset:
-    """Build a training dataset from ground-truthed measurements.
+def assemble(log: MeasurementLog, mode: FeatureMode) -> Dataset:
+    """Build a training dataset from a ground-truthed log.
 
     ALL_TX keeps every packet with features [rssi, tx_power]; MEDIAN_TX
     keeps only packets sent at the median power of the plan the log was
     swept with. Targets are VWC percent.
     """
-    if len(measurements) == 0:
+    if len(log) == 0:
         raise ValueError("no measurements to assemble")
-    missing = sum(1 for m in measurements if m.vwc_truth is None)
+    missing = np.count_nonzero(np.isnan(log.vwc_truth))
     if missing:
         raise ValueError(
             f"{missing} measurement(s) lack ground truth; "
             "assembling a training set needs the vwc_truth column"
         )
 
-    med = log_median_power(measurements) if mode == FeatureMode.MEDIAN_TX else None
-    kept, X = feature_matrix(measurements, mode, med)
-    y = [100.0 * m.vwc_truth for m in kept]
-    return Dataset(X, np.array(y), mode, FEATURE_NAMES[mode], median_tx_power=med)
+    med = log_median_power(log) if mode == FeatureMode.MEDIAN_TX else None
+    kept, X = feature_matrix(log, mode, med)
+    return Dataset(X, 100.0 * kept.vwc_truth, mode, FEATURE_NAMES[mode], median_tx_power=med)
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -804,7 +792,7 @@ def rank_rows(rows: list[CompareRow]) -> list[CompareRow]:
 
 def compare(
     specs: Sequence[ModelSpec],
-    measurements: Sequence[Measurement],
+    log: MeasurementLog,
     modes: Sequence[FeatureMode],
     train_fraction: float = 0.8,
     split_seed: int = 0,
@@ -817,7 +805,7 @@ def compare(
     rows: list[CompareRow] = []
     for mode in modes:
         try:
-            dataset = assemble(measurements, mode)
+            dataset = assemble(log, mode)
             train, test = split(dataset, train_fraction, split_seed)
         except (ValueError, SingularSystemError) as err:
             rows.extend(

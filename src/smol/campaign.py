@@ -2,14 +2,16 @@
 
 A campaign walks every scenario x moisture-grid cell: take one reference
 sensor reading, run one full power sweep over the simulated link, and
-append the resulting Measurements. Everything derives from the campaign
-seed, so identical configs produce byte-identical logs.
+log the delivered packets. The log is one MeasurementLog, built once
+from every sweep's columns. Everything derives from the campaign seed,
+so identical configs produce byte-identical logs.
 
 Log schema (CSV, one row per received packet):
 
     timestamp,device_id,tx_power_dbm,rssi_dbm,height_cm,depth_cm,scenario,vwc_truth_pct
 
-vwc_truth_pct is empty when the campaign ran in inference mode.
+vwc_truth_pct is empty when the campaign ran in inference mode; an empty
+cell is the only way to omit it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .calibrate import _require_keys
 from .groundtruth import TdrSensor, read_vwc
@@ -35,12 +39,13 @@ from .soilchan import (
 )
 from .sweepproto import (
     DEFAULT_POWER_LEVELS,
-    Measurement,
+    LogRowError,
+    MeasurementLog,
     PowerPlan,
     SimulatedLink,
+    decode_packet,
     encode_plan,
     log_median_power,
-    run_sweep,
 )
 
 CONFIG_FILE_FORMAT = "smol-campaign"
@@ -192,18 +197,25 @@ class CampaignConfig:
         )
 
 
-def run_campaign(config: CampaignConfig) -> list[Measurement]:
+def run_campaign(config: CampaignConfig) -> MeasurementLog:
     """Sweep every scenario x vwc cell; returns the full measurement log.
 
     Each cell is visited ``sweeps_per_cell`` times, with a fresh reference
     reading and noise stream per visit; every visit gets its own derived
     seed and timestamp, so the whole log is a pure function of the config.
-    The sweep frames and each cell's path loss are computed once.
+    The sweep frames and each cell's path loss are computed once. The link
+    delivers frames unaltered, so each frame is decoded once, for all of
+    its deliveries.
     """
     plan = PowerPlan(config.power_levels)
-    frames = encode_plan(config.device_id, plan)
+    sent = [decode_packet(frame) for frame in encode_plan(config.device_id, plan)]
+    device_ids, tx_powers = np.array([(p.device_id, p.tx_power) for p in sent]).T
     sensor = config.tdr_sensor()
-    log: list[Measurement] = []
+    per_scenario = len(config.vwc_grid) * config.sweeps_per_cell
+    # Sweep x plan-level grids: each sweep fills in the levels it delivered.
+    shape = (len(config.scenarios) * per_scenario, len(plan))
+    delivered, rssi = np.zeros(shape, dtype=bool), np.zeros(shape)
+    truth = np.full(shape[0], math.nan)
     cell = 0
     for scenario in config.scenarios:
         geom = config.geometry(scenario)
@@ -211,90 +223,111 @@ def run_campaign(config: CampaignConfig) -> list[Measurement]:
             state = config.soil_state(vwc)
             loss = path_loss(state, geom)
             for _ in range(config.sweeps_per_cell):
-                truth = None
                 if config.training_mode:
-                    truth = read_vwc(sensor, state, draw_index=cell) / 100.0
+                    truth[cell] = read_vwc(sensor, state, draw_index=cell) / 100.0
                 link = SimulatedLink(
                     soil=state,
                     geom=geom,
                     noise=config.noise_model(cell),
                     drop_prob=config.drop_prob,
                     wrap_high_power=config.wrap_high_power,
-                    scenario=scenario.label,
-                    vwc_truth=truth,
-                    timestamp=config.epoch + cell * config.sweep_interval_s,
                     loss_db=loss,
                 )
-                log.extend(run_sweep(config.device_id, plan, link, frames=frames))
+                kept, heard = link.carry(plan)
+                delivered[cell, kept] = True
+                rssi[cell, kept] = heard
                 cell += 1
-    return log
+    sweep, level = np.nonzero(delivered)
+    place = sweep // per_scenario
+    placements = np.array([(s.receiver_height_cm, s.burial_depth_cm) for s in config.scenarios])
+    labels = np.array([s.label for s in config.scenarios], dtype=object)
+    return MeasurementLog(
+        config.epoch + sweep * config.sweep_interval_s, device_ids[level], tx_powers[level],
+        rssi[delivered], *placements[place].T, labels[place], truth[sweep],
+    )
 
 
 # ---------------------------------------------------------------------------
 # CSV persistence
 
+# Rows are formatted this many at a time: Python objects for every cell of
+# a large log at once would take several times the memory of its columns.
+_ROWS_PER_CHUNK = 4096
+
+
 def _fraction_to_pct_str(fraction: float) -> str:
     # Decimal shift keeps write -> read bit-exact; a float multiply/divide
     # round-trip by 100 would occasionally lose the last ulp.
-    return str(Decimal(repr(fraction)) * 100)
+    return "" if math.isnan(fraction) else str(Decimal(repr(fraction)) * 100)
 
 
 def _pct_str_to_fraction(text: str) -> float:
+    """A truth cell as a VWC fraction; the empty cell, and only it, is NaN."""
+    if text == "":
+        return math.nan
     try:
-        return float(Decimal(text) / 100)
+        fraction = float(Decimal(text) / 100)
     except ArithmeticError:
-        raise ValueError(f"vwc_truth_pct {text!r} is not a number") from None
+        fraction = math.nan
+    if not math.isfinite(fraction):
+        raise ValueError(f"vwc_truth_pct {text!r} is not a finite number")
+    return fraction
 
 
-def measurement_row(m: Measurement) -> list:
-    """One CSV row in CSV_COLUMNS order; floats keep full precision."""
-    return [
-        repr(m.timestamp),
-        m.device_id,
-        m.tx_power,
-        repr(m.rssi),
-        repr(m.height_cm),
-        repr(m.depth_cm),
-        m.scenario,
-        "" if m.vwc_truth is None else _fraction_to_pct_str(m.vwc_truth),
+# How read_measurements parses each cell of a row, in CSV_COLUMNS order.
+_CELL_PARSERS = (float, int, int, float, float, float, str, _pct_str_to_fraction)
+
+
+def log_rows(log: MeasurementLog, *extra: np.ndarray) -> Iterator[tuple]:
+    """The log's CSV rows in CSV_COLUMNS order, each followed by its entry
+    in every ``extra`` column.
+
+    Floats keep full precision (``csv`` writes them with ``repr``); the
+    truth percent is formatted once per distinct reading.
+    """
+    readings, reading_of_row = np.unique(log.vwc_truth, return_inverse=True)
+    truth_cells = np.array([_fraction_to_pct_str(v) for v in readings.tolist()], dtype=object)
+    columns = [
+        log.timestamp, log.device_id, log.tx_power, log.rssi, log.height_cm, log.depth_cm,
+        log.scenario, truth_cells[reading_of_row], *map(np.asarray, extra),
     ]
+    for start in range(0, len(log), _ROWS_PER_CHUNK):
+        yield from zip(*(c[start : start + _ROWS_PER_CHUNK].tolist() for c in columns))
 
 
-def write_measurements(path: str | Path, measurements: Sequence[Measurement]) -> None:
+def write_measurements(path: str | Path, log: MeasurementLog) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for m in measurements:
-            writer.writerow(measurement_row(m))
+        writer.writerows(log_rows(log))
 
 
-def read_measurements(path: str | Path) -> list[Measurement]:
+def read_measurements(path: str | Path) -> MeasurementLog:
     """The log at ``path``; the first bad row raises ValueError as ``path:line: why``."""
+    rows, lines, unreadable = [], [], None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_COLUMNS:
             raise ValueError(f"{path}: not a measurement log (bad header)")
-        out = []
         try:
             for row in reader:
                 if len(row) != len(CSV_COLUMNS):
                     raise ValueError(f"{len(row)} columns, want {len(CSV_COLUMNS)}")
-                out.append(
-                    Measurement(
-                        timestamp=float(row[0]),
-                        device_id=int(row[1]),
-                        tx_power=int(row[2]),
-                        rssi=float(row[3]),
-                        height_cm=float(row[4]),
-                        depth_cm=float(row[5]),
-                        scenario=row[6],
-                        vwc_truth=None if row[7] == "" else _pct_str_to_fraction(row[7]),
-                    )
-                )
+                rows.append([parse(cell) for parse, cell in zip(_CELL_PARSERS, row)])
+                lines.append(reader.line_num)
         except (ValueError, csv.Error) as err:
-            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-    return out
+            unreadable = ValueError(f"{path}:{reader.line_num}: {err}")
+    # The rows read before an unreadable one are checked first, so the
+    # error names the first bad row of either kind.
+    columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+    try:
+        log = MeasurementLog(*columns)
+    except LogRowError as err:
+        raise ValueError(f"{path}:{lines[err.row]}: {err}") from None
+    if unreadable is not None:
+        raise unreadable
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +343,16 @@ class CurvePoint:
     mean_rssi_dbm: float
 
 
-def median_power_curves(measurements: Sequence[Measurement]) -> list[CurvePoint]:
+def median_power_curves(log: MeasurementLog) -> list[CurvePoint]:
     """Per-height RSSI-vs-moisture curves from the median-power packets."""
-    med = log_median_power(measurements)
+    at_median = log.take(log.tx_power == log_median_power(log))
+    if np.isnan(at_median.vwc_truth).any():
+        raise ValueError("curve extraction needs ground-truthed measurements")
+    pct = 100.0 * at_median.vwc_truth
+    cells = zip(at_median.scenario.tolist(), at_median.height_cm.tolist(), pct.tolist())
     groups: dict[tuple[str, float, float], list[float]] = {}
-    for m in measurements:
-        if m.tx_power != med:
-            continue
-        if m.vwc_truth is None:
-            raise ValueError("curve extraction needs ground-truthed measurements")
-        key = (m.scenario, m.height_cm, 100.0 * m.vwc_truth)
-        groups.setdefault(key, []).append(m.rssi)
+    for key, rssi in zip(cells, at_median.rssi.tolist()):
+        groups.setdefault(key, []).append(rssi)
     points = [
         CurvePoint(s, h, v, sum(r) / len(r)) for (s, h, v), r in groups.items()
     ]

@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import calibrate, campaign
 from .calibrate import (
     DEFAULT_COMPARISON_SPECS,
@@ -141,8 +143,8 @@ def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
     )
 
 
-def _require_ground_truth(log: list) -> None:
-    if any(m.vwc_truth is None for m in log):
+def _require_ground_truth(log: campaign.MeasurementLog) -> None:
+    if np.isnan(log.vwc_truth).any():
         raise ValueError(
             "training requires ground truth: the log's vwc_truth_pct column "
             "is not fully populated (was this an inference-mode campaign?)"
@@ -173,12 +175,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     rows, features = calibrate.feature_matrix(
         log, model.feature_mode, model.median_tx_power
     )
-    predictions = model.predict_many(features).tolist()
+    predictions = model.predict_many(features)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(campaign.CSV_COLUMNS) + ["vwc_pred_pct"])
-        for m, pred in zip(rows, predictions):
-            writer.writerow(campaign.measurement_row(m) + [repr(pred)])
+        writer.writerows(campaign.log_rows(rows, predictions))
     print(f"wrote {len(rows)} predictions to {args.out}")
     return EXIT_OK
 

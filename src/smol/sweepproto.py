@@ -1,10 +1,11 @@
 """Power-sweep measurement protocol over a simulated link.
 
 The transmitter steps through a plan of transmit powers, broadcasting one
-framed packet per level (``encode_plan``); the receiver decodes, validates
-and logs one Measurement per delivered frame. A SimulatedLink stands in for the radio
-pair: it carries a whole sweep at once, drawing its drops and its noise
-as one vector each, and stamps every delivery with a synthesized RSSI.
+framed packet per level (``encode_plan``). A SimulatedLink stands in for
+the radio pair: it carries a whole sweep at once, drawing its drops and
+its noise as one vector each, and hears every delivered frame with a
+synthesized RSSI. What was received is logged as a MeasurementLog, one
+column per field.
 
 Frame layout (7 bytes, big-endian):
 
@@ -19,9 +20,7 @@ Frame layout (7 bytes, big-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from math import inf, isfinite
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,7 +44,7 @@ DEFAULT_POWER_LEVELS: tuple[int, ...] = tuple(range(5, 23))
 
 
 class FrameError(ValueError):
-    """A frame the receiver must drop."""
+    """A frame that does not decode to a valid packet."""
 
 
 class BadLength(FrameError):
@@ -110,39 +109,74 @@ class PowerPlan:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One received packet: what was sent, what was heard, and where.
+# The integer columns, absent here, keep whatever NumPy makes of them until
+# they are checked, so an out-of-range value fails its rule, not the conversion.
+_COLUMN_DTYPES = {"scenario": object} | dict.fromkeys(
+    ("timestamp", "rssi", "height_cm", "depth_cm", "vwc_truth"), float
+)
 
-    ``vwc_truth`` is the reference-sensor reading as a fraction in [0, 1];
-    it is only present when the campaign ran in training mode. The other
-    numbers must be finite, height and depth >= 0, ``device_id`` a u16 and
-    ``tx_power`` a level the radio can send.
+
+class LogRowError(ValueError):
+    """A MeasurementLog row that breaks a rule; ``row`` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(reason)
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementLog:
+    """Received packets as columns, one entry per packet: what was sent,
+    what was heard, and where.
+
+    ``vwc_truth`` is the reference-sensor reading as a fraction in [0, 1],
+    NaN where the campaign ran in inference mode. The other numbers must be
+    finite, height and depth >= 0, ``device_id`` a u16 and ``tx_power`` an
+    integer level the radio can send. Columns are checked once, when the
+    log is built; the first row that breaks a rule raises LogRowError.
     """
 
-    timestamp: float
-    device_id: int
-    tx_power: int
-    rssi: float
-    height_cm: float
-    depth_cm: float
-    scenario: str
-    vwc_truth: float | None = None
+    timestamp: np.ndarray
+    device_id: np.ndarray
+    tx_power: np.ndarray
+    rssi: np.ndarray
+    height_cm: np.ndarray
+    depth_cm: np.ndarray
+    scenario: np.ndarray
+    vwc_truth: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.timestamp) and isfinite(self.rssi)):
-            raise ValueError(f"non-finite number in {self}")
-        if not (0.0 <= self.height_cm < inf and 0.0 <= self.depth_cm < inf):
-            raise ValueError(f"height and depth must be finite and >= 0 cm in {self}")
-        if not 0 <= self.device_id <= 0xFFFF:
-            raise ValueError(f"device_id {self.device_id} outside [0, 65535]")
-        if not TX_POWER_MIN_DBM <= self.tx_power <= TX_POWER_MAX_DBM:
-            raise ValueError(
-                f"tx power {self.tx_power} dBm outside "
-                f"[{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}]"
-            )
-        if self.vwc_truth is not None and not 0.0 <= self.vwc_truth <= 1.0:
-            raise ValueError(f"vwc_truth {self.vwc_truth} outside [0, 1]")
+        for f in fields(self):
+            column = np.asarray(getattr(self, f.name), _COLUMN_DTYPES.get(f.name))
+            object.__setattr__(self, f.name, column)
+        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
+            raise ValueError("log columns differ in length")
+        h, d, t = self.height_cm, self.depth_cm, self.vwc_truth
+        rules = (
+            (np.isfinite(self.timestamp) & np.isfinite(self.rssi), "non-finite timestamp or rssi"),
+            (np.isfinite(h) & np.isfinite(d) & (h >= 0.0) & (d >= 0.0),
+             "height and depth must be finite and >= 0 cm"),
+            ((0 <= self.device_id) & (self.device_id <= 0xFFFF), "device_id outside [0, 65535]"),
+            ((TX_POWER_MIN_DBM <= self.tx_power) & (self.tx_power <= TX_POWER_MAX_DBM),
+             f"tx power outside [{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}] dBm"),
+            (np.isnan(t) | ((0.0 <= t) & (t <= 1.0)), "vwc_truth outside [0, 1]"),
+        )
+        ok = np.logical_and.reduce([good for good, _ in rules])
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise LogRowError(row, next(why for good, why in rules if not good[row]))
+        for name in ("device_id", "tx_power"):
+            column = getattr(self, name)
+            if not np.array_equal(column.astype(np.int64), column):
+                raise ValueError(f"{name} must hold integers")
+            object.__setattr__(self, name, column.astype(np.int64))
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def take(self, rows: np.ndarray) -> "MeasurementLog":
+        """The log of the given rows (indices or a boolean mask), in that order."""
+        return MeasurementLog(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 def _xor(data: bytes) -> int:
@@ -163,8 +197,7 @@ def encode_packet(p: SweepPacket) -> bytes:
 def decode_packet(frame: bytes) -> SweepPacket:
     """Parse and validate a wire frame; inverse of encode_packet.
 
-    Raises a distinct FrameError subclass per failure mode so the
-    receiver can count what it dropped.
+    Raises a distinct FrameError subclass per failure mode.
     """
     if len(frame) != FRAME_LENGTH:
         raise BadLength(f"frame is {len(frame)} bytes, want {FRAME_LENGTH}")
@@ -175,8 +208,6 @@ def decode_packet(frame: bytes) -> SweepPacket:
     if _xor(frame[:6]) != frame[6]:
         raise BadChecksum("checksum mismatch")
     _, _, device_id, sequence, tx_power = struct.unpack(">BBHBb", frame[:6])
-    if not TX_POWER_MIN_DBM <= tx_power <= TX_POWER_MAX_DBM:
-        raise PowerOutOfRange(f"decoded tx power {tx_power} dBm out of range")
     return SweepPacket(device_id=device_id, sequence=sequence, tx_power=tx_power)
 
 
@@ -186,10 +217,10 @@ def median_power(plan: PowerPlan) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def log_median_power(measurements: Iterable[Measurement]) -> int:
+def log_median_power(log: MeasurementLog) -> int:
     """Median power of the plan a log was swept with, inferred from the
     distinct TX powers it holds."""
-    return median_power(PowerPlan(tuple({m.tx_power for m in measurements})))
+    return median_power(PowerPlan(tuple(set(log.tx_power.tolist()))))
 
 
 def encode_plan(device_id: int, plan: PowerPlan) -> tuple[bytes, ...]:
@@ -205,51 +236,9 @@ def encode_plan(device_id: int, plan: PowerPlan) -> tuple[bytes, ...]:
     )
 
 
-class SweepReceiver:
-    """Decodes delivered frames and accumulates Measurements.
-
-    The tx_power it logs always comes out of the decoded frame, never
-    from any receiver-side assumption about the plan.
-    """
-
-    def __init__(
-        self,
-        scenario: str = "",
-        height_cm: float = 0.0,
-        depth_cm: float = 0.0,
-        vwc_truth: float | None = None,
-    ):
-        self.scenario = scenario
-        self.height_cm = height_cm
-        self.depth_cm = depth_cm
-        self.vwc_truth = vwc_truth
-        self.measurements: list[Measurement] = []
-        self.rejected: dict[str, int] = {}
-
-    def handle(self, frame: bytes, rssi: float, timestamp: float) -> Measurement | None:
-        try:
-            packet = decode_packet(frame)
-        except FrameError as err:
-            name = type(err).__name__
-            self.rejected[name] = self.rejected.get(name, 0) + 1
-            return None
-        m = Measurement(
-            timestamp=timestamp,
-            device_id=packet.device_id,
-            tx_power=packet.tx_power,
-            rssi=rssi,
-            height_cm=self.height_cm,
-            depth_cm=self.depth_cm,
-            scenario=self.scenario,
-            vwc_truth=self.vwc_truth,
-        )
-        self.measurements.append(m)
-        return m
-
-
 @dataclass
 class SimulatedLink:
-    """Radio pair stand-in: applies channel physics, loss and metadata.
+    """Radio pair stand-in: applies channel physics and loss.
 
     ``loss_db`` is the link's path loss; it is computed from ``soil`` and
     ``geom`` when not given. ``wrap_high_power`` reproduces the hardware
@@ -263,9 +252,6 @@ class SimulatedLink:
     noise: NoiseModel = NoiseModel()
     drop_prob: float = 0.0
     wrap_high_power: bool = False
-    scenario: str = ""
-    vwc_truth: float | None = None
-    timestamp: float = 0.0
     loss_db: float | None = None
     dropped: int = field(default=0, init=False)
     _noise_rng: np.random.Generator = field(init=False, repr=False)
@@ -280,49 +266,19 @@ class SimulatedLink:
         self._noise_rng = np.random.default_rng(noise_seq)
         self._drop_rng = np.random.default_rng(drop_seq)
 
-    def carry(
-        self, plan: PowerPlan, frames: Sequence[bytes]
-    ) -> list[tuple[bytes, float]]:
-        """Carry one sweep: ``frames[i]`` is sent at ``plan.levels[i]``.
+    def carry(self, plan: PowerPlan) -> tuple[np.ndarray, np.ndarray]:
+        """Carry one sweep, one frame per plan level, in plan order.
 
-        Returns (frame, rssi) for each delivered frame, in plan order. The
-        drop draws are one vector over the whole plan, the noise one vector
-        over the delivered frames.
+        Returns the plan indices of the delivered frames, ascending, and
+        the RSSI each was heard at. The drop draws are one vector over the
+        whole plan, the noise one vector over the delivered frames.
         """
-        kept = range(len(plan))
+        levels = np.array(plan.levels)
+        kept = np.arange(len(levels))
         if self.drop_prob > 0.0:
-            draws = self._drop_rng.random(len(plan)).tolist()
-            kept = [i for i, r in enumerate(draws) if r >= self.drop_prob]
-            self.dropped += len(plan) - len(kept)
-        powers = [plan.levels[i] for i in kept]
+            kept = np.flatnonzero(self._drop_rng.random(len(levels)) >= self.drop_prob)
+            self.dropped += len(levels) - len(kept)
+        powers = levels[kept]
         if self.wrap_high_power:
-            powers = [TX_POWER_MIN_DBM if p == TX_POWER_MAX_DBM else p for p in powers]
-        rssi = sweep_rssi(powers, self.loss_db, self.geom, self.noise, self._noise_rng)
-        return [(frames[i], r) for i, r in zip(kept, rssi.tolist())]
-
-
-def run_sweep(
-    device_id: int,
-    plan: PowerPlan,
-    link: SimulatedLink,
-    receiver: SweepReceiver | None = None,
-    frames: Sequence[bytes] | None = None,
-) -> list[Measurement]:
-    """Drive transmitter and receiver over one full sweep.
-
-    Returns the receiver's log: one Measurement per delivered valid
-    frame, in plan order. ``frames`` is ``encode_plan(device_id, plan)``,
-    encoded here when not given. Pass your own receiver to inspect reject
-    counters; drop counts live on the link.
-    """
-    if frames is None:
-        frames = encode_plan(device_id, plan)
-    rx = receiver or SweepReceiver(
-        scenario=link.scenario,
-        height_cm=link.geom.receiver_height_cm,
-        depth_cm=link.geom.burial_depth_cm,
-        vwc_truth=link.vwc_truth,
-    )
-    for frame, rssi in link.carry(plan, frames):
-        rx.handle(frame, rssi, link.timestamp)
-    return list(rx.measurements)
+            powers = np.where(powers == TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, powers)
+        return kept, sweep_rssi(powers, self.loss_db, self.geom, self.noise, self._noise_rng)

@@ -32,9 +32,10 @@ def _report(num: int, description: str, ok: bool) -> None:
 
 def _median_curve_by_height(log):
     by_cell = defaultdict(list)
-    for m in log:
-        if m.tx_power == 13:
-            by_cell[(m.scenario, m.vwc_truth)].append(m.rssi)
+    at_13 = log.tx_power == 13
+    cells = zip(log.scenario[at_13].tolist(), log.vwc_truth[at_13].tolist())
+    for cell, rssi in zip(cells, log.rssi[at_13].tolist()):
+        by_cell[cell].append(rssi)
     curves = defaultdict(list)
     for (scenario, vwc), rssis in sorted(by_cell.items()):
         curves[scenario].append(sum(rssis) / len(rssis))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from smol.calibrate import (
     ModelSpec,
     SingularSystemError,
     TrainedModel,
+    _forest_outputs,
     assemble,
     compare,
     evaluate,
@@ -26,31 +29,30 @@ from smol.calibrate import (
     save_model,
     split,
 )
-from smol.sweepproto import Measurement
+from smol.sweepproto import MeasurementLog
 
 
-def _measurement(rssi, tx, truth, scenario="lab"):
-    return Measurement(
-        timestamp=0.0,
-        device_id=1,
+def _log(rssi, tx, truth) -> MeasurementLog:
+    """A log of one placement from its rssi, tx power and truth columns."""
+    n = len(rssi)
+    return MeasurementLog(
+        timestamp=np.zeros(n),
+        device_id=np.ones(n, dtype=int),
         tx_power=tx,
         rssi=rssi,
-        height_cm=0.0,
-        depth_cm=15.0,
-        scenario=scenario,
+        height_cm=np.zeros(n),
+        depth_cm=np.full(n, 15.0),
+        scenario=["lab"] * n,
         vwc_truth=truth,
     )
 
 
 def _sweep_log(n_sweeps=10, levels=range(5, 23)):
     """n_sweeps full sweeps at evenly spaced moisture levels."""
-    log = []
-    for i in range(n_sweeps):
-        truth = 0.05 + 0.03 * i
-        for p in levels:
-            rssi = -30.0 - 60.0 * truth + 1.0 * (p - 13)
-            log.append(_measurement(rssi, p, truth))
-    return log
+    levels = list(levels)
+    truth = np.repeat(0.05 + 0.03 * np.arange(n_sweeps), len(levels))
+    tx = np.tile(levels, n_sweeps)
+    return _log(-30.0 - 60.0 * truth + 1.0 * (tx - 13), tx, truth)
 
 
 def _dataset(X, y, mode=FeatureMode.ALL_TX):
@@ -82,20 +84,20 @@ class TestAssemble:
 
     def test_rejects_missing_ground_truth(self):
         log = _sweep_log()
-        log[3] = Measurement(0.0, 1, log[3].tx_power, log[3].rssi, 0.0, 15.0, "lab")
+        truth = log.vwc_truth.copy()
+        truth[3] = np.nan
         with pytest.raises(ValueError, match="ground truth"):
-            assemble(log, FeatureMode.ALL_TX)
+            assemble(replace(log, vwc_truth=truth), FeatureMode.ALL_TX)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
-            assemble([], FeatureMode.ALL_TX)
+            assemble(_log([], [], []), FeatureMode.ALL_TX)
 
     def test_rejects_non_finite_rssi(self):
-        # A Measurement refuses a nan RSSI itself; a Dataset built without
-        # one refuses it too.
-        log = _sweep_log()
+        # A log refuses a nan RSSI itself; a Dataset built without one
+        # refuses it too.
         with pytest.raises(ValueError, match="finite"):
-            assemble(log[:3] + [_measurement(float("nan"), 8, 0.05)], FeatureMode.ALL_TX)
+            _log([-50.0, float("nan")], [7, 8], [0.05, 0.05])
         with pytest.raises(ValueError, match="finite"):
             _dataset([[float("nan"), 8.0]], [5.0])
 
@@ -233,10 +235,10 @@ class TestForest:
         X = rng.uniform(0, 10, (40, 2))
         y = X[:, 0] + X[:, 1] + rng.normal(0, 0.5, 40)
         model = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=10, seed=3), _dataset(X, y))
-        x = np.array([4.0, 5.0])
-        per_tree = model.per_tree_predictions(x)
+        x = np.array([[4.0, 5.0]])
+        per_tree = _forest_outputs(model.params["trees"], x)[0]
         assert len(per_tree) == 10
-        assert model.predict(x) == pytest.approx(per_tree.mean(), rel=1e-12)
+        assert model.predict_many(x)[0] == pytest.approx(per_tree.mean(), rel=1e-12)
 
     def test_seeded_fit_is_deterministic(self):
         rng = np.random.default_rng(9)
@@ -298,7 +300,7 @@ class TestPredict:
             feature_names=("rssi_dbm",),
             params={"beta": np.array([10.0, -2.0])},
         )
-        assert model.predict([-40.0]) == pytest.approx(90.0)
+        assert model.predict_many(np.array([[-40.0]])) == pytest.approx([90.0])
 
     def test_repeat_input_repeat_output(self):
         rng = np.random.default_rng(11)
@@ -306,14 +308,17 @@ class TestPredict:
         model = fit(
             ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5), _dataset(X, X[:, 0])
         )
-        assert model.predict([2.0, 3.0]) == model.predict([2.0, 3.0])
+        x = np.array([[2.0, 3.0]])
+        assert np.array_equal(model.predict_many(x), model.predict_many(x))
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(14)
         ds = _dataset(rng.uniform(0, 1, (10, 2)), np.arange(10.0))
         model = fit(ModelSpec(ModelKind.LINEAR), ds)
         with pytest.raises(ValueError):
-            model.predict([1.0])
+            model.predict_many(np.array([[1.0]]))
+        with pytest.raises(ValueError):
+            model.predict_many(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             model.predict_many(np.ones((3, 3)))
 

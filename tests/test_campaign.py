@@ -1,5 +1,6 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from smol import campaign, soilchan, sweepproto
@@ -17,6 +18,7 @@ from smol.campaign import (
     save_config,
     write_measurements,
 )
+from smol.sweepproto import MeasurementLog
 
 TEN_STEP_GRID = tuple(round(0.04 * i, 2) for i in range(1, 11))
 
@@ -30,6 +32,14 @@ def small_config(**overrides) -> CampaignConfig:
     )
     base.update(overrides)
     return CampaignConfig(**base)
+
+
+def same_log(a: MeasurementLog, b: MeasurementLog) -> bool:
+    """Column by column, dtypes too; an absent truth (NaN) equals an absent one."""
+    return all(
+        np.array_equal(x, y, equal_nan=x.dtype != object) and x.dtype == y.dtype
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(MeasurementLog))
+    )
 
 
 class TestConfigValidation:
@@ -68,32 +78,30 @@ class TestRunCampaign:
         assert len(run_campaign(CampaignConfig())) == 1296
 
     def test_training_mode_populates_truth(self):
-        for m in run_campaign(small_config()):
-            assert m.vwc_truth is not None
+        assert not np.isnan(run_campaign(small_config()).vwc_truth).any()
 
     def test_inference_mode_omits_truth(self):
-        for m in run_campaign(small_config(training_mode=False)):
-            assert m.vwc_truth is None
+        assert np.isnan(run_campaign(small_config(training_mode=False)).vwc_truth).all()
 
     def test_timestamps_derive_from_epoch(self):
         log = run_campaign(small_config(epoch=1000.0, sweep_interval_s=60.0))
-        stamps = sorted({m.timestamp for m in log})
+        stamps = sorted(set(log.timestamp.tolist()))
         assert stamps == [1000.0, 1060.0, 1120.0]
 
     def test_same_config_same_log(self):
         cfg = small_config()
-        assert run_campaign(cfg) == run_campaign(cfg)
+        assert same_log(run_campaign(cfg), run_campaign(cfg))
 
     def test_different_seed_different_noise(self):
         a = run_campaign(small_config(seed=1))
         b = run_campaign(small_config(seed=2))
-        assert a != b
+        assert not same_log(a, b)
 
     def test_drop_probability_shrinks_the_log(self):
         lossy = small_config(drop_prob=0.5)
         assert len(run_campaign(lossy)) < 3 * 18
 
-    def test_path_loss_at_most_once_per_sweep_and_one_decode_per_delivery(self, monkeypatch):
+    def test_path_loss_once_per_cell_and_one_decode_per_plan_frame(self, monkeypatch):
         calls = {"path_loss": 0, "decode_packet": 0, "encode_packet": 0}
 
         def counted(module, name):
@@ -107,7 +115,8 @@ class TestRunCampaign:
 
         for module in (soilchan, sweepproto, campaign):
             counted(module, "path_loss")
-        counted(sweepproto, "decode_packet")
+        for module in (sweepproto, campaign):
+            counted(module, "decode_packet")
         counted(sweepproto, "encode_packet")
         cfg = small_config(
             scenarios=(Scenario("a", 15.0, 0.0), Scenario("b", 5.0, 90.0)),
@@ -115,11 +124,11 @@ class TestRunCampaign:
             drop_prob=0.2,
         )
         log = run_campaign(cfg)
-        sweeps = 2 * 3 * 2
-        assert 0 < len(log) < sweeps * 18
-        assert 1 <= calls["path_loss"] <= sweeps
-        assert calls["decode_packet"] == len(log)
-        assert calls["encode_packet"] == 18  # once per campaign
+        cells = 2 * 3
+        assert 0 < len(log) < cells * 2 * 18
+        assert 1 <= calls["path_loss"] <= cells
+        assert calls["decode_packet"] == 18  # once per campaign
+        assert calls["encode_packet"] == 18
 
     def test_noise_free_preset(self):
         cfg = small_config().without_noise()
@@ -127,7 +136,7 @@ class TestRunCampaign:
         assert cfg.rssi_sigma_db == 0.0
         assert cfg.tdr_error_bound == 0.0
         # noiseless reference sensor reads the grid exactly
-        assert sorted({m.vwc_truth for m in log}) == [0.05, 0.20, 0.35]
+        assert sorted(set(log.vwc_truth.tolist())) == [0.05, 0.20, 0.35]
 
 
 class TestCsvRoundTrip:
@@ -145,13 +154,13 @@ class TestCsvRoundTrip:
         log = run_campaign(small_config())
         path = tmp_path / "log.csv"
         write_measurements(path, log)
-        assert read_measurements(path) == log
+        assert same_log(read_measurements(path), log)
 
     def test_round_trip_inference_mode(self, tmp_path):
         log = run_campaign(small_config(training_mode=False))
         path = tmp_path / "log.csv"
         write_measurements(path, log)
-        assert read_measurements(path) == log
+        assert same_log(read_measurements(path), log)
 
     def test_write_is_byte_deterministic(self, tmp_path):
         cfg = small_config()

@@ -8,7 +8,7 @@ import pytest
 from smol import calibrate, campaign
 from smol.calibrate import FeatureMode, ModelKind
 from smol.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from smol.sweepproto import Measurement
+from smol.sweepproto import MeasurementLog
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,8 @@ def test_predict_median_mode_needs_median_rows(tmp_path, small_log):
     main(["train", "--log", str(small_log), "--model", "linear",
           "--mode", "median_tx", "--out", str(model_path)])
     # strip the median power from the log
-    log = [m for m in campaign.read_measurements(small_log) if m.tx_power != 13]
+    log = campaign.read_measurements(small_log)
+    log = log.take(log.tx_power != 13)
     stripped = tmp_path / "stripped.csv"
     campaign.write_measurements(stripped, log)
     code = main(["predict", "--model", str(model_path), "--log", str(stripped),
@@ -229,10 +230,16 @@ def test_missing_log_is_an_io_error(tmp_path):
 
 def test_singular_fit_is_a_numerical_error(tmp_path, capsys):
     # constant features make the linear design rank-deficient
-    log = [
-        Measurement(float(i), 1, 13, -50.0, 0.0, 15.0, "flat", vwc_truth=0.01 * i)
-        for i in range(10)
-    ]
+    log = MeasurementLog(
+        timestamp=np.arange(10.0),
+        device_id=[1] * 10,
+        tx_power=[13] * 10,
+        rssi=[-50.0] * 10,
+        height_cm=[0.0] * 10,
+        depth_cm=[15.0] * 10,
+        scenario=["flat"] * 10,
+        vwc_truth=0.01 * np.arange(10),
+    )
     log_path = tmp_path / "flat.csv"
     campaign.write_measurements(log_path, log)
     code = main(["train", "--log", str(log_path), "--model", "linear",
@@ -298,9 +305,9 @@ def test_predict_writes_predict_many_outputs(tmp_path, small_log, kind, mode):
     model = calibrate.load_model(model_path)
     log = campaign.read_measurements(small_log)
     if mode == "all_tx":
-        X = np.array([[m.rssi, m.tx_power] for m in log], dtype=float)
+        X = np.column_stack([log.rssi, log.tx_power])
     else:
-        X = np.array([[m.rssi] for m in log if m.tx_power == 13])
+        X = log.rssi[log.tx_power == 13].reshape(-1, 1)
     with open(preds_path) as fh:
         written = [row["vwc_pred_pct"] for row in csv.DictReader(fh)]
     assert written == [repr(p) for p in model.predict_many(X).tolist()]
@@ -369,12 +376,49 @@ def test_predict_rejects_a_malformed_model(tmp_path, small_log, capsys, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _huge_slope(payload):
+    payload["params"]["beta"][1] = 1e308
+
+
+def _huge_leaves(payload):
+    for tree in payload["params"]["trees"]:
+        tree["value"] = [1.7e308 if f == -1 else v for f, v in zip(tree["feature"], tree["value"])]
+
+
+# Models whose parameters are finite but whose predictions overflow; the
+# forest has two trees, and the mean of two 1.7e308 leaves does.
+OVERFLOWING_MODELS = {"linear": _huge_slope, "random_forest": _huge_leaves}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING_MODELS))
+def test_predict_rejects_non_finite_predictions(tmp_path, small_log, capsys, kind):
+    model_path = tmp_path / "model.json"
+    assert (
+        main(["train", "--log", str(small_log), "--model", kind, "--trees", "2",
+              "--out", str(model_path)])
+        == EXIT_OK
+    )
+    payload = json.loads(model_path.read_text())
+    OVERFLOWING_MODELS[kind](payload)
+    model_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    preds_path = tmp_path / "p.csv"
+    code = main(["predict", "--model", str(model_path), "--log", str(small_log),
+                 "--out", str(preds_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: "), err
+    assert not preds_path.exists()
+
+
 BAD_LOG_ROWS = {
     "nan rssi": (3, "nan"),
     "tx power 99": (2, "99"),
     "fractional tx power": (2, "13.5"),
     "bad timestamp": (0, "noon"),
     "bad truth percent": (7, "wet"),
+    "nan truth percent": (7, "nan"),
+    "infinite truth percent": (7, "inf"),
     "truth percent out of range": (7, "140"),
     "device id -1": (1, "-1"),
     "device id 70000": (1, "70000"),

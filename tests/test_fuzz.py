@@ -3,9 +3,11 @@
 Each test mutates a valid file, runs the command that reads it, and checks
 the command's contract: it either succeeds, or exits 2 (validation) or 3
 (I/O) with exactly one stderr line; never a traceback or another code.
-A mutation that cannot leave the file valid (a non-number in a numeric
-log column, a missing or unknown key, a JSON object where none belongs)
-must exit 2 or 3.
+A file that is still well formed may also exit 4 (numerical failure), as
+a model does whose finite coefficients overflow its predictions. A
+mutation that cannot leave the file valid (a non-number in a numeric log
+column, a missing or unknown key, a JSON object where none belongs) must
+exit 2 or 3.
 """
 
 import contextlib
@@ -65,9 +67,12 @@ def _run(argv) -> tuple[int, str]:
 def _check(code: int, err: str, must_fail: bool) -> None:
     if code == cli.EXIT_OK and not must_fail:
         return
-    assert code in (cli.EXIT_VALIDATION, cli.EXIT_IO), (code, err)
+    prefixes = {cli.EXIT_VALIDATION: "error: ", cli.EXIT_IO: "i/o error: "}
+    if not must_fail:
+        prefixes[cli.EXIT_NUMERICAL] = "numerical failure: "
+    assert code in prefixes, (code, err)
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), err
+    assert len(lines) == 1 and lines[0].startswith(prefixes[code]), err
 
 
 def _paths(node, prefix=()):

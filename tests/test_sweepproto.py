@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smol.campaign import CampaignConfig, Scenario, run_campaign
 from smol.soilchan import LinkGeometry, NoiseModel, SoilState, path_loss
 from smol.sweepproto import (
     DEFAULT_POWER_LEVELS,
@@ -11,17 +15,16 @@ from smol.sweepproto import (
     BadMagic,
     BadVersion,
     FrameError,
-    Measurement,
+    LogRowError,
+    MeasurementLog,
     PowerOutOfRange,
     PowerPlan,
     SimulatedLink,
     SweepPacket,
-    SweepReceiver,
     decode_packet,
     encode_packet,
     encode_plan,
     median_power,
-    run_sweep,
 )
 
 packets = st.builds(
@@ -143,66 +146,68 @@ def _quiet_link(**kwargs) -> SimulatedLink:
     return SimulatedLink(
         soil=SoilState(0.2, 0.45),
         geom=LinkGeometry(15.0, 195.0),
-        scenario="bench",
         **kwargs,
     )
 
 
+def _one_sweep_log(**overrides):
+    """The noise-free log of one full sweep in one placement."""
+    config = CampaignConfig(
+        scenarios=(Scenario("bench", 15.0, 195.0),),
+        vwc_grid=(0.21,),
+        sweeps_per_cell=1,
+        **overrides,
+    )
+    return run_campaign(config.without_noise())
+
+
 class TestRunSweep:
+    """One sweep carried over the link, and logged by a campaign."""
+
     def test_full_plan_one_measurement_per_level(self):
-        ms = run_sweep(1, PowerPlan(), _quiet_link())
-        assert len(ms) == 18
-        assert [m.tx_power for m in ms] == list(DEFAULT_POWER_LEVELS)
-        assert len({m.tx_power for m in ms}) == 18
+        kept, rssi = _quiet_link().carry(PowerPlan())
+        assert kept.tolist() == list(range(18))
+        assert len(rssi) == 18
+        log = _one_sweep_log()
+        assert log.tx_power.tolist() == list(DEFAULT_POWER_LEVELS)
 
     def test_single_level_air_scenario(self):
         geom = LinkGeometry(0.0, 100.0)
         link = SimulatedLink(
             soil=SoilState.air_baseline(), geom=geom, noise=NoiseModel()
         )
-        [m] = run_sweep(7, PowerPlan((13,)), link)
-        assert m.tx_power == 13
-        assert m.rssi == pytest.approx(
+        kept, [rssi] = link.carry(PowerPlan((13,)))
+        assert kept.tolist() == [0]
+        assert rssi == pytest.approx(
             13 - path_loss(SoilState.air_baseline(), geom), abs=1e-12
         )
 
     def test_total_loss_drops_everything(self):
         link = _quiet_link(drop_prob=1.0)
-        ms = run_sweep(1, PowerPlan(), link)
-        assert ms == []
+        kept, rssi = link.carry(PowerPlan())
+        assert len(kept) == len(rssi) == 0
         assert link.dropped == 18
 
     def test_measurements_carry_link_metadata(self):
-        link = _quiet_link(vwc_truth=0.21, timestamp=1234.5)
-        ms = run_sweep(77, PowerPlan(), link)
-        for m in ms:
-            assert m.device_id == 77
-            assert m.scenario == "bench"
-            assert m.height_cm == 195.0
-            assert m.depth_cm == 15.0
-            assert m.vwc_truth == 0.21
-            assert m.timestamp == 1234.5
+        log = _one_sweep_log(device_id=77, epoch=1234.5)
+        assert len(log) == 18
+        assert set(log.device_id.tolist()) == {77}
+        assert set(log.scenario.tolist()) == {"bench"}
+        assert set(log.height_cm.tolist()) == {195.0}
+        assert set(log.depth_cm.tolist()) == {15.0}
+        assert log.vwc_truth == pytest.approx([0.21] * 18)
+        assert set(log.timestamp.tolist()) == {1234.5}
 
     def test_tx_power_comes_from_the_frame(self):
         # with the wrap quirk on, the radio transmits at 5 dBm but the
         # frame still announces 23: the log must show the decoded 23
-        plan = PowerPlan((5, 23))
-        link = _quiet_link(wrap_high_power=True)
-        ms = run_sweep(1, plan, link)
-        assert [m.tx_power for m in ms] == [5, 23]
-        assert ms[0].rssi == pytest.approx(ms[1].rssi, abs=1e-12)
+        log = _one_sweep_log(power_levels=(5, 23), wrap_high_power=True)
+        assert log.tx_power.tolist() == [5, 23]
+        assert log.rssi[0] == pytest.approx(log.rssi[1], abs=1e-12)
 
     def test_no_free_energy_noise_free(self):
-        ms = run_sweep(1, PowerPlan(), _quiet_link())
-        for m in ms:
-            assert m.rssi <= m.tx_power
-
-    def test_receiver_counts_rejects(self):
-        rx = SweepReceiver()
-        rx.handle(b"\x00" * 7, -50.0, 0.0)
-        rx.handle(b"\x00" * 3, -50.0, 0.0)
-        assert rx.measurements == []
-        assert rx.rejected == {"BadMagic": 1, "BadLength": 1}
+        kept, rssi = _quiet_link().carry(PowerPlan())
+        assert (rssi <= np.array(DEFAULT_POWER_LEVELS)[kept]).all()
 
     def test_transmitter_sequences_from_zero(self):
         packets = [decode_packet(f) for f in encode_plan(9, PowerPlan((7, 5, 6)))]
@@ -214,18 +219,30 @@ class TestRunSweep:
     @settings(max_examples=50)
     def test_delivered_plus_dropped_covers_plan(self, seed, drop):
         link = _quiet_link(drop_prob=drop, noise=NoiseModel(seed=seed))
-        ms = run_sweep(1, PowerPlan(), link)
-        assert len(ms) + link.dropped == 18
+        kept, rssi = link.carry(PowerPlan())
+        assert len(kept) == len(rssi)
+        assert len(kept) + link.dropped == 18
+
+
+def _one_row_log(**values) -> MeasurementLog:
+    row = dict(
+        timestamp=0.0, device_id=1, tx_power=13, rssi=-50.0,
+        height_cm=0.0, depth_cm=15.0, scenario="x", vwc_truth=math.nan,
+    )
+    row.update(values)
+    return MeasurementLog(**{name: [value] for name, value in row.items()})
 
 
 class TestMeasurement:
+    """The rules every row of a MeasurementLog obeys."""
+
     def test_rejects_vwc_truth_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            Measurement(0.0, 1, 13, -50.0, 0.0, 15.0, "x", vwc_truth=1.2)
+            _one_row_log(vwc_truth=1.2)
 
     def test_truth_is_optional(self):
-        m = Measurement(0.0, 1, 13, -50.0, 0.0, 15.0, "x")
-        assert m.vwc_truth is None
+        log = _one_row_log()
+        assert math.isnan(log.vwc_truth[0])
 
     @pytest.mark.parametrize(
         "field,value",
@@ -239,23 +256,25 @@ class TestMeasurement:
         ],
     )
     def test_rejects_non_finite_numbers_and_unsendable_powers(self, field, value):
-        values = dict(
-            timestamp=0.0, device_id=1, tx_power=13, rssi=-50.0,
-            height_cm=0.0, depth_cm=15.0, scenario="x",
-        )
-        values[field] = value
         with pytest.raises(ValueError, match="finite|outside"):
-            Measurement(**values)
+            _one_row_log(**{field: value})
 
     @pytest.mark.parametrize(
         "field,value",
         [("device_id", -1), ("device_id", 70000), ("height_cm", -1.0), ("depth_cm", -0.5)],
     )
     def test_rejects_ids_and_placements_no_campaign_can_log(self, field, value):
-        values = dict(
-            timestamp=0.0, device_id=1, tx_power=13, rssi=-50.0,
-            height_cm=0.0, depth_cm=15.0, scenario="x",
-        )
-        values[field] = value
         with pytest.raises(ValueError, match="device_id|height and depth"):
-            Measurement(**values)
+            _one_row_log(**{field: value})
+
+    def test_names_the_first_bad_row(self):
+        columns = {
+            name: np.repeat(getattr(_one_row_log(), name), 4)
+            for name in ("timestamp", "device_id", "rssi", "height_cm", "depth_cm",
+                         "scenario", "vwc_truth")
+        }
+        with pytest.raises(LogRowError) as caught:
+            MeasurementLog(tx_power=[13, 13, 2**70, 99], **columns)
+        assert caught.value.row == 2
+        with pytest.raises(ValueError, match="integers"):
+            MeasurementLog(tx_power=[13.0, 13.5, 13.0, 13.0], **columns)
