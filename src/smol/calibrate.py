@@ -22,10 +22,7 @@ import numpy as np
 from .sweepproto import MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 2
-
-# A tree is five flat arrays indexed by node; see _grow_trees.
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+MODEL_FILE_VERSION = 3
 
 # Trees grown side by side: more share the per-level NumPy calls, but the
 # work arrays grow with their total row count.
@@ -162,7 +159,7 @@ class TrainedModel:
         kind, params = self.spec.kind, self.params
         with np.errstate(over="ignore", invalid="ignore"):
             if kind == ModelKind.RANDOM_FOREST:
-                out = _forest_outputs(params["trees"], X).mean(axis=1)
+                out = _forest_outputs(params, X).mean(axis=1)
             elif kind == ModelKind.POLYNOMIAL:
                 out = polynomial_expand(X, params["powers"]) @ params["beta"]
             else:
@@ -388,17 +385,15 @@ def _grow_trees(
     samples: np.ndarray,
     max_depth: int | None,
     min_leaf: int,
-) -> list[dict[str, np.ndarray]]:
+) -> dict[str, np.ndarray]:
     """Grow one tree per row of ``samples`` (row indices into ``X``/``y``).
 
     The trees grow together, breadth-first: every node of one depth, in
     every tree, is searched at once. A node becomes a leaf at
     ``max_depth``, below ``2 * min_leaf`` rows, when its targets are all
-    equal, or when no split reduces the squared error; its value is the
-    mean target. Each tree comes back as flat arrays indexed by node,
-    numbered level by level from the root at 0, so every child's index
-    exceeds its parent's. Leaves have feature, left and right -1 and
-    threshold 0; split nodes have value 0.
+    equal, or when no split reduces the squared error. The batch comes
+    back in the forest layout (see ``_forest_outputs``), its child indices
+    counted from the batch's first node.
     """
     n_trees, n = samples.shape
     X, y = X[samples.ravel()], y[samples.ravel()]
@@ -409,9 +404,7 @@ def _grow_trees(
     # Nodes of all trees are numbered level by level, each level ordered by
     # tree and then by parent, so each tree's nodes keep their order.
     feature = np.full(2 * len(X), -1)
-    threshold = np.zeros(2 * len(X))
     left = np.full(2 * len(X), -1)
-    right = np.full(2 * len(X), -1)
     value = np.zeros(2 * len(X))
     tree = np.zeros(2 * len(X), dtype=np.intp)
     tree[:n_trees] = np.arange(n_trees)
@@ -454,9 +447,8 @@ def _grow_trees(
         parents = ids[splits]
         children = first + width + 2 * rank[splits]
         feature[parents] = split_feature[splits]
-        threshold[parents] = split_threshold[splits]
+        value[parents] = split_threshold[splits]
         left[parents] = children
-        right[parents] = children + 1
         tree[children] = tree[children + 1] = tree[parents]
 
         inside = splits[node]
@@ -465,45 +457,41 @@ def _grow_trees(
         node = 2 * rank[node] + ~goes_left
         first, width, depth = first + width, 2 * len(parents), depth + 1
 
-    # Renumber each tree's nodes from 0, keeping their order.
+    # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
     tree = tree[:first]
     by_tree = np.argsort(tree, kind="stable")
-    sizes = np.bincount(tree, minlength=n_trees)
-    local = np.empty(first, dtype=np.intp)
-    local[by_tree] = np.arange(first) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    for children in (left, right):
-        children[:first] = np.where(children[:first] >= 0, local[children[:first]], -1)
-    arrays = dict(zip(TREE_ARRAYS, (feature, threshold, left, right, value)))
-    return [
-        {key: a[nodes] for key, a in arrays.items()}
-        for nodes in np.split(by_tree, np.cumsum(sizes)[:-1])
-    ]
+    moved_to = np.empty(first, dtype=np.intp)
+    moved_to[by_tree] = np.arange(first)
+    left = left[by_tree]
+    return {
+        "feature": feature[by_tree],
+        "left": np.where(left >= 0, moved_to[left], -1),
+        "tree_sizes": np.bincount(tree, minlength=n_trees),
+        "value": value[by_tree],
+    }
 
 
-def _forest_outputs(trees: Sequence[dict], X: np.ndarray) -> np.ndarray:
+def _forest_outputs(forest: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     """Every tree's prediction for every row, as a C-ordered (rows, trees) array.
 
-    The trees are stacked into one set of arrays whose leaves point to
-    themselves, and all rows descend through all trees one level per step
-    until no row moves.
+    A forest is four flat arrays: ``tree_sizes`` counts each tree's nodes,
+    which follow tree after tree, each tree's level by level from its root.
+    A split node sends ``x[feature] <= value`` to node ``left`` (counted
+    across the forest) and the rest to ``left + 1``; a leaf has ``feature``
+    and ``left`` -1 and predicts ``value``. All rows descend through all
+    trees one level per step, leaves pointing to themselves, until no row
+    moves.
     """
-    sizes = np.array([len(t["value"]) for t in trees])
-    roots = np.cumsum(sizes) - sizes
-    feature, threshold, left, right, value = (
-        np.concatenate([t[key] for t in trees]) for key in TREE_ARRAYS
-    )
+    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
     leaf = feature < 0
     index = np.arange(len(feature))
-    offset = np.repeat(roots, sizes)
-    left = np.where(leaf, index, left + offset)
-    right = np.where(leaf, index, right + offset)
+    left = np.where(leaf, index, forest["left"])
+    right = np.where(leaf, index, left + 1)
     feature = np.where(leaf, 0, feature)
     at_row = np.arange(len(X))[:, None]
-    node = np.tile(roots, (len(X), 1))
+    node = np.tile(np.cumsum(sizes) - sizes, (len(X), 1))
     while True:
-        step = np.where(
-            X[at_row, feature[node]] <= threshold[node], left[node], right[node]
-        )
+        step = np.where(X[at_row, feature[node]] <= value[node], left[node], right[node])
         if np.array_equal(step, node):
             return value[node]
         node = step
@@ -518,12 +506,15 @@ def _fit_forest(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> dict:
             for _ in range(spec.n_trees)
         ]
     )
-    trees = []
-    for batch in range(0, spec.n_trees, _TREES_PER_BATCH):
-        trees += _grow_trees(
-            X, y, samples[batch : batch + _TREES_PER_BATCH], spec.max_depth, spec.min_leaf
-        )
-    return {"trees": trees}
+    batches = [
+        _grow_trees(X, y, samples[b : b + _TREES_PER_BATCH], spec.max_depth, spec.min_leaf)
+        for b in range(0, spec.n_trees, _TREES_PER_BATCH)
+    ]
+    offset = 0
+    for batch in batches:  # child indices count across the whole forest
+        batch["left"][batch["left"] >= 0] += offset
+        offset += len(batch["value"])
+    return {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
 
 
 def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
@@ -599,7 +590,7 @@ _PARAM_KEYS = {
     ModelKind.LINEAR: ("beta",),
     ModelKind.RIDGE: ("beta",),
     ModelKind.POLYNOMIAL: ("beta", "powers"),
-    ModelKind.RANDOM_FOREST: ("trees",),
+    ModelKind.RANDOM_FOREST: ("feature", "left", "tree_sizes", "value"),
 }
 
 
@@ -636,6 +627,14 @@ def _require_keys(obj, keys: Sequence[str], where: str) -> None:
         raise ValueError(f"{where}: {'; '.join(problems)}")
 
 
+def _read_json(path: str | Path, error: type[ValueError] = ValueError):
+    """The JSON document at ``path``; malformed or too deeply nested JSON raises ``error``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as err:
+        raise error(f"{path}: not readable as JSON ({err})") from None
+
+
 def _json_array(values, integer: bool, where: str) -> np.ndarray:
     """A JSON list as a 1-D array of integers, or of finite floats."""
     arr = np.asarray(values)
@@ -649,44 +648,32 @@ def _json_array(values, integer: bool, where: str) -> np.ndarray:
     return arr
 
 
-def _tree_from_json(tree, n_features: int, where: str) -> dict[str, np.ndarray]:
-    """One tree's arrays, checked so that every row's descent ends at a leaf."""
-    _require_keys(tree, TREE_ARRAYS, where)
-    arrays = {
-        key: _json_array(tree[key], key in ("feature", "left", "right"), f"{where} {key}")
-        for key in TREE_ARRAYS
-    }
-    size = len(arrays["value"])
-    if size == 0 or any(len(a) != size for a in arrays.values()):
-        raise ValueError(f"{where}: arrays are empty or differ in length")
-    feature = arrays["feature"]
+def _forest_from_json(params: dict, n_trees: int, n_features: int) -> dict[str, np.ndarray]:
+    """The forest's arrays, checked so that every row's descent through every
+    tree stays in that tree and ends at one of its leaves."""
+    forest = {key: _json_array(params[key], key != "value", key) for key in params}
+    feature, left, sizes = forest["feature"], forest["left"], forest["tree_sizes"]
+    n = len(forest["value"])
+    if len(feature) != n or len(left) != n:
+        raise ValueError("feature, left and value differ in length")
+    # Python's sum: an int64 sum of huge sizes could wrap around to n.
+    if len(sizes) != n_trees or (sizes < 1).any() or sum(sizes.tolist()) != n:
+        raise ValueError(f"tree_sizes is not {n_trees} size(s) >= 1 summing to {n} nodes")
     split = feature != -1
     if not ((feature[split] >= 0) & (feature[split] < n_features)).all():
-        raise ValueError(f"{where}: feature index outside [0, {n_features})")
-    index = np.arange(size)[split]
-    for side in ("left", "right"):
-        child = arrays[side]
-        if (child[~split] != -1).any() or not (
-            (child[split] > index) & (child[split] < size)
-        ).all():
-            raise ValueError(
-                f"{where}: {side} child index out of range or not after its node"
-            )
-    return arrays
+        raise ValueError(f"feature index outside [0, {n_features})")
+    tree_end = np.repeat(np.cumsum(sizes), sizes)
+    if (left[~split] != -1).any() or not (
+        (left[split] > np.arange(n)[split]) & (left[split] < tree_end[split] - 1)
+    ).all():
+        raise ValueError("left: not -1 at a leaf, not after its node, or left + 1 past its tree")
+    return forest
 
 
 def _params_from_json(params, kind: ModelKind, n_trees: int, n_features: int) -> dict:
     _require_keys(params, _PARAM_KEYS[kind], "params")
     if kind == ModelKind.RANDOM_FOREST:
-        trees = params["trees"]
-        if not isinstance(trees, list) or len(trees) != n_trees:
-            raise ValueError(f"params: trees is not a list of {n_trees} tree(s)")
-        return {
-            "trees": [
-                _tree_from_json(tree, n_features, f"tree {i}")
-                for i, tree in enumerate(trees)
-            ]
-        }
+        return _forest_from_json(params, n_trees, n_features)
     beta = _json_array(params["beta"], False, "beta")
     if kind != ModelKind.POLYNOMIAL:
         if len(beta) != n_features + 1:
@@ -735,7 +722,7 @@ def load_model(path: str | Path) -> TrainedModel:
     format or version, a missing or extra key, a malformed value, or tree
     arrays whose descent could leave the tree or never end.
     """
-    payload = json.loads(Path(path).read_text())
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FILE_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FILE_FORMAT} file")
     if payload.get("version") != MODEL_FILE_VERSION:

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .calibrate import _require_keys
+from .calibrate import _read_json, _require_keys
 from .groundtruth import TdrSensor, read_vwc
 from .soilchan import (
     WATER_LOSS_FACTOR_DEFAULT,
@@ -274,8 +274,20 @@ def _pct_str_to_fraction(text: str) -> float:
     return fraction
 
 
+def _plain(parse):
+    """``parse`` for a number cell, refusing the underscores and the
+    surrounding whitespace that Python's number parsers let through."""
+    def strict(text: str):
+        if "_" in text or text.strip() != text:
+            raise ValueError(f"{text!r} is not a plain number")
+        return parse(text)
+    return strict
+
+
 # How read_measurements parses each cell of a row, in CSV_COLUMNS order.
-_CELL_PARSERS = (float, int, int, float, float, float, str, _pct_str_to_fraction)
+_CELL_PARSERS = (
+    *map(_plain, (float, int, int, float, float, float)), str, _plain(_pct_str_to_fraction),
+)
 
 
 def log_rows(log: MeasurementLog, *extra: np.ndarray) -> Iterator[tuple]:
@@ -412,4 +424,4 @@ def save_config(config: CampaignConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> CampaignConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return config_from_dict(_read_json(path, ConfigError))

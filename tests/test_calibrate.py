@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smol import calibrate
 from smol.calibrate import (
-    TREE_ARRAYS,
     CompareRow,
     Dataset,
     FeatureMode,
@@ -236,7 +236,7 @@ class TestForest:
         y = X[:, 0] + X[:, 1] + rng.normal(0, 0.5, 40)
         model = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=10, seed=3), _dataset(X, y))
         x = np.array([[4.0, 5.0]])
-        per_tree = _forest_outputs(model.params["trees"], x)[0]
+        per_tree = _forest_outputs(model.params, x)[0]
         assert len(per_tree) == 10
         assert model.predict_many(x)[0] == pytest.approx(per_tree.mean(), rel=1e-12)
 
@@ -250,11 +250,8 @@ class TestForest:
         other = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5, seed=2), ds)
 
         def same(m1, m2):
-            return all(
-                np.array_equal(t1[key], t2[key])
-                for t1, t2 in zip(m1.params["trees"], m2.params["trees"], strict=True)
-                for key in TREE_ARRAYS
-            )
+            assert m1.params.keys() == m2.params.keys()
+            return all(np.array_equal(m1.params[key], m2.params[key]) for key in m1.params)
 
         assert same(a, b)
         assert not same(a, other)
@@ -269,9 +266,27 @@ class TestForest:
             ModelKind.RANDOM_FOREST, n_trees=1, max_depth=1, min_leaf=1, bootstrap=False
         )
         for columns, threshold in (([0, 1], 0.5), ([1, 0], 10.5)):
-            tree = fit(spec, _dataset(X[:, columns], y)).params["trees"][0]
-            assert tree["feature"].tolist() == [0, -1, -1]
-            assert tree["threshold"][0] == threshold
+            forest = fit(spec, _dataset(X[:, columns], y)).params
+            assert forest["feature"][:3].tolist() == [0, -1, -1]
+            assert forest["value"][0] == threshold
+
+    def test_forest_layout_does_not_depend_on_the_batch_size(self, monkeypatch):
+        # Child indices count across the whole forest, so each batch's are
+        # shifted by the nodes grown before it; one batch of all 7 trees
+        # needs no shift.
+        rng = np.random.default_rng(12)
+        X = rng.integers(-90, -30, (60, 2)).astype(float)
+        ds = _dataset(X, -0.5 * X[:, 0] + rng.normal(0, 1, 60))
+        spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=7, max_depth=4, seed=4)
+        forests = []
+        for per_batch in (1, 5, spec.n_trees):
+            monkeypatch.setattr(calibrate, "_TREES_PER_BATCH", per_batch)
+            forests.append(fit(spec, ds).params)
+        for forest in forests[1:]:
+            assert forest.keys() == forests[0].keys()
+            for key in forest:
+                assert forest[key].dtype == forests[0][key].dtype
+                assert np.array_equal(forest[key], forests[0][key]), key
 
     def test_learns_a_smooth_surface(self):
         rng = np.random.default_rng(10)

@@ -122,6 +122,27 @@ def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
     _one_error_line(capsys)
 
 
+# Valid JSON nested deeper than the parser's recursion limit.
+DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
+
+
+def test_simulate_rejects_a_deeply_nested_config_file(tmp_path, capsys):
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text(DEEPLY_NESTED)
+    code = main(["simulate", "--out", str(tmp_path / "x.csv"), "--config", str(cfg_path)])
+    assert code == EXIT_VALIDATION
+    assert f"{cfg_path}: " in _one_error_line(capsys)
+
+
+def test_predict_rejects_a_deeply_nested_model_file(tmp_path, small_log, capsys):
+    model_path = tmp_path / "deep.json"
+    model_path.write_text(DEEPLY_NESTED)
+    code = main(["predict", "--model", str(model_path), "--log", str(small_log),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == EXIT_VALIDATION
+    assert f"{model_path}: " in _one_error_line(capsys)
+
+
 def test_simulate_rejects_bad_config(tmp_path):
     cfg_path = tmp_path / "bad.json"
     data = campaign.config_to_dict(campaign.CampaignConfig())
@@ -313,40 +334,66 @@ def test_predict_writes_predict_many_outputs(tmp_path, small_log, kind, mode):
     assert written == [repr(p) for p in model.predict_many(X).tolist()]
 
 
-def _first_tree(payload):
-    return payload["params"]["trees"][0]
-
-
 def _set_root(array, value):
-    """Set the root node's entry in one array of the first tree."""
+    """Set the first tree's root entry in one of the forest's arrays."""
     def mutate(payload):
-        tree = _first_tree(payload)
-        tree[array][0] = value(tree) if callable(value) else value
+        forest = payload["params"]
+        forest[array][0] = value(forest) if callable(value) else value
     return mutate
 
 
 def _nan_leaf(payload):
-    tree = _first_tree(payload)
-    tree["value"][tree["feature"].index(-1)] = math.nan
+    forest = payload["params"]
+    forest["value"][forest["feature"].index(-1)] = math.nan
+
+
+def _leaf_with_a_child(payload):
+    forest = payload["params"]
+    leaf = forest["feature"].index(-1)
+    forest["left"][leaf] = leaf + 1
+
+
+def _empty_first_tree(payload):
+    sizes = payload["params"]["tree_sizes"]
+    sizes[1] += sizes[0]
+    sizes[0] = 0
+
+
+def _split_pair_across_trees(payload):
+    """Point the first tree's last split node at its last node, so the
+    right child (left + 1) is the second tree's root."""
+    forest = payload["params"]
+    size = forest["tree_sizes"][0]
+    last_split = max(i for i in range(size) if forest["feature"][i] != -1)
+    forest["left"][last_split] = size - 1
 
 
 BAD_MODELS = {
     "version 1": ("random_forest", lambda p: p.update(version=1)),
+    "version 2": ("random_forest", lambda p: p.update(version=2)),
     "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
     "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
     "missing spec key": ("random_forest", lambda p: p["spec"].pop("min_leaf")),
-    "missing params key": ("random_forest", lambda p: p["params"].pop("trees")),
-    "missing tree key": ("random_forest", lambda p: _first_tree(p).pop("value")),
-    "extra tree key": ("random_forest", lambda p: _first_tree(p).update(depth=[0])),
-    "too few trees": ("random_forest", lambda p: p["params"]["trees"].pop()),
-    "unequal array lengths": ("random_forest", lambda p: _first_tree(p)["threshold"].pop()),
-    "child index out of range": ("random_forest", _set_root("left", lambda t: len(t["left"]))),
-    "child index not after parent": ("random_forest", _set_root("right", 0)),
+    "missing params key": ("random_forest", lambda p: p["params"].pop("tree_sizes")),
+    "missing forest array": ("random_forest", lambda p: p["params"].pop("value")),
+    "extra forest array": (
+        "random_forest", lambda p: p["params"].update(right=[i + 1 for i in p["params"]["left"]])
+    ),
+    "too few trees": ("random_forest", lambda p: p["params"]["tree_sizes"].pop()),
+    "tree sizes not summing to the node count": (
+        "random_forest", _set_root("tree_sizes", lambda f: f["tree_sizes"][0] + 1)
+    ),
+    "zero tree size": ("random_forest", _empty_first_tree),
+    "split pair crossing into the next tree": ("random_forest", _split_pair_across_trees),
+    "unequal array lengths": ("random_forest", lambda p: p["params"]["feature"].pop()),
+    "child index out of range": ("random_forest", _set_root("left", lambda f: len(f["left"]))),
+    "child index not after parent": ("random_forest", _set_root("left", 0)),
     "fractional child index": ("random_forest", _set_root("left", 1.5)),
     "feature index too large": ("random_forest", _set_root("feature", 2)),
     "negative feature index": ("random_forest", _set_root("feature", -2)),
-    "non-finite threshold": ("random_forest", _set_root("threshold", math.inf)),
+    "non-finite threshold": ("random_forest", _set_root("value", math.inf)),
     "non-finite leaf value": ("random_forest", _nan_leaf),
+    "leaf with a child index": ("random_forest", _leaf_with_a_child),
     "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
     "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
     "forest spec of the wrong types": (
@@ -381,8 +428,10 @@ def _huge_slope(payload):
 
 
 def _huge_leaves(payload):
-    for tree in payload["params"]["trees"]:
-        tree["value"] = [1.7e308 if f == -1 else v for f, v in zip(tree["feature"], tree["value"])]
+    forest = payload["params"]
+    forest["value"] = [
+        1.7e308 if f == -1 else v for f, v in zip(forest["feature"], forest["value"])
+    ]
 
 
 # Models whose parameters are finite but whose predictions overflow; the
@@ -413,13 +462,16 @@ def test_predict_rejects_non_finite_predictions(tmp_path, small_log, capsys, kin
 
 BAD_LOG_ROWS = {
     "nan rssi": (3, "nan"),
+    "rssi with a leading space": (3, " -45.0"),
     "tx power 99": (2, "99"),
     "fractional tx power": (2, "13.5"),
+    "tx power with an underscore": (2, "1_3"),
     "bad timestamp": (0, "noon"),
     "bad truth percent": (7, "wet"),
     "nan truth percent": (7, "nan"),
     "infinite truth percent": (7, "inf"),
     "truth percent out of range": (7, "140"),
+    "truth percent with an underscore": (7, "1_0"),
     "device id -1": (1, "-1"),
     "device id 70000": (1, "70000"),
     "negative height": (4, "-1.0"),
