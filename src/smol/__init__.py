@@ -51,7 +51,6 @@ from .sweepproto import (
     FrameError,
     MeasurementLog,
     PowerPlan,
-    SimulatedLink,
     SweepPacket,
     decode_packet,
     encode_packet,

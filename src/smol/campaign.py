@@ -25,10 +25,13 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .calibrate import _read_json, _require_keys
 from .groundtruth import TdrSensor, read_vwc
 from .soilchan import (
+    TX_POWER_MAX_DBM,
+    TX_POWER_MIN_DBM,
     WATER_LOSS_FACTOR_DEFAULT,
     WATER_PERMITTIVITY_DEFAULT,
     Dielectric,
@@ -36,13 +39,13 @@ from .soilchan import (
     NoiseModel,
     SoilState,
     path_loss,
+    sweep_rssi,
 )
 from .sweepproto import (
     DEFAULT_POWER_LEVELS,
     LogRowError,
     MeasurementLog,
     PowerPlan,
-    SimulatedLink,
     decode_packet,
     encode_plan,
     log_median_power,
@@ -133,6 +136,10 @@ class CampaignConfig:
                     raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
             elif f.type in ("int", "bool") and type(value).__name__ != f.type:
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ConfigError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
         if not self.scenarios:
             raise ConfigError("campaign needs at least one scenario")
         if not self.vwc_grid:
@@ -154,7 +161,7 @@ class CampaignConfig:
         # Fail fast on anything the physics layer would reject later.
         self.soil_state(self.vwc_grid[0])
         PowerPlan(self.power_levels)
-        self.noise_model(0)
+        self.noise_model()
         self.tdr_sensor()
 
     def soil_state(self, vwc: float) -> SoilState:
@@ -174,17 +181,11 @@ class CampaignConfig:
             rx_antenna_gain_db=self.rx_gain_db,
         )
 
-    def noise_model(self, cell_index: int) -> NoiseModel:
-        return NoiseModel(
-            rssi_sigma_db=self.rssi_sigma_db,
-            quantize=self.quantize_rssi,
-            seed=(self.seed, cell_index),
-        )
+    def noise_model(self) -> NoiseModel:
+        return NoiseModel(rssi_sigma_db=self.rssi_sigma_db, quantize=self.quantize_rssi)
 
     def tdr_sensor(self) -> TdrSensor:
-        return TdrSensor(
-            error_bound=self.tdr_error_bound, spots=self.tdr_spots, seed=self.seed
-        )
+        return TdrSensor(error_bound=self.tdr_error_bound, spots=self.tdr_spots)
 
     def without_noise(self) -> "CampaignConfig":
         """Same campaign with every stochastic element switched off."""
@@ -198,53 +199,117 @@ class CampaignConfig:
 
 
 def run_campaign(config: CampaignConfig) -> MeasurementLog:
-    """Sweep every scenario x vwc cell; returns the full measurement log.
+    """Sweep every scenario x vwc cell over the simulated link; returns the log.
 
-    Each cell is visited ``sweeps_per_cell`` times, with a fresh reference
-    reading and noise stream per visit; every visit gets its own derived
-    seed and timestamp, so the whole log is a pure function of the config.
-    The sweep frames and each cell's path loss are computed once. The link
-    delivers frames unaltered, so each frame is decoded once, for all of
-    its deliveries.
+    Each cell is visited ``sweeps_per_cell`` times. Every visit has its own
+    random streams (``sweep_seed_words``) and timestamp, so the log is a pure
+    function of the config. Per sweep, the link draws drops as one vector over
+    the plan and noise as one over the delivered frames; the rest is computed
+    once per cell or on one (sweeps, plan levels) grid. ``wrap_high_power``
+    sends a frame that asks for 23 dBm at 5 dBm, as the hardware does. Frames
+    arrive unaltered, so each is decoded once, for all of its deliveries.
     """
     plan = PowerPlan(config.power_levels)
     sent = [decode_packet(frame) for frame in encode_plan(config.device_id, plan)]
     device_ids, tx_powers = np.array([(p.device_id, p.tx_power) for p in sent]).T
-    sensor = config.tdr_sensor()
-    per_scenario = len(config.vwc_grid) * config.sweeps_per_cell
-    # Sweep x plan-level grids: each sweep fills in the levels it delivered.
-    shape = (len(config.scenarios) * per_scenario, len(plan))
-    delivered, rssi = np.zeros(shape, dtype=bool), np.zeros(shape)
-    truth = np.full(shape[0], math.nan)
-    cell = 0
-    for scenario in config.scenarios:
-        geom = config.geometry(scenario)
-        for vwc in config.vwc_grid:
-            state = config.soil_state(vwc)
-            loss = path_loss(state, geom)
-            for _ in range(config.sweeps_per_cell):
-                if config.training_mode:
-                    truth[cell] = read_vwc(sensor, state, draw_index=cell) / 100.0
-                link = SimulatedLink(
-                    soil=state,
-                    geom=geom,
-                    noise=config.noise_model(cell),
-                    drop_prob=config.drop_prob,
-                    wrap_high_power=config.wrap_high_power,
-                    loss_db=loss,
-                )
-                kept, heard = link.carry(plan)
-                delivered[cell, kept] = True
-                rssi[cell, kept] = heard
-                cell += 1
+    cells = [(s, vwc) for s in config.scenarios for vwc in config.vwc_grid]
+    loss = [path_loss(config.soil_state(vwc), config.geometry(s)) for s, vwc in cells]
+    # Sweep i visits cell i // sweeps_per_cell.
+    loss, vwc = np.repeat([loss, [vwc for _, vwc in cells]], config.sweeps_per_cell, axis=1)
+    tdr_words, noise_words, drop_words = sweep_seed_words(config.seed, len(vwc))
+    truth = np.full(len(vwc), math.nan)
+    if config.training_mode:
+        truth = read_vwc(config.tdr_sensor(), vwc, _generators(tdr_words)) / 100.0
+    noise = config.noise_model()
+    delivered = np.empty((len(vwc), len(plan)), dtype=bool)
+    noise_db = np.zeros(delivered.shape)
+    streams = zip(delivered, noise_db, _generators(noise_words), _generators(drop_words))
+    for kept, heard, noise_rng, drop_rng in streams:
+        kept[:] = drop_rng.random(len(plan)) >= config.drop_prob
+        heard[kept] = noise.draw(np.count_nonzero(kept), noise_rng)
+    powers = np.array(plan.levels)
+    if config.wrap_high_power:
+        powers[powers == TX_POWER_MAX_DBM] = TX_POWER_MIN_DBM
+    # Every placement has the same antenna gains, the only geometry left.
+    gains = config.geometry(config.scenarios[0])
+    rssi = sweep_rssi(powers, loss[:, None], gains, noise, noise_db)
     sweep, level = np.nonzero(delivered)
-    place = sweep // per_scenario
+    place = sweep // (len(config.vwc_grid) * config.sweeps_per_cell)
     placements = np.array([(s.receiver_height_cm, s.burial_depth_cm) for s in config.scenarios])
     labels = np.array([s.label for s in config.scenarios], dtype=object)
     return MeasurementLog(
         config.epoch + sweep * config.sweep_interval_s, device_ids[level], tx_powers[level],
         rssi[delivered], *placements[place].T, labels[place], truth[sweep],
     )
+
+
+# ---------------------------------------------------------------------------
+# per-sweep random streams: sweep i draws its reference reading from PCG64
+# seeded by SeedSequence((seed, i)), its noise from that sequence's spawn
+# child 0 and its drops from child 1. The seed words of all sweeps are derived
+# at once, by NumPy's SeedSequence algorithm (numpy/random/bit_generator.pyx).
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hashmix(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of a column of words, and the next hash constant."""
+    after = const * mult & _MASK32
+    words = (words ^ np.uint32(const)) * np.uint32(after)
+    return words ^ words >> _SHIFT, after
+
+
+def _state_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of a 4-word SeedSequence pool per
+    row, given each row's assembled entropy as uint32 columns."""
+    const, pool = _INIT_A, []
+    for word in (entropy + [np.zeros_like(entropy[0])] * 4)[:4]:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    # Every pool word into every other, then each remaining entropy word
+    # into every pool word.
+    sources = [(pool, src, dst) for src in range(4) for dst in range(4) if src != dst]
+    sources += [(entropy, src, dst) for src in range(4, len(entropy)) for dst in range(4)]
+    for words, src, dst in sources:
+        word, const = _hashmix(words[src], const, _MULT_A)
+        mixed = pool[dst] * _MIX_L - word * _MIX_R
+        pool[dst] = mixed ^ mixed >> _SHIFT
+    const, state = _INIT_B, []
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    # Little-endian pairs of 32-bit words make the 64-bit words.
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])], -1)
+
+
+def sweep_seed_words(seed: int, sweeps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for every sweep
+    ``i < sweeps``, then the same for its spawn children 0 and 1: three
+    (sweeps, 4) arrays, one row per sweep."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    run = [np.full(sweeps, w, np.uint32) for w in words] + [np.arange(sweeps, dtype=np.uint32)]
+    # A child pads its parent's entropy to the pool size and appends its index.
+    padded = run + [np.zeros(sweeps, np.uint32)] * (4 - len(run))
+    children = [_state_words(padded + [np.full(sweeps, i, np.uint32)]) for i in (0, 1)]
+    return _state_words(run), *children
+
+
+class _StateWords(ISeedSequence):
+    """Hands PCG64 precomputed ``generate_state(4, np.uint64)`` words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """A generator per row of seed words, seeded as SeedSequence would seed it."""
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(_StateWords(row)))
 
 
 # ---------------------------------------------------------------------------

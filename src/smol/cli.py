@@ -107,19 +107,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = campaign.load_config(args.config)
     else:
         config = CampaignConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.noise_sigma is not None:
-        overrides["rssi_sigma_db"] = args.noise_sigma
-    if args.drop_prob is not None:
-        overrides["drop_prob"] = args.drop_prob
-    if args.epoch is not None:
-        overrides["epoch"] = args.epoch
-    if args.inference:
-        overrides["training_mode"] = False
-    if overrides:
-        config = replace(config, **overrides)
+    flags = {"seed": args.seed, "rssi_sigma_db": args.noise_sigma, "drop_prob": args.drop_prob,
+             "epoch": args.epoch, "training_mode": False if args.inference else None}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     if args.no_noise:
         config = config.without_noise()
 
@@ -191,6 +181,13 @@ def _safe_name(label: str) -> str:
 def _cmd_report(args: argparse.Namespace) -> int:
     log = campaign.read_measurements(args.log)
     _require_ground_truth(log)
+    points = campaign.median_power_curves(log)
+    curves: dict[str, tuple[str, float]] = {}  # file name -> (scenario, height)
+    for key in sorted({(p.scenario, p.height_cm) for p in points}):
+        name = f"curve_{_safe_name(key[0])}_h{key[1]:g}cm.csv"
+        if name in curves:
+            raise ValueError(f"(scenario, height) {curves[name]} and {key} both map to {name}")
+        curves[name] = key
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -218,15 +215,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 ]
             )
 
-    points = campaign.median_power_curves(log)
-    written = []
-    for key in sorted({(p.scenario, p.height_cm) for p in points}):
-        scenario, height = key
+    for name, key in curves.items():
         subset = [p for p in points if (p.scenario, p.height_cm) == key]
-        path = out_dir / f"curve_{_safe_name(scenario)}_h{height:g}cm.csv"
-        campaign.write_curves(path, subset)
-        written.append(path.name)
-    print(f"wrote table.txt, table.csv and {len(written)} curve file(s) to {out_dir}")
+        campaign.write_curves(out_dir / name, subset)
+    print(f"wrote table.txt, table.csv and {len(curves)} curve file(s) to {out_dir}")
     return EXIT_OK
 
 

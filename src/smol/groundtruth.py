@@ -9,10 +9,9 @@ the percent scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .soilchan import SoilState
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,6 @@ class TdrSensor:
 
     error_bound: float = 0.03
     spots: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.error_bound <= 1.0:
@@ -30,19 +28,23 @@ class TdrSensor:
             raise ValueError("need at least one probe spot per reading")
 
 
-def read_vwc(sensor: TdrSensor, true_state: SoilState, draw_index: int = 0) -> float:
-    """One reading session: percent VWC in [0, 100].
+def read_vwc(
+    sensor: TdrSensor, true_vwc: Sequence[float], rngs: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """One reading session per entry of ``true_vwc``: percent VWC in [0, 100].
 
-    Averages ``sensor.spots`` independent probe readings, each the true
-    vwc plus uniform noise within +/- error_bound, on the percent scale.
-    ``draw_index`` names the session so repeated sessions under one seed
-    stay independent yet reproducible.
+    A session averages ``sensor.spots`` independent probe readings, each the
+    true vwc plus uniform noise within +/- error_bound, on the percent scale.
+    ``rngs`` yields one generator per session; its spots are one draw from
+    it. A noiseless probe draws nothing.
     """
+    true_vwc = np.asarray(true_vwc, dtype=float)
     if sensor.error_bound == 0.0:
-        return min(100.0, max(0.0, 100.0 * true_state.vwc))
-    rng = np.random.default_rng(np.random.SeedSequence((sensor.seed, draw_index)))
-    draws = true_state.vwc + rng.uniform(
-        -sensor.error_bound, sensor.error_bound, size=sensor.spots
-    )
-    percent = 100.0 * float(np.mean(draws))
-    return min(100.0, max(0.0, percent))
+        percent = 100.0 * true_vwc
+    else:
+        bound, spots = sensor.error_bound, sensor.spots
+        errors = np.reshape([rng.uniform(-bound, bound, size=spots) for rng in rngs], (-1, spots))
+        # The mean along the last axis of a C-ordered array sums each row
+        # pairwise, exactly as np.mean of that row alone would.
+        percent = 100.0 * np.mean(true_vwc[:, None] + errors, axis=-1)
+    return np.minimum(100.0, np.maximum(0.0, percent))

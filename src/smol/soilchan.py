@@ -141,8 +141,13 @@ class NoiseModel:
         if self.rssi_sigma_db < 0.0:
             raise ValueError("rssi sigma must be >= 0 dB")
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed))
+    def draw(self, size: int, rng: np.random.Generator | None = None) -> np.ndarray | float:
+        """``size`` noise samples in dB, one draw from ``rng`` (default: a
+        fresh generator seeded with ``seed``); 0.0, and no draw, when sigma is 0."""
+        if self.rssi_sigma_db == 0.0:
+            return 0.0
+        rng = np.random.default_rng(self.seed) if rng is None else rng
+        return rng.normal(0.0, self.rssi_sigma_db, size=size)
 
 
 def mix_permittivity(soil: SoilState) -> Dielectric:
@@ -239,33 +244,25 @@ def path_loss(soil: SoilState, geom: LinkGeometry) -> float:
 
 
 def sweep_rssi(
-    tx_powers: Sequence[float],
-    loss_db: float,
+    tx_powers: Sequence[float] | np.ndarray,
+    loss_db: float | np.ndarray,
     geom: LinkGeometry,
     noise: NoiseModel,
-    rng: np.random.Generator | None = None,
+    noise_db: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Received-signal-strength samples, dBm, one per transmit power, in order.
 
-    rssi = tx + antenna gains - loss_db + noise, rounded to integer dBm
+    rssi = tx + antenna gains - loss_db + noise_db, rounded to integer dBm
     when the noise model quantizes. ``loss_db`` is the link's ``path_loss``,
-    which does not depend on the power. The noise is one draw of
-    ``len(tx_powers)`` samples, equal to that many single draws from the
-    same generator.
+    which does not depend on the power, and ``noise_db`` the receiver noise
+    (``NoiseModel.draw``). Both broadcast against ``tx_powers``, so one call
+    covers a (sweeps, levels) grid given a column of per-sweep losses.
 
-    With sigma 0 and quantization off the noise path is skipped entirely,
-    so rssi(p) - rssi(q) == p - q holds exactly.
+    With no noise drawn and quantization off, rssi(p) - rssi(q) == p - q
+    holds exactly.
     """
-    rssi = (
-        np.asarray(tx_powers, dtype=float)
-        + geom.tx_antenna_gain_db
-        + geom.rx_antenna_gain_db
-        - loss_db
-    )
-    if noise.rssi_sigma_db > 0.0:
-        if rng is None:
-            rng = noise.rng()
-        rssi += rng.normal(0.0, noise.rssi_sigma_db, size=len(rssi))
+    sent = np.asarray(tx_powers, dtype=float) + geom.tx_antenna_gain_db + geom.rx_antenna_gain_db
+    rssi = sent - loss_db + noise_db
     if noise.quantize:
         rssi = np.floor(rssi + 0.5)
     return rssi
@@ -279,7 +276,8 @@ def synth_rssi(
     rng: np.random.Generator | None = None,
 ) -> float:
     """One received-signal-strength sample, dBm: ``sweep_rssi`` of one power."""
-    return sweep_rssi([tx_power_dbm], path_loss(soil, geom), geom, noise, rng).item()
+    loss = path_loss(soil, geom)
+    return sweep_rssi([tx_power_dbm], loss, geom, noise, noise.draw(1, rng)).item()
 
 
 def sweep_curve(
@@ -302,5 +300,5 @@ def sweep_curve(
                 f"tx power {p} dBm outside device range "
                 f"[{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}]"
             )
-    rssi = sweep_rssi(powers, path_loss(soil, geom), geom, noise)
+    rssi = sweep_rssi(powers, path_loss(soil, geom), geom, noise, noise.draw(len(powers)))
     return list(zip(powers, rssi.tolist()))

@@ -1,11 +1,9 @@
 """Power-sweep measurement protocol over a simulated link.
 
 The transmitter steps through a plan of transmit powers, broadcasting one
-framed packet per level (``encode_plan``). A SimulatedLink stands in for
-the radio pair: it carries a whole sweep at once, drawing its drops and
-its noise as one vector each, and hears every delivered frame with a
-synthesized RSSI. What was received is logged as a MeasurementLog, one
-column per field.
+framed packet per level (``encode_plan``); what the receiver heard is
+logged as a MeasurementLog, one column per field. The simulated link that
+carries the frames is ``campaign.run_campaign``.
 
 Frame layout (7 bytes, big-endian):
 
@@ -20,19 +18,11 @@ Frame layout (7 bytes, big-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .soilchan import (
-    TX_POWER_MAX_DBM,
-    TX_POWER_MIN_DBM,
-    LinkGeometry,
-    NoiseModel,
-    SoilState,
-    path_loss,
-    sweep_rssi,
-)
+from .soilchan import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM
 
 FRAME_MAGIC = 0x53
 FRAME_VERSION = 0x01
@@ -234,51 +224,3 @@ def encode_plan(device_id: int, plan: PowerPlan) -> tuple[bytes, ...]:
         encode_packet(SweepPacket(device_id=device_id, sequence=i, tx_power=power))
         for i, power in enumerate(plan.levels)
     )
-
-
-@dataclass
-class SimulatedLink:
-    """Radio pair stand-in: applies channel physics and loss.
-
-    ``loss_db`` is the link's path loss; it is computed from ``soil`` and
-    ``geom`` when not given. ``wrap_high_power`` reproduces the hardware
-    quirk where requesting 23 dBm actually transmits at 5 dBm; the frame
-    still says 23. Dropped frames never reach the receiver and are only
-    counted here.
-    """
-
-    soil: SoilState
-    geom: LinkGeometry
-    noise: NoiseModel = NoiseModel()
-    drop_prob: float = 0.0
-    wrap_high_power: bool = False
-    loss_db: float | None = None
-    dropped: int = field(default=0, init=False)
-    _noise_rng: np.random.Generator = field(init=False, repr=False)
-    _drop_rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop probability must be in [0, 1]")
-        if self.loss_db is None:
-            self.loss_db = path_loss(self.soil, self.geom)
-        noise_seq, drop_seq = np.random.SeedSequence(self.noise.seed).spawn(2)
-        self._noise_rng = np.random.default_rng(noise_seq)
-        self._drop_rng = np.random.default_rng(drop_seq)
-
-    def carry(self, plan: PowerPlan) -> tuple[np.ndarray, np.ndarray]:
-        """Carry one sweep, one frame per plan level, in plan order.
-
-        Returns the plan indices of the delivered frames, ascending, and
-        the RSSI each was heard at. The drop draws are one vector over the
-        whole plan, the noise one vector over the delivered frames.
-        """
-        levels = np.array(plan.levels)
-        kept = np.arange(len(levels))
-        if self.drop_prob > 0.0:
-            kept = np.flatnonzero(self._drop_rng.random(len(levels)) >= self.drop_prob)
-            self.dropped += len(levels) - len(kept)
-        powers = levels[kept]
-        if self.wrap_high_power:
-            powers = np.where(powers == TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, powers)
-        return kept, sweep_rssi(powers, self.loss_db, self.geom, self.noise, self._noise_rng)

@@ -113,7 +113,7 @@ class TestRunCampaign:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (soilchan, sweepproto, campaign):
+        for module in (soilchan, campaign):
             counted(module, "path_loss")
         for module in (sweepproto, campaign):
             counted(module, "decode_packet")
@@ -129,6 +129,53 @@ class TestRunCampaign:
         assert 1 <= calls["path_loss"] <= cells
         assert calls["decode_packet"] == 18  # once per campaign
         assert calls["encode_packet"] == 18
+
+    def test_no_seed_sequence_per_sweep(self, monkeypatch):
+        built = []
+        real = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        cfg = small_config(
+            scenarios=(Scenario("a", 15.0, 0.0), Scenario("b", 5.0, 90.0)),
+            sweeps_per_cell=2,
+            drop_prob=0.2,
+        )
+        assert len(run_campaign(cfg)) > 0
+        assert built == []
+
+    @pytest.mark.parametrize("training_mode", [True, False])
+    def test_equals_one_sweep_at_a_time_with_stock_numpy(self, training_mode):
+        # Reference: every sweep seeds its own streams with NumPy's
+        # SeedSequence and is carried and read on its own.
+        cfg = small_config(
+            scenarios=(Scenario("a", 10.0, 50.0), Scenario("b", 0.0, 120.0)),
+            sweeps_per_cell=2, tx_gain_db=2.5, rx_gain_db=-1.25,
+            power_levels=(23, 5, 9, 14, 22), quantize_rssi=False, drop_prob=0.3,
+            wrap_high_power=True, seed=2**33 + 7, training_mode=training_mode,
+        )
+        sent = np.array([5, 5, 9, 14, 22], dtype=float) + 2.5 + -1.25
+        rows = []
+        for i in range(2 * 3 * 2):
+            scenario = cfg.scenarios[i // 6]
+            vwc = cfg.vwc_grid[i // 2 % 3]
+            loss = soilchan.path_loss(cfg.soil_state(vwc), cfg.geometry(scenario))
+            streams = np.random.SeedSequence((cfg.seed, i))
+            tdr, noise, drop = map(np.random.default_rng, [streams, *streams.spawn(2)])
+            truth = float("nan")
+            if training_mode:
+                spots = vwc + tdr.uniform(-0.03, 0.03, size=10)
+                truth = min(100.0, max(0.0, 100.0 * float(np.mean(spots)))) / 100.0
+            kept = np.flatnonzero(drop.random(5) >= 0.3)
+            heard = sent[kept] - loss + noise.normal(0.0, 2.0, size=len(kept))
+            for level, rssi in zip(kept.tolist(), heard.tolist()):
+                rows.append((60.0 * i, 1, cfg.power_levels[level], rssi,
+                             scenario.receiver_height_cm, scenario.burial_depth_cm,
+                             scenario.label, truth))
+        assert same_log(run_campaign(cfg), MeasurementLog(*zip(*rows)))
 
     def test_noise_free_preset(self):
         cfg = small_config().without_noise()
@@ -224,3 +271,14 @@ class TestConfigFile:
         data["mystery_knob"] = 1
         with pytest.raises(ConfigError):
             config_from_dict(data)
+
+
+class TestSweepStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70, 2**128 + 5])
+    def test_seed_words_match_numpy(self, seed):
+        parent, noise, drop = campaign.sweep_seed_words(seed, 300)
+        for sweep in range(300):
+            sequence = np.random.SeedSequence((seed, sweep))
+            expected = [sequence, *sequence.spawn(2)]
+            for words, stream in zip((parent, noise, drop), expected):
+                assert np.array_equal(words[sweep], stream.generate_state(4, np.uint64))

@@ -99,7 +99,11 @@ BAD_CONFIGS = {
     ),
     "number for a scenario label": _edit(lambda d: d["scenarios"][0].update(label=7)),
     "tdr_error_bound above one": _edit(lambda d: d.update(tdr_error_bound=1e308)),
+    "negative seed": _edit(lambda d: d.update(seed=-1)),
 }
+
+# The field a case's error line must name, where the value itself is bad.
+NAMED_FIELDS = {"negative seed": "seed"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -109,17 +113,24 @@ def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, case):
     cfg_path.write_text(json.dumps(BAD_CONFIGS[case](stock)))
     code = main(["simulate", "--out", str(tmp_path / "x.csv"), "--config", str(cfg_path)])
     assert code == EXIT_VALIDATION
-    _one_error_line(capsys)
+    assert NAMED_FIELDS.get(case, "") in _one_error_line(capsys)
+
+
+# The config field each simulate flag overrides.
+FLAG_FIELDS = {
+    "--noise-sigma": "rssi_sigma_db", "--epoch": "epoch", "--drop-prob": "drop_prob",
+    "--seed": "seed",
+}
 
 
 @pytest.mark.parametrize(
     "flags",
-    [["--noise-sigma", "nan"], ["--epoch", "inf"], ["--drop-prob", "nan"]],
+    [["--noise-sigma", "nan"], ["--epoch", "inf"], ["--drop-prob", "nan"], ["--seed", "-1"]],
 )
 def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
     code = main(["simulate", "--out", str(tmp_path / "x.csv"), *flags])
     assert code == EXIT_VALIDATION
-    _one_error_line(capsys)
+    assert FLAG_FIELDS[flags[0]] in _one_error_line(capsys)
 
 
 # Valid JSON nested deeper than the parser's recursion limit.
@@ -286,6 +297,23 @@ def test_report_writes_table_and_curves(tmp_path, small_log, capsys):
         curve_rows = list(csv.DictReader(fh))
     assert list(curve_rows[0]) == ["scenario", "height_cm", "vwc_truth_pct", "mean_rssi_dbm"]
     assert len(curve_rows) == 6  # 3 vwc cells x 2 sweeps with distinct readings
+
+
+def test_report_refuses_two_scenarios_with_one_curve_file(tmp_path, capsys):
+    # "a b" and "a_b" both sanitise to curve_a_b_h0cm.csv
+    cfg = campaign.CampaignConfig(
+        scenarios=(campaign.Scenario("a b", 15.0, 0.0), campaign.Scenario("a_b", 15.0, 0.0)),
+        vwc_grid=(0.05, 0.20, 0.35),
+        sweeps_per_cell=2,
+    )
+    log = tmp_path / "log.csv"
+    campaign.write_measurements(log, campaign.run_campaign(cfg))
+    out_dir = tmp_path / "report"
+    code = main(["report", "--log", str(log), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    err = _one_error_line(capsys)
+    assert "'a b'" in err and "'a_b'" in err and "curve_a_b_h0cm.csv" in err
+    assert not out_dir.exists()
 
 
 def test_report_determinism(tmp_path, small_log):

@@ -15,7 +15,11 @@ The log hashes were computed with the packet-at-a-time simulator, which
 drew one drop decision and one noise sample per packet and recomputed the
 path loss for each; the sweep-at-a-time simulator must write the same
 bytes. The wrap case covers the 23 dBm quirk, antenna gains, unquantized
-noise and drops in one small campaign.
+noise and drops in one small campaign. The big-seed case was computed
+with the simulator that built a SeedSequence per sweep. Its seed is two
+32-bit words, so the spawned noise and drop streams hash more entropy
+words than the 4-word pool holds; the campaign that derives every sweep's
+streams at once must write the same bytes.
 """
 
 import hashlib
@@ -42,6 +46,7 @@ GOLDEN_LOG_SHA256 = {
     "inference": "1cb609b8f802038563f705baff711418bc4f3946b217c316ad86e0024d768cf4",
     "large": "054a48df042f4679d91ba7b248647302b2828f9f0677ef276538be3fb8f7aff4",
     "wrap": "0b3490eafb37be270c08c29dfa879ac9152247c3641ab9d3e3205f6e3048c244",
+    "big-seed": "ff38c6e4bfe246f7e8ef61a7588e0729c36e7246c3ea98fd9a8615b681fa9a0b",
 }
 
 GOLDEN_TABLE_CSV = (
@@ -122,13 +127,21 @@ def _wrap_config() -> campaign.CampaignConfig:
     )
 
 
+def _big_seed_config() -> campaign.CampaignConfig:
+    """The stock placements with a seed above 2**32, drops and two sweeps per cell."""
+    return campaign.CampaignConfig(seed=2**40 + 3, drop_prob=0.1, sweeps_per_cell=2)
+
+
+CONFIG_CASES = {"large": _large_config, "wrap": _wrap_config, "big-seed": _big_seed_config}
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_LOG_SHA256))
 def test_simulated_logs_are_pinned(tmp_path, case):
     out = tmp_path / "log.csv"
     argv = ["simulate", "--out", str(out)]
-    if case in ("large", "wrap"):
+    if case in CONFIG_CASES:
         config = tmp_path / "config.json"
-        campaign.save_config({"large": _large_config, "wrap": _wrap_config}[case](), config)
+        campaign.save_config(CONFIG_CASES[case](), config)
         argv += ["--config", str(config)]
     elif case != "stock":
         argv.append(f"--{case}")

@@ -275,14 +275,23 @@ class TestSweepRssi:
         geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=1.5, rx_antenna_gain_db=-0.5)
         noise = NoiseModel(rssi_sigma_db=2.0, quantize=quantize, seed=seed)
         powers = [23, 5, 9, 13, 22]
-        swept = sweep_rssi(powers, path_loss(soil, geom), geom, noise, noise.rng())
-        rng = noise.rng()
+        swept = sweep_rssi(powers, path_loss(soil, geom), geom, noise, noise.draw(len(powers)))
+        rng = np.random.default_rng(seed)
         one_by_one = [synth_rssi(p, soil, geom, noise, rng=rng) for p in powers]
         assert swept.tolist() == one_by_one
 
+    def test_grid_equals_one_sweep_at_a_time(self):
+        geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=1.5, rx_antenna_gain_db=-0.5)
+        noise = NoiseModel(rssi_sigma_db=2.0, quantize=True)
+        powers, losses = [23, 5, 9, 13, 22], [71.3, 80.05, 12.7]
+        draws = [noise.draw(len(powers), np.random.default_rng(i)) for i in range(3)]
+        grid = sweep_rssi(powers, np.array(losses)[:, None], geom, noise, np.array(draws))
+        rows = [sweep_rssi(powers, loss, geom, noise, d) for loss, d in zip(losses, draws)]
+        assert grid.tolist() == [row.tolist() for row in rows]
+
     def test_quantized_samples_are_whole_dbm(self):
         noise = NoiseModel(rssi_sigma_db=2.0, quantize=True, seed=3)
-        rssi = sweep_rssi(list(range(5, 23)), 71.3, GEOM_BURIED, noise)
+        rssi = sweep_rssi(list(range(5, 23)), 71.3, GEOM_BURIED, noise, noise.draw(18))
         assert np.array_equal(rssi, np.round(rssi))
 
     def test_noise_free_offsets_are_exact(self):

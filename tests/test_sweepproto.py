@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smol.campaign import CampaignConfig, Scenario, run_campaign
-from smol.soilchan import LinkGeometry, NoiseModel, SoilState, path_loss
+from smol.soilchan import LinkGeometry, SoilState, path_loss
 from smol.sweepproto import (
     DEFAULT_POWER_LEVELS,
     FRAME_LENGTH,
@@ -19,7 +20,6 @@ from smol.sweepproto import (
     MeasurementLog,
     PowerOutOfRange,
     PowerPlan,
-    SimulatedLink,
     SweepPacket,
     decode_packet,
     encode_packet,
@@ -141,52 +141,39 @@ class TestPowerPlan:
         assert median_power(PowerPlan((8, 5, 7, 6))) == 6
 
 
-def _quiet_link(**kwargs) -> SimulatedLink:
-    kwargs.setdefault("noise", NoiseModel())
-    return SimulatedLink(
-        soil=SoilState(0.2, 0.45),
-        geom=LinkGeometry(15.0, 195.0),
-        **kwargs,
-    )
-
-
 def _one_sweep_log(**overrides):
-    """The noise-free log of one full sweep in one placement."""
+    """The log of one full sweep in one placement; noise-free unless
+    ``overrides`` switch a stochastic element back on."""
     config = CampaignConfig(
         scenarios=(Scenario("bench", 15.0, 195.0),),
         vwc_grid=(0.21,),
         sweeps_per_cell=1,
-        **overrides,
     )
-    return run_campaign(config.without_noise())
+    return run_campaign(replace(config.without_noise(), **overrides))
 
 
 class TestRunSweep:
-    """One sweep carried over the link, and logged by a campaign."""
+    """One sweep carried over the simulated link and logged by a campaign."""
 
     def test_full_plan_one_measurement_per_level(self):
-        kept, rssi = _quiet_link().carry(PowerPlan())
-        assert kept.tolist() == list(range(18))
-        assert len(rssi) == 18
         log = _one_sweep_log()
         assert log.tx_power.tolist() == list(DEFAULT_POWER_LEVELS)
+        assert len(log.rssi) == 18
 
     def test_single_level_air_scenario(self):
-        geom = LinkGeometry(0.0, 100.0)
-        link = SimulatedLink(
-            soil=SoilState.air_baseline(), geom=geom, noise=NoiseModel()
+        # no buried segment: the soil drops out and only the air path remains
+        log = _one_sweep_log(
+            scenarios=(Scenario("air", 0.0, 100.0),), power_levels=(13,),
+            porosity=1.0, vwc_grid=(0.0,),
         )
-        kept, [rssi] = link.carry(PowerPlan((13,)))
-        assert kept.tolist() == [0]
-        assert rssi == pytest.approx(
-            13 - path_loss(SoilState.air_baseline(), geom), abs=1e-12
+        assert log.tx_power.tolist() == [13]
+        assert log.rssi[0] == pytest.approx(
+            13 - path_loss(SoilState.air_baseline(), LinkGeometry(0.0, 100.0)), abs=1e-12
         )
 
     def test_total_loss_drops_everything(self):
-        link = _quiet_link(drop_prob=1.0)
-        kept, rssi = link.carry(PowerPlan())
-        assert len(kept) == len(rssi) == 0
-        assert link.dropped == 18
+        log = _one_sweep_log(drop_prob=1.0)
+        assert len(log) == len(log.rssi) == 0
 
     def test_measurements_carry_link_metadata(self):
         log = _one_sweep_log(device_id=77, epoch=1234.5)
@@ -206,8 +193,8 @@ class TestRunSweep:
         assert log.rssi[0] == pytest.approx(log.rssi[1], abs=1e-12)
 
     def test_no_free_energy_noise_free(self):
-        kept, rssi = _quiet_link().carry(PowerPlan())
-        assert (rssi <= np.array(DEFAULT_POWER_LEVELS)[kept]).all()
+        log = _one_sweep_log()
+        assert (log.rssi <= log.tx_power).all()
 
     def test_transmitter_sequences_from_zero(self):
         packets = [decode_packet(f) for f in encode_plan(9, PowerPlan((7, 5, 6)))]
@@ -218,10 +205,12 @@ class TestRunSweep:
     @given(seed=st.integers(0, 2**31 - 1), drop=st.floats(0.0, 1.0))
     @settings(max_examples=50)
     def test_delivered_plus_dropped_covers_plan(self, seed, drop):
-        link = _quiet_link(drop_prob=drop, noise=NoiseModel(seed=seed))
-        kept, rssi = link.carry(PowerPlan())
-        assert len(kept) == len(rssi)
-        assert len(kept) + link.dropped == 18
+        # the sweep's drop stream is spawn child 1 of SeedSequence((seed, 0))
+        log = _one_sweep_log(drop_prob=drop, seed=seed)
+        drop_stream = np.random.SeedSequence((seed, 0)).spawn(2)[1]
+        kept = np.random.default_rng(drop_stream).random(18) >= drop
+        assert log.tx_power.tolist() == np.array(DEFAULT_POWER_LEVELS)[kept].tolist()
+        assert len(log) + np.count_nonzero(~kept) == 18
 
 
 def _one_row_log(**values) -> MeasurementLog:
