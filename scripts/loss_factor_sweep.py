@@ -13,15 +13,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from smol.calibrate import DEFAULT_COMPARISON_SPECS, FeatureMode, compare
+from smol.calibrate import DEFAULT_COMPARISON_SPECS, FeatureMode, compare, render_table
 from smol.campaign import CampaignConfig, run_campaign
+from smol.sweepproto import log_median_power
 
 
 def rssi_swing_by_height(config: CampaignConfig) -> dict[str, float]:
+    """Noise-free RSSI range over the moisture grid at the median power, per scenario."""
     log = run_campaign(config.without_noise())
-    at_13 = log.take(log.tx_power == 13)
+    at_median = log.take(log.tx_power == log_median_power(log))
     return {
-        s: float(np.ptp(at_13.rssi[at_13.scenario == s])) for s in set(at_13.scenario)
+        s: float(np.ptp(at_median.rssi[at_median.scenario == s]))
+        for s in set(at_median.scenario)
     }
 
 
@@ -49,12 +52,8 @@ def main() -> None:
             run_campaign(config),
             [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX],
         )
-        top = rows[0]
         print(f"loss_factor={wlf:6.1f}  grid swing {swing_txt}")
-        print(f"    best: {top.label:<40} r2={top.r_squared:.3f} mae={top.mae:.2f}")
-        for row in rows[1:]:
-            r2 = "undef" if row.r_squared is None else f"{row.r_squared:.3f}"
-            print(f"          {row.label:<40} r2={r2} mae={row.mae:.2f}")
+        print(render_table(rows))
 
 
 if __name__ == "__main__":

@@ -38,14 +38,11 @@ from .groundtruth import TdrSensor, read_vwc
 from .soilchan import (
     Dielectric,
     LinkGeometry,
-    NoiseModel,
     SoilState,
     attenuation_constant,
     mix_permittivity,
     path_loss,
-    sweep_curve,
     sweep_rssi,
-    synth_rssi,
 )
 from .sweepproto import (
     FrameError,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -206,22 +206,25 @@ def assemble(log: MeasurementLog, mode: FeatureMode) -> Dataset:
     """
     if len(log) == 0:
         raise ValueError("no measurements to assemble")
-    missing = np.count_nonzero(np.isnan(log.vwc_truth))
-    if missing:
-        raise ValueError(
-            f"{missing} measurement(s) lack ground truth; "
-            "assembling a training set needs the vwc_truth column"
-        )
-
+    log.require_ground_truth()
     med = log_median_power(log) if mode == FeatureMode.MEDIAN_TX else None
     kept, X = feature_matrix(log, mode, med)
     return Dataset(X, 100.0 * kept.vwc_truth, mode, FEATURE_NAMES[mode], median_tx_power=med)
 
 
+def check_split(train_fraction: float, seed: int) -> None:
+    """Raise ValueError unless ``split`` takes these arguments, whatever the data."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(
+            f"train_fraction must be strictly between 0 and 1, got {train_fraction!r}"
+        )
+    if seed < 0:
+        raise ValueError(f"split_seed must be >= 0, got {seed!r}")
+
+
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded random partition: ceil(n*fraction) rows train, rest test."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train fraction must be strictly between 0 and 1")
+    check_split(train_fraction, seed)
     n = len(d)
     n_train = math.ceil(n * train_fraction)
     if n - n_train < 1 or n_train < 1:
@@ -582,10 +585,6 @@ def evaluate(model: TrainedModel, test: Dataset) -> Evaluation:
 # ---------------------------------------------------------------------------
 # model persistence
 
-_MODEL_KEYS = (
-    "format", "version", "spec", "feature_mode", "feature_names",
-    "median_tx_power", "params", "metadata",
-)
 _PARAM_KEYS = {
     ModelKind.LINEAR: ("beta",),
     ModelKind.RIDGE: ("beta",),
@@ -595,19 +594,9 @@ _PARAM_KEYS = {
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Write a self-describing JSON model file; load_model inverts it."""
-    spec = {f.name: getattr(model.spec, f.name) for f in fields(ModelSpec)}
-    spec["kind"] = model.spec.kind.value
-    payload = {
-        "format": MODEL_FILE_FORMAT,
-        "version": MODEL_FILE_VERSION,
-        "spec": spec,
-        "feature_mode": model.feature_mode.value,
-        "feature_names": list(model.feature_names),
-        "median_tx_power": model.median_tx_power,
-        "params": model.params,
-        "metadata": model.metadata,
-    }
+    """Write a self-describing JSON model file, one key per TrainedModel field;
+    load_model inverts it."""
+    payload = {"format": MODEL_FILE_FORMAT, "version": MODEL_FILE_VERSION, **asdict(model)}
     text = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=lambda a: a.tolist()
     )
@@ -693,7 +682,8 @@ def _params_from_json(params, kind: ModelKind, n_trees: int, n_features: int) ->
 
 
 def _model_from_json(payload: dict) -> TrainedModel:
-    _require_keys(payload, _MODEL_KEYS, "model file")
+    keys = ["format", "version", *(f.name for f in fields(TrainedModel))]
+    _require_keys(payload, keys, "model file")
     spec_d = payload["spec"]
     _require_keys(spec_d, [f.name for f in fields(ModelSpec)], "spec")
     spec = ModelSpec(**{**spec_d, "kind": ModelKind(spec_d["kind"])})
@@ -786,9 +776,11 @@ def compare(
 ) -> list[CompareRow]:
     """Assemble/split/fit/evaluate every (spec, mode) pair.
 
-    A failing combination becomes an error row instead of aborting the
-    whole comparison. Rows come back ranked with the winner flagged.
+    Bad split arguments raise ValueError; a combination that fails on the
+    data becomes an error row instead of aborting the whole comparison.
+    Rows come back ranked with the winner flagged.
     """
+    check_split(train_fraction, split_seed)
     rows: list[CompareRow] = []
     for mode in modes:
         try:

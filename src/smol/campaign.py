@@ -30,19 +30,18 @@ from numpy.random.bit_generator import ISeedSequence
 from .calibrate import _read_json, _require_keys
 from .groundtruth import TdrSensor, read_vwc
 from .soilchan import (
-    TX_POWER_MAX_DBM,
-    TX_POWER_MIN_DBM,
     WATER_LOSS_FACTOR_DEFAULT,
     WATER_PERMITTIVITY_DEFAULT,
     Dielectric,
     LinkGeometry,
-    NoiseModel,
     SoilState,
     path_loss,
     sweep_rssi,
 )
 from .sweepproto import (
     DEFAULT_POWER_LEVELS,
+    TX_POWER_MAX_DBM,
+    TX_POWER_MIN_DBM,
     LogRowError,
     MeasurementLog,
     PowerPlan,
@@ -138,6 +137,8 @@ class CampaignConfig:
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.rssi_sigma_db < 0.0:
+            raise ConfigError(f"rssi_sigma_db must be >= 0 dB, got {self.rssi_sigma_db}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ConfigError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
         if not self.scenarios:
@@ -161,7 +162,6 @@ class CampaignConfig:
         # Fail fast on anything the physics layer would reject later.
         self.soil_state(self.vwc_grid[0])
         PowerPlan(self.power_levels)
-        self.noise_model()
         self.tdr_sensor()
 
     def soil_state(self, vwc: float) -> SoilState:
@@ -180,9 +180,6 @@ class CampaignConfig:
             tx_antenna_gain_db=self.tx_gain_db,
             rx_antenna_gain_db=self.rx_gain_db,
         )
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(rssi_sigma_db=self.rssi_sigma_db, quantize=self.quantize_rssi)
 
     def tdr_sensor(self) -> TdrSensor:
         return TdrSensor(error_bound=self.tdr_error_bound, spots=self.tdr_spots)
@@ -220,19 +217,19 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     truth = np.full(len(vwc), math.nan)
     if config.training_mode:
         truth = read_vwc(config.tdr_sensor(), vwc, _generators(tdr_words)) / 100.0
-    noise = config.noise_model()
     delivered = np.empty((len(vwc), len(plan)), dtype=bool)
     noise_db = np.zeros(delivered.shape)
     streams = zip(delivered, noise_db, _generators(noise_words), _generators(drop_words))
     for kept, heard, noise_rng, drop_rng in streams:
         kept[:] = drop_rng.random(len(plan)) >= config.drop_prob
-        heard[kept] = noise.draw(np.count_nonzero(kept), noise_rng)
+        if config.rssi_sigma_db:
+            heard[kept] = noise_rng.normal(0.0, config.rssi_sigma_db, np.count_nonzero(kept))
     powers = np.array(plan.levels)
     if config.wrap_high_power:
         powers[powers == TX_POWER_MAX_DBM] = TX_POWER_MIN_DBM
     # Every placement has the same antenna gains, the only geometry left.
     gains = config.geometry(config.scenarios[0])
-    rssi = sweep_rssi(powers, loss[:, None], gains, noise, noise_db)
+    rssi = sweep_rssi(powers, loss[:, None], gains, config.quantize_rssi, noise_db)
     sweep, level = np.nonzero(delivered)
     place = sweep // (len(config.vwc_grid) * config.sweeps_per_cell)
     placements = np.array([(s.receiver_height_cm, s.burial_depth_cm) for s in config.scenarios])
@@ -422,9 +419,8 @@ class CurvePoint:
 
 def median_power_curves(log: MeasurementLog) -> list[CurvePoint]:
     """Per-height RSSI-vs-moisture curves from the median-power packets."""
+    log.require_ground_truth()
     at_median = log.take(log.tx_power == log_median_power(log))
-    if np.isnan(at_median.vwc_truth).any():
-        raise ValueError("curve extraction needs ground-truthed measurements")
     pct = 100.0 * at_median.vwc_truth
     cells = zip(at_median.scenario.tolist(), at_median.height_cm.tolist(), pct.tolist())
     groups: dict[tuple[str, float, float], list[float]] = {}

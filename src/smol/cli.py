@@ -13,8 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import calibrate, campaign
 from .calibrate import (
     DEFAULT_COMPARISON_SPECS,
@@ -133,17 +131,9 @@ def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
     )
 
 
-def _require_ground_truth(log: campaign.MeasurementLog) -> None:
-    if np.isnan(log.vwc_truth).any():
-        raise ValueError(
-            "training requires ground truth: the log's vwc_truth_pct column "
-            "is not fully populated (was this an inference-mode campaign?)"
-        )
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
+    calibrate.check_split(args.train_fraction, args.split_seed)
     log = campaign.read_measurements(args.log)
-    _require_ground_truth(log)
     dataset = calibrate.assemble(log, FeatureMode(args.mode))
     train, test = calibrate.split(dataset, args.train_fraction, args.split_seed)
     model = calibrate.fit(_model_spec_from_args(args), train)
@@ -179,8 +169,8 @@ def _safe_name(label: str) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    calibrate.check_split(args.train_fraction, args.split_seed)
     log = campaign.read_measurements(args.log)
-    _require_ground_truth(log)
     points = campaign.median_power_curves(log)
     curves: dict[str, tuple[str, float]] = {}  # file name -> (scenario, height)
     for key in sorted({(p.scenario, p.height_cm) for p in points}):

@@ -1,16 +1,20 @@
 """Forward channel model for a buried LoRa transmitter under moist soil.
 
-Predicts the RSSI a receiver above the soil surface would record for a
-given transmit power. The model is deliberately simple and monotone:
+The model is one link budget: rssi = tx power + antenna gains - path
+loss + receiver noise. ``path_loss`` gives the loss of one soil state
+and placement, ``sweep_rssi`` turns losses into RSSI for a sweep of
+transmit powers, or a whole (sweeps, powers) grid. The loss is
+deliberately simple and monotone:
 
 - effective soil permittivity from a three-phase refractive (CRIM) mix of
   solids, air and water,
 - plane-wave absorption in the lossy soil slab,
 - free-space spreading over the buried + above-ground path, with each
   segment measured in its own wavelength,
-- a single soil/air Fresnel interface at normal incidence,
-- additive Gaussian receiver noise and optional integer-dBm quantization,
-  drawn for a whole sweep of transmit powers at once.
+- a single soil/air Fresnel interface at normal incidence.
+
+The caller draws the Gaussian receiver noise; ``sweep_rssi`` adds it and
+optionally rounds to integer dBm.
 
 Lengths at the API are centimeters (converted to meters internally),
 frequencies Hz, powers/gains dB(m).
@@ -43,10 +47,6 @@ WATER_PERMITTIVITY_DEFAULT = 80.0
 # sea-water-order absorption (~1.4 dB/mm at 915 MHz).
 WATER_LOSS_FACTOR_DEFAULT = 200.0
 
-# Transmit power limits of the target transceiver class, dBm.
-TX_POWER_MIN_DBM = 5
-TX_POWER_MAX_DBM = 23
-
 
 @dataclass(frozen=True)
 class Dielectric:
@@ -70,8 +70,8 @@ class SoilState:
     """Volumetric composition of the sensed soil column.
 
     ``vwc`` is the water volume fraction, bounded by ``porosity`` (water
-    only fills pore space). ``vwc == porosity == 1`` is the all-water
-    baseline, ``vwc == 0, porosity == 1`` the all-air baseline.
+    only fills pore space). ``SoilState(1.0, 1.0)`` is all water,
+    ``SoilState(0.0, 1.0)`` all air.
     """
 
     vwc: float
@@ -80,7 +80,6 @@ class SoilState:
     water_permittivity: Dielectric = Dielectric(
         WATER_PERMITTIVITY_DEFAULT, WATER_LOSS_FACTOR_DEFAULT
     )
-    allow_exotic_solid: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.vwc <= self.porosity <= 1.0:
@@ -88,23 +87,10 @@ class SoilState:
                 f"need 0 <= vwc <= porosity <= 1, got vwc={self.vwc} "
                 f"porosity={self.porosity}"
             )
-        if not self.allow_exotic_solid and not 3.0 <= self.solid_permittivity <= 7.0:
+        if not 3.0 <= self.solid_permittivity <= 7.0:
             raise ValueError(
-                f"solid permittivity {self.solid_permittivity} outside the "
-                "usual 3..7 range (set allow_exotic_solid to override)"
+                f"solid permittivity {self.solid_permittivity} outside the usual 3..7 range"
             )
-        if self.allow_exotic_solid and self.solid_permittivity < 1.0:
-            raise ValueError("solid permittivity below vacuum")
-
-    @classmethod
-    def air_baseline(cls) -> "SoilState":
-        return cls(vwc=0.0, porosity=1.0)
-
-    @classmethod
-    def water_baseline(cls, water: Dielectric | None = None) -> "SoilState":
-        if water is None:
-            return cls(vwc=1.0, porosity=1.0)
-        return cls(vwc=1.0, porosity=1.0, water_permittivity=water)
 
 
 @dataclass(frozen=True)
@@ -124,30 +110,6 @@ class LinkGeometry:
             raise ValueError("receiver height must be >= 0 cm")
         if self.carrier_frequency_hz <= 0.0:
             raise ValueError("carrier frequency must be positive")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Receiver-side RSSI noise: Gaussian in dB, optional integer rounding.
-
-    The same seed with the same inputs always reproduces the same draws.
-    """
-
-    rssi_sigma_db: float = 0.0
-    quantize: bool = False
-    seed: int | tuple[int, ...] = 0
-
-    def __post_init__(self) -> None:
-        if self.rssi_sigma_db < 0.0:
-            raise ValueError("rssi sigma must be >= 0 dB")
-
-    def draw(self, size: int, rng: np.random.Generator | None = None) -> np.ndarray | float:
-        """``size`` noise samples in dB, one draw from ``rng`` (default: a
-        fresh generator seeded with ``seed``); 0.0, and no draw, when sigma is 0."""
-        if self.rssi_sigma_db == 0.0:
-            return 0.0
-        rng = np.random.default_rng(self.seed) if rng is None else rng
-        return rng.normal(0.0, self.rssi_sigma_db, size=size)
 
 
 def mix_permittivity(soil: SoilState) -> Dielectric:
@@ -247,58 +209,22 @@ def sweep_rssi(
     tx_powers: Sequence[float] | np.ndarray,
     loss_db: float | np.ndarray,
     geom: LinkGeometry,
-    noise: NoiseModel,
+    quantize: bool,
     noise_db: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Received-signal-strength samples, dBm, one per transmit power, in order.
 
     rssi = tx + antenna gains - loss_db + noise_db, rounded to integer dBm
-    when the noise model quantizes. ``loss_db`` is the link's ``path_loss``,
-    which does not depend on the power, and ``noise_db`` the receiver noise
-    (``NoiseModel.draw``). Both broadcast against ``tx_powers``, so one call
-    covers a (sweeps, levels) grid given a column of per-sweep losses.
+    when ``quantize`` is set. ``loss_db`` is the link's ``path_loss``, which
+    does not depend on the power, and ``noise_db`` the receiver noise drawn
+    by the caller. Both broadcast against ``tx_powers``, so one call covers
+    a (sweeps, levels) grid given a column of per-sweep losses.
 
-    With no noise drawn and quantization off, rssi(p) - rssi(q) == p - q
-    holds exactly.
+    With no noise and quantization off, rssi(p) - rssi(q) == p - q holds
+    exactly.
     """
     sent = np.asarray(tx_powers, dtype=float) + geom.tx_antenna_gain_db + geom.rx_antenna_gain_db
     rssi = sent - loss_db + noise_db
-    if noise.quantize:
+    if quantize:
         rssi = np.floor(rssi + 0.5)
     return rssi
-
-
-def synth_rssi(
-    tx_power_dbm: float,
-    soil: SoilState,
-    geom: LinkGeometry,
-    noise: NoiseModel,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """One received-signal-strength sample, dBm: ``sweep_rssi`` of one power."""
-    loss = path_loss(soil, geom)
-    return sweep_rssi([tx_power_dbm], loss, geom, noise, noise.draw(1, rng)).item()
-
-
-def sweep_curve(
-    soil: SoilState,
-    geom: LinkGeometry,
-    powers: list[int] | tuple[int, ...],
-    noise: NoiseModel,
-) -> list[tuple[int, float]]:
-    """RSSI for each requested transmit power, in request order.
-
-    Noise draws advance through one generator seeded from the noise
-    model, so packets within a sweep see independent noise while the
-    whole curve stays reproducible.
-    """
-    if len(powers) == 0:
-        raise ValueError("power list must not be empty")
-    for p in powers:
-        if not TX_POWER_MIN_DBM <= p <= TX_POWER_MAX_DBM:
-            raise ValueError(
-                f"tx power {p} dBm outside device range "
-                f"[{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}]"
-            )
-    rssi = sweep_rssi(powers, path_loss(soil, geom), geom, noise, noise.draw(len(powers)))
-    return list(zip(powers, rssi.tolist()))

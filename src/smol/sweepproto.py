@@ -22,14 +22,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .soilchan import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM
-
 FRAME_MAGIC = 0x53
 FRAME_VERSION = 0x01
 FRAME_LENGTH = 7
 
-# The transceiver exposes powers 5..23 dBm but 23 misbehaves on real
-# hardware, so the stock plan stops at 22.
+# Transmit power limits of the target transceiver class, dBm. 23 misbehaves
+# on real hardware, so the stock plan stops at 22.
+TX_POWER_MIN_DBM = 5
+TX_POWER_MAX_DBM = 23
 DEFAULT_POWER_LEVELS: tuple[int, ...] = tuple(range(5, 23))
 
 
@@ -163,6 +163,15 @@ class MeasurementLog:
 
     def __len__(self) -> int:
         return len(self.timestamp)
+
+    def require_ground_truth(self) -> None:
+        """Raise ValueError unless every row holds a reference reading."""
+        missing = np.count_nonzero(np.isnan(self.vwc_truth))
+        if missing:
+            raise ValueError(
+                f"{missing} of {len(self)} measurement(s) lack ground truth "
+                "(empty vwc_truth_pct: an inference-mode campaign?)"
+            )
 
     def take(self, rows: np.ndarray) -> "MeasurementLog":
         """The log of the given rows (indices or a boolean mask), in that order."""

@@ -15,7 +15,7 @@ import numpy as np
 from smol import calibrate, campaign, cli
 from smol.calibrate import FeatureMode, ModelKind, ModelSpec
 from smol.campaign import CampaignConfig
-from smol.soilchan import LinkGeometry, NoiseModel, SoilState, sweep_curve, synth_rssi
+from smol.soilchan import LinkGeometry, SoilState, path_loss, sweep_rssi
 from smol.sweepproto import (
     FrameError,
     PowerPlan,
@@ -61,21 +61,20 @@ def test_criterion_1_physics_monotonicity():
     )
 
 
+def _quiet_rssi(power, soil, geom):
+    return sweep_rssi([power], path_loss(soil, geom), geom, False).item()
+
+
 def test_criterion_2_baseline_ordering():
     config = CampaignConfig().without_noise()
-    quiet = NoiseModel()
     ok = True
     for scenario in config.scenarios:
         geom = config.geometry(scenario)
-        air = synth_rssi(13, SoilState.air_baseline(), geom, quiet)
-        water = synth_rssi(
-            13,
-            SoilState.water_baseline(config.soil_state(0.0).water_permittivity),
-            geom,
-            quiet,
-        )
+        air = _quiet_rssi(13, SoilState(0.0, 1.0), geom)
+        water_phase = config.soil_state(0.0).water_permittivity
+        water = _quiet_rssi(13, SoilState(1.0, 1.0, water_permittivity=water_phase), geom)
         for vwc in config.vwc_grid:
-            soil = synth_rssi(13, config.soil_state(vwc), geom, quiet)
+            soil = _quiet_rssi(13, config.soil_state(vwc), geom)
             ok = ok and (air > soil > water)
     _report(2, "noise-free RSSI ordering air > soil grid > water at each geometry", ok)
 
@@ -84,12 +83,11 @@ def test_criterion_3_equal_offsets():
     rng = np.random.default_rng(123)
     plan = list(PowerPlan().levels)
     geom = LinkGeometry(15.0, 195.0)
-    quiet = NoiseModel()
     worst = 0.0
     for _ in range(5):
         porosity = float(rng.uniform(0.3, 0.6))
         soil = SoilState(float(rng.uniform(0.0, porosity)), porosity)
-        curve = dict(sweep_curve(soil, geom, plan, quiet))
+        curve = dict(zip(plan, sweep_rssi(plan, path_loss(soil, geom), geom, False).tolist()))
         for i, p in enumerate(plan):
             for q in plan[i + 1:]:
                 worst = max(worst, abs((curve[q] - curve[p]) - (q - p)))

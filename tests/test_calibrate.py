@@ -467,6 +467,14 @@ class TestCompare:
         assert by_mode[FeatureMode.ALL_TX].error is None
         assert by_mode[FeatureMode.MEDIAN_TX].error is not None
 
+    @pytest.mark.parametrize(
+        "fraction, seed, field", [(1.5, 0, "train_fraction"), (0.8, -1, "split_seed")]
+    )
+    def test_bad_split_arguments_raise_instead_of_error_rows(self, fraction, seed, field):
+        with pytest.raises(ValueError, match=field):
+            compare([ModelSpec(ModelKind.LINEAR)], _sweep_log(), [FeatureMode.ALL_TX],
+                    train_fraction=fraction, split_seed=seed)
+
     def test_ranking_fixture_layout(self):
         # fixed metric values: ranking must star the strongest R^2 row
         rows = [

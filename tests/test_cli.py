@@ -125,7 +125,10 @@ FLAG_FIELDS = {
 
 @pytest.mark.parametrize(
     "flags",
-    [["--noise-sigma", "nan"], ["--epoch", "inf"], ["--drop-prob", "nan"], ["--seed", "-1"]],
+    [
+        ["--noise-sigma", "nan"], ["--epoch", "inf"], ["--drop-prob", "nan"], ["--seed", "-1"],
+        ["--noise-sigma", "-1"],
+    ],
 )
 def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
     code = main(["simulate", "--out", str(tmp_path / "x.csv"), *flags])
@@ -314,6 +317,26 @@ def test_report_refuses_two_scenarios_with_one_curve_file(tmp_path, capsys):
     err = _one_error_line(capsys)
     assert "'a b'" in err and "'a_b'" in err and "curve_a_b_h0cm.csv" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "report"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--train-fraction", "1.5"], ["--train-fraction", "nan"], ["--train-fraction", "0"],
+     ["--split-seed", "-1"]],
+)
+def test_bad_split_flags_are_refused_before_anything_is_written(
+    tmp_path, small_log, capsys, command, flags
+):
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "train" else ["--out-dir", str(out)]
+    code = main([command, "--log", str(small_log), *target, *flags])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert flags[0][2:].replace("-", "_") in captured.err
+    assert not out.exists()
 
 
 def test_report_determinism(tmp_path, small_log):

@@ -11,6 +11,9 @@ The config hashes were computed with the hand-listed ``config_to_dict``
 that ``dataclasses.asdict`` replaced; they pin the file's key order and
 number formatting.
 
+The model file hashes were computed with the hand-listed ``save_model``
+payload that ``dataclasses.asdict`` replaced.
+
 The log hashes were computed with the packet-at-a-time simulator, which
 drew one drop decision and one noise sample per packet and recomputed the
 path loss for each; the sweep-at-a-time simulator must write the same
@@ -47,6 +50,12 @@ GOLDEN_LOG_SHA256 = {
     "large": "054a48df042f4679d91ba7b248647302b2828f9f0677ef276538be3fb8f7aff4",
     "wrap": "0b3490eafb37be270c08c29dfa879ac9152247c3641ab9d3e3205f6e3048c244",
     "big-seed": "ff38c6e4bfe246f7e8ef61a7588e0729c36e7246c3ea98fd9a8615b681fa9a0b",
+}
+
+# Model files of `smol train` on the stock log, default flags otherwise.
+GOLDEN_MODEL_SHA256 = {
+    ("random_forest", "all_tx"): "4ce24be2a1b5751c8e09894f9c067f2647961e805f1ae3aedef9e42b84da7631",
+    ("polynomial", "median_tx"): "faf572402cd957fd9e98c05a02a9e98a3f295fb2731e3d59857e6727f1d8c8dc",
 }
 
 GOLDEN_TABLE_CSV = (
@@ -90,6 +99,16 @@ def test_stock_report_table_is_pinned(tmp_path):
     assert cli.main(["simulate", "--out", str(log)]) == cli.EXIT_OK
     assert cli.main(["report", "--log", str(log), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
     assert (tmp_path / "table.csv").read_text() == GOLDEN_TABLE_CSV
+
+
+@pytest.mark.parametrize("kind, mode", sorted(GOLDEN_MODEL_SHA256))
+def test_model_files_are_pinned(tmp_path, kind, mode):
+    log, model = tmp_path / "campaign.csv", tmp_path / "model.json"
+    assert cli.main(["simulate", "--out", str(log)]) == cli.EXIT_OK
+    argv = ["train", "--log", str(log), "--model", kind, "--mode", mode, "--out", str(model)]
+    assert cli.main(argv) == cli.EXIT_OK
+    digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert digest == GOLDEN_MODEL_SHA256[kind, mode]
 
 
 def _large_config() -> campaign.CampaignConfig:

@@ -6,22 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smol.campaign import CampaignConfig
 from smol.soilchan import (
     NEPER_TO_DB,
     SPEED_OF_LIGHT_M_S,
     Dielectric,
     LinkGeometry,
-    NoiseModel,
     SoilState,
     attenuation_constant,
     mix_permittivity,
     path_loss,
-    sweep_curve,
     sweep_rssi,
-    synth_rssi,
 )
 
 GEOM_BURIED = LinkGeometry(burial_depth_cm=15.0, receiver_height_cm=195.0)
+AIR = SoilState(0.0, 1.0)
+WATER = SoilState(1.0, 1.0)
+
+
+def _rssi(powers, soil, geom, quantize=False, noise_db=0.0):
+    """Noise-free (or given-noise) RSSI of one sweep: path loss, then sweep_rssi."""
+    return sweep_rssi(powers, path_loss(soil, geom), geom, quantize, noise_db)
 
 
 def _clamped_soil(vwc_frac, porosity, solid):
@@ -135,14 +140,14 @@ class TestPathLoss:
         geom = LinkGeometry(burial_depth_cm=0.0, receiver_height_cm=100.0)
         lam = SPEED_OF_LIGHT_M_S / 915e6
         expected = 20 * math.log10(4 * math.pi * 1.0 / lam)
-        assert path_loss(SoilState.air_baseline(), geom) == pytest.approx(
+        assert path_loss(AIR, geom) == pytest.approx(
             expected, rel=1e-12
         )
         assert expected == pytest.approx(31.676, abs=0.001)
 
     def test_rejects_zero_length_link(self):
         with pytest.raises(ValueError):
-            path_loss(SoilState.air_baseline(), LinkGeometry(0.0, 0.0))
+            path_loss(AIR, LinkGeometry(0.0, 0.0))
 
     def test_wetter_is_lossier(self):
         dry = path_loss(SoilState(0.05, 0.45), GEOM_BURIED)
@@ -150,7 +155,7 @@ class TestPathLoss:
         assert wet > dry
 
     def test_water_baseline_beats_any_soil(self):
-        water = path_loss(SoilState.water_baseline(), GEOM_BURIED)
+        water = path_loss(WATER, GEOM_BURIED)
         for vwc in (0.05, 0.2, 0.44):
             assert water > path_loss(SoilState(vwc, 0.45), GEOM_BURIED)
 
@@ -179,92 +184,62 @@ class TestPathLoss:
     def test_baseline_ordering(self, vwc_frac, porosity, depth, height):
         geom = LinkGeometry(depth, height)
         soil = path_loss(SoilState(vwc_frac * porosity, porosity), geom)
-        air = path_loss(SoilState.air_baseline(), geom)
-        water = path_loss(SoilState.water_baseline(), geom)
+        air = path_loss(AIR, geom)
+        water = path_loss(WATER, geom)
         assert air < soil < water
 
 
 class TestSynthRssi:
+    """One transmit power through path_loss and sweep_rssi."""
+
     def test_identity_chain_through_zero_loss(self):
         # 2 cm of air sits inside the near-field clamp, so the chain is
         # rssi = tx exactly
         geom = LinkGeometry(burial_depth_cm=0.0, receiver_height_cm=2.0)
-        rssi = synth_rssi(5, SoilState.air_baseline(), geom, NoiseModel())
-        assert rssi == 5.0
+        rssi = _rssi([5], AIR, geom)
+        assert rssi.tolist() == [5.0]
 
     def test_power_offsets_survive_exactly(self):
         soil = SoilState(0.2, 0.45)
-        quiet = NoiseModel()
-        a = synth_rssi(13, soil, GEOM_BURIED, quiet)
-        b = synth_rssi(17, soil, GEOM_BURIED, quiet)
+        a, b = _rssi([13, 17], soil, GEOM_BURIED)
         assert b - a == pytest.approx(4.0, abs=1e-9)
 
-    def test_seeded_noise_is_reproducible(self):
-        noisy = NoiseModel(rssi_sigma_db=2.0, seed=42)
-        soil = SoilState(0.2, 0.45)
-        first = synth_rssi(13, soil, GEOM_BURIED, noisy)
-        second = synth_rssi(13, soil, GEOM_BURIED, noisy)
-        assert first == second
-
     def test_quantize_rounds_to_integer_dbm(self):
-        noisy = NoiseModel(rssi_sigma_db=2.0, quantize=True, seed=7)
-        rssi = synth_rssi(13, SoilState(0.2, 0.45), GEOM_BURIED, noisy)
+        noise = np.random.default_rng(7).normal(0.0, 2.0, 1)
+        [rssi] = _rssi([13], SoilState(0.2, 0.45), GEOM_BURIED, True, noise)
         assert rssi == int(rssi)
 
     def test_antenna_gains_add(self):
         geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=2.0, rx_antenna_gain_db=3.0)
-        base = synth_rssi(13, SoilState(0.2, 0.45), GEOM_BURIED, NoiseModel())
-        gained = synth_rssi(13, SoilState(0.2, 0.45), geom, NoiseModel())
+        [base] = _rssi([13], SoilState(0.2, 0.45), GEOM_BURIED)
+        [gained] = _rssi([13], SoilState(0.2, 0.45), geom)
         assert gained - base == pytest.approx(5.0, abs=1e-9)
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            NoiseModel(rssi_sigma_db=-1.0)
+        with pytest.raises(ValueError, match="rssi_sigma_db"):
+            CampaignConfig(rssi_sigma_db=-1.0)
 
 
 class TestSweepCurve:
+    """A whole power plan through path_loss and sweep_rssi."""
+
     def test_default_plan_gives_18_distinct_pairs(self):
         powers = list(range(5, 23))
-        curve = sweep_curve(SoilState(0.2, 0.45), GEOM_BURIED, powers, NoiseModel())
+        curve = list(zip(powers, _rssi(powers, SoilState(0.2, 0.45), GEOM_BURIED).tolist()))
         assert len(curve) == 18
         assert [p for p, _ in curve] == powers
         assert len({p for p, _ in curve}) == 18
 
     def test_single_power_air_composition(self):
         geom = LinkGeometry(0.0, 100.0, tx_antenna_gain_db=1.0, rx_antenna_gain_db=2.0)
-        [(p, rssi)] = sweep_curve(SoilState.air_baseline(), geom, [13], NoiseModel())
-        expected = 13 + 3.0 - path_loss(SoilState.air_baseline(), geom)
+        [(p, rssi)] = zip([13], _rssi([13], AIR, geom).tolist())
+        expected = 13 + 3.0 - path_loss(AIR, geom)
         assert p == 13
         assert rssi == pytest.approx(expected, abs=1e-12)
 
     def test_noise_free_curve_increases_with_power(self):
-        curve = sweep_curve(
-            SoilState(0.2, 0.45), GEOM_BURIED, list(range(5, 23)), NoiseModel()
-        )
-        rssis = [r for _, r in curve]
+        rssis = _rssi(list(range(5, 23)), SoilState(0.2, 0.45), GEOM_BURIED).tolist()
         assert all(b > a for a, b in zip(rssis, rssis[1:]))
-
-    def test_rejects_empty_and_out_of_range(self):
-        with pytest.raises(ValueError):
-            sweep_curve(SoilState(0.2, 0.45), GEOM_BURIED, [], NoiseModel())
-        with pytest.raises(ValueError):
-            sweep_curve(SoilState(0.2, 0.45), GEOM_BURIED, [4], NoiseModel())
-        with pytest.raises(ValueError):
-            sweep_curve(SoilState(0.2, 0.45), GEOM_BURIED, [24], NoiseModel())
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        vwc_frac=st.floats(0.0, 1.0),
-        porosity=st.floats(0.05, 1.0),
-    )
-    @settings(max_examples=50)
-    def test_seeded_sweep_is_pure(self, seed, vwc_frac, porosity):
-        soil = SoilState(vwc_frac * porosity, porosity)
-        noise = NoiseModel(rssi_sigma_db=2.0, quantize=True, seed=seed)
-        powers = list(range(5, 23))
-        assert sweep_curve(soil, GEOM_BURIED, powers, noise) == sweep_curve(
-            soil, GEOM_BURIED, powers, noise
-        )
 
 
 class TestSweepRssi:
@@ -273,29 +248,30 @@ class TestSweepRssi:
     def test_one_sweep_draw_equals_one_draw_per_packet(self, seed, quantize):
         soil = SoilState(0.2, 0.45)
         geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=1.5, rx_antenna_gain_db=-0.5)
-        noise = NoiseModel(rssi_sigma_db=2.0, quantize=quantize, seed=seed)
         powers = [23, 5, 9, 13, 22]
-        swept = sweep_rssi(powers, path_loss(soil, geom), geom, noise, noise.draw(len(powers)))
+        noise = np.random.default_rng(seed).normal(0.0, 2.0, len(powers))
+        swept = _rssi(powers, soil, geom, quantize, noise)
         rng = np.random.default_rng(seed)
-        one_by_one = [synth_rssi(p, soil, geom, noise, rng=rng) for p in powers]
+        one_by_one = [
+            _rssi([p], soil, geom, quantize, rng.normal(0.0, 2.0, 1)).item() for p in powers
+        ]
         assert swept.tolist() == one_by_one
 
     def test_grid_equals_one_sweep_at_a_time(self):
         geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=1.5, rx_antenna_gain_db=-0.5)
-        noise = NoiseModel(rssi_sigma_db=2.0, quantize=True)
         powers, losses = [23, 5, 9, 13, 22], [71.3, 80.05, 12.7]
-        draws = [noise.draw(len(powers), np.random.default_rng(i)) for i in range(3)]
-        grid = sweep_rssi(powers, np.array(losses)[:, None], geom, noise, np.array(draws))
-        rows = [sweep_rssi(powers, loss, geom, noise, d) for loss, d in zip(losses, draws)]
+        draws = [np.random.default_rng(i).normal(0.0, 2.0, len(powers)) for i in range(3)]
+        grid = sweep_rssi(powers, np.array(losses)[:, None], geom, True, np.array(draws))
+        rows = [sweep_rssi(powers, loss, geom, True, d) for loss, d in zip(losses, draws)]
         assert grid.tolist() == [row.tolist() for row in rows]
 
     def test_quantized_samples_are_whole_dbm(self):
-        noise = NoiseModel(rssi_sigma_db=2.0, quantize=True, seed=3)
-        rssi = sweep_rssi(list(range(5, 23)), 71.3, GEOM_BURIED, noise, noise.draw(18))
+        noise = np.random.default_rng(3).normal(0.0, 2.0, 18)
+        rssi = sweep_rssi(list(range(5, 23)), 71.3, GEOM_BURIED, True, noise)
         assert np.array_equal(rssi, np.round(rssi))
 
     def test_noise_free_offsets_are_exact(self):
-        rssi = sweep_rssi([5, 6, 22], 71.3, GEOM_BURIED, NoiseModel())
+        rssi = sweep_rssi([5, 6, 22], 71.3, GEOM_BURIED, False)
         assert rssi.tolist() == [5 - 71.3, 6 - 71.3, 22 - 71.3]
 
 
@@ -315,5 +291,4 @@ class TestGeometryValidation:
     def test_solid_permittivity_range_is_enforced(self):
         with pytest.raises(ValueError):
             SoilState(0.1, 0.45, solid_permittivity=9.0)
-        # explicit override lets unusual substrates through
-        SoilState(0.1, 0.45, solid_permittivity=9.0, allow_exotic_solid=True)
+        SoilState(0.1, 0.45, solid_permittivity=7.0)

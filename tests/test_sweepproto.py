@@ -168,7 +168,7 @@ class TestRunSweep:
         )
         assert log.tx_power.tolist() == [13]
         assert log.rssi[0] == pytest.approx(
-            13 - path_loss(SoilState.air_baseline(), LinkGeometry(0.0, 100.0)), abs=1e-12
+            13 - path_loss(SoilState(0.0, 1.0), LinkGeometry(0.0, 100.0)), abs=1e-12
         )
 
     def test_total_loss_drops_everything(self):
