@@ -1,10 +1,10 @@
 """Regression calibration: measurements in, moisture predictor out.
 
-Assembles feature matrices from sweep logs, fits one of four regressor
-families (linear, ridge, polynomial, random forest), scores them with
-R^2 / MAE on a held-out split, and renders side-by-side comparison
-tables. Linear-algebra solves go through numpy; the forest is grown here
-so splits and tie-breaks are fully deterministic under a seed.
+Assembles feature matrices from sweep logs, fits linear, ridge, polynomial
+or random-forest regressors, scores them with R^2 / MAE on a held-out
+split and renders comparison tables. The forest is grown here, by an exact
+split search over runs of equal feature values in a fixed summation order
+(see ``_grow_trees``), so every tree is bit-reproducible under a seed.
 """
 
 from __future__ import annotations
@@ -301,151 +301,150 @@ def _fit_polynomial(X: np.ndarray, y: np.ndarray, degree: int) -> dict:
     return {"beta": _solve_least_squares(design, y), "powers": powers}
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``np.sum`` of every segment ``values[:, start:start + count]``, bit for bit.
+def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Running sums along every segment ``values[:, start:start + size]``,
+    each from its segment's start, adding one term at a time.
 
-    NumPy sums pairwise, so a sum depends on the segment's length. Segments
-    of one length are stacked into a C-ordered 3-D array and reduced along
-    its last axis, which repeats the 1-D sum exactly. ``np.add.reduceat``
-    does not, and neither does a reduction along an axis that is not
-    contiguous in memory (``values[:, index]`` is laid out that way).
+    Segments are padded to a power of 4 of their size, one block per padded
+    width, so the work stays within 4 times the terms plus 4 per segment.
+    A running sum never reads past its own term, so the padding may hold
+    whatever follows the segment.
     """
-    out = np.empty((len(values), len(counts)))
-    by_size = np.argsort(counts, kind="stable")
-    sizes, firsts = np.unique(counts[by_size], return_index=True)
-    bounds = firsts.tolist() + [len(counts)]
-    for size, lo, hi in zip(sizes.tolist(), bounds, bounds[1:]):
-        seg = by_size[lo:hi]
-        stacked = np.take(values, starts[seg, None] + np.arange(size), axis=1)
-        out[:, seg] = np.add.reduce(stacked, axis=2)
+    out = np.empty_like(values)
+    ends, last = starts + sizes, values.shape[1] - 1
+    low, width = 0, 4
+    while low < sizes.max():
+        seg = np.flatnonzero((sizes > low) & (sizes <= width))
+        at = starts[seg, None] + np.arange(width)
+        inside = at < ends[seg, None]
+        block = np.take(values, np.minimum(at, last), axis=1)
+        out[:, at[inside]] = np.cumsum(block, axis=2)[:, inside]
+        low, width = width, 4 * width
     return out
 
 
 def _best_splits(
-    X: np.ndarray,
-    y: np.ndarray,
-    node: np.ndarray,
-    sort_key: np.ndarray,
-    counts: np.ndarray,
-    total_sse: np.ndarray,
-    min_leaf: int,
+    x: np.ndarray, y: np.ndarray, order: np.ndarray, n: np.ndarray, sums: np.ndarray, min_leaf: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy variance-reduction split of every node of a level at once.
+    """The best cut of every searched node of a level, by the rules of ``_grow_trees``.
 
-    Row i of ``X``/``y`` belongs to node ``node[i]``. Sorting by the unique
-    keys ``sort_key[:, j]`` groups the rows by node and orders each node's
-    rows by feature j, ties in sample order. Running sums restart at every
-    node: each node's sorted targets fill one row of a zero-padded matrix,
-    whose row-wise ``cumsum`` adds in the same order as a ``cumsum`` of the
-    node alone. Ties go to the lowest feature index, then the lowest
-    threshold. Returns (feature, threshold) per node, feature -1 where no
-    split reduces the squared error.
+    Node i holds ``n[i]`` rows, with target sum and sum of squares
+    ``sums[:, i]``; ``order[j]`` lists the rows node by node, each node's
+    by ``x[j]``, ties in sample order. Returns (feature, threshold) per
+    node, feature -1 where the node is not cut.
     """
-    m = len(counts)
-    at = np.arange(len(node))
-    starts = np.cumsum(counts) - counts
-    last = starts + counts - 1
-    best_gain = np.zeros(m)
-    best_feature = np.full(m, -1)
-    best_threshold = np.zeros(m)
-    padded = np.zeros((2, m, int(counts.max())))
-    for j in range(X.shape[1]):
-        order = np.argsort(sort_key[:, j])
-        seg = node[order]
-        pos = at - starts[seg]
-        xs, ys = X[order, j], y[order]
-        padded[0, seg, pos] = ys
-        padded[1, seg, pos] = ys * ys
-        cy, cyy = np.cumsum(padded, axis=2)[:, seg, pos]
-        left_n = pos + 1
-        right_n = counts[seg] - left_n
-        with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at each node's end
-            sse_left = cyy - cy * cy / left_n
-            sse_right = (cyy[last][seg] - cyy) - (cy[last][seg] - cy) ** 2 / right_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        valid[:-1] &= xs[1:] != xs[:-1]
-        gains = np.where(valid, total_sse[seg] - sse_left - sse_right, -np.inf)
-        # first max of each node: lowest threshold wins ties; a node whose
-        # gains hold NaN has no max and no split on this feature
-        top = np.maximum.reduceat(gains, starts)
-        k = np.minimum.reduceat(np.where(gains == top[seg], at, len(at)), starts)
-        found = k < len(at)
-        gain = np.where(found, top, -np.inf)
-        k = np.where(found, k, 0)
-        lo, hi = xs[k], xs[k + 1]
-        thr = (lo + hi) / 2.0
-        thr = np.where(thr < hi, thr, lo)  # adjacent floats: fall back to left value
-        better = gain > best_gain
-        best_gain = np.where(better, gain, best_gain)
-        best_feature[better] = j
-        best_threshold[better] = thr[better]
-    return best_feature, best_threshold
+    (n_features, m), nodes = order.shape, len(n)
+    # One block of rows per (feature, node), feature-major.
+    blocks = (m * np.arange(n_features)[:, None] + np.cumsum(n) - n).ravel()
+    xs = np.take_along_axis(x, order, axis=1).ravel()
+    new_run = np.empty(len(xs), dtype=bool)
+    np.not_equal(xs[1:], xs[:-1], out=new_run[1:])
+    new_run[blocks] = True
+    run = np.cumsum(new_run) - 1
+    run_at = np.flatnonzero(new_run)
+    first = run[blocks]  # each block's first run
+    n_runs = np.diff(first, append=len(run_at))
+    block = np.repeat(np.arange(len(blocks)), n_runs)
+    node = block % nodes
+    ys = y[order.ravel()]  # a run's rows are in sample order, and bincount adds in it
+    run_sums = np.stack([np.bincount(run, ys), np.bincount(run, ys * ys)])
+    left = _running_sums(run_sums, first, n_runs)
+    left_n = np.append(run_at[1:], len(xs)) - blocks[block]
+    right_n = n[node] - left_n
+    with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at each node's end
+        right = sums[:, node] - left
+        node_sse = sums[1] - sums[0] * sums[0] / n
+        gains = (node_sse[node] - (left[1] - left[0] * left[0] / left_n)) - (
+            right[1] - right[0] * right[0] / right_n
+        )
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+    gains[~valid] = -np.inf
+    # each block's first max: the lowest threshold wins ties; NaN gains leave no max
+    top = np.maximum.reduceat(gains, first)
+    at = np.arange(len(gains))
+    k = np.minimum.reduceat(np.where(valid & (gains == top[block]), at, len(at)), first)
+    top[k == len(at)] = -np.inf
+    feature = np.argmax(top.reshape(n_features, nodes), axis=0)  # lowest feature wins ties
+    best = feature * nodes + np.arange(nodes)
+    split = top[best] > 0
+    k = k[best[split]]
+    lo, hi = xs[run_at[k]], xs[run_at[k + 1]]
+    mid = (lo + hi) / 2.0
+    threshold = np.zeros(nodes)
+    threshold[split] = np.where(mid < hi, mid, lo)  # adjacent floats: the lower value
+    return np.where(split, feature, -1), threshold
 
 
 def _grow_trees(
-    X: np.ndarray,
-    y: np.ndarray,
-    samples: np.ndarray,
-    max_depth: int | None,
-    min_leaf: int,
+    X: np.ndarray, y: np.ndarray, samples: np.ndarray, max_depth: int | None, min_leaf: int
 ) -> dict[str, np.ndarray]:
     """Grow one tree per row of ``samples`` (row indices into ``X``/``y``).
 
     The trees grow together, breadth-first: every node of one depth, in
     every tree, is searched at once. A node becomes a leaf at
     ``max_depth``, below ``2 * min_leaf`` rows, when its targets are all
-    equal, or when no split reduces the squared error. The batch comes
-    back in the forest layout (see ``_forest_outputs``), its child indices
+    equal, or when no cut reduces the squared error. The batch comes back
+    in the forest layout (see ``_forest_outputs``), its child indices
     counted from the batch's first node.
+
+    Each feature column is sorted once; each level only regroups the rows
+    by node, stably, so a node's rows stay in value order, ties in sample
+    order. A cut falls between two runs of equal values, at their midpoint,
+    or at the lower value where the midpoint rounds to the upper one. Ties
+    go to the lowest feature index, then the lowest threshold; a node whose
+    gains on a feature hold NaN is not cut on that feature.
+
+    Summation rule: the target sum S and sum of squares S2 of a node, and
+    of each run within it, add one row at a time in sample order
+    (``np.bincount``). A cut's left sums add the node's runs one at a time
+    in ascending value (``np.cumsum``); its right sums are the node's minus
+    the left's. A squared error is ``S2 - S * S / n``, and a cut's gain is
+    the node's error minus the left's, minus the right's.
     """
     n_trees, n = samples.shape
-    X, y = X[samples.ravel()], y[samples.ravel()]
-    # Each row's place in a stable sort of each feature column.
-    x_rank = np.empty(X.shape, dtype=np.intp)
-    for j in range(X.shape[1]):
-        x_rank[np.argsort(X[:, j], kind="stable"), j] = np.arange(len(X))
+    x, y = X[samples.ravel()].T.copy(), y[samples.ravel()]  # x[j]: column j
+    n_features, n_rows = x.shape
+    # Each feature's rows in a stable sort by value, tree by tree.
+    by_value = np.argsort(x.reshape(n_features, n_trees, n), axis=2, kind="stable")
+    order = (by_value + n * np.arange(n_trees)[:, None]).reshape(n_features, n_rows)
     # Nodes of all trees are numbered level by level, each level ordered by
     # tree and then by parent, so each tree's nodes keep their order.
-    feature = np.full(2 * len(X), -1)
-    left = np.full(2 * len(X), -1)
-    value = np.zeros(2 * len(X))
-    tree = np.zeros(2 * len(X), dtype=np.intp)
+    feature = np.full(2 * n_rows, -1)
+    left = np.full(2 * n_rows, -1)
+    value = np.zeros(2 * n_rows)
+    tree = np.zeros(2 * n_rows, dtype=np.intp)
     tree[:n_trees] = np.arange(n_trees)
-    rows = np.arange(len(X))  # rows of the level's nodes, in sample order
+    rows = np.arange(n_rows)  # rows of the level's nodes, in sample order
     node = rows // n  # each row's node, numbered within the level
     first, width, depth = 0, n_trees, 0  # the level holds nodes first .. first + width - 1
     while width:
         counts = np.bincount(node, minlength=width)
-        starts = np.cumsum(counts) - counts
-        ys = y[rows[np.argsort(node, kind="stable")]]  # node by node, in sample order
-        sums, sums_sq = _segment_sums(np.stack([ys, ys * ys]), starts, counts)
-        open_ = counts >= 2 * min_leaf
+        ys = y[rows]
+        sums = np.stack([np.bincount(node, ys, width), np.bincount(node, ys * ys, width)])
+        some = np.empty(width)
+        some[node] = ys  # one target of each node
+        open_ = (counts >= 2 * min_leaf) & (np.bincount(node, ys != some[node], width) > 0)
         if max_depth is not None and depth >= max_depth:
             open_[:] = False
-        open_ &= np.maximum.reduceat(ys, starts) != np.minimum.reduceat(ys, starts)
         split_feature = np.full(width, -1)
         split_threshold = np.zeros(width)
         if open_.any():
-            # ``** 2`` on a Python float is libm pow, which rounds differently
-            # from x * x about once in 1500 squares; the pinned trees use pow.
-            sq = np.array([s ** 2 for s in sums[open_].tolist()])
-            total_sse = sums_sq[open_] - sq / counts[open_]
-            inside = open_[node]
-            searched = (np.cumsum(open_) - 1)[node[inside]]
+            # Regroup each feature's rows by node: a stable sort of keys that fit
+            # 16 bits is a radix sort. Rows of nodes not searched sort last, cut off.
+            at_node = np.full(n_rows, n_features * width)
+            searched = open_[node]
+            at_node[rows[searched]] = node[searched]
+            key = at_node[order] + width * np.arange(n_features)[:, None]
+            key = key.astype(np.min_scalar_type((2 * n_features - 1) * width))
+            kept = np.argsort(key.ravel(), kind="stable")[: n_features * searched.sum()]
+            order = order.ravel()[kept].reshape(n_features, -1)
             split_feature[open_], split_threshold[open_] = _best_splits(
-                X[rows[inside]],
-                y[rows[inside]],
-                searched,
-                searched[:, None] * len(X) + x_rank[rows[inside]],
-                counts[open_],
-                total_sse,
-                min_leaf,
+                x, y, order, counts[open_], sums[:, open_], min_leaf
             )
 
         ids = first + np.arange(width)
         splits = split_feature >= 0
-        leaves = ~splits
-        value[ids[leaves]] = sums[leaves] / counts[leaves]
+        value[ids[~splits]] = (sums[0] / counts)[~splits]
         rank = np.cumsum(splits) - 1
         parents = ids[splits]
         children = first + width + 2 * rank[splits]
@@ -456,8 +455,8 @@ def _grow_trees(
 
         inside = splits[node]
         rows, node = rows[inside], node[inside]
-        goes_left = X[rows, split_feature[node]] <= split_threshold[node]
-        node = 2 * rank[node] + ~goes_left
+        goes_right = x[split_feature[node], rows] > split_threshold[node]
+        node = 2 * rank[node] + goes_right
         first, width, depth = first + width, 2 * len(parents), depth + 1
 
     # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
@@ -594,9 +593,10 @@ _PARAM_KEYS = {
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Write a self-describing JSON model file, one key per TrainedModel field;
-    load_model inverts it."""
-    payload = {"format": MODEL_FILE_FORMAT, "version": MODEL_FILE_VERSION, **asdict(model)}
+    """Write a self-describing JSON model file, one key per TrainedModel field
+    (from ``vars``: ``asdict`` would copy the arrays); load_model inverts it."""
+    payload = {"format": MODEL_FILE_FORMAT, "version": MODEL_FILE_VERSION, **vars(model)}
+    payload["spec"] = asdict(model.spec)
     text = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=lambda a: a.tolist()
     )

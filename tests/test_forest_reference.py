@@ -1,0 +1,154 @@
+"""The vectorized forest grower against a plain per-node reference.
+
+``grow_reference`` grows one tree at a time and one node at a time, in
+Python floats, by the rule that ``calibrate._grow_trees`` documents: a
+node's and a run's target sums add one row at a time in sample order, a
+cut's left sums add the node's runs one at a time in ascending value, its
+right sums are the node's minus the left's, and a squared error is
+S2 - S*S/n. It emits each tree level by level in parent order, siblings
+adjacent, which is the forest layout. Both growers must agree node for
+node, on all four arrays, bit for bit.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smol import calibrate, campaign
+from smol.calibrate import Dataset, FeatureMode, ModelKind, ModelSpec
+
+
+def _sums(values) -> tuple[float, float]:
+    s = s2 = 0.0
+    for v in values:
+        s, s2 = s + v, s2 + v * v
+    return s, s2
+
+
+def _best_cut(X, y, rows, min_leaf) -> tuple[int, float]:
+    """(feature, threshold) of the node's best cut, or (-1, 0.0) for none."""
+    n = len(rows)
+    s, s2 = _sums(y[i] for i in rows)
+    node_sse = s2 - s * s / n
+    best_gain, best = 0.0, (-1, 0.0)
+    for j in range(len(X[0])):
+        values = sorted({X[i][j] for i in rows})
+        cuts = []
+        left, left2, left_n = 0.0, 0.0, 0
+        for k in range(len(values) - 1):
+            run = [i for i in rows if X[i][j] == values[k]]
+            run_s, run_s2 = _sums(y[i] for i in run)
+            left, left2, left_n = left + run_s, left2 + run_s2, left_n + len(run)
+            right, right2, right_n = s - left, s2 - left2, n - left_n
+            if left_n >= min_leaf and right_n >= min_leaf:
+                gain = (node_sse - (left2 - left * left / left_n)) - (
+                    right2 - right * right / right_n
+                )
+                mid = (values[k] + values[k + 1]) / 2.0
+                cuts.append((gain, mid if mid < values[k + 1] else values[k]))
+        if cuts and not any(math.isnan(gain) for gain, _ in cuts):
+            gain, threshold = max(cuts, key=lambda cut: cut[0])  # the first of equals
+            if gain > best_gain:
+                best_gain, best = gain, (j, threshold)
+    return best
+
+
+def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
+    """What ``calibrate._grow_trees`` returns, grown one node at a time."""
+    X, y = X.tolist(), y.tolist()
+    forest = {"feature": [], "left": [], "tree_sizes": [], "value": []}
+    for sample in samples.tolist():
+        base, queue = len(forest["value"]), [(sample, 0)]
+        for rows, depth in queue:  # breadth-first: the queue is the layout
+            targets = [y[i] for i in rows]
+            j, threshold = -1, 0.0
+            if len(rows) >= 2 * min_leaf and depth != max_depth and len(set(targets)) > 1:
+                j, threshold = _best_cut(X, y, rows, min_leaf)
+            forest["feature"].append(j)
+            if j < 0:
+                forest["left"].append(-1)
+                forest["value"].append(_sums(targets)[0] / len(rows))
+                continue
+            forest["left"].append(base + len(queue))
+            forest["value"].append(threshold)
+            queue.append(([i for i in rows if X[i][j] <= threshold], depth + 1))
+            queue.append(([i for i in rows if not X[i][j] <= threshold], depth + 1))
+        forest["tree_sizes"].append(len(queue))
+    return {key: np.array(values) for key, values in forest.items()}
+
+
+def _assert_growers_agree(spec: ModelSpec, data: Dataset) -> None:
+    grown = calibrate.fit(spec, data).params
+    with mock.patch.object(calibrate, "_grow_trees", grow_reference):
+        reference = calibrate.fit(spec, data).params
+    assert grown.keys() == reference.keys()
+    for key in grown:
+        assert np.array_equal(grown[key], reference[key]), key
+
+
+def _dataset(X, y) -> Dataset:
+    X = np.asarray(X, dtype=float)
+    names = tuple(f"x{j}" for j in range(X.shape[1]))
+    return Dataset(X, np.asarray(y, dtype=float), FeatureMode.ALL_TX, names)
+
+
+CELLS = {
+    "integer": st.integers(-3, 3).map(float),  # few values: many ties
+    "continuous": st.floats(-1e3, 1e3, allow_subnormal=False),
+}
+TARGETS = st.one_of(
+    st.floats(-50.0, 50.0, allow_subnormal=False),
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 7.0]),  # repeated targets: equal gains
+)
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    n = draw(st.integers(1, 24))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3))
+    X = [[draw(CELLS[kind]) for kind in kinds] for _ in range(n)]
+    if draw(st.booleans()):
+        y = [draw(TARGETS)] * n  # constant targets
+    else:
+        y = draw(st.lists(TARGETS, min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):  # duplicated rows
+        X.append(X[i])
+        y.append(y[i])
+    return _dataset(X, y)
+
+
+SPECS = st.builds(
+    ModelSpec,
+    kind=st.just(ModelKind.RANDOM_FOREST),
+    n_trees=st.integers(1, 7),  # across a batch boundary
+    max_depth=st.one_of(st.none(), st.integers(1, 6)),
+    min_leaf=st.integers(1, 4),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+
+
+@given(data=datasets(), spec=SPECS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_vectorized_grower_matches_the_reference(data, spec):
+    _assert_growers_agree(spec, data)
+
+
+def test_gains_holding_nan_cut_nothing():
+    # Squares of 1e200 overflow, so every gain is inf - inf: no cut anywhere.
+    data = _dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1e200, 0.0, 1e200])
+    spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=1, min_leaf=1, bootstrap=False)
+    with np.errstate(over="ignore"):
+        _assert_growers_agree(spec, data)
+        assert calibrate.fit(spec, data).params["feature"].tolist() == [-1]
+
+
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_stock_forests_match_the_reference(mode):
+    dataset = calibrate.assemble(campaign.run_campaign(campaign.CampaignConfig()), mode)
+    train, _ = calibrate.split(dataset, 0.8, seed=0)
+    _assert_growers_agree(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5), train)

@@ -1,11 +1,15 @@
 """Golden outputs of the stock random forest and of the config file.
 
-The forest hashes and the table below were computed with the recursive,
-one-node-at-a-time grower that the array-backed forest replaced. A forest
-rewrite that changes any split, threshold, leaf value or the order of a
-float summation moves at least one of them. They also rest on NumPy's
-pairwise ``np.sum`` and the C library's ``pow``: a platform where either
-rounds differently fails here with unchanged code.
+The all-TX forest pins (its prediction hash, its table row and its model
+file hash) were computed with the presorted run-length grower and, with
+the same values, with the per-node reference grower of
+``test_forest_reference.py``. The median-TX prediction hash dates from the
+recursive grower that the array-backed forest replaced and still holds. A
+forest rewrite that changes any split, threshold, leaf value or the order
+of a float summation moves at least one of them. The forest pins rest on
+sequential sums only (``np.bincount``, ``np.cumsum``), not on NumPy's
+pairwise ``np.sum`` or the C library's ``pow``; the linear and polynomial
+rows of the table rest on LAPACK.
 
 The config hashes were computed with the hand-listed ``config_to_dict``
 that ``dataclasses.asdict`` replaced; they pin the file's key order and
@@ -34,7 +38,7 @@ from smol import calibrate, campaign, cli
 from smol.calibrate import FeatureMode, ModelKind, ModelSpec
 
 GOLDEN_PREDICTIONS = {
-    FeatureMode.ALL_TX: "59e85877f4069ae9f18bb3590262bf1b68e65b5b1ce1ed2f8a2831eb50b3921b",
+    FeatureMode.ALL_TX: "a2d83f732a7e900485a9ed5572a77b851061e9a1625f000c9647508a8ce0aafb",
     FeatureMode.MEDIAN_TX: "2e075f4f0c61bc4d6ff2bd30c89474f5c1a9bd8a605bf6d17a3befe8e63b5446",
 }
 
@@ -54,13 +58,13 @@ GOLDEN_LOG_SHA256 = {
 
 # Model files of `smol train` on the stock log, default flags otherwise.
 GOLDEN_MODEL_SHA256 = {
-    ("random_forest", "all_tx"): "4ce24be2a1b5751c8e09894f9c067f2647961e805f1ae3aedef9e42b84da7631",
+    ("random_forest", "all_tx"): "709df9fa4c411bc687e00a9d0c1f92828b7cca253dd381e04c5504b46e3c0b61",
     ("polynomial", "median_tx"): "faf572402cd957fd9e98c05a02a9e98a3f295fb2731e3d59857e6727f1d8c8dc",
 }
 
 GOLDEN_TABLE_CSV = (
     'model,mode,r_squared,mae,best\n'
-    'random_forest,all_tx,0.9495426078139733,1.9839196534536527,1\n'
+    'random_forest,all_tx,0.9495755321974654,1.983422763124265,1\n'
     'polynomial,all_tx,0.9333470943924006,2.4495606389054236,0\n'
     'linear,all_tx,0.9298107198264521,2.545015342178257,0\n'
     'random_forest,median_tx,0.8707105477000806,2.3639046897275753,0\n'
