@@ -273,14 +273,15 @@ class TestForest:
     def test_forest_layout_does_not_depend_on_the_batch_size(self, monkeypatch):
         # Child indices count across the whole forest, so each batch's are
         # shifted by the nodes grown before it; one batch of all 7 trees
-        # needs no shift.
+        # needs no shift. Budgets of 1, 5 and 7 trees of 60 rows: one tree
+        # per batch, two batches of 5 and 2, one batch.
         rng = np.random.default_rng(12)
         X = rng.integers(-90, -30, (60, 2)).astype(float)
         ds = _dataset(X, -0.5 * X[:, 0] + rng.normal(0, 1, 60))
         spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=7, max_depth=4, seed=4)
         forests = []
-        for per_batch in (1, 5, spec.n_trees):
-            monkeypatch.setattr(calibrate, "_TREES_PER_BATCH", per_batch)
+        for budget in (1, 5 * 60, spec.n_trees * 60):
+            monkeypatch.setattr(calibrate, "_BATCH_ROWS", budget)
             forests.append(fit(spec, ds).params)
         for forest in forests[1:]:
             assert forest.keys() == forests[0].keys()

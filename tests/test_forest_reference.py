@@ -124,7 +124,7 @@ def datasets(draw) -> Dataset:
 SPECS = st.builds(
     ModelSpec,
     kind=st.just(ModelKind.RANDOM_FOREST),
-    n_trees=st.integers(1, 7),  # across a batch boundary
+    n_trees=st.integers(1, 7),
     max_depth=st.one_of(st.none(), st.integers(1, 6)),
     min_leaf=st.integers(1, 4),
     bootstrap=st.booleans(),
@@ -136,6 +136,22 @@ SPECS = st.builds(
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_vectorized_grower_matches_the_reference(data, spec):
     _assert_growers_agree(spec, data)
+
+
+@given(data=datasets(), spec=SPECS, draw=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_batch_size_does_not_change_the_forest(data, spec, draw):
+    # From one tree per batch (also when a tree's rows exceed the budget)
+    # to all trees in one batch.
+    budget = draw.draw(st.integers(1, spec.n_trees * len(data) + 1), label="budget")
+    with mock.patch.object(calibrate, "_BATCH_ROWS", 1):
+        reference = calibrate.fit(spec, data).params
+    with mock.patch.object(calibrate, "_BATCH_ROWS", budget):
+        batched = calibrate.fit(spec, data).params
+    assert batched.keys() == reference.keys()
+    for key in batched:
+        assert batched[key].dtype == reference[key].dtype, key
+        assert np.array_equal(batched[key], reference[key]), key
 
 
 def test_gains_holding_nan_cut_nothing():
@@ -152,3 +168,34 @@ def test_stock_forests_match_the_reference(mode):
     dataset = calibrate.assemble(campaign.run_campaign(campaign.CampaignConfig()), mode)
     train, _ = calibrate.split(dataset, 0.8, seed=0)
     _assert_growers_agree(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5), train)
+
+
+def test_stock_forests_grow_in_batches_that_fit_the_budget():
+    # Each node of a level holds a row, so a batch within the budget has at
+    # most _BATCH_ROWS nodes per level. For two features the regroup's keys
+    # are at most 3 times that, at any min_leaf, so they fit the uint16 keys
+    # of its radix sort.
+    assert 3 * calibrate._BATCH_ROWS < 2**16
+    log = campaign.run_campaign(campaign.CampaignConfig())
+    spec = ModelSpec(ModelKind.RANDOM_FOREST)
+    grow_trees = calibrate._grow_trees
+    for mode in FeatureMode:
+        train, _ = calibrate.split(calibrate.assemble(log, mode), 0.8, seed=0)
+        batches = []
+
+        def grow(X, y, samples, *rest):
+            batches.append(samples.shape)
+            return grow_trees(X, y, samples, *rest)
+
+        with mock.patch.object(calibrate, "_grow_trees", grow):
+            calibrate.fit(spec, train)
+        per_batch = calibrate._BATCH_ROWS // len(train)
+        expected = {
+            FeatureMode.ALL_TX: math.ceil(spec.n_trees / per_batch),
+            FeatureMode.MEDIAN_TX: 1,  # the whole forest at once
+        }
+        assert len(batches) == expected[mode], mode
+        assert sum(trees for trees, _ in batches) == spec.n_trees
+        for trees, rows in batches:
+            assert rows == len(train)
+            assert trees * rows <= calibrate._BATCH_ROWS or trees == 1
