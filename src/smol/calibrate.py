@@ -409,11 +409,13 @@ def _grow_trees(
     by_value = np.argsort(x.reshape(n_features, n_trees, n), axis=2, kind="stable")
     order = (by_value + n * np.arange(n_trees)[:, None]).reshape(n_features, n_rows)
     # Nodes of all trees are numbered level by level, each level ordered by
-    # tree and then by parent, so each tree's nodes keep their order.
-    feature = np.full(2 * n_rows, -1)
-    left = np.full(2 * n_rows, -1)
-    value = np.zeros(2 * n_rows)
-    tree = np.zeros(2 * n_rows, dtype=np.intp)
+    # tree and then by parent, so each tree's nodes keep their order. Every
+    # leaf holds min_leaf rows or more, which bounds a tree's node count.
+    n_nodes = n_trees * (2 * max(1, n // min_leaf) - 1)
+    feature = np.full(n_nodes, -1)
+    left = np.full(n_nodes, -1)
+    value = np.zeros(n_nodes)
+    tree = np.zeros(n_nodes, dtype=np.intp)
     tree[:n_trees] = np.arange(n_trees)
     rows = np.arange(n_rows)  # rows of the level's nodes, in sample order
     node = rows // n  # each row's node, numbered within the level

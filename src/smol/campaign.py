@@ -6,10 +6,8 @@ log the delivered packets. The log is one MeasurementLog, built once
 from every sweep's columns. Everything derives from the campaign seed,
 so identical configs produce byte-identical logs.
 
-Log schema (CSV, one row per received packet):
-
-    timestamp,device_id,tx_power_dbm,rssi_dbm,height_cm,depth_cm,scenario,vwc_truth_pct
-
+The log file is a CSV with one row per received packet and one column
+per MeasurementLog field, headed and parsed as ``_LOG_COLUMNS`` says.
 vwc_truth_pct is empty when the campaign ran in inference mode; an empty
 cell is the only way to omit it.
 """
@@ -52,18 +50,6 @@ from .sweepproto import (
 
 CONFIG_FILE_FORMAT = "smol-campaign"
 CONFIG_FILE_VERSION = 1
-
-CSV_COLUMNS = (
-    "timestamp",
-    "device_id",
-    "tx_power_dbm",
-    "rssi_dbm",
-    "height_cm",
-    "depth_cm",
-    "scenario",
-    "vwc_truth_pct",
-)
-
 
 class ConfigError(ValueError):
     """A campaign configuration that cannot be run."""
@@ -346,39 +332,48 @@ def _plain(parse):
     return strict
 
 
-# How read_measurements parses each cell of a row, in CSV_COLUMNS order.
-_CELL_PARSERS = (
-    *map(_plain, (float, int, int, float, float, float)), str, _plain(_pct_str_to_fraction),
-)
+# The log file's columns, in file order: each MeasurementLog field's CSV
+# header and cell parser.
+_LOG_COLUMNS = {
+    "timestamp": ("timestamp", _plain(float)),
+    "device_id": ("device_id", _plain(int)),
+    "tx_power": ("tx_power_dbm", _plain(int)),
+    "rssi": ("rssi_dbm", _plain(float)),
+    "height_cm": ("height_cm", _plain(float)),
+    "depth_cm": ("depth_cm", _plain(float)),
+    "scenario": ("scenario", str),
+    "vwc_truth": ("vwc_truth_pct", _plain(_pct_str_to_fraction)),
+}
+CSV_COLUMNS = tuple(header for header, _ in _LOG_COLUMNS.values())
 
 
-def log_rows(log: MeasurementLog, *extra: np.ndarray) -> Iterator[tuple]:
-    """The log's CSV rows in CSV_COLUMNS order, each followed by its entry
-    in every ``extra`` column.
+def _log_rows(log: MeasurementLog, *extra: np.ndarray) -> Iterator[tuple]:
+    """The log's CSV rows, each followed by its entry in every ``extra`` column.
 
     Floats keep full precision (``csv`` writes them with ``repr``); the
     truth percent is formatted once per distinct reading.
     """
     readings, reading_of_row = np.unique(log.vwc_truth, return_inverse=True)
     truth_cells = np.array([_fraction_to_pct_str(v) for v in readings.tolist()], dtype=object)
-    columns = [
-        log.timestamp, log.device_id, log.tx_power, log.rssi, log.height_cm, log.depth_cm,
-        log.scenario, truth_cells[reading_of_row], *map(np.asarray, extra),
-    ]
+    cells = {name: getattr(log, name) for name in _LOG_COLUMNS}
+    cells["vwc_truth"] = truth_cells[reading_of_row]
+    columns = [*cells.values(), *map(np.asarray, extra)]
     for start in range(0, len(log), _ROWS_PER_CHUNK):
         yield from zip(*(c[start : start + _ROWS_PER_CHUNK].tolist() for c in columns))
 
 
-def write_measurements(path: str | Path, log: MeasurementLog) -> None:
+def write_measurements(path: str | Path, log: MeasurementLog, **extra: np.ndarray) -> None:
+    """Write the log, then each ``extra`` column, headed by its keyword."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(log_rows(log))
+        writer.writerow(CSV_COLUMNS + tuple(extra))
+        writer.writerows(_log_rows(log, *extra.values()))
 
 
 def read_measurements(path: str | Path) -> MeasurementLog:
     """The log at ``path``; the first bad row raises ValueError as ``path:line: why``."""
     rows, lines, unreadable = [], [], None
+    parsers = [parse for _, parse in _LOG_COLUMNS.values()]
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -388,15 +383,15 @@ def read_measurements(path: str | Path) -> MeasurementLog:
             for row in reader:
                 if len(row) != len(CSV_COLUMNS):
                     raise ValueError(f"{len(row)} columns, want {len(CSV_COLUMNS)}")
-                rows.append([parse(cell) for parse, cell in zip(_CELL_PARSERS, row)])
+                rows.append([parse(cell) for parse, cell in zip(parsers, row)])
                 lines.append(reader.line_num)
         except (ValueError, csv.Error) as err:
             unreadable = ValueError(f"{path}:{reader.line_num}: {err}")
     # The rows read before an unreadable one are checked first, so the
     # error names the first bad row of either kind.
-    columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+    columns = list(zip(*rows)) or [()] * len(_LOG_COLUMNS)
     try:
-        log = MeasurementLog(*columns)
+        log = MeasurementLog(**dict(zip(_LOG_COLUMNS, columns)))
     except LogRowError as err:
         raise ValueError(f"{path}:{lines[err.row]}: {err}") from None
     if unreadable is not None:
@@ -409,7 +404,7 @@ def read_measurements(path: str | Path) -> MeasurementLog:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Mean RSSI of the median power for one (scenario, height, vwc) cell."""
+    """Mean RSSI of the median power for one (scenario, height, logged reading)."""
 
     scenario: str
     height_cm: float

@@ -21,12 +21,19 @@ from .calibrate import (
     ModelSpec,
     SingularSystemError,
 )
-from .campaign import CampaignConfig, ConfigError
+from .campaign import CampaignConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+# train's hyperparameter flags (by argparse dest) and the ModelSpec field
+# each sets; a flag's default is that field's.
+_SPEC_FLAGS = {
+    "poly_degree": "poly_degree", "ridge_lambda": "ridge_lambda", "trees": "n_trees",
+    "max_depth": "max_depth", "min_leaf": "min_leaf", "model_seed": "seed",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,12 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="model file to write")
     train.add_argument("--split-seed", type=int, default=0)
     train.add_argument("--train-fraction", type=float, default=0.8)
-    train.add_argument("--poly-degree", type=int, default=2)
-    train.add_argument("--ridge-lambda", type=float, default=1.0)
-    train.add_argument("--trees", type=int, default=100)
-    train.add_argument("--max-depth", type=int, default=10)
-    train.add_argument("--min-leaf", type=int, default=2)
-    train.add_argument("--model-seed", type=int, default=0)
+    for dest, field in _SPEC_FLAGS.items():
+        default = getattr(ModelSpec, field)
+        train.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=default)
     train.set_defaults(func=_cmd_train)
 
     pred = sub.add_parser("predict", help="apply a trained model to a log")
@@ -120,15 +124,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(
-        kind=ModelKind(args.model),
-        poly_degree=args.poly_degree,
-        ridge_lambda=args.ridge_lambda,
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        min_leaf=args.min_leaf,
-        seed=args.model_seed,
-    )
+    values = {field: getattr(args, dest) for dest, field in _SPEC_FLAGS.items()}
+    return ModelSpec(ModelKind(args.model), **values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -156,10 +153,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         log, model.feature_mode, model.median_tx_power
     )
     predictions = model.predict_many(features)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(campaign.CSV_COLUMNS) + ["vwc_pred_pct"])
-        writer.writerows(campaign.log_rows(rows, predictions))
+    campaign.write_measurements(args.out, rows, vwc_pred_pct=predictions)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return EXIT_OK
 
@@ -217,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # ConfigError too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from smol import calibrate
 from smol.calibrate import (
+    DEFAULT_COMPARISON_SPECS,
     CompareRow,
     Dataset,
     FeatureMode,
@@ -29,6 +30,7 @@ from smol.calibrate import (
     save_model,
     split,
 )
+from smol.campaign import CampaignConfig, run_campaign
 from smol.sweepproto import MeasurementLog
 
 
@@ -100,6 +102,20 @@ class TestAssemble:
             _log([-50.0, float("nan")], [7, 8], [0.05, 0.05])
         with pytest.raises(ValueError, match="finite"):
             _dataset([[float("nan"), 8.0]], [5.0])
+
+
+class TestDataset:
+    @pytest.mark.parametrize(
+        "features, targets, names, why",
+        [
+            (np.zeros(3), np.zeros(3), ("x0",), "2-D"),
+            (np.zeros((3, 1)), np.zeros(2), ("x0",), "row counts differ"),
+            (np.zeros((3, 2)), np.zeros(3), ("x0",), "name count"),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, features, targets, names, why):
+        with pytest.raises(ValueError, match=why):
+            Dataset(features, targets, FeatureMode.ALL_TX, names)
 
 
 class TestSplit:
@@ -372,6 +388,11 @@ class TestMetrics:
         assert ev.r_squared is None
         assert ev.mae == pytest.approx(1.0)
 
+    def test_evaluate_rejects_an_empty_test_set(self):
+        model = fit(ModelSpec(ModelKind.LINEAR), _dataset([[1.0], [2.0], [3.0]], [1.0, 2.0, 4.0]))
+        with pytest.raises(ValueError, match="empty test set"):
+            evaluate(model, _dataset(np.empty((0, 1)), np.empty(0)))
+
     @given(
         shift=st.floats(-1e3, 1e3),
         values=st.lists(st.floats(-100, 100), min_size=1, max_size=30),
@@ -467,6 +488,22 @@ class TestCompare:
         by_mode = {r.mode: r for r in rows}
         assert by_mode[FeatureMode.ALL_TX].error is None
         assert by_mode[FeatureMode.MEDIAN_TX].error is not None
+
+    def test_failing_fit_becomes_error_row(self):
+        # One power level makes tx_power a constant column, so the all-TX
+        # linear and polynomial designs lose rank; the other fits score.
+        log = run_campaign(CampaignConfig(power_levels=(13,)))
+        modes = [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX]
+        rows = compare(DEFAULT_COMPARISON_SPECS, log, modes)
+        errors = {(r.kind, r.mode): r.error for r in rows}
+        assert errors.pop((ModelKind.LINEAR, FeatureMode.ALL_TX)) == (
+            "design matrix rank 2 < 3 columns"
+        )
+        assert errors.pop((ModelKind.POLYNOMIAL, FeatureMode.ALL_TX)) == (
+            "design matrix rank 3 < 6 columns"
+        )
+        assert len(errors) == 4 and set(errors.values()) == {None}
+        assert all(r.r_squared is not None for r in rows if r.error is None)
 
     @pytest.mark.parametrize(
         "fraction, seed, field", [(1.5, 0, "train_fraction"), (0.8, -1, "split_seed")]

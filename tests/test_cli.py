@@ -100,10 +100,11 @@ BAD_CONFIGS = {
     "number for a scenario label": _edit(lambda d: d["scenarios"][0].update(label=7)),
     "tdr_error_bound above one": _edit(lambda d: d.update(tdr_error_bound=1e308)),
     "negative seed": _edit(lambda d: d.update(seed=-1)),
+    "drop_prob above one": _edit(lambda d: d.update(drop_prob=1.5)),
 }
 
 # The field a case's error line must name, where the value itself is bad.
-NAMED_FIELDS = {"negative seed": "seed"}
+NAMED_FIELDS = {"negative seed": "seed", "drop_prob above one": "drop_prob"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -127,7 +128,7 @@ FLAG_FIELDS = {
     "flags",
     [
         ["--noise-sigma", "nan"], ["--epoch", "inf"], ["--drop-prob", "nan"], ["--seed", "-1"],
-        ["--noise-sigma", "-1"],
+        ["--noise-sigma", "-1"], ["--drop-prob", "1.5"],
     ],
 )
 def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):

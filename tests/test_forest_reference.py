@@ -81,13 +81,15 @@ def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
     return {key: np.array(values) for key, values in forest.items()}
 
 
-def _assert_growers_agree(spec: ModelSpec, data: Dataset) -> None:
+def _assert_growers_agree(spec: ModelSpec, data: Dataset) -> dict[str, np.ndarray]:
+    """The grown forest, once it matches the reference's."""
     grown = calibrate.fit(spec, data).params
     with mock.patch.object(calibrate, "_grow_trees", grow_reference):
         reference = calibrate.fit(spec, data).params
     assert grown.keys() == reference.keys()
     for key in grown:
         assert np.array_equal(grown[key], reference[key]), key
+    return grown
 
 
 def _dataset(X, y) -> Dataset:
@@ -135,7 +137,9 @@ SPECS = st.builds(
 @given(data=datasets(), spec=SPECS)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_vectorized_grower_matches_the_reference(data, spec):
-    _assert_growers_agree(spec, data)
+    sizes = _assert_growers_agree(spec, data)["tree_sizes"]
+    # Every leaf holds min_leaf rows or more; _grow_trees sizes its arrays by this.
+    assert (sizes <= 2 * max(1, len(data) // spec.min_leaf) - 1).all()
 
 
 @given(data=datasets(), spec=SPECS, draw=st.data())

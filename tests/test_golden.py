@@ -27,6 +27,12 @@ with the simulator that built a SeedSequence per sweep. Its seed is two
 32-bit words, so the spawned noise and drop streams hash more entropy
 words than the 4-word pool holds; the campaign that derives every sweep's
 streams at once must write the same bytes.
+
+The predictions file and curve file hashes were computed with the
+hand-kept CSV column tuple and positional cell parsers that the log's
+column table replaced, and with the predictions writer that `smol predict`
+kept for itself. The predictions pin rests on the stream pins, sequential
+forest sums and Python's float ``repr``.
 """
 
 import hashlib
@@ -60,6 +66,16 @@ GOLDEN_LOG_SHA256 = {
 GOLDEN_MODEL_SHA256 = {
     ("random_forest", "all_tx"): "709df9fa4c411bc687e00a9d0c1f92828b7cca253dd381e04c5504b46e3c0b61",
     ("polynomial", "median_tx"): "faf572402cd957fd9e98c05a02a9e98a3f295fb2731e3d59857e6727f1d8c8dc",
+}
+
+# `smol predict` with the stock all-TX forest on `simulate --inference --seed 11`.
+GOLDEN_PREDICTIONS_CSV_SHA256 = "bdd1131506c0ea40d221abb630f5b6113e2d70cb76139fd3a3f157b8a0d2d00b"
+
+# The curve files of `smol report` on the stock log.
+GOLDEN_CURVE_SHA256 = {
+    "curve_lab_h000_h0cm.csv": "43c6195031d05fd74f897d3162482eda73bc56a46caed5c63a0618439f9f8049",
+    "curve_lab_h195_h195cm.csv": "d1e2ca884fc91118814546abfdfcf61647cff1739e9067c3b2f553e2536b2cd0",
+    "curve_lab_h265_h265cm.csv": "2fbe9b5315c72f48514ad79a56f5376cb9435f442251f57f34e2c73c75d6188f",
 }
 
 GOLDEN_TABLE_CSV = (
@@ -103,6 +119,28 @@ def test_stock_report_table_is_pinned(tmp_path):
     assert cli.main(["simulate", "--out", str(log)]) == cli.EXIT_OK
     assert cli.main(["report", "--log", str(log), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
     assert (tmp_path / "table.csv").read_text() == GOLDEN_TABLE_CSV
+
+
+def test_stock_report_curves_are_pinned(tmp_path):
+    log = tmp_path / "campaign.csv"
+    assert cli.main(["simulate", "--out", str(log)]) == cli.EXIT_OK
+    report = tmp_path / "report"
+    assert cli.main(["report", "--log", str(log), "--out-dir", str(report)]) == cli.EXIT_OK
+    curves = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in report.glob("curve_*")}
+    assert curves == GOLDEN_CURVE_SHA256
+
+
+def test_predictions_file_is_pinned(tmp_path):
+    log, model = tmp_path / "campaign.csv", tmp_path / "model.json"
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "predictions.csv"
+    for argv in (
+        ["simulate", "--out", log],
+        ["train", "--log", log, "--out", model],
+        ["simulate", "--inference", "--seed", "11", "--out", fresh],
+        ["predict", "--model", model, "--log", fresh, "--out", out],
+    ):
+        assert cli.main([str(a) for a in argv]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PREDICTIONS_CSV_SHA256
 
 
 @pytest.mark.parametrize("kind, mode", sorted(GOLDEN_MODEL_SHA256))

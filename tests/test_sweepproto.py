@@ -229,6 +229,11 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             _one_row_log(vwc_truth=1.2)
 
+    def test_rejects_columns_of_unequal_length(self):
+        columns = {**vars(_one_row_log()), "rssi": [-50.0, -51.0]}
+        with pytest.raises(ValueError, match="differ in length"):
+            MeasurementLog(**columns)
+
     def test_truth_is_optional(self):
         log = _one_row_log()
         assert math.isnan(log.vwc_truth[0])
