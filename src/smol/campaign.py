@@ -15,6 +15,7 @@ cell is the only way to omit it.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -298,8 +299,8 @@ def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
 # ---------------------------------------------------------------------------
 # CSV persistence
 
-# Rows are formatted this many at a time: Python objects for every cell of
-# a large log at once would take several times the memory of its columns.
+# Rows are joined this many at a time: Python objects for every cell of a
+# large log at once would take several times the memory of its columns.
 _ROWS_PER_CHUNK = 4096
 
 
@@ -347,33 +348,53 @@ _LOG_COLUMNS = {
 CSV_COLUMNS = tuple(header for header, _ in _LOG_COLUMNS.values())
 
 
-def _log_rows(log: MeasurementLog, *extra: np.ndarray) -> Iterator[tuple]:
-    """The log's CSV rows, each followed by its entry in every ``extra`` column.
+class _Echo:
+    """A file whose ``write`` returns its text, so that a ``csv.writer`` over
+    it returns each row's CSV line instead of writing it."""
 
-    Floats keep full precision (``csv`` writes them with ``repr``); the
-    truth percent is formatted once per distinct reading.
+    def write(self, text: str) -> str:
+        return text
+
+
+def _cell_texts(values: np.ndarray, show=None) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV text of each distinct value of a column, and each row's index into them.
+
+    Each distinct value is formatted once, by ``csv`` itself (floats by
+    ``repr``, so at full precision), after ``show`` if one is given. Floats
+    are told apart by their bits, so ``-0.0`` is not written as ``0.0``.
     """
-    readings, reading_of_row = np.unique(log.vwc_truth, return_inverse=True)
-    truth_cells = np.array([_fraction_to_pct_str(v) for v in readings.tolist()], dtype=object)
-    cells = {name: getattr(log, name) for name in _LOG_COLUMNS}
-    cells["vwc_truth"] = truth_cells[reading_of_row]
-    columns = [*cells.values(), *map(np.asarray, extra)]
-    for start in range(0, len(log), _ROWS_PER_CHUNK):
-        yield from zip(*(c[start : start + _ROWS_PER_CHUNK].tolist() for c in columns))
+    keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
+    _, first, text_of_row = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = values[first].tolist()
+    if show is not None:
+        distinct = map(show, distinct)
+    line = csv.writer(_Echo()).writerow
+    # Each value goes first in a two-cell row: csv quotes a row's lone empty cell.
+    texts = [line((value, ""))[: -len(",\r\n")] for value in distinct]
+    return np.array(texts, dtype=object), text_of_row
 
 
 def write_measurements(path: str | Path, log: MeasurementLog, **extra: np.ndarray) -> None:
     """Write the log, then each ``extra`` column, headed by its keyword."""
+    columns = [
+        _cell_texts(getattr(log, name), _fraction_to_pct_str if name == "vwc_truth" else None)
+        for name in _LOG_COLUMNS
+    ]
+    columns += [_cell_texts(np.asarray(column)) for column in extra.values()]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS + tuple(extra))
-        writer.writerows(_log_rows(log, *extra.values()))
+        csv.writer(handle).writerow(CSV_COLUMNS + tuple(extra))
+        for start in range(0, len(log), _ROWS_PER_CHUNK):
+            stop = start + _ROWS_PER_CHUNK
+            chunk = [texts[rows[start:stop]].tolist() for texts, rows in columns]
+            handle.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
 
 
 def read_measurements(path: str | Path) -> MeasurementLog:
     """The log at ``path``; the first bad row raises ValueError as ``path:line: why``."""
     rows, lines, unreadable = [], [], None
-    parsers = [parse for _, parse in _LOG_COLUMNS.values()]
+    # Each distinct cell text of a column is parsed once per file; a parse
+    # that raises is not cached.
+    parsers = [functools.cache(parse) for _, parse in _LOG_COLUMNS.values()]
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

@@ -1,7 +1,14 @@
+import csv
+import math
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smol import campaign, soilchan, sweepproto
 from smol.campaign import (
@@ -18,7 +25,7 @@ from smol.campaign import (
     save_config,
     write_measurements,
 )
-from smol.sweepproto import MeasurementLog
+from smol.sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog
 
 TEN_STEP_GRID = tuple(round(0.04 * i, 2) for i in range(1, 11))
 
@@ -221,6 +228,89 @@ class TestCsvRoundTrip:
         path.write_text("time,rssi\n1,2\n")
         with pytest.raises(ValueError):
             read_measurements(path)
+
+    def test_round_trip_keeps_negative_zero(self, tmp_path):
+        zeros = [0.0, -0.0, -0.0, 0.0]
+        log = MeasurementLog(
+            [0.0] * 4, [1] * 4, [5] * 4, zeros, zeros, [15.0] * 4, ["a"] * 4, zeros
+        )
+        path = tmp_path / "log.csv"
+        write_measurements(path, log)
+        back = read_measurements(path)
+        for name in ("rssi", "height_cm", "vwc_truth"):
+            assert np.signbit(getattr(back, name)).tolist() == np.signbit(zeros).tolist(), name
+
+
+def reference_log_bytes(log: MeasurementLog, **extra) -> bytes:
+    """What ``write_measurements`` writes, formatted row by row by ``csv.writer``."""
+    cells = {name: getattr(log, name).tolist() for name in campaign._LOG_COLUMNS}
+    cells["vwc_truth"] = [campaign._fraction_to_pct_str(v) for v in cells["vwc_truth"]]
+    columns = [*cells.values(), *(np.asarray(column).tolist() for column in extra.values())]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "reference.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(CSV_COLUMNS + tuple(extra))
+            writer.writerows(zip(*columns))
+        return path.read_bytes()
+
+
+def written_log_bytes(log: MeasurementLog, **extra) -> bytes:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "log.csv"
+        write_measurements(path, log, **extra)
+        return path.read_bytes()
+
+
+HOSTILE_LABELS = ["a,b", 'q"x', "two\nlines", "car\rriage", " lead", "", '""', "plain"]
+HOSTILE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1.7976931348623157e308, -1e300]
+# A row's cells, drawn within the log's rules. Labels avoid NUL, which csv
+# handles only since Python 3.11 (bpo-27580).
+ROWS = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 0xFFFF),
+    st.integers(TX_POWER_MIN_DBM, TX_POWER_MAX_DBM),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1e300) | st.just(-0.0),
+    st.floats(0.0, 1e300) | st.just(-0.0),
+    st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=4)
+    | st.sampled_from(HOSTILE_LABELS),
+    st.floats(0.0, 1.0) | st.sampled_from([-0.0, math.nan]),
+    st.floats(),
+)
+
+
+class TestCsvWriter:
+    def test_hostile_cells_match_the_csv_module(self):
+        n = campaign._ROWS_PER_CHUNK + 37  # across a chunk boundary
+
+        def cycle(values):
+            return [values[i % len(values)] for i in range(n)]
+
+        log = MeasurementLog(
+            timestamp=cycle([0.0, -0.0, 1e-320, 1e308, 0.1]),
+            device_id=cycle([0, 1, 0xFFFF]),
+            tx_power=cycle([TX_POWER_MIN_DBM, 13, TX_POWER_MAX_DBM]),
+            rssi=cycle(HOSTILE_FLOATS),
+            height_cm=cycle([-0.0, 0.0, 5e-324, 1e300]),
+            depth_cm=cycle([15.0, 0.0, -0.0]),
+            scenario=cycle(HOSTILE_LABELS),
+            vwc_truth=cycle([0.0, -0.0, 0.1, math.nan, 1.0, 5e-324]),
+        )
+        extra = np.array(cycle([-0.0, math.inf, math.nan, 0.0, -math.inf, 2.5e-310]))
+        written = written_log_bytes(log, vwc_pred_pct=extra)
+        assert written == reference_log_bytes(log, vwc_pred_pct=extra)
+        assert written.count(b"\r\n") > n
+
+    @given(rows=st.lists(ROWS, max_size=12))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_the_csv_module_on_drawn_logs(self, rows):
+        *columns, extra = list(zip(*rows)) or [[]] * 9
+        log, extra = MeasurementLog(*columns), np.array(extra, dtype=float)
+        # Chunks of three rows: every drawn log longer than three crosses a boundary.
+        with mock.patch.object(campaign, "_ROWS_PER_CHUNK", 3):
+            written = written_log_bytes(log, extra=extra)
+        assert written == reference_log_bytes(log, extra=extra)
 
 
 class TestCurves:
