@@ -5,13 +5,16 @@ or random-forest regressors, scores them with R^2 / MAE on a held-out
 split and renders comparison tables. The forest is grown here, by an exact
 split search over runs of equal feature values in a fixed summation order
 (see ``_grow_trees``), so every tree is bit-reproducible under a seed.
+A fitted model persists as one JSON file; a forest's three arrays go into
+it as base64 strings of little-endian bytes (see ``save_model``).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -22,7 +25,7 @@ import numpy as np
 from .sweepproto import MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 3
+MODEL_FILE_VERSION = 4
 
 # Trees x training rows per batch (at least one tree). A batch's trees share
 # each level's NumPy calls; past ten stock all-TX trees it is no faster, only
@@ -199,12 +202,8 @@ def feature_matrix(
 
 
 def assemble(log: MeasurementLog, mode: FeatureMode) -> Dataset:
-    """Build a training dataset from a ground-truthed log.
-
-    ALL_TX keeps every packet with features [rssi, tx_power]; MEDIAN_TX
-    keeps only packets sent at the median power of the plan the log was
-    swept with. Targets are VWC percent.
-    """
+    """A training dataset from a ground-truthed log: ``feature_matrix``, at
+    the median power of the log's plan in MEDIAN_TX; targets in VWC percent."""
     if len(log) == 0:
         raise ValueError("no measurements to assemble")
     log.require_ground_truth()
@@ -231,18 +230,10 @@ def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datase
     if n - n_train < 1 or n_train < 1:
         raise ValueError(f"{n} row(s) cannot leave both splits non-empty")
     perm = np.random.default_rng(seed).permutation(n)
-    train_idx, test_idx = perm[:n_train], perm[n_train:]
-
-    def take(idx: np.ndarray) -> Dataset:
-        return Dataset(
-            d.features[idx],
-            d.targets[idx],
-            d.feature_mode,
-            d.feature_names,
-            median_tx_power=d.median_tx_power,
-        )
-
-    return take(train_idx), take(test_idx)
+    return tuple(
+        replace(d, features=d.features[idx], targets=d.targets[idx])
+        for idx in (perm[:n_train], perm[n_train:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +376,8 @@ def _grow_trees(
     every tree, is searched at once. A node becomes a leaf at
     ``max_depth``, below ``2 * min_leaf`` rows, when its targets are all
     equal, or when no cut reduces the squared error. The batch comes back
-    in the forest layout (see ``_forest_outputs``), its child indices
-    counted from the batch's first node.
+    in the forest layout (see ``_forest_outputs``), which implies every
+    node's children, so none are stored.
 
     Each feature column is sorted once; each level only regroups the rows
     by node, stably, so a node's rows stay in value order, ties in sample
@@ -413,7 +404,6 @@ def _grow_trees(
     # leaf holds min_leaf rows or more, which bounds a tree's node count.
     n_nodes = n_trees * (2 * max(1, n // min_leaf) - 1)
     feature = np.full(n_nodes, -1)
-    left = np.full(n_nodes, -1)
     value = np.zeros(n_nodes)
     tree = np.zeros(n_nodes, dtype=np.intp)
     tree[:n_trees] = np.arange(n_trees)
@@ -453,7 +443,6 @@ def _grow_trees(
         children = first + width + 2 * rank[splits]
         feature[parents] = split_feature[splits]
         value[parents] = split_threshold[splits]
-        left[parents] = children
         tree[children] = tree[children + 1] = tree[parents]
 
         inside = splits[node]
@@ -465,32 +454,39 @@ def _grow_trees(
     # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
     tree = tree[:first]
     by_tree = np.argsort(tree, kind="stable")
-    moved_to = np.empty(first, dtype=np.intp)
-    moved_to[by_tree] = np.arange(first)
-    left = left[by_tree]
     return {
         "feature": feature[by_tree],
-        "left": np.where(left >= 0, moved_to[left], -1),
         "tree_sizes": np.bincount(tree, minlength=n_trees),
         "value": value[by_tree],
     }
 
 
+def _left_children(feature: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each node's left child, counted across the forest; it means something
+    at split nodes only. The j-th split node of a tree, in node order, has
+    its children at 2j + 1 and 2j + 2 within the tree."""
+    start = np.cumsum(sizes) - sizes
+    split = feature >= 0
+    before = np.cumsum(split) - split  # split nodes before each node
+    return np.repeat(start, sizes) + 2 * (before - np.repeat(before[start], sizes)) + 1
+
+
 def _forest_outputs(forest: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     """Every tree's prediction for every row, as a C-ordered (rows, trees) array.
 
-    A forest is four flat arrays: ``tree_sizes`` counts each tree's nodes,
-    which follow tree after tree, each tree's level by level from its root.
-    A split node sends ``x[feature] <= value`` to node ``left`` (counted
-    across the forest) and the rest to ``left + 1``; a leaf has ``feature``
-    and ``left`` -1 and predicts ``value``. All rows descend through all
-    trees one level per step, leaves pointing to themselves, until no row
-    moves.
+    A forest is three flat arrays: ``tree_sizes`` counts each tree's nodes,
+    which follow tree after tree, each tree's level by level from its root,
+    children in the order of their parents and siblings adjacent. So the
+    layout implies the children (``_left_children``). A split node sends
+    ``x[feature] <= value`` to its left child and the rest to the right
+    one; a leaf has ``feature`` -1 and predicts ``value``. All rows descend
+    through all trees one level per step, leaves pointing to themselves,
+    until no row moves.
     """
     feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
     leaf = feature < 0
     index = np.arange(len(feature))
-    left = np.where(leaf, index, forest["left"])
+    left = np.where(leaf, index, _left_children(feature, sizes))
     right = np.where(leaf, index, left + 1)
     feature = np.where(leaf, 0, feature)
     at_row = np.arange(len(X))[:, None]
@@ -514,10 +510,6 @@ def _fit_forest(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> dict:
         _grow_trees(X, y, samples[b : b + per_batch], spec.max_depth, spec.min_leaf)
         for b in range(0, spec.n_trees, per_batch)
     ]
-    offset = 0
-    for batch in batches:  # child indices count across the whole forest
-        batch["left"][batch["left"] >= 0] += offset
-        offset += len(batch["value"])
     return {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
 
 
@@ -586,19 +578,29 @@ def evaluate(model: TrainedModel, test: Dataset) -> Evaluation:
 # ---------------------------------------------------------------------------
 # model persistence
 
+# A forest's arrays in the model file: base64 of little-endian bytes.
+_FOREST_DTYPES = dict(feature=np.dtype("<i4"), tree_sizes=np.dtype("<i4"), value=np.dtype("<f8"))
+
 _PARAM_KEYS = {
     ModelKind.LINEAR: ("beta",),
     ModelKind.RIDGE: ("beta",),
     ModelKind.POLYNOMIAL: ("beta", "powers"),
-    ModelKind.RANDOM_FOREST: ("feature", "left", "tree_sizes", "value"),
+    ModelKind.RANDOM_FOREST: tuple(_FOREST_DTYPES),
 }
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Write a self-describing JSON model file, one key per TrainedModel field
-    (from ``vars``: ``asdict`` would copy the arrays); load_model inverts it."""
+    (from ``vars``: ``asdict`` would copy the arrays); load_model inverts it.
+    A forest's arrays go in as base64 strings of their ``_FOREST_DTYPES``
+    bytes, the other models' few coefficients as JSON numbers."""
     payload = {"format": MODEL_FILE_FORMAT, "version": MODEL_FILE_VERSION, **vars(model)}
     payload["spec"] = asdict(model.spec)
+    if model.spec.kind == ModelKind.RANDOM_FOREST:
+        payload["params"] = {
+            key: base64.b64encode(model.params[key].astype(dtype).tobytes()).decode("ascii")
+            for key, dtype in _FOREST_DTYPES.items()
+        }
     text = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=lambda a: a.tolist()
     )
@@ -626,13 +628,11 @@ def _read_json(path: str | Path, error: type[ValueError] = ValueError):
         raise error(f"{path}: not readable as JSON ({err})") from None
 
 
-def _json_array(values, integer: bool, where: str) -> np.ndarray:
-    """A JSON list as a 1-D array of integers, or of finite floats."""
+def _json_numbers(values, where: str) -> np.ndarray:
+    """A JSON list as a 1-D array of finite floats."""
     arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in ("i" if integer else "if")):
-        raise ValueError(f"{where} is not a list of {'integers' if integer else 'numbers'}")
-    if integer:
-        return arr.astype(np.intp)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "if"):
+        raise ValueError(f"{where} is not a list of numbers")
     arr = arr.astype(float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{where} holds a non-finite value")
@@ -642,22 +642,32 @@ def _json_array(values, integer: bool, where: str) -> np.ndarray:
 def _forest_from_json(params: dict, n_trees: int, n_features: int) -> dict[str, np.ndarray]:
     """The forest's arrays, checked so that every row's descent through every
     tree stays in that tree and ends at one of its leaves."""
-    forest = {key: _json_array(params[key], key != "value", key) for key in params}
-    feature, left, sizes = forest["feature"], forest["left"], forest["tree_sizes"]
-    n = len(forest["value"])
-    if len(feature) != n or len(left) != n:
-        raise ValueError("feature, left and value differ in length")
-    # Python's sum: an int64 sum of huge sizes could wrap around to n.
-    if len(sizes) != n_trees or (sizes < 1).any() or sum(sizes.tolist()) != n:
+    forest = {}
+    for key, dtype in _FOREST_DTYPES.items():
+        try:
+            raw = base64.b64decode(params[key], validate=True)  # a non-string: TypeError
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{key} is not a base64 string ({err})") from None
+        if len(raw) % dtype.itemsize:
+            raise ValueError(f"{key}: {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
+        forest[key] = np.frombuffer(raw, dtype).astype(np.intp if dtype.kind == "i" else float)
+    feature, sizes, value = forest["feature"], forest["tree_sizes"], forest["value"]
+    n = len(value)
+    if len(feature) != n:
+        raise ValueError("feature and value differ in length")
+    # 32-bit sizes: their int64 sum cannot wrap around.
+    if len(sizes) != n_trees or (sizes < 1).any() or sizes.sum() != n:
         raise ValueError(f"tree_sizes is not {n_trees} size(s) >= 1 summing to {n} nodes")
+    if not np.isfinite(value).all():
+        raise ValueError("value holds a non-finite value")
     split = feature != -1
     if not ((feature[split] >= 0) & (feature[split] < n_features)).all():
         raise ValueError(f"feature index outside [0, {n_features})")
-    tree_end = np.repeat(np.cumsum(sizes), sizes)
-    if (left[~split] != -1).any() or not (
-        (left[split] > np.arange(n)[split]) & (left[split] < tree_end[split] - 1)
-    ).all():
-        raise ValueError("left: not -1 at a leaf, not after its node, or left + 1 past its tree")
+    # A tree of k split nodes and 2k + 1 nodes keeps every implied child in it.
+    if (np.add.reduceat(split, np.cumsum(sizes) - sizes, dtype=np.intp) * 2 + 1 != sizes).any():
+        raise ValueError("a tree's node count is not 2k + 1 for its k split nodes")
+    if (_left_children(feature, sizes)[split] <= np.flatnonzero(split)).any():
+        raise ValueError("a split node's implied children are not after it")
     return forest
 
 
@@ -665,7 +675,7 @@ def _params_from_json(params, kind: ModelKind, n_trees: int, n_features: int) ->
     _require_keys(params, _PARAM_KEYS[kind], "params")
     if kind == ModelKind.RANDOM_FOREST:
         return _forest_from_json(params, n_trees, n_features)
-    beta = _json_array(params["beta"], False, "beta")
+    beta = _json_numbers(params["beta"], "beta")
     if kind != ModelKind.POLYNOMIAL:
         if len(beta) != n_features + 1:
             raise ValueError(f"beta has {len(beta)} coefficient(s), want {n_features + 1}")
@@ -758,14 +768,9 @@ class CompareRow:
 
 def rank_rows(rows: list[CompareRow]) -> list[CompareRow]:
     """Sort by R^2 descending (undefined/error rows sink) and flag the winner."""
-    def key(row: CompareRow) -> float:
-        return -row.r_squared if row.r_squared is not None else math.inf
-
-    ordered = sorted(rows, key=key)
-    for row in ordered:
-        row.best = False
-    if ordered and ordered[0].r_squared is not None:
-        ordered[0].best = True
+    ordered = sorted(rows, key=lambda r: math.inf if r.r_squared is None else -r.r_squared)
+    for i, row in enumerate(ordered):
+        row.best = i == 0 and row.r_squared is not None
     return ordered
 
 

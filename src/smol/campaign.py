@@ -375,7 +375,10 @@ def _cell_texts(values: np.ndarray, show=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_measurements(path: str | Path, log: MeasurementLog, **extra: np.ndarray) -> None:
-    """Write the log, then each ``extra`` column, headed by its keyword."""
+    """Write the log, then each ``extra`` column (one cell per row), headed by its keyword."""
+    for name, column in extra.items():
+        if len(column) != len(log):
+            raise ValueError(f"column {name!r} has {len(column)} rows, the log {len(log)}")
     columns = [
         _cell_texts(getattr(log, name), _fraction_to_pct_str if name == "vwc_truth" else None)
         for name in _LOG_COLUMNS

@@ -189,15 +189,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         writer = csv.writer(handle)
         writer.writerow(["model", "mode", "r_squared", "mae", "best"])
         for row in rows:
-            writer.writerow(
-                [
-                    row.kind.value,
-                    row.mode.value,
-                    "" if row.r_squared is None else repr(row.r_squared),
-                    "" if row.mae is None else repr(row.mae),
-                    int(row.best),
-                ]
-            )
+            scores = ["" if v is None else repr(v) for v in (row.r_squared, row.mae)]
+            writer.writerow([row.kind.value, row.mode.value, *scores, int(row.best)])
 
     for name, key in curves.items():
         subset = [p for p in points if (p.scenario, p.height_cm) == key]

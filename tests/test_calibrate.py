@@ -1,3 +1,5 @@
+import base64
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -444,6 +446,20 @@ class TestPersistence:
         assert np.array_equal(model.predict_many(probe), loaded.predict_many(probe))
         assert loaded.spec == model.spec
         assert loaded.feature_mode == model.feature_mode
+
+    def test_forest_file_holds_three_base64_arrays(self, tmp_path):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-80, -20, (40, 2))
+        model = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=3), _dataset(X, X[:, 0]))
+        assert sorted(model.params) == ["feature", "tree_sizes", "value"]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 4
+        for key, dtype in (("feature", "<i4"), ("tree_sizes", "<i4"), ("value", "<f8")):
+            raw = base64.b64decode(payload["params"].pop(key), validate=True)
+            assert np.array_equal(np.frombuffer(raw, dtype), model.params[key]), key
+        assert payload["params"] == {}
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -312,6 +312,14 @@ class TestCsvWriter:
             written = written_log_bytes(log, extra=extra)
         assert written == reference_log_bytes(log, extra=extra)
 
+    @pytest.mark.parametrize("rows", [10, 1297])
+    def test_an_extra_column_of_another_length_is_refused(self, tmp_path, rows):
+        log = run_campaign(CampaignConfig())
+        path = tmp_path / "predictions.csv"
+        with pytest.raises(ValueError, match=f"'vwc_pred_pct' has {rows} rows, the log 1296"):
+            write_measurements(path, log, vwc_pred_pct=np.zeros(rows))
+        assert not path.exists()
+
 
 class TestCurves:
     def test_one_point_per_cell(self):

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import math
@@ -386,66 +387,107 @@ def test_predict_writes_predict_many_outputs(tmp_path, small_log, kind, mode):
     assert written == [repr(p) for p in model.predict_many(X).tolist()]
 
 
-def _set_root(array, value):
-    """Set the first tree's root entry in one of the forest's arrays."""
+def _edit_array(array, change):
+    """Decode one of the forest's arrays, let ``change`` edit it as a list,
+    and encode it back."""
+    dtype = calibrate._FOREST_DTYPES[array]
+
     def mutate(payload):
         forest = payload["params"]
-        forest[array][0] = value(forest) if callable(value) else value
+        values = np.frombuffer(base64.b64decode(forest[array]), dtype).tolist()
+        change(values, forest)
+        forest[array] = base64.b64encode(np.array(values, dtype).tobytes()).decode("ascii")
     return mutate
 
 
-def _nan_leaf(payload):
-    forest = payload["params"]
-    forest["value"][forest["feature"].index(-1)] = math.nan
+def _decoded(forest, array) -> list:
+    return np.frombuffer(base64.b64decode(forest[array]), calibrate._FOREST_DTYPES[array]).tolist()
 
 
-def _leaf_with_a_child(payload):
-    forest = payload["params"]
-    leaf = forest["feature"].index(-1)
-    forest["left"][leaf] = leaf + 1
+def _set_root(array, value):
+    """Set the first tree's root entry in one of the forest's arrays."""
+    def change(values, forest):
+        values[0] = value
+    return _edit_array(array, change)
 
 
-def _empty_first_tree(payload):
-    sizes = payload["params"]["tree_sizes"]
+def _nan_leaf(values, forest):
+    values[_decoded(forest, "feature").index(-1)] = math.nan
+
+
+def _empty_first_tree(sizes, forest):
     sizes[1] += sizes[0]
     sizes[0] = 0
 
 
-def _split_pair_across_trees(payload):
-    """Point the first tree's last split node at its last node, so the
-    right child (left + 1) is the second tree's root."""
-    forest = payload["params"]
-    size = forest["tree_sizes"][0]
-    last_split = max(i for i in range(size) if forest["feature"][i] != -1)
-    forest["left"][last_split] = size - 1
+def _split_pair_across_trees(sizes, forest):
+    """Move the first tree's last two nodes into the second tree, so the
+    first tree's last split pair lies in the second tree."""
+    sizes[0] -= 2
+    sizes[1] += 2
+
+
+def _last_leaf_split(feature, forest):
+    """Make the last tree's last node, a leaf, a split: its implied
+    children lie past the forest's last node."""
+    feature[-1] = 0
+
+
+def _split_made_a_leaf(feature, forest):
+    """Make the first tree's root a leaf: the tree keeps 2k + 3 nodes for
+    its k split nodes."""
+    feature[0] = -1
+
+
+def _root_leaf_and_last_leaf_split(feature, forest):
+    """Swap the first tree's root and its last node: the tree keeps 2k + 1
+    nodes, but its last node, now its last split, implies children before it."""
+    last = _decoded(forest, "tree_sizes")[0] - 1
+    feature[0], feature[last] = -1, 0
+
+
+def _two_byte_feature(payload):
+    raw = base64.b64decode(payload["params"]["feature"])
+    payload["params"]["feature"] = base64.b64encode(raw[:-2]).decode("ascii")
 
 
 BAD_MODELS = {
     "version 1": ("random_forest", lambda p: p.update(version=1)),
     "version 2": ("random_forest", lambda p: p.update(version=2)),
+    "version 3": ("random_forest", lambda p: p.update(version=3)),
     "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
     "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
     "missing spec key": ("random_forest", lambda p: p["spec"].pop("min_leaf")),
     "missing params key": ("random_forest", lambda p: p["params"].pop("tree_sizes")),
     "missing forest array": ("random_forest", lambda p: p["params"].pop("value")),
     "extra forest array": (
-        "random_forest", lambda p: p["params"].update(right=[i + 1 for i in p["params"]["left"]])
+        "random_forest", lambda p: p["params"].update(left=p["params"]["feature"])
     ),
-    "too few trees": ("random_forest", lambda p: p["params"]["tree_sizes"].pop()),
+    "forest array not a string": (
+        "random_forest", lambda p: p["params"].update(value=_decoded(p["params"], "value"))
+    ),
+    "forest array not base64": (  # a decoder that skips foreign characters would pass it
+        "random_forest", lambda p: p["params"].update(feature="*" + p["params"]["feature"])
+    ),
+    "forest array of part items": ("random_forest", _two_byte_feature),
+    "too few trees": ("random_forest", _edit_array("tree_sizes", lambda s, f: s.pop())),
     "tree sizes not summing to the node count": (
-        "random_forest", _set_root("tree_sizes", lambda f: f["tree_sizes"][0] + 1)
+        "random_forest", _edit_array("tree_sizes", lambda s, f: s.__setitem__(0, s[0] + 1))
     ),
-    "zero tree size": ("random_forest", _empty_first_tree),
-    "split pair crossing into the next tree": ("random_forest", _split_pair_across_trees),
-    "unequal array lengths": ("random_forest", lambda p: p["params"]["feature"].pop()),
-    "child index out of range": ("random_forest", _set_root("left", lambda f: len(f["left"]))),
-    "child index not after parent": ("random_forest", _set_root("left", 0)),
-    "fractional child index": ("random_forest", _set_root("left", 1.5)),
+    "zero tree size": ("random_forest", _edit_array("tree_sizes", _empty_first_tree)),
+    "split pair crossing into the next tree": (
+        "random_forest", _edit_array("tree_sizes", _split_pair_across_trees)
+    ),
+    "tree node count not 2k + 1": ("random_forest", _edit_array("feature", _split_made_a_leaf)),
+    "unequal array lengths": ("random_forest", _edit_array("feature", lambda v, f: v.pop())),
+    "child index out of range": ("random_forest", _edit_array("feature", _last_leaf_split)),
+    "child index not after parent": (
+        "random_forest", _edit_array("feature", _root_leaf_and_last_leaf_split)
+    ),
     "feature index too large": ("random_forest", _set_root("feature", 2)),
     "negative feature index": ("random_forest", _set_root("feature", -2)),
     "non-finite threshold": ("random_forest", _set_root("value", math.inf)),
-    "non-finite leaf value": ("random_forest", _nan_leaf),
-    "leaf with a child index": ("random_forest", _leaf_with_a_child),
+    "non-finite leaf value": ("random_forest", _edit_array("value", _nan_leaf)),
     "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
     "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
     "forest spec of the wrong types": (
@@ -473,22 +515,26 @@ def test_predict_rejects_a_malformed_model(tmp_path, small_log, capsys, case):
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if case.startswith("version"):
+        assert "retrain with `smol train`" in err
 
 
 def _huge_slope(payload):
     payload["params"]["beta"][1] = 1e308
 
 
-def _huge_leaves(payload):
-    forest = payload["params"]
-    forest["value"] = [
-        1.7e308 if f == -1 else v for f, v in zip(forest["feature"], forest["value"])
-    ]
+def _huge_leaf_values(values, forest):
+    for i, f in enumerate(_decoded(forest, "feature")):
+        if f == -1:
+            values[i] = 1.7e308
 
 
 # Models whose parameters are finite but whose predictions overflow; the
 # forest has two trees, and the mean of two 1.7e308 leaves does.
-OVERFLOWING_MODELS = {"linear": _huge_slope, "random_forest": _huge_leaves}
+OVERFLOWING_MODELS = {
+    "linear": _huge_slope,
+    "random_forest": _edit_array("value", _huge_leaf_values),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(OVERFLOWING_MODELS))

@@ -7,7 +7,9 @@ cut's left sums add the node's runs one at a time in ascending value, its
 right sums are the node's minus the left's, and a squared error is
 S2 - S*S/n. It emits each tree level by level in parent order, siblings
 adjacent, which is the forest layout. Both growers must agree node for
-node, on all four arrays, bit for bit.
+node, on all three arrays, bit for bit. The reference also records each
+split node's left child as it places it; that must be the child the
+layout implies.
 """
 
 import math
@@ -58,11 +60,12 @@ def _best_cut(X, y, rows, min_leaf) -> tuple[int, float]:
 
 
 def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
-    """What ``calibrate._grow_trees`` returns, grown one node at a time."""
+    """What ``calibrate._grow_trees`` returns, grown one node at a time, plus
+    ``left``: each node's left child within its tree, or -1 at a leaf."""
     X, y = X.tolist(), y.tolist()
     forest = {"feature": [], "left": [], "tree_sizes": [], "value": []}
     for sample in samples.tolist():
-        base, queue = len(forest["value"]), [(sample, 0)]
+        queue = [(sample, 0)]
         for rows, depth in queue:  # breadth-first: the queue is the layout
             targets = [y[i] for i in rows]
             j, threshold = -1, 0.0
@@ -73,7 +76,7 @@ def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
                 forest["left"].append(-1)
                 forest["value"].append(_sums(targets)[0] / len(rows))
                 continue
-            forest["left"].append(base + len(queue))
+            forest["left"].append(len(queue))
             forest["value"].append(threshold)
             queue.append(([i for i in rows if X[i][j] <= threshold], depth + 1))
             queue.append(([i for i in rows if not X[i][j] <= threshold], depth + 1))
@@ -86,6 +89,11 @@ def _assert_growers_agree(spec: ModelSpec, data: Dataset) -> dict[str, np.ndarra
     grown = calibrate.fit(spec, data).params
     with mock.patch.object(calibrate, "_grow_trees", grow_reference):
         reference = calibrate.fit(spec, data).params
+    left, sizes = reference.pop("left"), reference["tree_sizes"]
+    implied = calibrate._left_children(reference["feature"], sizes) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
+    )
+    assert np.array_equal(left, np.where(reference["feature"] >= 0, implied, -1))
     assert grown.keys() == reference.keys()
     for key in grown:
         assert np.array_equal(grown[key], reference[key]), key

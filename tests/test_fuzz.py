@@ -7,9 +7,11 @@ A file that is still well formed may also exit 4 (numerical failure), as
 a model does whose finite coefficients overflow its predictions. A
 mutation that cannot leave the file valid (a non-number in a numeric log
 column, a missing or unknown key, a JSON object where none belongs) must
-exit 2 or 3.
+exit 2 or 3. A forest's arrays are base64 strings in the model file, so
+their bytes are fuzzed after decoding.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smol import campaign, cli
+from smol import calibrate, campaign, cli
 
 # A fixed example sequence and a bounded budget: a few seconds of tier-1 time.
 FUZZ = settings(max_examples=50, deadline=1000, derandomize=True)
@@ -156,6 +158,26 @@ def test_mutated_model_file(valid, data, kind, mutation):
     code, err = _run(["predict", "--model", valid / "mutant.json", "--log", valid / "log.csv",
                       "--out", valid / "out.csv"])
     _check(code, err, must_fail)
+
+
+@FUZZ
+@given(
+    data=st.data(),
+    array=st.sampled_from(sorted(calibrate._FOREST_DTYPES)),
+    edit=st.sampled_from(["truncate", "overwrite"]),
+    byte=st.sampled_from([0x00, 0x01, 0x02, 0x7F, 0x80, 0xF0, 0xFE, 0xFF]),
+)
+def test_mutated_forest_bytes(valid, data, array, edit, byte):
+    doc = json.loads((valid / "random_forest.json").read_text())
+    raw = base64.b64decode(doc["params"][array])
+    at = data.draw(st.integers(0, len(raw) - 1))
+    raw = raw[:at] if edit == "truncate" else raw[:at] + bytes([byte]) + raw[at + 1:]
+    doc["params"][array] = base64.b64encode(raw).decode("ascii")
+    (valid / "mutant.json").write_text(json.dumps(doc))
+    code, err = _run(["predict", "--model", valid / "mutant.json", "--log", valid / "log.csv",
+                      "--out", valid / "out.csv"])
+    _check(code, err, must_fail=False)
+    assert code != cli.EXIT_IO, err
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])

@@ -15,7 +15,17 @@ The config hashes were computed with the hand-listed ``config_to_dict``
 that ``dataclasses.asdict`` replaced; they pin the file's key order and
 number formatting.
 
-The model file hashes were computed with the hand-listed ``save_model``
+The forest array hashes (``feature``, ``tree_sizes`` and ``value`` of the
+stock forests, as ``<i8``/``<i8``/``<f8`` bytes) were computed with model
+file version 3, whose forests also carried each split node's explicit
+``left`` child; the forests that imply their children from the layout must
+have the same arrays.
+
+The model file hashes were re-pinned for version 4, and only they: the
+version field moved from 3 to 4 in both files, and the forest's arrays
+became base64 strings of little-endian bytes in place of JSON numbers,
+with no ``left`` array. The arrays themselves are the pinned ones above.
+The version 3 hashes were computed with the hand-listed ``save_model``
 payload that ``dataclasses.asdict`` replaced.
 
 The log hashes were computed with the packet-at-a-time simulator, which
@@ -35,6 +45,7 @@ kept for itself. The predictions pin rests on the stream pins, sequential
 forest sums and Python's float ``repr``.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -64,9 +75,24 @@ GOLDEN_LOG_SHA256 = {
 
 # Model files of `smol train` on the stock log, default flags otherwise.
 GOLDEN_MODEL_SHA256 = {
-    ("random_forest", "all_tx"): "709df9fa4c411bc687e00a9d0c1f92828b7cca253dd381e04c5504b46e3c0b61",
-    ("polynomial", "median_tx"): "faf572402cd957fd9e98c05a02a9e98a3f295fb2731e3d59857e6727f1d8c8dc",
+    ("random_forest", "all_tx"): "5bd397ed27f6f4eb682af095e71b39c6d4edc47a339cd806dccd1fd49044918e",
+    ("polynomial", "median_tx"): "5ad700d51117ca76e48745b9ecd5547afb46dbe1290c43b7294ef3ab2defaf55",
 }
+
+# The stock forests' arrays, fit on the 80% split (seed 0), default spec.
+GOLDEN_FOREST_ARRAYS = {
+    FeatureMode.ALL_TX: {
+        "feature": "e696735df31be4eb292d1959bfdfd5c0ea933af4529cfe53d80706c8b9384c12",
+        "tree_sizes": "d46f49b34947548d569a83655d565f6872d1a20fc409cdd997af4334beefe7bd",
+        "value": "399f273c9dc0b7cdaecf482900663d791783b2f7e30312b60c227aca0a412044",
+    },
+    FeatureMode.MEDIAN_TX: {
+        "feature": "787069be544007f036249226e51392ef69b372193734c45fcc702523e82ad8b0",
+        "tree_sizes": "f1cd0ae656eba1e1be9fcceee7d1345374385200bb6d8e27f2abcb55c7c0257e",
+        "value": "580ef7c13f2f15341aaac0410195a8871659b15e818754e546db080864b5c650",
+    },
+}
+ARRAY_BYTES = {"feature": "<i8", "tree_sizes": "<i8", "value": "<f8"}
 
 # `smol predict` with the stock all-TX forest on `simulate --inference --seed 11`.
 GOLDEN_PREDICTIONS_CSV_SHA256 = "bdd1131506c0ea40d221abb630f5b6113e2d70cb76139fd3a3f157b8a0d2d00b"
@@ -99,16 +125,27 @@ def _probe_grid(features: np.ndarray) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-@pytest.fixture(scope="module")
-def stock_log():
-    return campaign.run_campaign(campaign.CampaignConfig())
+@functools.cache
+def _stock_forest(mode: FeatureMode) -> tuple[calibrate.Dataset, calibrate.TrainedModel]:
+    """The stock dataset in ``mode``, and the default forest fit on its 80% split."""
+    dataset = calibrate.assemble(campaign.run_campaign(campaign.CampaignConfig()), mode)
+    train, _ = calibrate.split(dataset, 0.8, seed=0)
+    return dataset, calibrate.fit(ModelSpec(ModelKind.RANDOM_FOREST), train)
 
 
 @pytest.mark.parametrize("mode", list(FeatureMode))
-def test_stock_forest_predictions_are_pinned(stock_log, mode):
-    dataset = calibrate.assemble(stock_log, mode)
-    train, _ = calibrate.split(dataset, 0.8, seed=0)
-    model = calibrate.fit(ModelSpec(ModelKind.RANDOM_FOREST), train)
+def test_stock_forest_arrays_are_pinned(mode):
+    params = _stock_forest(mode)[1].params
+    digests = {
+        key: hashlib.sha256(np.ascontiguousarray(params[key], dtype=dtype).tobytes()).hexdigest()
+        for key, dtype in ARRAY_BYTES.items()
+    }
+    assert digests == GOLDEN_FOREST_ARRAYS[mode]
+
+
+@pytest.mark.parametrize("mode", list(FeatureMode))
+def test_stock_forest_predictions_are_pinned(mode):
+    dataset, model = _stock_forest(mode)
     X = np.vstack([dataset.features, _probe_grid(dataset.features)])
     preds = np.ascontiguousarray(model.predict_many(X), dtype="<f8")
     assert hashlib.sha256(preds.tobytes()).hexdigest() == GOLDEN_PREDICTIONS[mode]
