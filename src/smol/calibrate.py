@@ -27,6 +27,9 @@ from .sweepproto import MeasurementLog, log_median_power
 MODEL_FILE_FORMAT = "smol-model"
 MODEL_FILE_VERSION = 4
 
+# The share of a dataset's rows that a model is fit on; the rest score it.
+TRAIN_FRACTION = 0.8
+
 # Trees x training rows per batch (at least one tree). A batch's trees share
 # each level's NumPy calls; past ten stock all-TX trees it is no faster, only
 # bigger. Up to 21,845 rows, a two-feature level regroups by uint16 radix sort.
@@ -212,22 +215,18 @@ def assemble(log: MeasurementLog, mode: FeatureMode) -> Dataset:
     return Dataset(X, 100.0 * kept.vwc_truth, mode, FEATURE_NAMES[mode], median_tx_power=med)
 
 
-def check_split(train_fraction: float, seed: int) -> None:
-    """Raise ValueError unless ``split`` takes these arguments, whatever the data."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(
-            f"train_fraction must be strictly between 0 and 1, got {train_fraction!r}"
-        )
+def check_split(seed: int) -> None:
+    """Raise ValueError unless ``split`` takes this seed, whatever the data."""
     if seed < 0:
         raise ValueError(f"split_seed must be >= 0, got {seed!r}")
 
 
-def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded random partition: ceil(n*fraction) rows train, rest test."""
-    check_split(train_fraction, seed)
+def split(d: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded random partition: ceil(n * TRAIN_FRACTION) rows train, rest test."""
+    check_split(seed)
     n = len(d)
-    n_train = math.ceil(n * train_fraction)
-    if n - n_train < 1 or n_train < 1:
+    n_train = math.ceil(n * TRAIN_FRACTION)
+    if n - n_train < 1:
         raise ValueError(f"{n} row(s) cannot leave both splits non-empty")
     perm = np.random.default_rng(seed).permutation(n)
     return tuple(
@@ -540,7 +539,6 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
         feature_names=train.feature_names,
         params=params,
         median_tx_power=train.median_tx_power,
-        metadata={"n_train": len(train)},
     )
 
 
@@ -573,6 +571,17 @@ def evaluate(model: TrainedModel, test: Dataset) -> Evaluation:
         r_squared=r_squared(test.targets, preds),
         mae=mean_absolute_error(test.targets, preds),
     )
+
+
+def train_and_score(
+    spec: ModelSpec, log: MeasurementLog, mode: FeatureMode, split_seed: int
+) -> tuple[TrainedModel, Evaluation]:
+    """Fit ``spec`` on the training split of ``log``'s ``mode`` dataset and
+    score it on the rest; the model's metadata records the split."""
+    train, test = split(assemble(log, mode), split_seed)
+    model = fit(spec, train)
+    model.metadata = {"n_train": len(train), "n_test": len(test), "split_seed": split_seed}
+    return model, evaluate(model, test)
 
 
 # ---------------------------------------------------------------------------
@@ -699,18 +708,21 @@ def _model_from_json(payload: dict) -> TrainedModel:
     spec_d = payload["spec"]
     _require_keys(spec_d, [f.name for f in fields(ModelSpec)], "spec")
     spec = ModelSpec(**{**spec_d, "kind": ModelKind(spec_d["kind"])})
-    names = payload["feature_names"]
-    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
-        raise ValueError("feature_names is not a non-empty list of strings")
+    mode = FeatureMode(payload["feature_mode"])
+    names = FEATURE_NAMES[mode]
+    if payload["feature_names"] != list(names):
+        raise ValueError(f"feature_names is not {list(names)}, the {mode.value} features")
     median = payload["median_tx_power"]
-    if median is not None and (type(median) is not int):
-        raise ValueError("median_tx_power is not an integer or null")
+    if mode == FeatureMode.MEDIAN_TX and type(median) is not int:
+        raise ValueError("median_tx_power is not an integer, as median_tx mode needs")
+    if mode == FeatureMode.ALL_TX and median is not None:
+        raise ValueError("median_tx_power is not null, as all_tx mode needs")
     if not isinstance(payload["metadata"], dict):
         raise ValueError("metadata is not a JSON object")
     return TrainedModel(
         spec=spec,
-        feature_mode=FeatureMode(payload["feature_mode"]),
-        feature_names=tuple(names),
+        feature_mode=mode,
+        feature_names=names,
         params=_params_from_json(payload["params"], spec.kind, spec.n_trees, len(names)),
         median_tx_power=median,
         metadata=payload["metadata"],
@@ -778,29 +790,20 @@ def compare(
     specs: Sequence[ModelSpec],
     log: MeasurementLog,
     modes: Sequence[FeatureMode],
-    train_fraction: float = 0.8,
     split_seed: int = 0,
 ) -> list[CompareRow]:
-    """Assemble/split/fit/evaluate every (spec, mode) pair.
+    """``train_and_score`` every (spec, mode) pair on one split seed.
 
-    Bad split arguments raise ValueError; a combination that fails on the
-    data becomes an error row instead of aborting the whole comparison.
-    Rows come back ranked with the winner flagged.
+    A bad seed raises ValueError; a combination that fails on the data
+    becomes an error row instead of aborting the whole comparison. Rows
+    come back ranked with the winner flagged.
     """
-    check_split(train_fraction, split_seed)
+    check_split(split_seed)
     rows: list[CompareRow] = []
     for mode in modes:
-        try:
-            dataset = assemble(log, mode)
-            train, test = split(dataset, train_fraction, split_seed)
-        except (ValueError, SingularSystemError) as err:
-            rows.extend(
-                CompareRow(spec.kind, mode, error=str(err)) for spec in specs
-            )
-            continue
         for spec in specs:
             try:
-                ev = evaluate(fit(spec, train), test)
+                ev = train_and_score(spec, log, mode, split_seed)[1]
                 rows.append(CompareRow(spec.kind, mode, ev.r_squared, ev.mae))
             except (ValueError, SingularSystemError) as err:
                 rows.append(CompareRow(spec.kind, mode, error=str(err)))

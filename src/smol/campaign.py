@@ -50,7 +50,7 @@ from .sweepproto import (
 )
 
 CONFIG_FILE_FORMAT = "smol-campaign"
-CONFIG_FILE_VERSION = 1
+CONFIG_FILE_VERSION = 2
 
 class ConfigError(ValueError):
     """A campaign configuration that cannot be run."""
@@ -83,11 +83,8 @@ def _finite_number(value) -> bool:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a simulated campaign needs, in one value object.
-
-    spread_factor and bandwidth_hz describe the radio configuration but
-    do not enter the channel model; they are carried as metadata only.
-    """
+    """Everything a simulated campaign needs, in one value object; every
+    field changes the simulated log."""
 
     scenarios: tuple[Scenario, ...] = DEFAULT_SCENARIOS
     vwc_grid: tuple[float, ...] = DEFAULT_VWC_GRID
@@ -111,8 +108,6 @@ class CampaignConfig:
     seed: int = 9
     epoch: float = 0.0
     sweep_interval_s: float = 60.0
-    spread_factor: int = 7
-    bandwidth_hz: float = 125_000.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -128,6 +123,9 @@ class CampaignConfig:
             raise ConfigError(f"rssi_sigma_db must be >= 0 dB, got {self.rssi_sigma_db}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ConfigError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+        # A sweep's packets share a timestamp, and no two sweeps may.
+        if self.sweep_interval_s <= 0.0:
+            raise ConfigError(f"sweep_interval_s must be > 0 s, got {self.sweep_interval_s}")
         if not self.scenarios:
             raise ConfigError("campaign needs at least one scenario")
         if not self.vwc_grid:
@@ -139,15 +137,18 @@ class CampaignConfig:
                 )
         for s in self.scenarios:
             depths = (s.receiver_height_cm, s.burial_depth_cm)
-            valid_depths = all(_finite_number(d) and d >= 0 for d in depths)
+            valid_depths = all(_finite_number(d) and d >= 0 for d in depths) and any(depths)
             if type(s.label) is not str or not valid_depths:
                 raise ConfigError(
-                    f"scenario {s.label!r}: needs a text label and finite depths >= 0"
+                    f"scenario {s.label!r}: needs a text label and finite depths >= 0, "
+                    "not both 0 (a zero-length link)"
                 )
         if self.sweeps_per_cell < 1:
             raise ConfigError("sweeps_per_cell must be >= 1")
         # Fail fast on anything the physics layer would reject later.
         self.soil_state(self.vwc_grid[0])
+        for s in self.scenarios:
+            self.geometry(s)
         PowerPlan(self.power_levels)
         self.tdr_sensor()
 
@@ -478,8 +479,10 @@ def config_from_dict(data) -> CampaignConfig:
     """
     if not isinstance(data, dict) or data.get("format") != CONFIG_FILE_FORMAT:
         raise ConfigError(f"not a {CONFIG_FILE_FORMAT} config")
-    if data.get("version") != CONFIG_FILE_VERSION:
-        raise ConfigError("unsupported config version")
+    if (version := data.get("version")) != CONFIG_FILE_VERSION:
+        upgrade = "; delete its spread_factor and bandwidth_hz keys, then set version 2"
+        raise ConfigError(f"config version {version!r} is not supported (this smol reads "
+                          f"version {CONFIG_FILE_VERSION}){upgrade if version == 1 else ''}")
     try:
         names = [f.name for f in fields(CampaignConfig)]
         _require_keys(data, ["format", "version", *names], "config")

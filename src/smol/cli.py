@@ -48,9 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="measurement log CSV to write")
     sim.add_argument("--config", help="campaign config JSON (default: built-in preset)")
     sim.add_argument("--seed", type=int, help="override the campaign seed")
-    sim.add_argument("--noise-sigma", type=float, help="override RSSI noise sigma, dB")
-    sim.add_argument("--drop-prob", type=float, help="override per-packet drop probability")
-    sim.add_argument("--epoch", type=float, help="override the timestamp epoch, unix s")
     sim.add_argument(
         "--no-noise",
         action="store_true",
@@ -80,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--out", required=True, help="model file to write")
     train.add_argument("--split-seed", type=int, default=0)
-    train.add_argument("--train-fraction", type=float, default=0.8)
     for dest, field in _SPEC_FLAGS.items():
         default = getattr(ModelSpec, field)
         train.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=default)
@@ -98,19 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--log", required=True, help="ground-truthed measurement log CSV")
     rep.add_argument("--out-dir", required=True, help="directory for table and curves")
     rep.add_argument("--split-seed", type=int, default=0)
-    rep.add_argument("--train-fraction", type=float, default=0.8)
     rep.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config:
-        config = campaign.load_config(args.config)
-    else:
-        config = CampaignConfig()
-    flags = {"seed": args.seed, "rssi_sigma_db": args.noise_sigma, "drop_prob": args.drop_prob,
-             "epoch": args.epoch, "training_mode": False if args.inference else None}
+    config = campaign.load_config(args.config) if args.config else CampaignConfig()
+    flags = {"seed": args.seed, "training_mode": False if args.inference else None}
     config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     if args.no_noise:
         config = config.without_noise()
@@ -129,18 +120,17 @@ def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    calibrate.check_split(args.train_fraction, args.split_seed)
+    calibrate.check_split(args.split_seed)
     log = campaign.read_measurements(args.log)
-    dataset = calibrate.assemble(log, FeatureMode(args.mode))
-    train, test = calibrate.split(dataset, args.train_fraction, args.split_seed)
-    model = calibrate.fit(_model_spec_from_args(args), train)
-    model.metadata.update({"split_seed": args.split_seed, "n_test": len(test)})
-    ev = calibrate.evaluate(model, test)
+    model, ev = calibrate.train_and_score(
+        _model_spec_from_args(args), log, FeatureMode(args.mode), args.split_seed
+    )
     calibrate.save_model(model, args.out)
     r2 = "undefined" if ev.r_squared is None else f"{ev.r_squared:.4f}"
+    meta = model.metadata
     print(
-        f"model={args.model} mode={args.mode} "
-        f"n_train={len(train)} n_test={len(test)} r_squared={r2} mae={ev.mae:.4f}"
+        f"model={args.model} mode={args.mode} n_train={meta['n_train']} "
+        f"n_test={meta['n_test']} r_squared={r2} mae={ev.mae:.4f}"
     )
     print(f"wrote model to {args.out}")
     return EXIT_OK
@@ -163,7 +153,7 @@ def _safe_name(label: str) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    calibrate.check_split(args.train_fraction, args.split_seed)
+    calibrate.check_split(args.split_seed)
     log = campaign.read_measurements(args.log)
     points = campaign.median_power_curves(log)
     curves: dict[str, tuple[str, float]] = {}  # file name -> (scenario, height)
@@ -179,7 +169,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         DEFAULT_COMPARISON_SPECS,
         log,
         [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX],
-        train_fraction=args.train_fraction,
         split_seed=args.split_seed,
     )
     table = calibrate.render_table(rows)

@@ -289,7 +289,7 @@ def test_criterion_9_split_contract():
             FeatureMode.ALL_TX,
             ("a", "b"),
         )
-        train, test = calibrate.split(ds, 0.8, seed=int(rng.integers(0, 2**31)))
+        train, test = calibrate.split(ds, seed=int(rng.integers(0, 2**31)))
         want_train = -(-4 * n // 5)  # ceil(0.8 n) in exact integers
         merged = sorted(np.concatenate([train.targets, test.targets]).tolist())
         ok = (

@@ -31,6 +31,7 @@ from smol.calibrate import (
     render_table,
     save_model,
     split,
+    train_and_score,
 )
 from smol.campaign import CampaignConfig, run_campaign
 from smol.sweepproto import MeasurementLog
@@ -123,7 +124,7 @@ class TestDataset:
 class TestSplit:
     def test_80_20_on_ten_rows(self):
         ds = _dataset(np.arange(20).reshape(10, 2), np.arange(10))
-        train, test = split(ds, 0.8, seed=0)
+        train, test = split(ds, seed=0)
         assert len(train) == 8
         assert len(test) == 2
         together = sorted(np.concatenate([train.targets, test.targets]).tolist())
@@ -131,34 +132,28 @@ class TestSplit:
 
     def test_same_seed_same_partition(self):
         ds = _dataset(np.arange(30).reshape(15, 2), np.arange(15))
-        a = split(ds, 0.8, seed=4)
-        b = split(ds, 0.8, seed=4)
+        a = split(ds, seed=4)
+        b = split(ds, seed=4)
         assert np.array_equal(a[0].targets, b[0].targets)
         assert np.array_equal(a[1].features, b[1].features)
 
     def test_single_row_rejected(self):
         ds = _dataset([[1.0]], [1.0])
         with pytest.raises(ValueError):
-            split(ds, 0.8, seed=0)
-
-    def test_fraction_bounds(self):
-        ds = _dataset(np.arange(10).reshape(5, 2), np.arange(5))
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                split(ds, bad, seed=0)
+            split(ds, seed=0)
 
     def test_too_small_for_a_test_set_rejected(self):
         # up to 4 rows, ceil(0.8 n) swallows everything
         for n in (2, 3, 4):
             ds = _dataset(np.arange(n, dtype=float).reshape(n, 1), np.arange(n))
             with pytest.raises(ValueError):
-                split(ds, 0.8, seed=0)
+                split(ds, seed=0)
 
     @given(n=st.integers(5, 400), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=200)
     def test_partition_is_exact(self, n, seed):
         ds = _dataset(np.arange(n, dtype=float).reshape(n, 1), np.arange(n))
-        train, test = split(ds, 0.8, seed=seed)
+        train, test = split(ds, seed=seed)
         assert len(train) == -(-4 * n // 5)  # ceil(0.8 n)
         assert len(test) == n - len(train)
         merged = sorted(np.concatenate([train.targets, test.targets]).tolist())
@@ -438,7 +433,9 @@ class TestPersistence:
         rng = np.random.default_rng(13)
         X = rng.uniform(-80, -20, (40, 2))
         y = -0.7 * X[:, 0] + 0.1 * X[:, 1] + rng.normal(0, 1, 40)
-        model = fit(spec, _dataset(X, y))
+        # A model file's feature names must be its mode's.
+        all_tx = FeatureMode.ALL_TX
+        model = fit(spec, Dataset(X, y, all_tx, calibrate.FEATURE_NAMES[all_tx]))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -472,6 +469,25 @@ class TestPersistence:
         path.write_text('{"format": "smol-model", "version": 999}')
         with pytest.raises(ValueError):
             load_model(path)
+
+
+class TestTrainAndScore:
+    @pytest.mark.parametrize("mode", list(FeatureMode))
+    def test_scores_the_held_out_rows_and_records_the_split(self, mode):
+        log, spec = _sweep_log(), ModelSpec(ModelKind.POLYNOMIAL)
+        model, ev = train_and_score(spec, log, mode, 3)
+        train, test = split(assemble(log, mode), seed=3)
+        assert model.metadata == {"n_train": len(train), "n_test": len(test), "split_seed": 3}
+        assert np.array_equal(model.params["beta"], fit(spec, train).params["beta"])
+        assert ev == evaluate(model, test)
+
+    def test_compare_rows_are_its_scores(self):
+        log, modes = _sweep_log(), [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX]
+        specs = [ModelSpec(ModelKind.LINEAR), ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5)]
+        for row in compare(specs, log, modes, split_seed=2):
+            spec = next(s for s in specs if s.kind == row.kind)
+            ev = train_and_score(spec, log, row.mode, 2)[1]
+            assert (row.r_squared, row.mae) == (ev.r_squared, ev.mae)
 
 
 class TestCompare:
@@ -521,13 +537,10 @@ class TestCompare:
         assert len(errors) == 4 and set(errors.values()) == {None}
         assert all(r.r_squared is not None for r in rows if r.error is None)
 
-    @pytest.mark.parametrize(
-        "fraction, seed, field", [(1.5, 0, "train_fraction"), (0.8, -1, "split_seed")]
-    )
-    def test_bad_split_arguments_raise_instead_of_error_rows(self, fraction, seed, field):
-        with pytest.raises(ValueError, match=field):
+    def test_bad_split_seed_raises_instead_of_error_rows(self):
+        with pytest.raises(ValueError, match="split_seed"):
             compare([ModelSpec(ModelKind.LINEAR)], _sweep_log(), [FeatureMode.ALL_TX],
-                    train_fraction=fraction, split_seed=seed)
+                    split_seed=-1)
 
     def test_ranking_fixture_layout(self):
         # fixed metric values: ranking must star the strongest R^2 row

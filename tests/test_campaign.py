@@ -1,7 +1,8 @@
 import csv
+import json
 import math
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -73,6 +74,63 @@ class TestConfigValidation:
     def test_bad_power_plan_rejected(self):
         with pytest.raises(ValueError):
             small_config(power_levels=(5, 5))
+
+    # Each is refused as the config is built or read, not first by run_campaign.
+    BAD_VALUES = {
+        "zero frequency": (dict(frequency_hz=0.0), "carrier frequency"),
+        "negative frequency": (dict(frequency_hz=-915e6), "carrier frequency"),
+        "zero-length placement": (
+            dict(scenarios=(Scenario("bench", 15.0, 0.0), Scenario("flat", 0.0, 0.0))),
+            "scenario 'flat'.*zero-length",
+        ),
+        "zero sweep interval": (dict(sweep_interval_s=0.0), "sweep_interval_s"),
+        "negative sweep interval": (dict(sweep_interval_s=-60.0), "sweep_interval_s"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_refused_when_built_or_read(self, case):
+        overrides, why = self.BAD_VALUES[case]
+        with pytest.raises(ValueError, match=why):
+            small_config(**overrides)
+        data = json.dumps({**config_to_dict(small_config()), **overrides}, default=asdict)
+        with pytest.raises(ConfigError, match=why):
+            config_from_dict(json.loads(data))
+
+
+# A changed value for every CampaignConfig field, against FIELD_BASE.
+FIELD_BASE = dict(power_levels=(5, 13, 23), sweeps_per_cell=2)  # 23 dBm: the wrap acts
+FIELD_CHANGES = {
+    "scenarios": (Scenario("bench", 20.0, 0.0),),
+    "vwc_grid": (0.05, 0.25, 0.35),
+    "porosity": 0.40,
+    "solid_permittivity": 6.0,
+    "water_eps_real": 70.0,
+    "water_loss_factor": 100.0,
+    "frequency_hz": 868e6,
+    "tx_gain_db": 1.0,
+    "rx_gain_db": 1.0,
+    "power_levels": (5, 14, 23),
+    "rssi_sigma_db": 1.0,
+    "quantize_rssi": False,
+    "drop_prob": 0.5,
+    "wrap_high_power": True,
+    "tdr_error_bound": 0.02,
+    "tdr_spots": 5,
+    "sweeps_per_cell": 1,
+    "training_mode": False,
+    "device_id": 2,
+    "seed": 6,
+    "epoch": 100.0,
+    "sweep_interval_s": 30.0,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(CampaignConfig)])
+def test_every_config_field_changes_the_log(name):
+    assert name in FIELD_CHANGES, f"{name}: no changed value to try"
+    base = small_config(**FIELD_BASE)
+    changed = replace(base, **{name: FIELD_CHANGES[name]})
+    assert not same_log(run_campaign(base), run_campaign(changed))
 
 
 class TestRunCampaign:
@@ -361,7 +419,7 @@ class TestConfigFile:
     def test_version_field_is_checked(self):
         data = config_to_dict(CampaignConfig())
         data["version"] = 99
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"version 99 .*\(this smol reads version 2\)$"):
             config_from_dict(data)
 
     def test_unknown_fields_rejected(self):

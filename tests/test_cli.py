@@ -43,27 +43,29 @@ def test_simulate_is_byte_deterministic(tmp_path):
 
 
 def test_simulate_config_round_trip(tmp_path):
-    out = tmp_path / "log.csv"
-    cfg_path = tmp_path / "campaign.json"
-    assert (
-        main(
-            [
-                "simulate",
-                "--out",
-                str(out),
-                "--seed",
-                "4",
-                "--noise-sigma",
-                "1.0",
-                "--dump-config",
-                str(cfg_path),
-            ]
-        )
-        == EXIT_OK
-    )
-    again = tmp_path / "again.csv"
-    assert main(["simulate", "--out", str(again), "--config", str(cfg_path)]) == EXIT_OK
+    """A campaign value is set by editing a dumped config; the config that
+    ``simulate --config`` dumps in turn reproduces its log."""
+    stock, edited, dumped = (tmp_path / f"{name}.json" for name in ("stock", "edited", "dumped"))
+    argv = ["simulate", "--out", str(tmp_path / "stock.csv"), "--seed", "4"]
+    assert main([*argv, "--dump-config", str(stock)]) == EXIT_OK
+    data = json.loads(stock.read_text())
+    assert data["seed"] == 4
+    data["rssi_sigma_db"] = 1.0
+    edited.write_text(json.dumps(data))
+    out, again = tmp_path / "log.csv", tmp_path / "again.csv"
+    argv = ["simulate", "--out", str(out), "--config", str(edited)]
+    assert main([*argv, "--dump-config", str(dumped)]) == EXIT_OK
+    assert out.read_bytes() != (tmp_path / "stock.csv").read_bytes()
+    assert main(["simulate", "--out", str(again), "--config", str(dumped)]) == EXIT_OK
     assert out.read_bytes() == again.read_bytes()
+
+
+def _exit_code(argv: list[str]) -> int:
+    """``main``'s exit code, also where argparse refuses the command line."""
+    try:
+        return main(argv)
+    except SystemExit as refused:
+        return refused.code
 
 
 def _one_error_line(capsys) -> str:
@@ -102,10 +104,15 @@ BAD_CONFIGS = {
     "tdr_error_bound above one": _edit(lambda d: d.update(tdr_error_bound=1e308)),
     "negative seed": _edit(lambda d: d.update(seed=-1)),
     "drop_prob above one": _edit(lambda d: d.update(drop_prob=1.5)),
+    "version 1": _edit(lambda d: d.update(version=1, spread_factor=7, bandwidth_hz=125e3)),
 }
 
-# The field a case's error line must name, where the value itself is bad.
-NAMED_FIELDS = {"negative seed": "seed", "drop_prob above one": "drop_prob"}
+# What a case's error line must name, where the value itself is bad.
+NAMED_FIELDS = {
+    "negative seed": ["seed"],
+    "drop_prob above one": ["drop_prob"],
+    "version 1": ["version 1", "version 2", "spread_factor", "bandwidth_hz"],
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -115,16 +122,13 @@ def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, case):
     cfg_path.write_text(json.dumps(BAD_CONFIGS[case](stock)))
     code = main(["simulate", "--out", str(tmp_path / "x.csv"), "--config", str(cfg_path)])
     assert code == EXIT_VALIDATION
-    assert NAMED_FIELDS.get(case, "") in _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    assert all(name in line for name in NAMED_FIELDS.get(case, [])), line
 
 
-# The config field each simulate flag overrides.
-FLAG_FIELDS = {
-    "--noise-sigma": "rssi_sigma_db", "--epoch": "epoch", "--drop-prob": "drop_prob",
-    "--seed": "seed",
-}
-
-
+# Campaign values are set in the config file only: simulate sets the seed
+# and refuses the flags that once set the noise sigma, epoch and drop
+# probability, as argparse refuses any unknown flag.
 @pytest.mark.parametrize(
     "flags",
     [
@@ -133,9 +137,13 @@ FLAG_FIELDS = {
     ],
 )
 def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
-    code = main(["simulate", "--out", str(tmp_path / "x.csv"), *flags])
-    assert code == EXIT_VALIDATION
-    assert FLAG_FIELDS[flags[0]] in _one_error_line(capsys)
+    out = tmp_path / "x.csv"
+    assert _exit_code(["simulate", "--out", str(out), *flags]) == EXIT_VALIDATION
+    if flags[0] == "--seed":
+        assert "seed" in _one_error_line(capsys)
+    else:
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Valid JSON nested deeper than the parser's recursion limit.
@@ -330,14 +338,18 @@ def test_report_refuses_two_scenarios_with_one_curve_file(tmp_path, capsys):
 def test_bad_split_flags_are_refused_before_anything_is_written(
     tmp_path, small_log, capsys, command, flags
 ):
+    """The split is a fixed 80/20 one, so ``--train-fraction`` is refused as
+    an unknown flag; a bad ``--split-seed`` by one line naming it."""
     out = tmp_path / "out"
     target = ["--out", str(out)] if command == "train" else ["--out-dir", str(out)]
-    code = main([command, "--log", str(small_log), *target, *flags])
+    code = _exit_code([command, "--log", str(small_log), *target, *flags])
     assert code == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert flags[0][2:].replace("-", "_") in captured.err
+    if flags[0] == "--train-fraction":
+        assert "unrecognized arguments: --train-fraction" in captured.err
+    else:
+        assert len(captured.err.splitlines()) == 1 and "split_seed" in captured.err
     assert not out.exists()
 
 
@@ -451,6 +463,17 @@ def _two_byte_feature(payload):
     payload["params"]["feature"] = base64.b64encode(raw[:-2]).decode("ascii")
 
 
+def _one_feature(payload):
+    """Name one feature, and cut beta to one slope to match."""
+    payload["feature_names"] = ["rssi_dbm"]
+    payload["params"]["beta"].pop()
+
+
+def _median_tx_without_median(payload):
+    _one_feature(payload)
+    payload.update(feature_mode="median_tx", median_tx_power=None)
+
+
 BAD_MODELS = {
     "version 1": ("random_forest", lambda p: p.update(version=1)),
     "version 2": ("random_forest", lambda p: p.update(version=2)),
@@ -489,6 +512,9 @@ BAD_MODELS = {
     "non-finite threshold": ("random_forest", _set_root("value", math.inf)),
     "non-finite leaf value": ("random_forest", _edit_array("value", _nan_leaf)),
     "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
+    "feature names not the mode's": ("linear", _one_feature),
+    "median_tx without a median power": ("linear", _median_tx_without_median),
+    "all_tx with a median power": ("linear", lambda p: p.update(median_tx_power=13)),
     "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
     "forest spec of the wrong types": (
         "random_forest", lambda p: p["spec"].update(ridge_lambda="x", bootstrap="yes")
@@ -514,7 +540,8 @@ def test_predict_rejects_a_malformed_model(tmp_path, small_log, capsys, case):
                  "--out", str(tmp_path / "p.csv")])
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # Refused as the file loads, not by a later step: the line names the file.
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {model_path}: ")
     if case.startswith("version"):
         assert "retrain with `smol train`" in err
 

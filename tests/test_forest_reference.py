@@ -178,7 +178,7 @@ def test_gains_holding_nan_cut_nothing():
 @pytest.mark.parametrize("mode", list(FeatureMode))
 def test_stock_forests_match_the_reference(mode):
     dataset = calibrate.assemble(campaign.run_campaign(campaign.CampaignConfig()), mode)
-    train, _ = calibrate.split(dataset, 0.8, seed=0)
+    train, _ = calibrate.split(dataset, seed=0)
     _assert_growers_agree(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5), train)
 
 
@@ -192,7 +192,7 @@ def test_stock_forests_grow_in_batches_that_fit_the_budget():
     spec = ModelSpec(ModelKind.RANDOM_FOREST)
     grow_trees = calibrate._grow_trees
     for mode in FeatureMode:
-        train, _ = calibrate.split(calibrate.assemble(log, mode), 0.8, seed=0)
+        train, _ = calibrate.split(calibrate.assemble(log, mode), seed=0)
         batches = []
 
         def grow(X, y, samples, *rest):
