@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sweepproto import MeasurementLog, log_median_power
+from .sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
 MODEL_FILE_VERSION = 4
@@ -155,18 +155,26 @@ class TrainedModel:
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """Point estimates (VWC percent), one per feature row.
 
-        Raises FloatingPointError when an estimate is not finite, as when a
-        huge coefficient or leaf value overflows.
+        Raises ValueError when a feature is not finite, and FloatingPointError
+        when an estimate is not finite, as when a huge coefficient or leaf
+        value overflows. A forest descends each distinct row once; the mean
+        over a row's trees does not depend on the other rows, so the result
+        is the same bits as one row at a time.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
                 f"model expects (n, {self.n_features}) features, got {X.shape}"
             )
+        bad = np.count_nonzero(~np.isfinite(X))
+        if bad:
+            raise ValueError(f"{bad} of {X.size} feature values are not finite")
         kind, params = self.spec.kind, self.params
         with np.errstate(over="ignore", invalid="ignore"):
             if kind == ModelKind.RANDOM_FOREST:
-                out = _forest_outputs(params, X).mean(axis=1)
+                # The inverse's shape differs between NumPy 1.x and 2.x.
+                distinct, row_of = np.unique(X, axis=0, return_inverse=True)
+                out = _forest_outputs(params, distinct).mean(axis=1)[row_of.ravel()]
             elif kind == ModelKind.POLYNOMIAL:
                 out = polynomial_expand(X, params["powers"]) @ params["beta"]
             else:
@@ -479,19 +487,21 @@ def _forest_outputs(forest: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     layout implies the children (``_left_children``). A split node sends
     ``x[feature] <= value`` to its left child and the rest to the right
     one; a leaf has ``feature`` -1 and predicts ``value``. All rows descend
-    through all trees one level per step, leaves pointing to themselves,
-    until no row moves.
+    through all trees one level per step until no row moves. A step adds
+    ``x[column] > threshold`` to the node's left child; a leaf is its own
+    left child with threshold +inf, so it stays put. ``x > t`` is "not
+    ``x <= t``" only where ``x`` is not NaN, so the rows must hold no NaN.
     """
     feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
     leaf = feature < 0
-    index = np.arange(len(feature))
-    left = np.where(leaf, index, _left_children(feature, sizes))
-    right = np.where(leaf, index, left + 1)
-    feature = np.where(leaf, 0, feature)
-    at_row = np.arange(len(X))[:, None]
+    left = np.where(leaf, np.arange(len(feature)), _left_children(feature, sizes))
+    threshold = np.where(leaf, np.inf, value)
+    column = np.where(leaf, 0, feature)
+    x = X.ravel()
+    row_start = X.shape[1] * np.arange(len(X))[:, None]
     node = np.tile(np.cumsum(sizes) - sizes, (len(X), 1))
     while True:
-        step = np.where(X[at_row, feature[node]] <= value[node], left[node], right[node])
+        step = left[node] + (x[row_start + column[node]] > threshold[node])
         if np.array_equal(step, node):
             return value[node]
         node = step
@@ -713,8 +723,13 @@ def _model_from_json(payload: dict) -> TrainedModel:
     if payload["feature_names"] != list(names):
         raise ValueError(f"feature_names is not {list(names)}, the {mode.value} features")
     median = payload["median_tx_power"]
-    if mode == FeatureMode.MEDIAN_TX and type(median) is not int:
-        raise ValueError("median_tx_power is not an integer, as median_tx mode needs")
+    if mode == FeatureMode.MEDIAN_TX and not (
+        type(median) is int and TX_POWER_MIN_DBM <= median <= TX_POWER_MAX_DBM
+    ):
+        raise ValueError(
+            f"median_tx_power {median!r} is not an integer in [{TX_POWER_MIN_DBM}, "
+            f"{TX_POWER_MAX_DBM}] dBm, as median_tx mode needs"
+        )
     if mode == FeatureMode.ALL_TX and median is not None:
         raise ValueError("median_tx_power is not null, as all_tx mode needs")
     if not isinstance(payload["metadata"], dict):

@@ -12,6 +12,7 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from . import calibrate, campaign
 from .calibrate import (
@@ -36,8 +37,16 @@ _SPEC_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with one stderr line, without the usage;
+    the subcommands' parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smol",
         description="Soil-moisture-from-signal-strength toolkit: simulate "
         "sweep campaigns, calibrate regressors, predict moisture.",

@@ -227,7 +227,66 @@ class TestPolynomial:
             ModelSpec(ModelKind.POLYNOMIAL, poly_degree=1)
 
 
+def _reference_forest_outputs(forest, X):
+    """Every tree's prediction for every row, by the plain descent: each
+    step looks up the node's feature, tests ``x <= value`` and picks the
+    left or the right child."""
+    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
+    leaf = feature < 0
+    index = np.arange(len(feature))
+    left = np.where(leaf, index, calibrate._left_children(feature, sizes))
+    right = np.where(leaf, index, left + 1)
+    feature = np.where(leaf, 0, feature)
+    at_row = np.arange(len(X))[:, None]
+    node = np.tile(np.cumsum(sizes) - sizes, (len(X), 1))
+    while True:
+        step = np.where(X[at_row, feature[node]] <= value[node], left[node], right[node])
+        if np.array_equal(step, node):
+            return value[node]
+        node = step
+
+
+@st.composite
+def _forests_and_repeated_rows(draw):
+    """A small fitted forest, and a feature matrix of few distinct rows
+    repeated in any order. Cells come from the training grid, the forest's
+    split thresholds and the next float above each, and both zeros."""
+    n_features = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 24))
+    cell = st.integers(-4, 4).map(float)
+    X = [[draw(cell) for _ in range(n_features)] for _ in range(n)]
+    y = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    spec = ModelSpec(
+        ModelKind.RANDOM_FOREST,
+        n_trees=draw(st.integers(1, 12)),
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 4))),
+        min_leaf=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 100)),
+    )
+    model = fit(spec, _dataset(X, y))
+    params = model.params
+    thresholds = params["value"][params["feature"] >= 0].tolist()
+    pool = [-0.0, 0.0, *range(-5, 6), *thresholds, *np.nextafter(thresholds, np.inf).tolist()]
+    cells = st.sampled_from([float(v) for v in pool])
+    distinct = draw(
+        st.lists(st.lists(cells, min_size=n_features, max_size=n_features), min_size=1, max_size=6)
+    )
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    return model, np.array(distinct)[rows]
+
+
 class TestForest:
+    @given(drawn=_forests_and_repeated_rows())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_predictions_are_the_bits_of_one_row_at_a_time(self, drawn):
+        model, X = drawn
+        preds = model.predict_many(X)
+        one_by_one = np.concatenate([model.predict_many(X[i : i + 1]) for i in range(len(X))])
+        assert preds.tobytes() == one_by_one.tobytes()
+        reference = _reference_forest_outputs(model.params, X)
+        assert _forest_outputs(model.params, X).tobytes() == reference.tobytes()
+        assert preds.tobytes() == reference.mean(axis=1).tobytes()
+
     def test_single_full_tree_memorizes(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(-50, 50, (20, 2))  # continuous draws: duplicate-free
@@ -339,6 +398,24 @@ class TestPredict:
         )
         x = np.array([[2.0, 3.0]])
         assert np.array_equal(model.predict_many(x), model.predict_many(x))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, kind, bad):
+        class Untouchable(dict):
+            def __getitem__(self, key):
+                raise AssertionError(f"params[{key!r}] read for non-finite features")
+
+        model = TrainedModel(
+            spec=ModelSpec(kind),
+            feature_mode=FeatureMode.ALL_TX,
+            feature_names=calibrate.FEATURE_NAMES[FeatureMode.ALL_TX],
+            params=Untouchable(),
+        )
+        X = np.zeros((4, 2))
+        X[1, 0] = X[3, 1] = bad
+        with pytest.raises(ValueError, match="2 of 8 feature values are not finite"):
+            model.predict_many(X)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(14)

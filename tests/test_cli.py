@@ -68,6 +68,27 @@ def _exit_code(argv: list[str]) -> int:
         return refused.code
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frob"], "smol: error: argument command: invalid choice: 'frob'"),
+        (["train", "--out", "m.json"],
+         "smol train: error: the following arguments are required: --log"),
+        (["train", "--log", "x.csv", "--out", "m.json", "--split-seed", "x"],
+         "smol train: error: argument --split-seed: invalid int value: 'x'"),
+        (["train", "--log", "x.csv", "--out", "m.json", "--train-fraction", "0.5"],
+         "smol: error: unrecognized arguments: --train-fraction 0.5"),
+    ],
+)
+def test_command_line_refusals_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(message), captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
@@ -139,10 +160,12 @@ def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, case):
 def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
     out = tmp_path / "x.csv"
     assert _exit_code(["simulate", "--out", str(out), *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
     if flags[0] == "--seed":
-        assert "seed" in _one_error_line(capsys)
+        assert err.startswith("error: ") and "seed" in err
     else:
-        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flags[0]}" in err
     assert not out.exists()
 
 
@@ -346,10 +369,11 @@ def test_bad_split_flags_are_refused_before_anything_is_written(
     assert code == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
     if flags[0] == "--train-fraction":
         assert "unrecognized arguments: --train-fraction" in captured.err
     else:
-        assert len(captured.err.splitlines()) == 1 and "split_seed" in captured.err
+        assert "split_seed" in captured.err
     assert not out.exists()
 
 
@@ -474,6 +498,11 @@ def _median_tx_without_median(payload):
     payload.update(feature_mode="median_tx", median_tx_power=None)
 
 
+def _median_tx_at_99_dbm(payload):
+    _one_feature(payload)
+    payload.update(feature_mode="median_tx", median_tx_power=99)
+
+
 BAD_MODELS = {
     "version 1": ("random_forest", lambda p: p.update(version=1)),
     "version 2": ("random_forest", lambda p: p.update(version=2)),
@@ -515,6 +544,7 @@ BAD_MODELS = {
     "feature names not the mode's": ("linear", _one_feature),
     "median_tx without a median power": ("linear", _median_tx_without_median),
     "all_tx with a median power": ("linear", lambda p: p.update(median_tx_power=13)),
+    "median power outside the radio's range": ("linear", _median_tx_at_99_dbm),
     "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
     "forest spec of the wrong types": (
         "random_forest", lambda p: p["spec"].update(ridge_lambda="x", bootstrap="yes")
