@@ -642,7 +642,7 @@ def _require_keys(obj, keys: Sequence[str], where: str) -> None:
 def _read_json(path: str | Path, error: type[ValueError] = ValueError):
     """The JSON document at ``path``; malformed or too deeply nested JSON raises ``error``."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as err:
         raise error(f"{path}: not readable as JSON ({err})") from None
 

@@ -15,7 +15,6 @@ cell is the only way to omit it.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -357,21 +356,24 @@ class _Echo:
         return text
 
 
-def _cell_texts(values: np.ndarray, show=None) -> tuple[np.ndarray, np.ndarray]:
+def _cell_texts(values: np.ndarray, show=repr) -> tuple[np.ndarray, np.ndarray]:
     """The CSV text of each distinct value of a column, and each row's index into them.
 
-    Each distinct value is formatted once, by ``csv`` itself (floats by
-    ``repr``, so at full precision), after ``show`` if one is given. Floats
-    are told apart by their bits, so ``-0.0`` is not written as ``0.0``.
+    Each distinct value is formatted once. Numbers are written by ``show``,
+    by default ``repr`` as ``csv`` writes them, at full precision; their texts
+    never need quoting. Other values (scenario labels) are written by ``csv``
+    itself. Floats are told apart by their bits, so ``-0.0`` is not written
+    as ``0.0``.
     """
     keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
     _, first, text_of_row = np.unique(keys, return_index=True, return_inverse=True)
     distinct = values[first].tolist()
-    if show is not None:
-        distinct = map(show, distinct)
-    line = csv.writer(_Echo()).writerow
-    # Each value goes first in a two-cell row: csv quotes a row's lone empty cell.
-    texts = [line((value, ""))[: -len(",\r\n")] for value in distinct]
+    if values.dtype.kind in "biuf":
+        texts = list(map(show, distinct))
+    else:
+        line = csv.writer(_Echo()).writerow
+        # Each value goes first in a two-cell row: csv quotes a row's lone empty cell.
+        texts = [line((value, ""))[: -len(",\r\n")] for value in distinct]
     return np.array(texts, dtype=object), text_of_row
 
 
@@ -381,11 +383,11 @@ def write_measurements(path: str | Path, log: MeasurementLog, **extra: np.ndarra
         if len(column) != len(log):
             raise ValueError(f"column {name!r} has {len(column)} rows, the log {len(log)}")
     columns = [
-        _cell_texts(getattr(log, name), _fraction_to_pct_str if name == "vwc_truth" else None)
+        _cell_texts(getattr(log, name), _fraction_to_pct_str if name == "vwc_truth" else repr)
         for name in _LOG_COLUMNS
     ]
     columns += [_cell_texts(np.asarray(column)) for column in extra.values()]
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(CSV_COLUMNS + tuple(extra))
         for start in range(0, len(log), _ROWS_PER_CHUNK):
             stop = start + _ROWS_PER_CHUNK
@@ -394,31 +396,55 @@ def write_measurements(path: str | Path, log: MeasurementLog, **extra: np.ndarra
 
 
 def read_measurements(path: str | Path) -> MeasurementLog:
-    """The log at ``path``; the first bad row raises ValueError as ``path:line: why``."""
+    """The log at ``path``, which must be UTF-8 text.
+
+    The first bad row raises ValueError as ``path:line: why``, with the
+    line on which ``csv`` ends the row. A row is bad if it has the wrong
+    number of cells, a cell that its column's parser refuses (the first
+    such cell, in column order) or a value that breaks a MeasurementLog
+    rule; the rows before one that ``csv`` cannot read are checked first.
+    """
     rows, lines, unreadable = [], [], None
-    # Each distinct cell text of a column is parsed once per file; a parse
-    # that raises is not cached.
-    parsers = [functools.cache(parse) for _, parse in _LOG_COLUMNS.values()]
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"{path}: not a measurement log (bad header)")
-        try:
-            for row in reader:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValueError(f"{len(row)} columns, want {len(CSV_COLUMNS)}")
-                rows.append([parse(cell) for parse, cell in zip(parsers, row)])
-                lines.append(reader.line_num)
-        except (ValueError, csv.Error) as err:
-            unreadable = ValueError(f"{path}:{reader.line_num}: {err}")
-    # The rows read before an unreadable one are checked first, so the
-    # error names the first bad row of either kind.
-    columns = list(zip(*rows)) or [()] * len(_LOG_COLUMNS)
     try:
-        log = MeasurementLog(**dict(zip(_LOG_COLUMNS, columns)))
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                if tuple(next(reader, ())) != CSV_COLUMNS:
+                    raise ValueError(f"{path}: not a measurement log (bad header)")
+                for row in reader:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+            except csv.Error as err:
+                unreadable = ValueError(f"{path}:{reader.line_num}: {err}")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+    width = len(CSV_COLUMNS)
+    # The first row of the wrong width, then the first cell a parser refuses.
+    bad, why = len(rows), None
+    if set(map(len, rows)) - {width}:
+        bad = next(i for i, row in enumerate(rows) if len(row) != width)
+        why = f"{len(rows[bad])} columns, want {width}"
+    columns = {name: [] for name in _LOG_COLUMNS}
+    # Each distinct cell text of a column is parsed once.
+    for (name, (_, parse)), cells in zip(_LOG_COLUMNS.items(), zip(*rows[:bad])):
+        parsed, refused = {}, {}
+        for text in set(cells):
+            try:
+                parsed[text] = parse(text)
+            except ValueError as err:
+                refused[text] = str(err)
+        if refused:
+            row = next(i for i, text in enumerate(cells) if text in refused)
+            # A refusal in an earlier column of the same row came first.
+            if row < bad:
+                bad, why = row, refused[cells[row]]
+        columns[name] = list(map(parsed.get, cells))
+    try:
+        log = MeasurementLog(**{name: column[:bad] for name, column in columns.items()})
     except LogRowError as err:
         raise ValueError(f"{path}:{lines[err.row]}: {err}") from None
+    if why is not None:
+        raise ValueError(f"{path}:{lines[bad]}: {why}")
     if unreadable is not None:
         raise unreadable
     return log
@@ -454,7 +480,7 @@ def median_power_curves(log: MeasurementLog) -> list[CurvePoint]:
 
 
 def write_curves(path: str | Path, points: Sequence[CurvePoint]) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["scenario", "height_cm", "vwc_truth_pct", "mean_rssi_dbm"])
         for p in points:

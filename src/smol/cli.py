@@ -158,7 +158,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _safe_name(label: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
+    """The label with every character but ASCII letters, digits, ``-`` and ``_``
+    replaced by ``_``, so that any locale can encode the file name."""
+    return "".join(c if c.isascii() and c.isalnum() or c in "-_" else "_" for c in label)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -219,6 +219,8 @@ def median_power(plan: PowerPlan) -> int:
 def log_median_power(log: MeasurementLog) -> int:
     """Median power of the plan a log was swept with, inferred from the
     distinct TX powers it holds."""
+    if len(log) == 0:
+        raise ValueError("no measurements to infer the power plan from")
     return median_power(PowerPlan(tuple(set(log.tx_power.tolist()))))
 
 

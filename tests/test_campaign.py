@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import tempfile
@@ -377,6 +378,137 @@ class TestCsvWriter:
         with pytest.raises(ValueError, match=f"'vwc_pred_pct' has {rows} rows, the log 1296"):
             write_measurements(path, log, vwc_pred_pct=np.zeros(rows))
         assert not path.exists()
+
+
+def _reference_read_measurements(path) -> MeasurementLog:
+    """The row-by-row reader that ``read_measurements`` replaced: each row is
+    parsed as it is read, each distinct cell text once through a cache."""
+    rows, lines, unreadable = [], [], None
+    parsers = [functools.cache(parse) for _, parse in campaign._LOG_COLUMNS.values()]
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise ValueError(f"{path}: not a measurement log (bad header)")
+        try:
+            for row in reader:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(row)} columns, want {len(CSV_COLUMNS)}")
+                rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+                lines.append(reader.line_num)
+        except (ValueError, csv.Error) as err:
+            unreadable = ValueError(f"{path}:{reader.line_num}: {err}")
+    columns = list(zip(*rows)) or [()] * len(campaign._LOG_COLUMNS)
+    try:
+        log = MeasurementLog(**dict(zip(campaign._LOG_COLUMNS, columns)))
+    except sweepproto.LogRowError as err:
+        raise ValueError(f"{path}:{lines[err.row]}: {err}") from None
+    if unreadable is not None:
+        raise unreadable
+    return log
+
+
+def read_outcome(read, path) -> MeasurementLog | str:
+    try:
+        return read(path)
+    except ValueError as err:
+        return str(err)
+
+
+def same_bits(a: MeasurementLog, b: MeasurementLog) -> bool:
+    """Column by column, dtypes and bits: NaN equals NaN, -0.0 differs from 0.0."""
+    return all(
+        x.dtype == y.dtype and (x.tolist() == y.tolist() if x.dtype == object
+                                else x.tobytes() == y.tobytes())
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(MeasurementLog))
+    )
+
+
+# A fault written into one data row: (column, cell text), or None to drop
+# the row's last cell. Each breaks a different rule; the last one makes csv
+# itself refuse the file.
+READ_FAULTS = [
+    None,
+    (0, "noon"),
+    (2, "1_3"),
+    (3, " -45.0"),
+    (3, "nan"),
+    (7, "140"),
+    (6, "x" * (csv.field_size_limit() + 1)),
+]
+
+
+def write_with_faults(path: Path, log: MeasurementLog, faults) -> None:
+    """Write the log, then rewrite it with each ``(row, fault)`` applied."""
+    write_measurements(path, log)
+    if not faults or not len(log):
+        return
+    with open(path, newline="", encoding="utf-8") as handle:
+        cells = list(csv.reader(handle))
+    for at, fault in faults:
+        row = cells[1 + at % len(log)]
+        if fault is None:
+            del row[-1]
+        elif fault[0] < len(row):
+            row[fault[0]] = fault[1]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(cells)
+
+
+class TestCsvReader:
+    @given(
+        rows=st.lists(ROWS, max_size=12),
+        faults=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(READ_FAULTS)), max_size=2),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_row_by_row_reader(self, rows, faults):
+        # Labels with quoted commas and line breaks make a row's line differ
+        # from its index + 2; two faults check which bad row is named first.
+        *columns, _ = list(zip(*rows)) or [[]] * 9
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "log.csv"
+            write_with_faults(path, MeasurementLog(*columns), faults)
+            new = read_outcome(read_measurements, path)
+            old = read_outcome(_reference_read_measurements, path)
+        if isinstance(old, str) or isinstance(new, str):
+            assert new == old
+        else:
+            assert same_bits(new, old)
+
+    @pytest.mark.parametrize("faults", [
+        # Two bad cells in one row: the first column's, and a parse before a rule.
+        [(1, (2, "1_3")), (1, (0, "noon"))],
+        [(1, (3, "nan")), (1, (0, "noon"))],
+        # A broken rule and a short row, either first.
+        [(1, (3, "nan")), (2, None)],
+        [(2, (3, "nan")), (1, None)],
+        # A bad row before or after one that csv cannot read.
+        [(1, (0, "noon")), (2, READ_FAULTS[-1])],
+        [(2, (0, "noon")), (1, READ_FAULTS[-1])],
+        [(1, (7, "140")), (2, READ_FAULTS[-1])],
+    ])
+    def test_names_the_first_bad_row_as_the_row_by_row_reader_did(self, tmp_path, faults):
+        log = run_campaign(small_config(scenarios=(Scenario("a\r\n,b", 15.0, 0.0),)))
+        path = tmp_path / "log.csv"
+        write_with_faults(path, log, faults)
+        new = read_outcome(read_measurements, path)
+        assert isinstance(new, str) and new == read_outcome(_reference_read_measurements, path)
+
+    def test_names_the_line_on_which_a_bad_row_ends(self, tmp_path):
+        log = run_campaign(small_config(scenarios=(Scenario("two\nlines", 15.0, 0.0),)))
+        path = tmp_path / "log.csv"
+        write_with_faults(path, log, [(2, (0, "noon"))])
+        # Each row spans two lines after the one-line header.
+        with pytest.raises(ValueError) as refusal:
+            read_measurements(path)
+        assert str(refusal.value).startswith(f"{path}:7: could not convert")
+
+    def test_a_header_that_csv_cannot_read_is_refused_with_its_line(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ValueError) as refusal:
+            read_measurements(path)
+        assert str(refusal.value).startswith(f"{path}:1: field larger than field limit")
 
 
 class TestCurves:

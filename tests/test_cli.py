@@ -2,6 +2,10 @@ import base64
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,3 +663,68 @@ def test_commands_reject_a_bad_log_row_with_its_line(
             "report": ["report", "--log", str(bad_log), "--out-dir", str(tmp_path / "r")]}[command]
     assert main(argv) == EXIT_VALIDATION
     assert f"{bad_log}:5: " in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_commands_refuse_a_header_only_log(tmp_path, capsys, command):
+    log = tmp_path / "empty.csv"
+    campaign.write_measurements(log, MeasurementLog(*[[]] * 8))
+    out = tmp_path / "out"
+    flag = {"train": "--out", "report": "--out-dir"}[command]
+    assert main([command, "--log", str(log), flag, str(out)]) == EXIT_VALIDATION
+    assert "no measurements" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "report"])
+@pytest.mark.parametrize("line", [0, 4])
+def test_commands_refuse_a_log_that_is_not_utf8(tmp_path, small_log, capsys, command, line):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--log", str(small_log), "--model", "linear",
+                 "--out", str(model_path)]) == EXIT_OK
+    lines = small_log.read_bytes().split(b"\r\n")
+    lines[line] = lines[line].replace(b"c", b"\xe7")  # Latin-1, not UTF-8
+    bad_log = tmp_path / "latin1.csv"
+    bad_log.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    argv = {"train": ["train", "--log", str(bad_log), "--out", str(tmp_path / "m.json")],
+            "predict": ["predict", "--model", str(model_path), "--log", str(bad_log),
+                        "--out", str(tmp_path / "p.csv")],
+            "report": ["report", "--log", str(bad_log), "--out-dir", str(tmp_path / "r")]}[command]
+    assert main(argv) == EXIT_VALIDATION
+    assert _one_error_line(capsys).startswith(f"error: {bad_log}: not UTF-8 text")
+
+
+def test_log_and_curve_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale, without UTF-8 mode, Python's default file encoding
+    is ASCII; a non-ASCII scenario label still goes through simulate and report."""
+    src = Path(campaign.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+    probe = run("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert probe.stdout.strip() in ("ANSI_X3.4-1968", "ascii", "US-ASCII"), probe.stdout
+    config = campaign.CampaignConfig(
+        scenarios=(campaign.Scenario("café", 15.0, 0.0),),
+        vwc_grid=(0.05, 0.20, 0.35),
+        sweeps_per_cell=2,
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(campaign.config_to_dict(config), ensure_ascii=False), encoding="utf-8"
+    )
+    log = tmp_path / "log.csv"
+    simulate = run("-m", "smol.cli", "simulate", "--config", str(config_path), "--out", str(log))
+    assert simulate.returncode == EXIT_OK, simulate.stderr
+    elsewhere = tmp_path / "elsewhere.csv"
+    campaign.write_measurements(elsewhere, campaign.run_campaign(config))
+    assert log.read_bytes() == elsewhere.read_bytes()
+    assert "café".encode() in log.read_bytes()
+    out_dir = tmp_path / "report"
+    report = run("-m", "smol.cli", "report", "--log", str(elsewhere), "--out-dir", str(out_dir))
+    assert report.returncode == EXIT_OK, report.stderr
+    curve = (out_dir / "curve_caf__h0cm.csv").read_text(encoding="utf-8")
+    assert curve.splitlines()[1].startswith("café,0.0,")
