@@ -151,7 +151,7 @@ class CampaignConfig:
         PowerPlan(self.power_levels)
         self.tdr_sensor()
 
-    def soil_state(self, vwc: float) -> SoilState:
+    def soil_state(self, vwc: float | np.ndarray) -> SoilState:
         return SoilState(
             vwc=vwc,
             porosity=self.porosity,
@@ -187,43 +187,56 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
 
     Each cell is visited ``sweeps_per_cell`` times. Every visit has its own
     random streams (``sweep_seed_words``) and timestamp, so the log is a pure
-    function of the config. Per sweep, the link draws drops as one vector over
-    the plan and noise as one over the delivered frames; the rest is computed
-    once per cell or on one (sweeps, plan levels) grid. ``wrap_high_power``
-    sends a frame that asks for 23 dBm at 5 dBm, as the hardware does. Frames
+    function of the config. One ``path_loss`` call gives every cell's loss.
+    Per sweep, the link draws drops as one vector over the plan and noise as
+    one over the delivered frames, each into its slice of a campaign-wide
+    buffer; the rest is array work over all sweeps. ``wrap_high_power`` sends
+    a frame that asks for 23 dBm at 5 dBm, as the hardware does. Frames
     arrive unaltered, so each is decoded once, for all of its deliveries.
     """
     plan = PowerPlan(config.power_levels)
     sent = [decode_packet(frame) for frame in encode_plan(config.device_id, plan)]
     device_ids, tx_powers = np.array([(p.device_id, p.tx_power) for p in sent]).T
-    cells = [(s, vwc) for s in config.scenarios for vwc in config.vwc_grid]
-    loss = [path_loss(config.soil_state(vwc), config.geometry(s)) for s, vwc in cells]
+    placements = np.array([(s.receiver_height_cm, s.burial_depth_cm) for s in config.scenarios])
+    # Cells run scenario by scenario, each over the whole grid.
+    levels = len(config.vwc_grid)
+    heights, depths = np.repeat(placements, levels, axis=0).T
+    cell_vwc = np.tile(np.asarray(config.vwc_grid, dtype=float), len(config.scenarios))
+    # Every placement has the same antenna gains and carrier.
+    gains = config.geometry(config.scenarios[0])
+    cells = replace(gains, burial_depth_cm=depths, receiver_height_cm=heights)
+    loss = path_loss(config.soil_state(cell_vwc), cells)
     # Sweep i visits cell i // sweeps_per_cell.
-    loss, vwc = np.repeat([loss, [vwc for _, vwc in cells]], config.sweeps_per_cell, axis=1)
+    loss, vwc = np.repeat([loss, cell_vwc], config.sweeps_per_cell, axis=1)
     tdr_words, noise_words, drop_words = sweep_seed_words(config.seed, len(vwc))
     truth = np.full(len(vwc), math.nan)
     if config.training_mode:
         truth = read_vwc(config.tdr_sensor(), vwc, _generators(tdr_words)) / 100.0
-    delivered = np.empty((len(vwc), len(plan)), dtype=bool)
-    noise_db = np.zeros(delivered.shape)
-    streams = zip(delivered, noise_db, _generators(noise_words), _generators(drop_words))
-    for kept, heard, noise_rng, drop_rng in streams:
-        kept[:] = drop_rng.random(len(plan)) >= config.drop_prob
-        if config.rssi_sigma_db:
-            heard[kept] = noise_rng.normal(0.0, config.rssi_sigma_db, np.count_nonzero(kept))
+    # random() is never below 0, so a drop probability of 0 keeps every frame.
+    delivered = np.ones((len(vwc), len(plan)), dtype=bool)
+    if config.drop_prob:
+        draws = np.empty(delivered.shape)
+        for row, drop_rng in zip(draws, _generators(drop_words)):
+            drop_rng.random(out=row)
+        delivered = draws >= config.drop_prob
+    sweep, level = np.nonzero(delivered)
+    noise_db = 0.0
+    if config.rssi_sigma_db:
+        # Generator.normal(loc, scale) is loc + scale * standard_normal().
+        heard = np.empty(len(sweep))
+        ends = np.cumsum(np.count_nonzero(delivered, axis=1)).tolist()
+        for start, end, noise_rng in zip([0] + ends, ends, _generators(noise_words)):
+            noise_rng.standard_normal(out=heard[start:end])
+        noise_db = 0.0 + config.rssi_sigma_db * heard
     powers = np.array(plan.levels)
     if config.wrap_high_power:
         powers[powers == TX_POWER_MAX_DBM] = TX_POWER_MIN_DBM
-    # Every placement has the same antenna gains, the only geometry left.
-    gains = config.geometry(config.scenarios[0])
-    rssi = sweep_rssi(powers, loss[:, None], gains, config.quantize_rssi, noise_db)
-    sweep, level = np.nonzero(delivered)
-    place = sweep // (len(config.vwc_grid) * config.sweeps_per_cell)
-    placements = np.array([(s.receiver_height_cm, s.burial_depth_cm) for s in config.scenarios])
+    rssi = sweep_rssi(powers[level], loss[sweep], gains, config.quantize_rssi, noise_db)
+    place = sweep // (levels * config.sweeps_per_cell)
     labels = np.array([s.label for s in config.scenarios], dtype=object)
     return MeasurementLog(
         config.epoch + sweep * config.sweep_interval_s, device_ids[level], tx_powers[level],
-        rssi[delivered], *placements[place].T, labels[place], truth[sweep],
+        rssi, *placements[place].T, labels[place], truth[sweep],
     )
 
 

@@ -35,15 +35,27 @@ def read_vwc(
 
     A session averages ``sensor.spots`` independent probe readings, each the
     true vwc plus uniform noise within +/- error_bound, on the percent scale.
-    ``rngs`` yields one generator per session; its spots are one draw from
-    it. A noiseless probe draws nothing.
+    ``rngs`` yields one generator per session, and no more; its spots are one
+    draw from it. A noiseless probe draws nothing and takes no generator.
     """
     true_vwc = np.asarray(true_vwc, dtype=float)
     if sensor.error_bound == 0.0:
         percent = 100.0 * true_vwc
     else:
-        bound, spots = sensor.error_bound, sensor.spots
-        errors = np.reshape([rng.uniform(-bound, bound, size=spots) for rng in rngs], (-1, spots))
+        draws = np.empty((len(true_vwc), sensor.spots))
+        rngs = iter(rngs)
+        filled = 0
+        for row, rng in zip(draws, rngs):
+            rng.random(out=row)
+            filled += 1
+        if filled < len(draws) or next(rngs, None) is not None:
+            given = filled if filled < len(draws) else f"more than {filled}"
+            raise ValueError(
+                f"one generator per reading session: {len(draws)} sessions, {given} generators"
+            )
+        # Generator.uniform(low, high) is low + (high - low) * random().
+        low, high = -sensor.error_bound, sensor.error_bound
+        errors = low + (high - low) * draws
         # The mean along the last axis of a C-ordered array sums each row
         # pairwise, exactly as np.mean of that row alone would.
         percent = 100.0 * np.mean(true_vwc[:, None] + errors, axis=-1)

@@ -1,9 +1,10 @@
 """Forward channel model for a buried LoRa transmitter under moist soil.
 
 The model is one link budget: rssi = tx power + antenna gains - path
-loss + receiver noise. ``path_loss`` gives the loss of one soil state
-and placement, ``sweep_rssi`` turns losses into RSSI for a sweep of
-transmit powers, or a whole (sweeps, powers) grid. The loss is
+loss + receiver noise. ``path_loss`` gives the loss of a soil state and
+placement, or of arrays of moisture levels and placements in one call;
+``sweep_rssi`` turns losses into RSSI for a sweep of transmit powers, or
+a whole (sweeps, powers) grid. The loss is
 deliberately simple and monotone:
 
 - effective soil permittivity from a three-phase refractive (CRIM) mix of
@@ -22,7 +23,6 @@ frequencies Hz, powers/gains dB(m).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,21 +48,26 @@ WATER_PERMITTIVITY_DEFAULT = 80.0
 WATER_LOSS_FACTOR_DEFAULT = 200.0
 
 
+def _refuse(bad, message: str, *values) -> None:
+    """Raise ValueError(message) filled in with the ``values`` at the first
+    element where ``bad`` holds; ``bad`` and ``values`` broadcast together."""
+    bad, *values = np.broadcast_arrays(bad, *values)
+    if bad.any():
+        at = np.argmax(bad.ravel())
+        raise ValueError(message.format(*(v.ravel()[at].item() for v in values)))
+
+
 @dataclass(frozen=True)
 class Dielectric:
     """Complex relative permittivity, split as eps' - j*eps''."""
 
-    real_part: float
-    imag_part: float = 0.0
+    real_part: float | np.ndarray
+    imag_part: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        if self.real_part < 1.0:
-            raise ValueError(f"relative permittivity {self.real_part} below vacuum")
-        if self.imag_part < 0.0:
-            raise ValueError(f"loss factor must be >= 0, got {self.imag_part}")
-
-    def as_complex(self) -> complex:
-        return complex(self.real_part, -self.imag_part)
+        real, imag = self.real_part, self.imag_part
+        _refuse(real < 1.0, "relative permittivity {} below vacuum", real)
+        _refuse(imag < 0.0, "loss factor must be >= 0, got {}", imag)
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,11 @@ class SoilState:
 
     ``vwc`` is the water volume fraction, bounded by ``porosity`` (water
     only fills pore space). ``SoilState(1.0, 1.0)`` is all water,
-    ``SoilState(0.0, 1.0)`` all air.
+    ``SoilState(0.0, 1.0)`` all air. ``vwc`` may be an array: one state
+    per element.
     """
 
-    vwc: float
+    vwc: float | np.ndarray
     porosity: float
     solid_permittivity: float = SOLID_PERMITTIVITY_DEFAULT
     water_permittivity: Dielectric = Dielectric(
@@ -82,34 +88,56 @@ class SoilState:
     )
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.vwc <= self.porosity <= 1.0:
-            raise ValueError(
-                f"need 0 <= vwc <= porosity <= 1, got vwc={self.vwc} "
-                f"porosity={self.porosity}"
-            )
-        if not 3.0 <= self.solid_permittivity <= 7.0:
-            raise ValueError(
-                f"solid permittivity {self.solid_permittivity} outside the usual 3..7 range"
-            )
+        vwc, porosity, solid = map(np.asarray, (self.vwc, self.porosity, self.solid_permittivity))
+        bad_mix = ~((0.0 <= vwc) & (vwc <= porosity) & (porosity <= 1.0))
+        _refuse(bad_mix, "need 0 <= vwc <= porosity <= 1, got vwc={} porosity={}", vwc, porosity)
+        bad_solid = ~((3.0 <= solid) & (solid <= 7.0))
+        _refuse(bad_solid, "solid permittivity {} outside the usual 3..7 range", solid)
 
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """One measurement scenario: buried depth, receiver height, carrier."""
+    """One measurement scenario: buried depth, receiver height, carrier.
 
-    burial_depth_cm: float
-    receiver_height_cm: float
+    The depth and the height may be arrays: one placement per element."""
+
+    burial_depth_cm: float | np.ndarray
+    receiver_height_cm: float | np.ndarray
     carrier_frequency_hz: float = 915e6
     tx_antenna_gain_db: float = 0.0
     rx_antenna_gain_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.burial_depth_cm < 0.0:
-            raise ValueError("burial depth must be >= 0 cm")
-        if self.receiver_height_cm < 0.0:
-            raise ValueError("receiver height must be >= 0 cm")
-        if self.carrier_frequency_hz <= 0.0:
-            raise ValueError("carrier frequency must be positive")
+        depth, height = self.burial_depth_cm, self.receiver_height_cm
+        frequency = self.carrier_frequency_hz
+        _refuse(depth < 0.0, "burial depth must be >= 0 cm, got {}", depth)
+        _refuse(height < 0.0, "receiver height must be >= 0 cm, got {}", height)
+        _refuse(frequency <= 0.0, "carrier frequency must be positive, got {}", frequency)
+
+
+# The functions below take scalars or arrays and broadcast. They compute
+# in float64 what CPython's cmath/complex code computes, operation by
+# operation, so an array gives the bits that one scalar call per element
+# through ``math`` and ``cmath`` would.
+
+
+def _sqrt(real, imag):
+    """``cmath.sqrt(complex(real, imag))`` for ``real >= 1``, as its real and
+    imaginary parts: CPython's ``s = 2*sqrt(a/8 + hypot(a/8, b/8))``,
+    ``d = b/(2s)``."""
+    scaled, b = real / 8.0, np.abs(imag)
+    s = 2.0 * np.sqrt(scaled + np.hypot(scaled, b / 8.0))
+    return s, np.copysign(b / (2.0 * s), imag)
+
+
+def _libm(fn, x) -> np.ndarray:
+    """``fn`` of every element of ``x``, a Python float at a time, for what
+    CPython hands to the C library. NumPy's ``log10`` is a SIMD
+    approximation on some hosts, and its ``x ** 2`` is ``x * x``, which the
+    library's ``pow(x, 2)`` does not always equal: both can differ in the
+    last bit."""
+    x = np.asarray(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def mix_permittivity(soil: SoilState) -> Dielectric:
@@ -124,24 +152,22 @@ def mix_permittivity(soil: SoilState) -> Dielectric:
     The real part grows strictly with vwc at fixed porosity, which is the
     physical premise the whole sensing pipeline rests on.
     """
-    theta = soil.vwc
+    theta = np.asarray(soil.vwc, dtype=float)
     phi = soil.porosity
-    index = (
-        (1.0 - phi) * cmath.sqrt(complex(soil.solid_permittivity, 0.0))
-        + (phi - theta) * math.sqrt(AIR_PERMITTIVITY)
-        + theta * cmath.sqrt(soil.water_permittivity.as_complex())
-    )
-    eff = index * index
+    solid, _ = _sqrt(soil.solid_permittivity, 0.0)
+    water = soil.water_permittivity
+    water_re, water_im = _sqrt(water.real_part, -water.imag_part)
+    # The index's parts, summed left to right as in the formula above.
+    index_re = (1.0 - phi) * solid + (phi - theta) * math.sqrt(AIR_PERMITTIVITY) + theta * water_re
+    index_im = theta * water_im
     # (a - jb)^2 has imaginary part -2ab <= 0; clip rounding fuzz only.
-    return Dielectric(eff.real, max(0.0, -eff.imag))
+    loss = -(index_re * index_im + index_im * index_re)
+    return Dielectric(
+        index_re * index_re - index_im * index_im, np.where(loss > 0.0, loss, 0.0)[()]
+    )
 
 
-def refractive_index(eps: Dielectric) -> complex:
-    """Principal root n - j*kappa of the complex permittivity."""
-    return cmath.sqrt(eps.as_complex())
-
-
-def attenuation_constant(eps: Dielectric, frequency_hz: float) -> float:
+def attenuation_constant(eps: Dielectric, frequency_hz: float) -> float | np.ndarray:
     """Plane-wave power attenuation in the medium, dB per meter.
 
     alpha_Np = omega * sqrt(mu0*eps0 * eps'/2 * (sqrt(1 + (eps''/eps')^2) - 1)),
@@ -152,34 +178,14 @@ def attenuation_constant(eps: Dielectric, frequency_hz: float) -> float:
     ratio = eps.imag_part / eps.real_part
     # sqrt(1+r^2)-1 rewritten as r^2/(sqrt(1+r^2)+1): cancellation-free
     # for small loss tangents
-    bracket = ratio * ratio / (math.sqrt(1.0 + ratio * ratio) + 1.0)
+    bracket = ratio * ratio / (np.sqrt(1.0 + ratio * ratio) + 1.0)
     omega = 2.0 * math.pi * frequency_hz
-    alpha_np = (omega / SPEED_OF_LIGHT_M_S) * math.sqrt((eps.real_part / 2.0) * bracket)
+    alpha_np = (omega / SPEED_OF_LIGHT_M_S) * np.sqrt((eps.real_part / 2.0) * bracket)
     return alpha_np * NEPER_TO_DB
 
 
-def free_space_loss_db(wavelengths: float) -> float:
-    """Spreading loss over a path measured in wavelengths.
-
-    Classic 20*log10(4*pi*d/lambda) with d/lambda pre-summed per segment.
-    Distances inside the near-field knee (4*pi*d < lambda) clamp to 0 dB
-    so short links never produce negative loss.
-    """
-    return max(0.0, 20.0 * math.log10(4.0 * math.pi * wavelengths))
-
-
-def interface_loss_db(eps: Dielectric) -> float:
-    """Normal-incidence transmission loss through one soil/air boundary.
-
-    T = 1 - |(sqrt(eps) - 1) / (sqrt(eps) + 1)|^2, returned as -10*log10(T).
-    """
-    m = refractive_index(eps)
-    reflected = abs((m - 1.0) / (m + 1.0)) ** 2
-    return -10.0 * math.log10(1.0 - reflected)
-
-
-def path_loss(soil: SoilState, geom: LinkGeometry) -> float:
-    """Total link loss in dB for one buried-to-air geometry.
+def path_loss(soil: SoilState, geom: LinkGeometry) -> float | np.ndarray:
+    """Total link loss in dB for a buried-to-air geometry.
 
     Sum of segment-wise free-space spreading (the soil segment counted in
     its shortened wavelength), slab absorption over the burial depth, and
@@ -187,22 +193,40 @@ def path_loss(soil: SoilState, geom: LinkGeometry) -> float:
     segment). Monotone non-decreasing in vwc at fixed geometry; strictly
     increasing when the burial depth is positive and the water phase is
     lossy.
-    """
-    depth_m = geom.burial_depth_cm / 100.0
-    height_m = geom.receiver_height_cm / 100.0
-    if depth_m == 0.0 and height_m == 0.0:
-        raise ValueError("zero-length link: burial depth and receiver height both 0")
 
+    The soil's vwc and the geometry's depth and height broadcast together:
+    one loss per element, a float for scalars.
+    """
+    depth_m = np.asarray(geom.burial_depth_cm, dtype=float) / 100.0
+    height_m = np.asarray(geom.receiver_height_cm, dtype=float) / 100.0
+    _refuse(
+        (depth_m == 0.0) & (height_m == 0.0),
+        "zero-length link: burial depth and receiver height both 0",
+    )
     eps = mix_permittivity(soil)
     lam0 = SPEED_OF_LIGHT_M_S / geom.carrier_frequency_hz
-    n_soil = refractive_index(eps).real
+    n_re, n_im = _sqrt(eps.real_part, -eps.imag_part)
 
-    wavelengths = (depth_m * n_soil + height_m) / lam0
-    loss = free_space_loss_db(wavelengths)
-    if depth_m > 0.0:
-        loss += attenuation_constant(eps, geom.carrier_frequency_hz) * depth_m
-        loss += interface_loss_db(eps)
-    return loss
+    # Spreading, 20*log10(4*pi*d/lambda) with d/lambda summed per segment.
+    # Distances inside the near-field knee (4*pi*d < lambda) clamp to 0 dB
+    # so short links never produce negative loss.
+    spreading = 20.0 * _libm(math.log10, 4.0 * math.pi * ((depth_m * n_re + height_m) / lam0))
+    loss = np.where(spreading > 0.0, spreading, 0.0)
+
+    # Normal-incidence interface: T = 1 - |(n - 1) / (n + 1)|^2, as
+    # -10*log10(T). The quotient is CPython's (Smith's) for a divisor with
+    # |real| >= |imag|, which n + 1 is: n's real part is at least its
+    # imaginary part's magnitude.
+    ratio = n_im / (n_re + 1.0)
+    denom = (n_re + 1.0) + n_im * ratio
+    quotient = np.hypot(
+        ((n_re - 1.0) + n_im * ratio) / denom, (n_im - (n_re - 1.0) * ratio) / denom
+    )
+    reflected = _libm(lambda magnitude: magnitude**2, quotient)
+    interface = -10.0 * _libm(math.log10, 1.0 - reflected)
+
+    absorption = attenuation_constant(eps, geom.carrier_frequency_hz) * depth_m
+    return np.where(depth_m > 0.0, loss + absorption + interface, loss)[()]
 
 
 def sweep_rssi(

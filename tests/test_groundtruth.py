@@ -65,6 +65,14 @@ class TestReadVwc:
         ]
         assert read_vwc(sensor, vwc, rngs()).tolist() == one_at_a_time
 
+    @pytest.mark.parametrize("sessions, generators, given", [(3, 1, "1"), (1, 2, "more than 1")])
+    def test_refuses_generators_unpaired_with_sessions(self, sessions, generators, given):
+        # Neither shares one generator's draws among sessions nor reads a
+        # session per surplus generator.
+        rngs = [np.random.default_rng(i) for i in range(generators)]
+        with pytest.raises(ValueError, match=f"{sessions} sessions, {given} generators"):
+            read_vwc(TdrSensor(), [0.1] * sessions, rngs)
+
     @given(vwc=st.floats(0.0, 1.0), idx=st.integers(0, 1000))
     @settings(max_examples=100)
     def test_single_spot_error_is_bounded(self, vwc, idx):
