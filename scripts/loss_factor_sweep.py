@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from smol.calibrate import DEFAULT_COMPARISON_SPECS, FeatureMode, compare, render_table
+from smol.calibrate import compare, render_table
 from smol.campaign import CampaignConfig, run_campaign
 from smol.sweepproto import log_median_power
 
@@ -47,11 +47,7 @@ def main() -> None:
         config = replace(base, water_loss_factor=wlf)
         swings = rssi_swing_by_height(config)
         swing_txt = "  ".join(f"{s.split('_')[-1]}:{v:5.1f}dB" for s, v in sorted(swings.items()))
-        rows = compare(
-            DEFAULT_COMPARISON_SPECS,
-            run_campaign(config),
-            [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX],
-        )
+        rows = compare(run_campaign(config))
         print(f"loss_factor={wlf:6.1f}  grid swing {swing_txt}")
         print(render_table(rows))
 

@@ -266,6 +266,9 @@ def polynomial_expand(X: np.ndarray, powers: Sequence[tuple[int, ...]]) -> np.nd
 
 
 def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    bad = np.count_nonzero(~np.isfinite(design))
+    if bad:
+        raise FloatingPointError(f"{bad} of {design.size} design matrix values are not finite")
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise SingularSystemError(
@@ -296,7 +299,9 @@ def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
 
 def _fit_polynomial(X: np.ndarray, y: np.ndarray, degree: int) -> dict:
     powers = polynomial_powers(X.shape[1], degree)
-    design = polynomial_expand(X, powers)
+    # An overflowing monomial is refused below as non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = polynomial_expand(X, powers)
     return {"beta": _solve_least_squares(design, y), "powers": powers}
 
 
@@ -530,7 +535,8 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
     of total degree <= poly_degree first. The forest bootstraps seeded
     resamples and grows greedy variance-reduction trees. Rank-deficient
     linear solves raise SingularSystemError rather than regularizing
-    silently.
+    silently; a design holding a non-finite value, such as an overflowing
+    monomial, raises FloatingPointError before it reaches LAPACK.
     """
     if len(train) == 0:
         raise ValueError("cannot fit on an empty training set")
@@ -801,13 +807,9 @@ def rank_rows(rows: list[CompareRow]) -> list[CompareRow]:
     return ordered
 
 
-def compare(
-    specs: Sequence[ModelSpec],
-    log: MeasurementLog,
-    modes: Sequence[FeatureMode],
-    split_seed: int = 0,
-) -> list[CompareRow]:
-    """``train_and_score`` every (spec, mode) pair on one split seed.
+def compare(log: MeasurementLog, split_seed: int = 0) -> list[CompareRow]:
+    """``train_and_score`` every DEFAULT_COMPARISON_SPECS spec in every
+    feature mode, on one split seed.
 
     A bad seed raises ValueError; a combination that fails on the data
     becomes an error row instead of aborting the whole comparison. Rows
@@ -815,12 +817,12 @@ def compare(
     """
     check_split(split_seed)
     rows: list[CompareRow] = []
-    for mode in modes:
-        for spec in specs:
+    for mode in FeatureMode:
+        for spec in DEFAULT_COMPARISON_SPECS:
             try:
                 ev = train_and_score(spec, log, mode, split_seed)[1]
                 rows.append(CompareRow(spec.kind, mode, ev.r_squared, ev.mae))
-            except (ValueError, SingularSystemError) as err:
+            except (ValueError, SingularSystemError, FloatingPointError) as err:
                 rows.append(CompareRow(spec.kind, mode, error=str(err)))
     return rank_rows(rows)
 

@@ -182,6 +182,9 @@ class CampaignConfig:
         )
 
 
+# Config values large enough to overflow leave non-finite cells, which the
+# log refuses with one line of its own.
+@np.errstate(over="ignore", invalid="ignore")
 def run_campaign(config: CampaignConfig) -> MeasurementLog:
     """Sweep every scenario x vwc cell over the simulated link; returns the log.
 
@@ -390,22 +393,27 @@ def _cell_texts(values: np.ndarray, show=repr) -> tuple[np.ndarray, np.ndarray]:
     return np.array(texts, dtype=object), text_of_row
 
 
+def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence, **show) -> None:
+    """Write the ``header`` line (names that need no quoting), then a row per
+    cell of the equal-length ``columns``; ``show`` maps the header of a number
+    column to its formatter, by default ``repr``."""
+    cells = [_cell_texts(np.asarray(column), show.get(name, repr))
+             for name, column in zip(header, columns)]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(cells[0][1]), _ROWS_PER_CHUNK):
+            stop = start + _ROWS_PER_CHUNK
+            chunk = [texts[rows[start:stop]].tolist() for texts, rows in cells]
+            handle.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
+
+
 def write_measurements(path: str | Path, log: MeasurementLog, **extra: np.ndarray) -> None:
     """Write the log, then each ``extra`` column (one cell per row), headed by its keyword."""
     for name, column in extra.items():
         if len(column) != len(log):
             raise ValueError(f"column {name!r} has {len(column)} rows, the log {len(log)}")
-    columns = [
-        _cell_texts(getattr(log, name), _fraction_to_pct_str if name == "vwc_truth" else repr)
-        for name in _LOG_COLUMNS
-    ]
-    columns += [_cell_texts(np.asarray(column)) for column in extra.values()]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(CSV_COLUMNS + tuple(extra))
-        for start in range(0, len(log), _ROWS_PER_CHUNK):
-            stop = start + _ROWS_PER_CHUNK
-            chunk = [texts[rows[start:stop]].tolist() for texts, rows in columns]
-            handle.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
+    columns = [getattr(log, name) for name in _LOG_COLUMNS] + list(extra.values())
+    _write_csv(path, CSV_COLUMNS + tuple(extra), columns, vwc_truth_pct=_fraction_to_pct_str)
 
 
 def read_measurements(path: str | Path) -> MeasurementLog:
@@ -466,40 +474,48 @@ def read_measurements(path: str | Path) -> MeasurementLog:
 # ---------------------------------------------------------------------------
 # plot-ready curves
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Mean RSSI of the median power for one (scenario, height, logged reading)."""
-
-    scenario: str
-    height_cm: float
-    vwc_truth_pct: float
-    mean_rssi_dbm: float
+CURVE_COLUMNS = ("scenario", "height_cm", "vwc_truth_pct", "mean_rssi_dbm")
 
 
-def median_power_curves(log: MeasurementLog) -> list[CurvePoint]:
-    """Per-height RSSI-vs-moisture curves from the median-power packets."""
+def _safe_name(label: str) -> str:
+    """The label with every character but ASCII letters, digits, ``-`` and ``_``
+    replaced by ``_``, so that any locale can encode the file name."""
+    return "".join(c if c.isascii() and c.isalnum() or c in "-_" else "_" for c in label)
+
+
+def median_power_curves(log: MeasurementLog) -> dict[str, tuple[np.ndarray, ...]]:
+    """Per-height RSSI-vs-moisture curves from the median-power packets:
+    each curve file's name with its points as ``CURVE_COLUMNS``, one point
+    per (scenario, height, logged reading) at the mean RSSI of its packets,
+    sorted by reading. Raises ValueError if a (scenario, height) holds two
+    burial depths, which one curve would blend, or if two (scenario,
+    height) pairs map to one file name.
+    """
     log.require_ground_truth()
-    at_median = log.take(log.tx_power == log_median_power(log))
-    pct = 100.0 * at_median.vwc_truth
-    cells = zip(at_median.scenario.tolist(), at_median.height_cm.tolist(), pct.tolist())
-    groups: dict[tuple[str, float, float], list[float]] = {}
-    for key, rssi in zip(cells, at_median.rssi.tolist()):
-        groups.setdefault(key, []).append(rssi)
-    points = [
-        CurvePoint(s, h, v, sum(r) / len(r)) for (s, h, v), r in groups.items()
-    ]
-    points.sort(key=lambda p: (p.scenario, p.height_cm, p.vwc_truth_pct))
-    return points
-
-
-def write_curves(path: str | Path, points: Sequence[CurvePoint]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "height_cm", "vwc_truth_pct", "mean_rssi_dbm"])
-        for p in points:
-            writer.writerow(
-                [p.scenario, repr(p.height_cm), repr(p.vwc_truth_pct), repr(p.mean_rssi_dbm)]
-            )
+    at = log.take(log.tx_power == log_median_power(log))
+    pct = 100.0 * at.vwc_truth
+    label = np.unique(at.scenario, return_inverse=True)[1]
+    # Float keys compare by value, so -0.0 and 0.0 make one point, shown by
+    # its first packet. The inverse's shape differs between NumPy 1.x and 2.x.
+    keys = np.column_stack([label, at.height_cm, at.depth_cm, pct])
+    _, first, point = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    mean_rssi = np.bincount(point.ravel(), at.rssi) / np.bincount(point.ravel())
+    # The points are sorted, so a curve's points are a run of them.
+    starts = np.unique(keys[first, :2], axis=0, return_index=True)[1]
+    curves: dict[str, tuple[np.ndarray, ...]] = {}
+    for start, stop in zip(starts, [*starts[1:], len(first)]):
+        rows = first[start:stop]
+        key = (at.scenario[rows[0]], at.height_cm[rows[0]].item())
+        name = f"curve_{_safe_name(key[0])}_h{key[1]:g}cm.csv"
+        depths = sorted(set(at.depth_cm[rows].tolist()))
+        if len(depths) > 1:
+            raise ValueError(f"scenario {key[0]!r} at height {key[1]!r} cm holds burial "
+                             f"depths {depths} cm; one curve would blend them")
+        if name in curves:
+            earlier = (curves[name][0][0], curves[name][1][0].item())
+            raise ValueError(f"(scenario, height) {earlier} and {key} both map to {name}")
+        curves[name] = (at.scenario[rows], at.height_cm[rows], pct[rows], mean_rssi[start:stop])
+    return curves
 
 
 # ---------------------------------------------------------------------------

@@ -8,26 +8,21 @@ same arguments reproduce every output file byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn
 
 from . import calibrate, campaign
-from .calibrate import (
-    DEFAULT_COMPARISON_SPECS,
-    FeatureMode,
-    ModelKind,
-    ModelSpec,
-    SingularSystemError,
-)
+from .calibrate import FeatureMode, ModelKind, ModelSpec, SingularSystemError
 from .campaign import CampaignConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+TABLE_COLUMNS = ("model", "mode", "r_squared", "mae", "best")
 
 # train's hyperparameter flags (by argparse dest) and the ModelSpec field
 # each sets; a flag's default is that field's.
@@ -157,44 +152,22 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _safe_name(label: str) -> str:
-    """The label with every character but ASCII letters, digits, ``-`` and ``_``
-    replaced by ``_``, so that any locale can encode the file name."""
-    return "".join(c if c.isascii() and c.isalnum() or c in "-_" else "_" for c in label)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     calibrate.check_split(args.split_seed)
     log = campaign.read_measurements(args.log)
-    points = campaign.median_power_curves(log)
-    curves: dict[str, tuple[str, float]] = {}  # file name -> (scenario, height)
-    for key in sorted({(p.scenario, p.height_cm) for p in points}):
-        name = f"curve_{_safe_name(key[0])}_h{key[1]:g}cm.csv"
-        if name in curves:
-            raise ValueError(f"(scenario, height) {curves[name]} and {key} both map to {name}")
-        curves[name] = key
+    curves = campaign.median_power_curves(log)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = calibrate.compare(
-        DEFAULT_COMPARISON_SPECS,
-        log,
-        [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX],
-        split_seed=args.split_seed,
-    )
+    rows = calibrate.compare(log, args.split_seed)
     table = calibrate.render_table(rows)
     print(table)
     (out_dir / "table.txt").write_text(table + "\n")
-    with open(out_dir / "table.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model", "mode", "r_squared", "mae", "best"])
-        for row in rows:
-            scores = ["" if v is None else repr(v) for v in (row.r_squared, row.mae)]
-            writer.writerow([row.kind.value, row.mode.value, *scores, int(row.best)])
-
-    for name, key in curves.items():
-        subset = [p for p in points if (p.scenario, p.height_cm) == key]
-        campaign.write_curves(out_dir / name, subset)
+    scores = [["" if v is None else repr(v) for v in (r.r_squared, r.mae)] for r in rows]
+    cells = [(r.kind.value, r.mode.value, *s, int(r.best)) for r, s in zip(rows, scores)]
+    campaign._write_csv(out_dir / "table.csv", TABLE_COLUMNS, list(zip(*cells)))
+    for name, columns in curves.items():
+        campaign._write_csv(out_dir / name, campaign.CURVE_COLUMNS, columns)
     print(f"wrote table.txt, table.csv and {len(curves)} curve file(s) to {out_dir}")
     return EXIT_OK
 

@@ -219,12 +219,7 @@ def test_criterion_6_regression_sanity():
 def test_criterion_7_qualitative_table_reproduction():
     log = campaign.run_campaign(CampaignConfig())
     start = time.perf_counter()
-    rows = calibrate.compare(
-        calibrate.DEFAULT_COMPARISON_SPECS,
-        log,
-        [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX],
-        split_seed=0,
-    )
+    rows = calibrate.compare(log, split_seed=0)
     elapsed = time.perf_counter() - start
 
     top = rows[0]

@@ -202,6 +202,24 @@ class TestLinearFits:
         with pytest.raises(ValueError):
             fit(ModelSpec(ModelKind.LINEAR), ds)
 
+    def test_non_finite_design_never_reaches_lapack(self, monkeypatch):
+        lstsq = np.linalg.lstsq
+
+        def finite_lstsq(a, b, *args, **kwargs):
+            assert np.isfinite(a).all() and np.isfinite(b).all(), "lstsq got a non-finite value"
+            return lstsq(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", finite_lstsq)
+        # Finite RSSI whose square overflows.
+        log = _sweep_log()
+        log = _log(np.where(np.arange(len(log)) % 7, log.rssi, -1e200), log.tx_power,
+                   log.vwc_truth)
+        with pytest.raises(FloatingPointError, match="design matrix values are not finite"):
+            fit(ModelSpec(ModelKind.POLYNOMIAL), assemble(log, FeatureMode.ALL_TX))
+        errors = {(r.kind, r.mode): r.error for r in compare(log)}
+        for mode in FeatureMode:
+            assert "not finite" in errors[ModelKind.POLYNOMIAL, mode]
+
 
 class TestPolynomial:
     def test_degree_two_single_feature_basis(self):
@@ -559,28 +577,20 @@ class TestTrainAndScore:
         assert ev == evaluate(model, test)
 
     def test_compare_rows_are_its_scores(self):
-        log, modes = _sweep_log(), [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX]
-        specs = [ModelSpec(ModelKind.LINEAR), ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5)]
-        for row in compare(specs, log, modes, split_seed=2):
-            spec = next(s for s in specs if s.kind == row.kind)
+        log = _sweep_log()
+        for row in compare(log, split_seed=2):
+            spec = next(s for s in DEFAULT_COMPARISON_SPECS if s.kind == row.kind)
             ev = train_and_score(spec, log, row.mode, 2)[1]
             assert (row.r_squared, row.mae) == (ev.r_squared, ev.mae)
 
 
 class TestCompare:
-    def test_empty_spec_list(self):
-        assert compare([], _sweep_log(), [FeatureMode.ALL_TX]) == []
-
     def test_six_way_structure(self):
-        specs = [
-            ModelSpec(ModelKind.RANDOM_FOREST, n_trees=10),
-            ModelSpec(ModelKind.POLYNOMIAL),
-            ModelSpec(ModelKind.LINEAR),
-        ]
-        rows = compare(
-            specs, _sweep_log(), [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX]
-        )
+        rows = compare(_sweep_log())
         assert len(rows) == 6
+        assert {(r.kind, r.mode) for r in rows} == {
+            (spec.kind, mode) for spec in DEFAULT_COMPARISON_SPECS for mode in FeatureMode
+        }
         assert sum(r.best for r in rows) == 1
         assert rows[0].best
         scores = [r.r_squared for r in rows if r.r_squared is not None]
@@ -588,22 +598,15 @@ class TestCompare:
 
     def test_failing_combination_becomes_error_row(self):
         # two median rows survive: a split cannot leave both sides populated
-        log = _sweep_log(n_sweeps=2)
-        rows = compare(
-            [ModelSpec(ModelKind.LINEAR)],
-            log,
-            [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX],
-        )
-        by_mode = {r.mode: r for r in rows}
-        assert by_mode[FeatureMode.ALL_TX].error is None
-        assert by_mode[FeatureMode.MEDIAN_TX].error is not None
+        errors = {(r.kind, r.mode): r.error for r in compare(_sweep_log(n_sweeps=2))}
+        assert errors[ModelKind.LINEAR, FeatureMode.ALL_TX] is None
+        for spec in DEFAULT_COMPARISON_SPECS:
+            assert errors[spec.kind, FeatureMode.MEDIAN_TX] is not None
 
     def test_failing_fit_becomes_error_row(self):
         # One power level makes tx_power a constant column, so the all-TX
         # linear and polynomial designs lose rank; the other fits score.
-        log = run_campaign(CampaignConfig(power_levels=(13,)))
-        modes = [FeatureMode.ALL_TX, FeatureMode.MEDIAN_TX]
-        rows = compare(DEFAULT_COMPARISON_SPECS, log, modes)
+        rows = compare(run_campaign(CampaignConfig(power_levels=(13,))))
         errors = {(r.kind, r.mode): r.error for r in rows}
         assert errors.pop((ModelKind.LINEAR, FeatureMode.ALL_TX)) == (
             "design matrix rank 2 < 3 columns"
@@ -616,8 +619,7 @@ class TestCompare:
 
     def test_bad_split_seed_raises_instead_of_error_rows(self):
         with pytest.raises(ValueError, match="split_seed"):
-            compare([ModelSpec(ModelKind.LINEAR)], _sweep_log(), [FeatureMode.ALL_TX],
-                    split_seed=-1)
+            compare(_sweep_log(), split_seed=-1)
 
     def test_ranking_fixture_layout(self):
         # fixed metric values: ranking must star the strongest R^2 row

@@ -511,18 +511,44 @@ class TestCsvReader:
         assert str(refusal.value).startswith(f"{path}:1: field larger than field limit")
 
 
+def _reference_write_curves(path, rows) -> None:
+    """The curve writer that ``_write_csv`` replaced: ``csv.writer``, numbers by ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["scenario", "height_cm", "vwc_truth_pct", "mean_rssi_dbm"])
+        for scenario, height, pct, rssi in rows:
+            writer.writerow([scenario, repr(height), repr(pct), repr(rssi)])
+
+
+# Campaigns whose curve files test the writer: hostile labels, heights of
+# either zero sign (one label holds both), and noise-free points that each
+# average several packets.
+CURVE_CASES = {
+    "hostile labels": small_config(
+        scenarios=tuple(Scenario(label, 15.0, 10.0) for label in HOSTILE_LABELS)
+    ),
+    "signed zero heights": small_config(
+        scenarios=(Scenario("neg", 15.0, -0.0), Scenario("pos", 15.0, 0.0),
+                   Scenario("both", 15.0, -0.0), Scenario("both", 15.0, 0.0)),
+        sweeps_per_cell=2,
+    ),
+    "no noise": CampaignConfig().without_noise(),
+}
+
+
 class TestCurves:
     def test_one_point_per_cell(self):
         log = run_campaign(small_config().without_noise())
-        points = median_power_curves(log)
-        assert len(points) == 3
-        assert [p.vwc_truth_pct for p in points] == [5.0, 20.0, 35.0]
+        ((_, _, pct, _),) = median_power_curves(log).values()
+        assert len(pct) == 3
+        assert pct.tolist() == [5.0, 20.0, 35.0]
 
     def test_noise_free_curve_decreases(self):
         cfg = CampaignConfig().without_noise()
-        points = median_power_curves(run_campaign(cfg))
+        curves = median_power_curves(run_campaign(cfg))
         for scenario in ("lab_h000", "lab_h195", "lab_h265"):
-            rssis = [p.mean_rssi_dbm for p in points if p.scenario == scenario]
+            (rssis,) = [rssi.tolist() for labels, _, _, rssi in curves.values()
+                        if labels[0] == scenario]
             assert len(rssis) == 8
             assert all(a > b for a, b in zip(rssis, rssis[1:]))
 
@@ -530,6 +556,16 @@ class TestCurves:
         log = run_campaign(small_config(training_mode=False))
         with pytest.raises(ValueError):
             median_power_curves(log)
+
+    @pytest.mark.parametrize("case", sorted(CURVE_CASES))
+    def test_curve_files_match_the_csv_module(self, tmp_path, case):
+        curves = median_power_curves(run_campaign(CURVE_CASES[case]))
+        assert len(curves) > 1
+        for name, columns in curves.items():
+            written, reference = tmp_path / name, tmp_path / "reference.csv"
+            campaign._write_csv(written, campaign.CURVE_COLUMNS, columns)
+            _reference_write_curves(reference, zip(*(c.tolist() for c in columns)))
+            assert written.read_bytes() == reference.read_bytes(), name
 
 
 class TestConfigFile:

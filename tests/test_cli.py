@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,10 @@ BAD_CONFIGS = {
     "negative seed": _edit(lambda d: d.update(seed=-1)),
     "drop_prob above one": _edit(lambda d: d.update(drop_prob=1.5)),
     "version 1": _edit(lambda d: d.update(version=1, spread_factor=7, bandwidth_hz=125e3)),
+    # Finite values whose sums and products overflow in the simulated log.
+    "overflowing timestamps": _edit(lambda d: d.update(epoch=1e308, sweep_interval_s=1e308)),
+    "overflowing antenna gains": _edit(lambda d: d.update(tx_gain_db=1e308, rx_gain_db=1e308)),
+    "overflowing burial depth": _edit(lambda d: d["scenarios"][0].update(burial_depth_cm=1e308)),
 }
 
 # What a case's error line must name, where the value itself is bad.
@@ -137,6 +142,10 @@ NAMED_FIELDS = {
     "negative seed": ["seed"],
     "drop_prob above one": ["drop_prob"],
     "version 1": ["version 1", "version 2", "spread_factor", "bandwidth_hz"],
+    **dict.fromkeys(
+        ["overflowing timestamps", "overflowing antenna gains", "overflowing burial depth"],
+        ["non-finite timestamp or rssi"],
+    ),
 }
 
 
@@ -145,10 +154,12 @@ def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, case):
     stock = json.loads(json.dumps(campaign.config_to_dict(campaign.CampaignConfig())))
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(BAD_CONFIGS[case](stock)))
-    code = main(["simulate", "--out", str(tmp_path / "x.csv"), "--config", str(cfg_path)])
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--out", str(out), "--config", str(cfg_path)])
     assert code == EXIT_VALIDATION
     line = _one_error_line(capsys)
     assert all(name in line for name in NAMED_FIELDS.get(case, [])), line
+    assert not out.exists()
 
 
 # Campaign values are set in the config file only: simulate sets the seed
@@ -320,6 +331,25 @@ def test_singular_fit_is_a_numerical_error(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+def test_an_overflowing_design_is_a_numerical_error(tmp_path, capfd):
+    """Every 7th RSSI at -1e200, which the reader accepts: its square
+    overflows, and no polynomial design with it reaches LAPACK."""
+    log = campaign.run_campaign(campaign.CampaignConfig())
+    rssi = np.where(np.arange(len(log)) % 7, log.rssi, -1e200)
+    huge = tmp_path / "huge.csv"
+    campaign.write_measurements(huge, replace(log, rssi=rssi))
+    model = tmp_path / "model.json"
+    code = main(["train", "--log", str(huge), "--model", "polynomial", "--out", str(model)])
+    out, err = capfd.readouterr()
+    assert code == EXIT_NUMERICAL and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: "), err
+    assert not model.exists()
+    assert main(["report", "--log", str(huge), "--out-dir", str(tmp_path / "r")]) == EXIT_OK
+    out, err = capfd.readouterr()
+    assert err == "" and "DLASCL" not in out
+    assert out.count("design matrix values are not finite") == 2
+
+
 def test_report_writes_table_and_curves(tmp_path, small_log, capsys):
     out_dir = tmp_path / "report"
     code = main(["report", "--log", str(small_log), "--out-dir", str(out_dir)])
@@ -353,6 +383,21 @@ def test_report_refuses_two_scenarios_with_one_curve_file(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = _one_error_line(capsys)
     assert "'a b'" in err and "'a_b'" in err and "curve_a_b_h0cm.csv" in err
+    assert not out_dir.exists()
+
+
+def test_report_refuses_a_curve_that_would_blend_burial_depths(tmp_path, capsys):
+    # One label at two depths: each noise-free point would average both.
+    cfg = campaign.CampaignConfig(
+        scenarios=(campaign.Scenario("a", 10.0, 0.0), campaign.Scenario("a", 30.0, 0.0)),
+    ).without_noise()
+    log = tmp_path / "log.csv"
+    campaign.write_measurements(log, campaign.run_campaign(cfg))
+    out_dir = tmp_path / "report"
+    code = main(["report", "--log", str(log), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    err = _one_error_line(capsys)
+    assert "'a'" in err and "height 0.0 cm" in err and "[10.0, 30.0]" in err, err
     assert not out_dir.exists()
 
 
