@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -309,56 +309,56 @@ def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> 
     """Running sums along every segment ``values[:, start:start + size]``,
     each from its segment's start, adding one term at a time.
 
-    Segments are padded to a power of 4 of their size, one block per padded
-    width, so the work stays within 4 times the terms plus 4 per segment.
-    A running sum never reads past its own term, so the padding may hold
-    whatever follows the segment.
+    The segments tile the columns in order. Each is padded to a power of 4
+    of its size, one block per padded width, so the work stays within 4
+    times the terms plus 4 per segment. A running sum never reads past its
+    own term, so the padding may hold whatever follows the segment.
     """
-    out = np.empty_like(values)
-    ends, last = starts + sizes, values.shape[1] - 1
+    pads, base, offset = [], np.empty(len(sizes), dtype=np.intp), 0
     low, width = 0, 4
     while low < sizes.max():
         seg = np.flatnonzero((sizes > low) & (sizes <= width))
-        at = starts[seg, None] + np.arange(width)
-        inside = at < ends[seg, None]
-        block = np.take(values, np.minimum(at, last), axis=1)
-        out[:, at[inside]] = np.cumsum(block, axis=2)[:, inside]
+        pads.append(np.minimum(starts[seg, None] + np.arange(width), values.shape[1] - 1))
+        base[seg] = offset + width * np.arange(len(seg)) - starts[seg]
+        offset += pads[-1].size
         low, width = width, 4 * width
-    return out
+    padded = [np.cumsum(values.take(pad, axis=1), axis=2).reshape(len(values), -1) for pad in pads]
+    at = np.repeat(base, sizes) + np.arange(values.shape[1])  # each term's padded place
+    return np.concatenate(padded, axis=1).take(at, axis=1)
 
 
 def _best_splits(
-    x: np.ndarray, y: np.ndarray, order: np.ndarray, n: np.ndarray, sums: np.ndarray, min_leaf: int
+    x: np.ndarray, codes: np.ndarray, y: np.ndarray, order: np.ndarray, n: np.ndarray,
+    sums: np.ndarray, min_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The best cut of every searched node of a level, by the rules of ``_grow_trees``.
 
     Node i holds ``n[i]`` rows, with target sum and sum of squares
     ``sums[:, i]``; ``order[j]`` lists the rows node by node, each node's
-    by ``x[j]``, ties in sample order. Returns (feature, threshold) per
-    node, feature -1 where the node is not cut.
+    by ``codes[j]``, the rank of ``x[:, j]``, ties in sample order. Returns
+    (feature, threshold) per node, feature -1 where the node is not cut.
     """
     (n_features, m), nodes = order.shape, len(n)
     # One block of rows per (feature, node), feature-major.
     blocks = (m * np.arange(n_features)[:, None] + np.cumsum(n) - n).ravel()
-    xs = np.take_along_axis(x, order, axis=1).ravel()
-    new_run = np.empty(len(xs), dtype=bool)
-    np.not_equal(xs[1:], xs[:-1], out=new_run[1:])
+    ranks = codes.ravel().take(order + len(y) * np.arange(n_features)[:, None]).ravel()
+    new_run = np.empty(len(ranks), dtype=bool)
+    np.not_equal(ranks[1:], ranks[:-1], out=new_run[1:])
     new_run[blocks] = True
     run = np.cumsum(new_run) - 1
     run_at = np.flatnonzero(new_run)
-    first = run[blocks]  # each block's first run
+    first = run.take(blocks)  # each block's first run
     n_runs = np.diff(first, append=len(run_at))
     block = np.repeat(np.arange(len(blocks)), n_runs)
-    node = block % nodes
-    ys = y[order.ravel()]  # a run's rows are in sample order, and bincount adds in it
+    ys = y.take(order.ravel())  # a run's rows are in sample order, and bincount adds in it
     run_sums = np.stack([np.bincount(run, ys), np.bincount(run, ys * ys)])
     left = _running_sums(run_sums, first, n_runs)
-    left_n = np.append(run_at[1:], len(xs)) - blocks[block]
-    right_n = n[node] - left_n
+    left_n = np.append(run_at[1:], len(ranks)) - blocks.take(block)
+    right_n = np.tile(n, n_features).take(block) - left_n
     with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at each node's end
-        right = sums[:, node] - left
-        node_sse = sums[1] - sums[0] * sums[0] / n
-        gains = (node_sse[node] - (left[1] - left[0] * left[0] / left_n)) - (
+        right = np.tile(sums, n_features).take(block, axis=1) - left
+        node_sse = np.tile(sums[1] - sums[0] * sums[0] / n, n_features)
+        gains = (node_sse.take(block) - (left[1] - left[0] * left[0] / left_n)) - (
             right[1] - right[0] * right[0] / right_n
         )
     valid = (left_n >= min_leaf) & (right_n >= min_leaf)
@@ -366,13 +366,14 @@ def _best_splits(
     # each block's first max: the lowest threshold wins ties; NaN gains leave no max
     top = np.maximum.reduceat(gains, first)
     at = np.arange(len(gains))
-    k = np.minimum.reduceat(np.where(valid & (gains == top[block]), at, len(at)), first)
+    k = np.minimum.reduceat(np.where(valid & (gains == top.take(block)), at, len(at)), first)
     top[k == len(at)] = -np.inf
     feature = np.argmax(top.reshape(n_features, nodes), axis=0)  # lowest feature wins ties
     best = feature * nodes + np.arange(nodes)
-    split = top[best] > 0
-    k = k[best[split]]
-    lo, hi = xs[run_at[k]], xs[run_at[k + 1]]
+    split = top.take(best) > 0
+    k = k.take(best[split])
+    rows = order.ravel().take(run_at.take(np.stack([k, k + 1])))  # first rows of the cut's runs
+    lo, hi = x.ravel().take(n_features * rows + feature[split])
     mid = (lo + hi) / 2.0
     threshold = np.zeros(nodes)
     threshold[split] = np.where(mid < hi, mid, lo)  # adjacent floats: the lower value
@@ -391,12 +392,13 @@ def _grow_trees(
     in the forest layout (see ``_forest_outputs``), which implies every
     node's children, so none are stored.
 
-    Each feature column is sorted once; each level only regroups the rows
-    by node, stably, so a node's rows stay in value order, ties in sample
-    order. A cut falls between two runs of equal values, at their midpoint,
-    or at the lower value where the midpoint rounds to the upper one. Ties
-    go to the lowest feature index, then the lowest threshold; a node whose
-    gains on a feature hold NaN is not cut on that feature.
+    Each feature is ranked once (equal values share a rank: ``==``, so -0.0
+    and 0.0 too) and each tree's rows sorted by rank; each level only
+    regroups the rows by node, stably, so a node's rows stay in value order,
+    ties in sample order. A cut falls between two runs of equal values, at
+    their midpoint, or at the lower value where the midpoint rounds to the
+    upper one. Ties go to the lowest feature index, then the lowest
+    threshold; a node whose gains on a feature hold NaN is not cut on it.
 
     Summation rule: the target sum S and sum of squares S2 of a node, and
     of each run within it, add one row at a time in sample order
@@ -406,10 +408,12 @@ def _grow_trees(
     the node's error minus the left's, minus the right's.
     """
     n_trees, n = samples.shape
-    x, y = X[samples.ravel()].T.copy(), y[samples.ravel()]  # x[j]: column j
-    n_features, n_rows = x.shape
-    # Each feature's rows in a stable sort by value, tree by tree.
-    by_value = np.argsort(x.reshape(n_features, n_trees, n), axis=2, kind="stable")
+    x, y = X[samples.ravel()], y[samples.ravel()]  # x[i, j]: row i, feature j
+    n_rows, n_features = x.shape
+    # Ranks in the smallest unsigned type: up to 16 bits, a stable sort is a radix sort.
+    codes = np.stack([np.unique(column, return_inverse=True)[1] for column in X.T])
+    codes = codes.astype(np.min_scalar_type(codes.max())).take(samples.ravel(), axis=1)
+    by_value = np.argsort(codes.reshape(n_features, n_trees, n), axis=2, kind="stable")
     order = (by_value + n * np.arange(n_trees)[:, None]).reshape(n_features, n_rows)
     # Nodes of all trees are numbered level by level, each level ordered by
     # tree and then by parent, so each tree's nodes keep their order. Every
@@ -424,44 +428,40 @@ def _grow_trees(
     first, width, depth = 0, n_trees, 0  # the level holds nodes first .. first + width - 1
     while width:
         counts = np.bincount(node, minlength=width)
-        ys = y[rows]
+        ys = y.take(rows)
         sums = np.stack([np.bincount(node, ys, width), np.bincount(node, ys * ys, width)])
         some = np.empty(width)
         some[node] = ys  # one target of each node
-        open_ = (counts >= 2 * min_leaf) & (np.bincount(node, ys != some[node], width) > 0)
-        if max_depth is not None and depth >= max_depth:
-            open_[:] = False
-        split_feature = np.full(width, -1)
-        split_threshold = np.zeros(width)
+        open_ = (counts >= 2 * min_leaf) & (np.bincount(node, ys != some.take(node), width) > 0)
+        open_ &= max_depth is None or depth < max_depth
+        level = slice(first, first + width)
+        level_feature, level_value = feature[level], value[level]  # views
         if open_.any():
             # Regroup each feature's rows by node: a stable sort of keys that fit
             # 16 bits is a radix sort. Rows of nodes not searched sort last, cut off.
-            at_node = np.full(n_rows, n_features * width)
-            searched = open_[node]
-            at_node[rows[searched]] = node[searched]
-            key = at_node[order] + width * np.arange(n_features)[:, None]
-            key = key.astype(np.min_scalar_type((2 * n_features - 1) * width))
-            kept = np.argsort(key.ravel(), kind="stable")[: n_features * searched.sum()]
-            order = order.ravel()[kept].reshape(n_features, -1)
-            split_feature[open_], split_threshold[open_] = _best_splits(
-                x, y, order, counts[open_], sums[:, open_], min_leaf
+            key_type = np.min_scalar_type((2 * n_features - 1) * width)
+            at_node = np.full(n_rows, n_features * width, key_type)
+            at_node[rows] = np.where(open_, np.arange(width), n_features * width).take(node)
+            key = at_node.take(order)
+            key += (width * np.arange(n_features, dtype=key_type))[:, None]
+            kept = np.argsort(key.ravel(), kind="stable")[: n_features * counts[open_].sum()]
+            order = order.ravel().take(kept).reshape(n_features, -1)
+            level_feature[open_], level_value[open_] = _best_splits(
+                x, codes, y, order, counts[open_], sums[:, open_], min_leaf
             )
 
-        ids = first + np.arange(width)
-        splits = split_feature >= 0
-        value[ids[~splits]] = (sums[0] / counts)[~splits]
+        splits = level_feature >= 0
+        level_value[~splits] = (sums[0] / counts)[~splits]  # a leaf's value: its mean
         rank = np.cumsum(splits) - 1
-        parents = ids[splits]
         children = first + width + 2 * rank[splits]
-        feature[parents] = split_feature[splits]
-        value[parents] = split_threshold[splits]
-        tree[children] = tree[children + 1] = tree[parents]
+        tree[children] = tree[children + 1] = tree[level][splits]
 
-        inside = splits[node]
+        inside = splits.take(node)
         rows, node = rows[inside], node[inside]
-        goes_right = x[split_feature[node], rows] > split_threshold[node]
-        node = 2 * rank[node] + goes_right
-        first, width, depth = first + width, 2 * len(parents), depth + 1
+        cell = n_features * rows + level_feature.take(node)
+        goes_right = x.ravel().take(cell) > level_value.take(node)
+        node = 2 * rank.take(node) + goes_right
+        first, width, depth = first + width, 2 * len(children), depth + 1
 
     # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
     tree = tree[:first]
@@ -506,23 +506,21 @@ def _forest_outputs(forest: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     row_start = X.shape[1] * np.arange(len(X))[:, None]
     node = np.tile(np.cumsum(sizes) - sizes, (len(X), 1))
     while True:
-        step = left[node] + (x[row_start + column[node]] > threshold[node])
+        step = left.take(node) + (x.take(row_start + column.take(node)) > threshold.take(node))
         if np.array_equal(step, node):
-            return value[node]
+            return value.take(node)
         node = step
 
 
 def _fit_forest(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> dict:
     rng = np.random.default_rng(spec.seed)
     n = len(y)
-    if spec.bootstrap:
-        samples = np.array([rng.integers(0, n, size=n) for _ in range(spec.n_trees)])
-    else:
-        samples = np.tile(np.arange(n), (spec.n_trees, 1))
+    # Each tree's rows, drawn as its batch grows: one draw per tree, in tree order.
+    rows = (rng.integers(0, n, n) if spec.bootstrap else np.arange(n) for _ in range(spec.n_trees))
     per_batch = max(1, _BATCH_ROWS // n)
     batches = [
-        _grow_trees(X, y, samples[b : b + per_batch], spec.max_depth, spec.min_leaf)
-        for b in range(0, spec.n_trees, per_batch)
+        _grow_trees(X, y, np.array(list(islice(rows, per_batch))), spec.max_depth, spec.min_leaf)
+        for _ in range(0, spec.n_trees, per_batch)
     ]
     return {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
 

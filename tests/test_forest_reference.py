@@ -109,6 +109,7 @@ def _dataset(X, y) -> Dataset:
 CELLS = {
     "integer": st.integers(-3, 3).map(float),  # few values: many ties
     "continuous": st.floats(-1e3, 1e3, allow_subnormal=False),
+    "signed_zero": st.sampled_from([-0.0, 0.0, 1.0]),  # -0.0 == 0.0: one rank
 }
 TARGETS = st.one_of(
     st.floats(-50.0, 50.0, allow_subnormal=False),
@@ -173,6 +174,17 @@ def test_gains_holding_nan_cut_nothing():
     with np.errstate(over="ignore"):
         _assert_growers_agree(spec, data)
         assert calibrate.fit(spec, data).params["feature"].tolist() == [-1]
+
+
+@pytest.mark.parametrize("bootstrap", [False, True])
+def test_more_than_256_distinct_values_match_the_reference(bootstrap):
+    # A feature of 300 distinct values ranks in 16 bits, not 8.
+    rng = np.random.default_rng(7)
+    X = np.column_stack([rng.permutation(300) / 7.0 - 20.0, rng.integers(-3, 4, 300)])
+    data = _dataset(X, rng.normal(0.0, 5.0, 300).round(1))
+    assert len(np.unique(X[:, 0])) > 256
+    spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=2, max_depth=3, min_leaf=1, bootstrap=bootstrap)
+    _assert_growers_agree(spec, data)
 
 
 @pytest.mark.parametrize("mode", list(FeatureMode))
