@@ -566,11 +566,12 @@ def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float | None:
-    """1 - SS_res/SS_tot against the mean of y_true; None when SS_tot is 0."""
+    """1 - SS_res/SS_tot against the mean of y_true; None when every target
+    is equal (the mean of equal values can round off them) or SS_tot is 0."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
+    if ss_tot == 0.0 or np.all(y_true == y_true[0]):
         return None
     ss_res = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - ss_res / ss_tot

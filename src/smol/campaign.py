@@ -20,13 +20,13 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .calibrate import _read_json, _require_keys
-from .groundtruth import TdrSensor, read_vwc
+from .groundtruth import read_vwc
 from .soilchan import (
     WATER_LOSS_FACTOR_DEFAULT,
     WATER_PERMITTIVITY_DEFAULT,
@@ -122,6 +122,10 @@ class CampaignConfig:
             raise ConfigError(f"rssi_sigma_db must be >= 0 dB, got {self.rssi_sigma_db}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ConfigError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+        if not 0.0 <= self.tdr_error_bound <= 1.0:
+            raise ConfigError(f"tdr_error_bound must be in [0, 1], got {self.tdr_error_bound}")
+        if self.tdr_spots < 1:
+            raise ConfigError(f"tdr_spots must be >= 1, got {self.tdr_spots}")
         # A sweep's packets share a timestamp, and no two sweeps may.
         if self.sweep_interval_s <= 0.0:
             raise ConfigError(f"sweep_interval_s must be > 0 s, got {self.sweep_interval_s}")
@@ -149,7 +153,6 @@ class CampaignConfig:
         for s in self.scenarios:
             self.geometry(s)
         PowerPlan(self.power_levels)
-        self.tdr_sensor()
 
     def soil_state(self, vwc: float | np.ndarray) -> SoilState:
         return SoilState(
@@ -167,9 +170,6 @@ class CampaignConfig:
             tx_antenna_gain_db=self.tx_gain_db,
             rx_antenna_gain_db=self.rx_gain_db,
         )
-
-    def tdr_sensor(self) -> TdrSensor:
-        return TdrSensor(error_bound=self.tdr_error_bound, spots=self.tdr_spots)
 
     def without_noise(self) -> "CampaignConfig":
         """Same campaign with every stochastic element switched off."""
@@ -190,12 +190,13 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
 
     Each cell is visited ``sweeps_per_cell`` times. Every visit has its own
     random streams (``sweep_seed_words``) and timestamp, so the log is a pure
-    function of the config. One ``path_loss`` call gives every cell's loss.
-    Per sweep, the link draws drops as one vector over the plan and noise as
-    one over the delivered frames, each into its slice of a campaign-wide
-    buffer; the rest is array work over all sweeps. ``wrap_high_power`` sends
-    a frame that asks for 23 dBm at 5 dBm, as the hardware does. Frames
-    arrive unaltered, so each is decoded once, for all of its deliveries.
+    function of the config; a config whose timestamps round two sweeps to one
+    raises ConfigError. One ``path_loss`` call gives every cell's loss. Per
+    sweep, ``_draws`` draws the probe's spots, the drops over the plan and the
+    noise over the delivered frames; the rest is array work over all sweeps.
+    ``wrap_high_power`` sends a frame that asks for 23 dBm at 5 dBm, as the
+    hardware does. Frames arrive unaltered, so each is decoded once, for all
+    of its deliveries.
     """
     plan = PowerPlan(config.power_levels)
     sent = [decode_packet(frame) for frame in encode_plan(config.device_id, plan)]
@@ -211,25 +212,30 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     loss = path_loss(config.soil_state(cell_vwc), cells)
     # Sweep i visits cell i // sweeps_per_cell.
     loss, vwc = np.repeat([loss, cell_vwc], config.sweeps_per_cell, axis=1)
-    tdr_words, noise_words, drop_words = sweep_seed_words(config.seed, len(vwc))
-    truth = np.full(len(vwc), math.nan)
+    sweeps = len(vwc)
+    stamps = config.epoch + np.arange(sweeps) * config.sweep_interval_s
+    # The stamps rise with the sweep, but rounding can repeat one. (Two that
+    # overflow differ by inf - inf, not 0; the log refuses them.)
+    if np.any(np.diff(stamps) == 0.0):
+        raise ConfigError(f"epoch {config.epoch!r} + i * sweep_interval_s "
+                          f"{config.sweep_interval_s!r} stamps two sweeps alike")
+    tdr_words, noise_words, drop_words = sweep_seed_words(config.seed, sweeps)
+    truth = np.full(sweeps, math.nan)
     if config.training_mode:
-        truth = read_vwc(config.tdr_sensor(), vwc, _generators(tdr_words)) / 100.0
+        draws = np.empty((sweeps, 0))  # a noiseless probe draws nothing
+        if config.tdr_error_bound:
+            draws = _draws(tdr_words, [config.tdr_spots] * sweeps, "random")
+        truth = read_vwc(vwc, config.tdr_error_bound, draws.reshape(sweeps, -1)) / 100.0
     # random() is never below 0, so a drop probability of 0 keeps every frame.
-    delivered = np.ones((len(vwc), len(plan)), dtype=bool)
+    delivered = np.ones((sweeps, len(plan)), dtype=bool)
     if config.drop_prob:
-        draws = np.empty(delivered.shape)
-        for row, drop_rng in zip(draws, _generators(drop_words)):
-            drop_rng.random(out=row)
-        delivered = draws >= config.drop_prob
+        draws = _draws(drop_words, [len(plan)] * sweeps, "random")
+        delivered = draws.reshape(delivered.shape) >= config.drop_prob
     sweep, level = np.nonzero(delivered)
     noise_db = 0.0
     if config.rssi_sigma_db:
         # Generator.normal(loc, scale) is loc + scale * standard_normal().
-        heard = np.empty(len(sweep))
-        ends = np.cumsum(np.count_nonzero(delivered, axis=1)).tolist()
-        for start, end, noise_rng in zip([0] + ends, ends, _generators(noise_words)):
-            noise_rng.standard_normal(out=heard[start:end])
+        heard = _draws(noise_words, np.count_nonzero(delivered, axis=1), "standard_normal")
         noise_db = 0.0 + config.rssi_sigma_db * heard
     powers = np.array(plan.levels)
     if config.wrap_high_power:
@@ -238,7 +244,7 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     place = sweep // (levels * config.sweeps_per_cell)
     labels = np.array([s.label for s in config.scenarios], dtype=object)
     return MeasurementLog(
-        config.epoch + sweep * config.sweep_interval_s, device_ids[level], tx_powers[level],
+        stamps[sweep], device_ids[level], tx_powers[level],
         rssi, *placements[place].T, labels[place], truth[sweep],
     )
 
@@ -306,10 +312,16 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
-    """A generator per row of seed words, seeded as SeedSequence would seed it."""
-    for row in words:
-        yield np.random.Generator(np.random.PCG64(_StateWords(row)))
+def _draws(words: np.ndarray, counts: Sequence[int], draw: str) -> np.ndarray:
+    """Row i of ``words`` seeds one PCG64 stream, as SeedSequence would seed
+    it, whose first ``counts[i]`` values of ``draw`` (``"random"`` or
+    ``"standard_normal"``) fill the next slice of the returned buffer."""
+    ends = np.cumsum(counts).tolist()
+    out = np.empty(ends[-1])
+    for row, start, end in zip(words, [0, *ends], ends):
+        stream = np.random.Generator(np.random.PCG64(_StateWords(row)))
+        getattr(stream, draw)(out=out[start:end])
+    return out
 
 
 # ---------------------------------------------------------------------------

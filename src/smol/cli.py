@@ -180,6 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # ConfigError too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as err:  # a config whose arrays cannot be allocated
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

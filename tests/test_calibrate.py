@@ -467,6 +467,11 @@ class TestMetrics:
     def test_zero_variance_targets_undefined(self):
         y = np.array([5.0, 5.0, 5.0])
         assert r_squared(y, np.array([4.0, 5.0, 6.0])) is None
+        # Equal targets whose float mean is not their value.
+        y = np.array([5.847002245371323] * 3)
+        assert y.mean() != y[0]
+        assert r_squared(y, y) is None
+        assert r_squared(y, y + 1e-12) is None
 
     def test_evaluate_reports_undefined_r2_with_mae(self):
         ds = _dataset([[1.0], [2.0]], [5.0, 5.0])

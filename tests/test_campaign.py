@@ -243,6 +243,16 @@ class TestRunCampaign:
                              scenario.label, truth))
         assert same_log(run_campaign(cfg), MeasurementLog(*zip(*rows)))
 
+    @pytest.mark.parametrize("interval_s, refused", [(1e-6, False), (1e-7, True)])
+    def test_refuses_sweeps_that_share_a_timestamp(self, interval_s, refused):
+        # Near a unix-time epoch of 1.7e9 s, float64 stamps are 2.4e-7 s apart.
+        cfg = small_config(epoch=1.7e9, sweep_interval_s=interval_s, sweeps_per_cell=8)
+        if refused:
+            with pytest.raises(ConfigError, match="stamps two sweeps alike"):
+                run_campaign(cfg)
+        else:
+            assert len(set(run_campaign(cfg).timestamp.tolist())) == 3 * 8
+
     def test_noise_free_preset(self):
         cfg = small_config().without_noise()
         log = run_campaign(cfg)
@@ -598,6 +608,28 @@ class TestConfigFile:
 
 
 class TestSweepStreams:
+    # One PCG64 stream per sweep for each of the probe, the drops and the
+    # noise; none for a noiseless probe, a drop probability of 0 or sigma 0.
+    @pytest.mark.parametrize("config, streams", [
+        (CampaignConfig(), 72 * 2),
+        (CampaignConfig().without_noise(), 0),
+        (CampaignConfig(drop_prob=0.1), 72 * 3),
+        (CampaignConfig(training_mode=False), 72),
+        (CampaignConfig(tdr_error_bound=0.0), 72),
+        (CampaignConfig(rssi_sigma_db=0.0), 72),
+    ], ids=["stock", "no-noise", "drops", "inference", "noiseless-probe", "sigma-0"])
+    def test_streams_per_campaign(self, monkeypatch, config, streams):
+        built = []
+        real = np.random.PCG64
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        assert len(run_campaign(config)) > 0
+        assert len(built) == streams
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70, 2**128 + 5])
     def test_seed_words_match_numpy(self, seed):
         parent, noise, drop = campaign.sweep_seed_words(seed, 300)

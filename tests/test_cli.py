@@ -135,6 +135,14 @@ BAD_CONFIGS = {
     "overflowing timestamps": _edit(lambda d: d.update(epoch=1e308, sweep_interval_s=1e308)),
     "overflowing antenna gains": _edit(lambda d: d.update(tx_gain_db=1e308, rx_gain_db=1e308)),
     "overflowing burial depth": _edit(lambda d: d["scenarios"][0].update(burial_depth_cm=1e308)),
+    # Finite timestamps that round two sweeps to one (device_id, timestamp).
+    "sweeps rounded to one timestamp": _edit(lambda d: d.update(epoch=1e17, sweep_interval_s=1.0)),
+    "sub-ulp interval after a unix epoch": _edit(
+        lambda d: d.update(epoch=1.7e9, sweep_interval_s=1e-7)
+    ),
+    # Sizes whose arrays cannot be allocated, so they fail at once.
+    "tdr_spots beyond memory": _edit(lambda d: d.update(tdr_spots=10**15)),
+    "sweeps_per_cell beyond memory": _edit(lambda d: d.update(sweeps_per_cell=10**15)),
 }
 
 # What a case's error line must name, where the value itself is bad.
@@ -145,6 +153,13 @@ NAMED_FIELDS = {
     **dict.fromkeys(
         ["overflowing timestamps", "overflowing antenna gains", "overflowing burial depth"],
         ["non-finite timestamp or rssi"],
+    ),
+    **dict.fromkeys(
+        ["sweeps rounded to one timestamp", "sub-ulp interval after a unix epoch"],
+        ["epoch", "sweep_interval_s", "stamps two sweeps alike"],
+    ),
+    **dict.fromkeys(
+        ["tdr_spots beyond memory", "sweeps_per_cell beyond memory"], ["out of memory"]
     ),
 }
 
