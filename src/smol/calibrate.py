@@ -202,8 +202,11 @@ def feature_matrix(
     """The packets a model in ``mode`` sees, and their feature rows.
 
     ALL_TX keeps every packet with features [rssi, tx_power]; MEDIAN_TX
-    keeps the packets sent at ``median_tx_power``, feature [rssi].
+    keeps the packets sent at ``median_tx_power``, feature [rssi]. An empty
+    log raises ValueError in either mode.
     """
+    if len(log) == 0:
+        raise ValueError("no measurements in the log")
     if mode == FeatureMode.ALL_TX:
         return log, np.column_stack([log.rssi, log.tx_power.astype(float)])
     kept = log.take(log.tx_power == median_tx_power)
@@ -215,8 +218,6 @@ def feature_matrix(
 def assemble(log: MeasurementLog, mode: FeatureMode) -> Dataset:
     """A training dataset from a ground-truthed log: ``feature_matrix``, at
     the median power of the log's plan in MEDIAN_TX; targets in VWC percent."""
-    if len(log) == 0:
-        raise ValueError("no measurements to assemble")
     log.require_ground_truth()
     med = log_median_power(log) if mode == FeatureMode.MEDIAN_TX else None
     kept, X = feature_matrix(log, mode, med)
@@ -298,6 +299,12 @@ def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
 
 
 def _fit_polynomial(X: np.ndarray, y: np.ndarray, degree: int) -> dict:
+    # More monomials than rows cannot have full rank: refuse before listing them.
+    columns = math.comb(degree + X.shape[1], X.shape[1])
+    if columns > len(y):
+        raise SingularSystemError(
+            f"degree {degree} needs {columns} design columns, more than the {len(y)} rows"
+        )
     powers = polynomial_powers(X.shape[1], degree)
     # An overflowing monomial is refused below as non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -644,12 +651,12 @@ def _require_keys(obj, keys: Sequence[str], where: str) -> None:
         raise ValueError(f"{where}: {'; '.join(problems)}")
 
 
-def _read_json(path: str | Path, error: type[ValueError] = ValueError):
-    """The JSON document at ``path``; malformed or too deeply nested JSON raises ``error``."""
+def _read_json(path: str | Path):
+    """The JSON document at ``path``; malformed or too deeply nested JSON raises ValueError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as err:
-        raise error(f"{path}: not readable as JSON ({err})") from None
+        raise ValueError(f"{path}: not readable as JSON ({err})") from None
 
 
 def _json_numbers(values, where: str) -> np.ndarray:

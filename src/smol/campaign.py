@@ -51,9 +51,6 @@ from .sweepproto import (
 CONFIG_FILE_FORMAT = "smol-campaign"
 CONFIG_FILE_VERSION = 2
 
-class ConfigError(ValueError):
-    """A campaign configuration that cannot be run."""
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -113,41 +110,41 @@ class CampaignConfig:
             value = getattr(self, f.name)
             if f.type == "float":
                 if not _finite_number(value):
-                    raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             elif f.type in ("int", "bool") and type(value).__name__ != f.type:
-                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rssi_sigma_db < 0.0:
-            raise ConfigError(f"rssi_sigma_db must be >= 0 dB, got {self.rssi_sigma_db}")
+            raise ValueError(f"rssi_sigma_db must be >= 0 dB, got {self.rssi_sigma_db}")
         if not 0.0 <= self.drop_prob <= 1.0:
-            raise ConfigError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+            raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
         if not 0.0 <= self.tdr_error_bound <= 1.0:
-            raise ConfigError(f"tdr_error_bound must be in [0, 1], got {self.tdr_error_bound}")
+            raise ValueError(f"tdr_error_bound must be in [0, 1], got {self.tdr_error_bound}")
         if self.tdr_spots < 1:
-            raise ConfigError(f"tdr_spots must be >= 1, got {self.tdr_spots}")
+            raise ValueError(f"tdr_spots must be >= 1, got {self.tdr_spots}")
         # A sweep's packets share a timestamp, and no two sweeps may.
         if self.sweep_interval_s <= 0.0:
-            raise ConfigError(f"sweep_interval_s must be > 0 s, got {self.sweep_interval_s}")
+            raise ValueError(f"sweep_interval_s must be > 0 s, got {self.sweep_interval_s}")
         if not self.scenarios:
-            raise ConfigError("campaign needs at least one scenario")
+            raise ValueError("campaign needs at least one scenario")
         if not self.vwc_grid:
-            raise ConfigError("vwc grid must not be empty")
+            raise ValueError("vwc grid must not be empty")
         for v in self.vwc_grid:
             if not (_finite_number(v) and 0.0 <= v <= self.porosity):
-                raise ConfigError(
+                raise ValueError(
                     f"grid vwc {v!r} outside [0, porosity={self.porosity}]"
                 )
         for s in self.scenarios:
             depths = (s.receiver_height_cm, s.burial_depth_cm)
             valid_depths = all(_finite_number(d) and d >= 0 for d in depths) and any(depths)
             if type(s.label) is not str or not valid_depths:
-                raise ConfigError(
+                raise ValueError(
                     f"scenario {s.label!r}: needs a text label and finite depths >= 0, "
                     "not both 0 (a zero-length link)"
                 )
         if self.sweeps_per_cell < 1:
-            raise ConfigError("sweeps_per_cell must be >= 1")
+            raise ValueError("sweeps_per_cell must be >= 1")
         # Fail fast on anything the physics layer would reject later.
         self.soil_state(self.vwc_grid[0])
         for s in self.scenarios:
@@ -191,7 +188,7 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     Each cell is visited ``sweeps_per_cell`` times. Every visit has its own
     random streams (``sweep_seed_words``) and timestamp, so the log is a pure
     function of the config; a config whose timestamps round two sweeps to one
-    raises ConfigError. One ``path_loss`` call gives every cell's loss. Per
+    raises ValueError. One ``path_loss`` call gives every cell's loss. Per
     sweep, ``_draws`` draws the probe's spots, the drops over the plan and the
     noise over the delivered frames; the rest is array work over all sweeps.
     ``wrap_high_power`` sends a frame that asks for 23 dBm at 5 dBm, as the
@@ -217,8 +214,8 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     # The stamps rise with the sweep, but rounding can repeat one. (Two that
     # overflow differ by inf - inf, not 0; the log refuses them.)
     if np.any(np.diff(stamps) == 0.0):
-        raise ConfigError(f"epoch {config.epoch!r} + i * sweep_interval_s "
-                          f"{config.sweep_interval_s!r} stamps two sweeps alike")
+        raise ValueError(f"epoch {config.epoch!r} + i * sweep_interval_s "
+                         f"{config.sweep_interval_s!r} stamps two sweeps alike")
     tdr_words, noise_words, drop_words = sweep_seed_words(config.seed, sweeps)
     truth = np.full(sweeps, math.nan)
     if config.training_mode:
@@ -541,32 +538,30 @@ def config_from_dict(data) -> CampaignConfig:
     """The config a ``config_to_dict`` dict describes.
 
     Every field is required: a missing or unknown key, at the top level or
-    in a scenario, raises ConfigError, as does any value CampaignConfig
+    in a scenario, raises ValueError, as does any value CampaignConfig
     rejects.
     """
     if not isinstance(data, dict) or data.get("format") != CONFIG_FILE_FORMAT:
-        raise ConfigError(f"not a {CONFIG_FILE_FORMAT} config")
+        raise ValueError(f"not a {CONFIG_FILE_FORMAT} config")
     if (version := data.get("version")) != CONFIG_FILE_VERSION:
         upgrade = "; delete its spread_factor and bandwidth_hz keys, then set version 2"
-        raise ConfigError(f"config version {version!r} is not supported (this smol reads "
-                          f"version {CONFIG_FILE_VERSION}){upgrade if version == 1 else ''}")
+        raise ValueError(f"config version {version!r} is not supported (this smol reads "
+                         f"version {CONFIG_FILE_VERSION}){upgrade if version == 1 else ''}")
     try:
         names = [f.name for f in fields(CampaignConfig)]
         _require_keys(data, ["format", "version", *names], "config")
         values = {name: data[name] for name in names}
         for name in ("scenarios", "vwc_grid", "power_levels"):
             if not isinstance(values[name], list):
-                raise ConfigError(f"config: {name} is not a list")
+                raise ValueError(f"config: {name} is not a list")
             values[name] = tuple(values[name])
         scenario_keys = [f.name for f in fields(Scenario)]
         for i, s in enumerate(values["scenarios"]):
             _require_keys(s, scenario_keys, f"config: scenario {i}")
         values["scenarios"] = tuple(Scenario(**s) for s in values["scenarios"])
         return CampaignConfig(**values)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
     except TypeError as err:
-        raise ConfigError(f"config: a value has the wrong type ({err})") from None
+        raise ValueError(f"config: a value has the wrong type ({err})") from None
 
 
 def save_config(config: CampaignConfig, path: str | Path) -> None:
@@ -574,4 +569,4 @@ def save_config(config: CampaignConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> CampaignConfig:
-    return config_from_dict(_read_json(path, ConfigError))
+    return config_from_dict(_read_json(path))

@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # ConfigError too
+    except ValueError as err:  # a refused flag, config, log or model
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as err:  # a config whose arrays cannot be allocated

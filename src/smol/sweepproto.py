@@ -37,26 +37,6 @@ class FrameError(ValueError):
     """A frame that does not decode to a valid packet."""
 
 
-class BadLength(FrameError):
-    pass
-
-
-class BadMagic(FrameError):
-    pass
-
-
-class BadVersion(FrameError):
-    pass
-
-
-class BadChecksum(FrameError):
-    pass
-
-
-class PowerOutOfRange(FrameError):
-    pass
-
-
 @dataclass(frozen=True)
 class SweepPacket:
     """Payload of one sweep broadcast."""
@@ -71,7 +51,7 @@ class SweepPacket:
         if not 0 <= self.sequence <= 0xFF:
             raise ValueError(f"sequence {self.sequence} not a u8")
         if not TX_POWER_MIN_DBM <= self.tx_power <= TX_POWER_MAX_DBM:
-            raise PowerOutOfRange(
+            raise FrameError(
                 f"tx power {self.tx_power} dBm outside "
                 f"[{TX_POWER_MIN_DBM}, {TX_POWER_MAX_DBM}]"
             )
@@ -196,32 +176,29 @@ def encode_packet(p: SweepPacket) -> bytes:
 def decode_packet(frame: bytes) -> SweepPacket:
     """Parse and validate a wire frame; inverse of encode_packet.
 
-    Raises a distinct FrameError subclass per failure mode.
+    Raises FrameError naming the first fault, checked in this order: length,
+    magic, version, checksum, TX power outside the radio's range.
     """
     if len(frame) != FRAME_LENGTH:
-        raise BadLength(f"frame is {len(frame)} bytes, want {FRAME_LENGTH}")
+        raise FrameError(f"frame is {len(frame)} bytes, want {FRAME_LENGTH}")
     if frame[0] != FRAME_MAGIC:
-        raise BadMagic(f"magic 0x{frame[0]:02x}, want 0x{FRAME_MAGIC:02x}")
+        raise FrameError(f"magic 0x{frame[0]:02x}, want 0x{FRAME_MAGIC:02x}")
     if frame[1] != FRAME_VERSION:
-        raise BadVersion(f"version 0x{frame[1]:02x}, want 0x{FRAME_VERSION:02x}")
+        raise FrameError(f"version 0x{frame[1]:02x}, want 0x{FRAME_VERSION:02x}")
     if _xor(frame[:6]) != frame[6]:
-        raise BadChecksum("checksum mismatch")
+        raise FrameError("checksum mismatch")
     _, _, device_id, sequence, tx_power = struct.unpack(">BBHBb", frame[:6])
     return SweepPacket(device_id=device_id, sequence=sequence, tx_power=tx_power)
 
 
-def median_power(plan: PowerPlan) -> int:
-    """Lower median of the plan's levels (even counts break downward)."""
-    ordered = sorted(plan.levels)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def log_median_power(log: MeasurementLog) -> int:
-    """Median power of the plan a log was swept with, inferred from the
-    distinct TX powers it holds."""
+    """Median power of the plan a log was swept with: the lower median (even
+    counts break downward) of the distinct TX powers it holds."""
     if len(log) == 0:
         raise ValueError("no measurements to infer the power plan from")
-    return median_power(PowerPlan(tuple(set(log.tx_power.tolist()))))
+    # Not np.unique: on NumPy 2.4 a bare call imports numpy.ma, about 1 MiB.
+    levels = sorted(set(log.tx_power.tolist()))
+    return levels[(len(levels) - 1) // 2]
 
 
 def encode_plan(device_id: int, plan: PowerPlan) -> tuple[bytes, ...]:

@@ -197,6 +197,23 @@ class TestLinearFits:
         with pytest.raises(SingularSystemError):
             fit(ModelSpec(ModelKind.LINEAR), ds)
 
+    def test_more_monomials_than_rows_are_refused_before_expansion(self, monkeypatch):
+        # Degree 10 in one feature makes 11 columns, which 10 rows cannot
+        # give full rank; a huge degree would take forever to list.
+        x = np.linspace(-1.0, 1.0, 10).reshape(-1, 1)
+        ds = _dataset(x, x[:, 0] ** 3)
+
+        def never(*args):
+            raise AssertionError("the monomials were listed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(calibrate, "polynomial_powers", never)
+            with pytest.raises(SingularSystemError,
+                               match="^degree 10 needs 11 design columns, more than the 10 rows$"):
+                fit(ModelSpec(ModelKind.POLYNOMIAL, poly_degree=10), ds)
+        # As many columns as rows can still be full rank.
+        assert len(fit(ModelSpec(ModelKind.POLYNOMIAL, poly_degree=9), ds).params["powers"]) == 10
+
     def test_empty_train_rejected(self):
         ds = _dataset(np.empty((0, 2)), np.empty(0))
         with pytest.raises(ValueError):
@@ -294,6 +311,7 @@ def _forests_and_repeated_rows(draw):
 
 
 class TestForest:
+    @pytest.mark.numpy_bits
     @given(drawn=_forests_and_repeated_rows())
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_predictions_are_the_bits_of_one_row_at_a_time(self, drawn):
@@ -360,6 +378,7 @@ class TestForest:
             assert forest["feature"][:3].tolist() == [0, -1, -1]
             assert forest["value"][0] == threshold
 
+    @pytest.mark.numpy_bits
     def test_forest_layout_does_not_depend_on_the_batch_size(self, monkeypatch):
         # Child indices count across the whole forest, so each batch's are
         # shifted by the nodes grown before it; one batch of all 7 trees
@@ -520,6 +539,7 @@ class TestMetrics:
 
 
 class TestPersistence:
+    @pytest.mark.numpy_bits
     @pytest.mark.parametrize(
         "spec",
         [

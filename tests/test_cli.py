@@ -346,6 +346,19 @@ def test_singular_fit_is_a_numerical_error(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+def test_a_polynomial_degree_beyond_the_rows_is_refused_at_once(tmp_path, small_log, capsys):
+    """Degree 10^6 in two features would list about 5 * 10^11 monomials;
+    87 training rows cannot give that many columns full rank."""
+    model = tmp_path / "model.json"
+    code = main(["train", "--log", str(small_log), "--model", "polynomial",
+                 "--poly-degree", str(10**6), "--out", str(model)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err == ("numerical failure: degree 1000000 needs 500001500001 design columns, "
+                   "more than the 87 rows\n")
+    assert not model.exists()
+
+
 def test_an_overflowing_design_is_a_numerical_error(tmp_path, capfd):
     """Every 7th RSSI at -1e200, which the reader accepts: its square
     overflows, and no polynomial design with it reaches LAPACK."""
@@ -698,6 +711,7 @@ BAD_LOG_ROWS = {
 }
 
 
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("command", ["train", "predict", "report"])
 @pytest.mark.parametrize("case", sorted(BAD_LOG_ROWS) + ["short row"])
 def test_commands_reject_a_bad_log_row_with_its_line(
@@ -725,14 +739,23 @@ def test_commands_reject_a_bad_log_row_with_its_line(
     assert f"{bad_log}:5: " in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("command", ["train", "report"])
-def test_commands_refuse_a_header_only_log(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["train", "report", "predict all_tx", "predict median_tx"])
+def test_commands_refuse_a_header_only_log(tmp_path, small_log, capsys, command):
     log = tmp_path / "empty.csv"
     campaign.write_measurements(log, MeasurementLog(*[[]] * 8))
     out = tmp_path / "out"
-    flag = {"train": "--out", "report": "--out-dir"}[command]
-    assert main([command, "--log", str(log), flag, str(out)]) == EXIT_VALIDATION
-    assert "no measurements" in _one_error_line(capsys)
+    command, _, mode = command.partition(" ")
+    argv = [command, "--log", str(log), "--out-dir" if command == "report" else "--out", str(out)]
+    if mode:
+        model = tmp_path / "model.json"
+        assert main(["train", "--log", str(small_log), "--model", "linear", "--mode", mode,
+                     "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
+        argv += ["--model", str(model)]
+    assert main(argv) == EXIT_VALIDATION
+    line = _one_error_line(capsys)
+    # An empty log is the fault, not a power missing from it.
+    assert "no measurements" in line and "median power" not in line
     assert not out.exists()
 
 

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from smol import calibrate, campaign
 from smol.calibrate import Dataset, FeatureMode, ModelKind, ModelSpec
 
+pytestmark = pytest.mark.numpy_bits
+
 
 def _sums(values) -> tuple[float, float]:
     s = s2 = 0.0

@@ -136,6 +136,7 @@ def _stock_forest(mode: FeatureMode) -> tuple[calibrate.Dataset, calibrate.Train
     return dataset, calibrate.fit(ModelSpec(ModelKind.RANDOM_FOREST), train)
 
 
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("mode", list(FeatureMode))
 def test_stock_forest_arrays_are_pinned(mode):
     params = _stock_forest(mode)[1].params
@@ -146,6 +147,7 @@ def test_stock_forest_arrays_are_pinned(mode):
     assert digests == GOLDEN_FOREST_ARRAYS[mode]
 
 
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("mode", list(FeatureMode))
 def test_stock_forest_predictions_are_pinned(mode):
     dataset, model = _stock_forest(mode)
@@ -161,6 +163,7 @@ def test_stock_report_table_is_pinned(tmp_path):
     assert (tmp_path / "table.csv").read_text() == GOLDEN_TABLE_CSV
 
 
+@pytest.mark.numpy_bits
 def test_stock_report_curves_are_pinned(tmp_path):
     log = tmp_path / "campaign.csv"
     assert cli.main(["simulate", "--out", str(log)]) == cli.EXIT_OK
@@ -170,6 +173,7 @@ def test_stock_report_curves_are_pinned(tmp_path):
     assert curves == GOLDEN_CURVE_SHA256
 
 
+@pytest.mark.numpy_bits
 def test_predictions_file_is_pinned(tmp_path):
     log, model = tmp_path / "campaign.csv", tmp_path / "model.json"
     fresh, out = tmp_path / "fresh.csv", tmp_path / "predictions.csv"
@@ -183,6 +187,7 @@ def test_predictions_file_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PREDICTIONS_CSV_SHA256
 
 
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("kind, mode", sorted(GOLDEN_MODEL_SHA256))
 def test_model_files_are_pinned(tmp_path, kind, mode):
     log, model = tmp_path / "campaign.csv", tmp_path / "model.json"
@@ -236,6 +241,7 @@ def _big_seed_config() -> campaign.CampaignConfig:
 CONFIG_CASES = {"large": _large_config, "wrap": _wrap_config, "big-seed": _big_seed_config}
 
 
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("case", sorted(GOLDEN_LOG_SHA256))
 def test_simulated_logs_are_pinned(tmp_path, case):
     out = tmp_path / "log.csv"

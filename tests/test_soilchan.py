@@ -237,6 +237,7 @@ def _assert_bit_parity(soil: SoilState, geom: LinkGeometry) -> None:
     assert np.array_equal(got.ravel().view(np.int64), np.array(want).view(np.int64))
 
 
+@pytest.mark.numpy_bits
 class TestBroadcastPathLoss:
     """One path_loss call over arrays gives the bits of the scalar formulas."""
 

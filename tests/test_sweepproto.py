@@ -11,20 +11,15 @@ from smol.soilchan import LinkGeometry, SoilState, path_loss
 from smol.sweepproto import (
     DEFAULT_POWER_LEVELS,
     FRAME_LENGTH,
-    BadChecksum,
-    BadLength,
-    BadMagic,
-    BadVersion,
     FrameError,
     LogRowError,
     MeasurementLog,
-    PowerOutOfRange,
     PowerPlan,
     SweepPacket,
     decode_packet,
     encode_packet,
     encode_plan,
-    median_power,
+    log_median_power,
 )
 
 packets = st.builds(
@@ -55,9 +50,9 @@ class TestCodec:
         assert decode_packet(encode_packet(p)) == p
 
     def test_rejects_power_outside_device_range(self):
-        with pytest.raises(PowerOutOfRange):
+        with pytest.raises(FrameError, match=r"^tx power 4 dBm outside \[5, 23\]$"):
             SweepPacket(0, 0, 4)
-        with pytest.raises(PowerOutOfRange):
+        with pytest.raises(FrameError, match=r"^tx power 24 dBm outside \[5, 23\]$"):
             SweepPacket(0, 0, 24)
 
     def test_rejects_bad_field_widths(self):
@@ -67,27 +62,27 @@ class TestCodec:
             SweepPacket(0, 256, 13)
 
     def test_decode_bad_length(self):
-        with pytest.raises(BadLength):
+        with pytest.raises(FrameError, match="^frame is 6 bytes, want 7$"):
             decode_packet(bytes.fromhex("530100000005"))
-        with pytest.raises(BadLength):
+        with pytest.raises(FrameError, match="^frame is 0 bytes, want 7$"):
             decode_packet(b"")
 
     def test_decode_bad_magic(self):
         frame = bytearray(encode_packet(SweepPacket(1, 2, 13)))
         frame[0] = 0x54
-        with pytest.raises(BadMagic):
+        with pytest.raises(FrameError, match="^magic 0x54, want 0x53$"):
             decode_packet(bytes(frame))
 
     def test_decode_bad_version(self):
         frame = bytearray(encode_packet(SweepPacket(1, 2, 13)))
         frame[1] = 0x02
-        with pytest.raises(BadVersion):
+        with pytest.raises(FrameError, match="^version 0x02, want 0x01$"):
             decode_packet(bytes(frame))
 
     def test_decode_bad_checksum(self):
         frame = bytearray(encode_packet(SweepPacket(1, 2, 13)))
         frame[6] ^= 0xFF
-        with pytest.raises(BadChecksum):
+        with pytest.raises(FrameError, match="^checksum mismatch$"):
             decode_packet(bytes(frame))
 
     def test_decode_power_out_of_range_with_valid_checksum(self):
@@ -95,7 +90,7 @@ class TestCodec:
         xor = 0
         for b in head:
             xor ^= b
-        with pytest.raises(PowerOutOfRange):
+        with pytest.raises(FrameError, match=r"^tx power 24 dBm outside \[5, 23\]$"):
             decode_packet(head + bytes([xor]))
 
     @given(
@@ -127,18 +122,19 @@ class TestPowerPlan:
         with pytest.raises(ValueError):
             PowerPlan(())
 
+    # The median power is inferred from a log swept with the plan.
     def test_median_of_default_plan(self):
-        assert median_power(PowerPlan()) == 13
+        assert log_median_power(_one_sweep_log()) == 13
 
     def test_median_singleton(self):
-        assert median_power(PowerPlan((13,))) == 13
+        assert log_median_power(_one_sweep_log(power_levels=(13,))) == 13
 
     def test_median_odd_count(self):
-        assert median_power(PowerPlan((5, 7, 9))) == 7
+        assert log_median_power(_one_sweep_log(power_levels=(5, 7, 9))) == 7
 
     def test_median_is_lower_median_even_count(self):
-        assert median_power(PowerPlan((5, 6, 7, 8))) == 6
-        assert median_power(PowerPlan((8, 5, 7, 6))) == 6
+        assert log_median_power(_one_sweep_log(power_levels=(5, 6, 7, 8))) == 6
+        assert log_median_power(_one_sweep_log(power_levels=(8, 5, 7, 6))) == 6
 
 
 def _one_sweep_log(**overrides):
