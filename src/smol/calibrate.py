@@ -780,13 +780,10 @@ def load_model(path: str | Path) -> TrainedModel:
 # ---------------------------------------------------------------------------
 # side-by-side comparison
 
-# The headline comparison: three model families x two feature modes.
-# Ridge stays available through fit() but is not part of this preset.
-DEFAULT_COMPARISON_SPECS: tuple[ModelSpec, ...] = (
-    ModelSpec(ModelKind.RANDOM_FOREST),
-    ModelSpec(ModelKind.POLYNOMIAL, poly_degree=2),
-    ModelSpec(ModelKind.LINEAR),
-)
+# The headline comparison: three model families, each at its ModelSpec
+# defaults, x two feature modes. Ridge stays available through fit() but
+# is not part of this preset.
+COMPARISON_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.POLYNOMIAL, ModelKind.LINEAR)
 
 
 @dataclass
@@ -814,8 +811,8 @@ def rank_rows(rows: list[CompareRow]) -> list[CompareRow]:
 
 
 def compare(log: MeasurementLog, split_seed: int = 0) -> list[CompareRow]:
-    """``train_and_score`` every DEFAULT_COMPARISON_SPECS spec in every
-    feature mode, on one split seed.
+    """``train_and_score`` every COMPARISON_KINDS kind, at its ModelSpec
+    defaults, in every feature mode, on one split seed.
 
     A bad seed raises ValueError; a combination that fails on the data
     becomes an error row instead of aborting the whole comparison. Rows
@@ -824,12 +821,12 @@ def compare(log: MeasurementLog, split_seed: int = 0) -> list[CompareRow]:
     check_split(split_seed)
     rows: list[CompareRow] = []
     for mode in FeatureMode:
-        for spec in DEFAULT_COMPARISON_SPECS:
+        for kind in COMPARISON_KINDS:
             try:
-                ev = train_and_score(spec, log, mode, split_seed)[1]
-                rows.append(CompareRow(spec.kind, mode, ev.r_squared, ev.mae))
+                ev = train_and_score(ModelSpec(kind), log, mode, split_seed)[1]
+                rows.append(CompareRow(kind, mode, ev.r_squared, ev.mae))
             except (ValueError, SingularSystemError, FloatingPointError) as err:
-                rows.append(CompareRow(spec.kind, mode, error=str(err)))
+                rows.append(CompareRow(kind, mode, error=str(err)))
     return rank_rows(rows)
 
 

@@ -43,6 +43,7 @@ from .sweepproto import (
     LogRowError,
     MeasurementLog,
     PowerPlan,
+    SweepPacket,
     decode_packet,
     encode_plan,
     log_median_power,
@@ -145,11 +146,12 @@ class CampaignConfig:
                 )
         if self.sweeps_per_cell < 1:
             raise ValueError("sweeps_per_cell must be >= 1")
-        # Fail fast on anything the physics layer would reject later.
+        # Fail fast on anything the physics or protocol layer would reject later.
         self.soil_state(self.vwc_grid[0])
         for s in self.scenarios:
             self.geometry(s)
-        PowerPlan(self.power_levels)
+        # The plan's first packet checks the device id, without encoding a frame.
+        SweepPacket(self.device_id, 0, PowerPlan(self.power_levels).levels[0])
 
     def soil_state(self, vwc: float | np.ndarray) -> SoilState:
         return SoilState(

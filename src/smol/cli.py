@@ -24,13 +24,6 @@ EXIT_NUMERICAL = 4
 
 TABLE_COLUMNS = ("model", "mode", "r_squared", "mae", "best")
 
-# train's hyperparameter flags (by argparse dest) and the ModelSpec field
-# each sets; a flag's default is that field's.
-_SPEC_FLAGS = {
-    "poly_degree": "poly_degree", "ridge_lambda": "ridge_lambda", "trees": "n_trees",
-    "max_depth": "max_depth", "min_leaf": "min_leaf", "model_seed": "seed",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """Refuses a command line with one stderr line, without the usage;
@@ -81,9 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--out", required=True, help="model file to write")
     train.add_argument("--split-seed", type=int, default=0)
-    for dest, field in _SPEC_FLAGS.items():
-        default = getattr(ModelSpec, field)
-        train.add_argument(f"--{dest.replace('_', '-')}", type=type(default), default=default)
     train.set_defaults(func=_cmd_train)
 
     pred = sub.add_parser("predict", help="apply a trained model to a log")
@@ -118,16 +108,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _model_spec_from_args(args: argparse.Namespace) -> ModelSpec:
-    values = {field: getattr(args, dest) for dest, field in _SPEC_FLAGS.items()}
-    return ModelSpec(ModelKind(args.model), **values)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     calibrate.check_split(args.split_seed)
     log = campaign.read_measurements(args.log)
     model, ev = calibrate.train_and_score(
-        _model_spec_from_args(args), log, FeatureMode(args.mode), args.split_seed
+        ModelSpec(ModelKind(args.model)), log, FeatureMode(args.mode), args.split_seed
     )
     calibrate.save_model(model, args.out)
     r2 = "undefined" if ev.r_squared is None else f"{ev.r_squared:.4f}"

@@ -160,11 +160,12 @@ def mix_permittivity(soil: SoilState) -> Dielectric:
     # The index's parts, summed left to right as in the formula above.
     index_re = (1.0 - phi) * solid + (phi - theta) * math.sqrt(AIR_PERMITTIVITY) + theta * water_re
     index_im = theta * water_im
-    # (a - jb)^2 has imaginary part -2ab <= 0; clip rounding fuzz only.
+    # (a - jb)^2 has imaginary part -2ab <= 0, and a real part >= 1 when
+    # every phase's is (all-pore soil whose water is at 1 rounds to
+    # 0.9999999999999997); clip rounding fuzz only.
+    real = index_re * index_re - index_im * index_im
     loss = -(index_re * index_im + index_im * index_re)
-    return Dielectric(
-        index_re * index_re - index_im * index_im, np.where(loss > 0.0, loss, 0.0)[()]
-    )
+    return Dielectric(np.where(real > 1.0, real, 1.0)[()], np.where(loss > 0.0, loss, 0.0)[()])
 
 
 def attenuation_constant(eps: Dielectric, frequency_hz: float) -> float | np.ndarray:

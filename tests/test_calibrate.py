@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from smol import calibrate
 from smol.calibrate import (
-    DEFAULT_COMPARISON_SPECS,
+    COMPARISON_KINDS,
     CompareRow,
     Dataset,
     FeatureMode,
@@ -604,8 +604,7 @@ class TestTrainAndScore:
     def test_compare_rows_are_its_scores(self):
         log = _sweep_log()
         for row in compare(log, split_seed=2):
-            spec = next(s for s in DEFAULT_COMPARISON_SPECS if s.kind == row.kind)
-            ev = train_and_score(spec, log, row.mode, 2)[1]
+            ev = train_and_score(ModelSpec(row.kind), log, row.mode, 2)[1]
             assert (row.r_squared, row.mae) == (ev.r_squared, ev.mae)
 
 
@@ -614,7 +613,7 @@ class TestCompare:
         rows = compare(_sweep_log())
         assert len(rows) == 6
         assert {(r.kind, r.mode) for r in rows} == {
-            (spec.kind, mode) for spec in DEFAULT_COMPARISON_SPECS for mode in FeatureMode
+            (kind, mode) for kind in COMPARISON_KINDS for mode in FeatureMode
         }
         assert sum(r.best for r in rows) == 1
         assert rows[0].best
@@ -625,8 +624,8 @@ class TestCompare:
         # two median rows survive: a split cannot leave both sides populated
         errors = {(r.kind, r.mode): r.error for r in compare(_sweep_log(n_sweeps=2))}
         assert errors[ModelKind.LINEAR, FeatureMode.ALL_TX] is None
-        for spec in DEFAULT_COMPARISON_SPECS:
-            assert errors[spec.kind, FeatureMode.MEDIAN_TX] is not None
+        for kind in COMPARISON_KINDS:
+            assert errors[kind, FeatureMode.MEDIAN_TX] is not None
 
     def test_failing_fit_becomes_error_row(self):
         # One power level makes tx_power a constant column, so the all-TX

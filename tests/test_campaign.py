@@ -85,6 +85,8 @@ class TestConfigValidation:
         ),
         "zero sweep interval": (dict(sweep_interval_s=0.0), "sweep_interval_s"),
         "negative sweep interval": (dict(sweep_interval_s=-60.0), "sweep_interval_s"),
+        "device id above a u16": (dict(device_id=70000), "^device_id 70000 not a u16$"),
+        "negative device id": (dict(device_id=-1), "^device_id -1 not a u16$"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))

@@ -1,8 +1,10 @@
+import argparse
 import base64
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smol import calibrate, campaign
-from smol.calibrate import FeatureMode, ModelKind
+from smol import calibrate, campaign, cli
+from smol.calibrate import FeatureMode, ModelKind, ModelSpec
 from smol.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from smol.sweepproto import MeasurementLog
 
@@ -130,6 +132,7 @@ BAD_CONFIGS = {
     "tdr_error_bound above one": _edit(lambda d: d.update(tdr_error_bound=1e308)),
     "negative seed": _edit(lambda d: d.update(seed=-1)),
     "drop_prob above one": _edit(lambda d: d.update(drop_prob=1.5)),
+    "device_id above a u16": _edit(lambda d: d.update(device_id=70000)),
     "version 1": _edit(lambda d: d.update(version=1, spread_factor=7, bandwidth_hz=125e3)),
     # Finite values whose sums and products overflow in the simulated log.
     "overflowing timestamps": _edit(lambda d: d.update(epoch=1e308, sweep_interval_s=1e308)),
@@ -149,6 +152,7 @@ BAD_CONFIGS = {
 NAMED_FIELDS = {
     "negative seed": ["seed"],
     "drop_prob above one": ["drop_prob"],
+    "device_id above a u16": ["device_id 70000 not a u16"],
     "version 1": ["version 1", "version 2", "spread_factor", "bandwidth_hz"],
     **dict.fromkeys(
         ["overflowing timestamps", "overflowing antenna gains", "overflowing burial depth"],
@@ -199,6 +203,29 @@ def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+# Each model family is fit at its ModelSpec defaults: train refuses the
+# flags that once set them, as argparse refuses any unknown flag.
+@pytest.mark.parametrize(
+    "flag",
+    ["--poly-degree", "--ridge-lambda", "--trees", "--max-depth", "--min-leaf", "--model-seed"],
+)
+def test_train_refuses_the_hyperparameter_flags(tmp_path, small_log, capsys, flag):
+    out = tmp_path / "m.json"
+    argv = ["train", "--log", str(small_log), "--out", str(out), flag, "2"]
+    assert _exit_code(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"smol: error: unrecognized arguments: {flag} 2\n"
+    assert not out.exists()
+
+
+def test_readme_names_only_flags_that_exist():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for p in (parser, *commands.choices.values()) for o in p._option_string_actions}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert named <= options, sorted(named - options)  # the one left out above is pip's
+
+
 # Valid JSON nested deeper than the parser's recursion limit.
 DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
 
@@ -240,8 +267,6 @@ def test_train_then_predict_all_tx(tmp_path, small_log, capsys):
             "random_forest",
             "--mode",
             "all_tx",
-            "--trees",
-            "10",
             "--out",
             str(model_path),
         ]
@@ -314,7 +339,7 @@ def test_train_determinism(tmp_path, small_log):
     for out in (a, b):
         assert (
             main(["train", "--log", str(small_log), "--model", "random_forest",
-                  "--trees", "10", "--out", str(out)])
+                  "--out", str(out)])
             == EXIT_OK
         )
     assert a.read_bytes() == b.read_bytes()
@@ -346,17 +371,22 @@ def test_singular_fit_is_a_numerical_error(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
-def test_a_polynomial_degree_beyond_the_rows_is_refused_at_once(tmp_path, small_log, capsys):
+def test_a_polynomial_degree_beyond_the_rows_is_refused_at_once(small_log, monkeypatch):
     """Degree 10^6 in two features would list about 5 * 10^11 monomials;
     87 training rows cannot give that many columns full rank."""
-    model = tmp_path / "model.json"
-    code = main(["train", "--log", str(small_log), "--model", "polynomial",
-                 "--poly-degree", str(10**6), "--out", str(model)])
-    out, err = capsys.readouterr()
-    assert code == EXIT_NUMERICAL and out == ""
-    assert err == ("numerical failure: degree 1000000 needs 500001500001 design columns, "
-                   "more than the 87 rows\n")
-    assert not model.exists()
+    def never(*args):
+        raise AssertionError("listed or expanded the monomials")
+
+    for name in ("polynomial_powers", "polynomial_expand"):
+        monkeypatch.setattr(calibrate, name, never)
+    spec = ModelSpec(ModelKind.POLYNOMIAL, poly_degree=10**6)
+    with pytest.raises(calibrate.SingularSystemError) as refused:
+        calibrate.train_and_score(
+            spec, campaign.read_measurements(small_log), FeatureMode.ALL_TX, 0
+        )
+    assert str(refused.value) == (
+        "degree 1000000 needs 500001500001 design columns, more than the 87 rows"
+    )
 
 
 def test_an_overflowing_design_is_a_numerical_error(tmp_path, capfd):
@@ -467,7 +497,7 @@ def test_model_zoo_via_cli(tmp_path, small_log):
         out = tmp_path / f"{kind}.json"
         assert (
             main(["train", "--log", str(small_log), "--model", kind,
-                  "--trees", "5", "--out", str(out)])
+                  "--out", str(out)])
             == EXIT_OK
         )
         model = calibrate.load_model(out)
@@ -480,7 +510,7 @@ def test_predict_writes_predict_many_outputs(tmp_path, small_log, kind, mode):
     model_path = tmp_path / "model.json"
     assert (
         main(["train", "--log", str(small_log), "--model", kind, "--mode", mode,
-              "--trees", "5", "--out", str(model_path)])
+              "--out", str(model_path)])
         == EXIT_OK
     )
     preds_path = tmp_path / "preds.csv"
@@ -498,6 +528,14 @@ def test_predict_writes_predict_many_outputs(tmp_path, small_log, kind, mode):
     with open(preds_path) as fh:
         written = [row["vwc_pred_pct"] for row in csv.DictReader(fh)]
     assert written == [repr(p) for p in model.predict_many(X).tolist()]
+
+
+def _save_small_model(log_path, kind, path):
+    """The model file ``smol train`` writes for ``kind``, at the default
+    mode and split seed, but with a two-tree forest."""
+    spec = ModelSpec(ModelKind(kind), n_trees=2)
+    log = campaign.read_measurements(log_path)
+    calibrate.save_model(calibrate.train_and_score(spec, log, FeatureMode.ALL_TX, 0)[0], path)
 
 
 def _edit_array(array, change):
@@ -634,11 +672,7 @@ BAD_MODELS = {
 def test_predict_rejects_a_malformed_model(tmp_path, small_log, capsys, case):
     kind, mutate = BAD_MODELS[case]
     model_path = tmp_path / "model.json"
-    assert (
-        main(["train", "--log", str(small_log), "--model", kind, "--trees", "2",
-              "--out", str(model_path)])
-        == EXIT_OK
-    )
+    _save_small_model(small_log, kind, model_path)
     payload = json.loads(model_path.read_text())
     mutate(payload)
     model_path.write_text(json.dumps(payload))
@@ -674,11 +708,7 @@ OVERFLOWING_MODELS = {
 @pytest.mark.parametrize("kind", sorted(OVERFLOWING_MODELS))
 def test_predict_rejects_non_finite_predictions(tmp_path, small_log, capsys, kind):
     model_path = tmp_path / "model.json"
-    assert (
-        main(["train", "--log", str(small_log), "--model", kind, "--trees", "2",
-              "--out", str(model_path)])
-        == EXIT_OK
-    )
+    _save_small_model(small_log, kind, model_path)
     payload = json.loads(model_path.read_text())
     OVERFLOWING_MODELS[kind](payload)
     model_path.write_text(json.dumps(payload))

@@ -53,9 +53,11 @@ def valid(tmp_path_factory):
     )
     campaign.save_config(config, d / "config.json")
     campaign.write_measurements(d / "log.csv", campaign.run_campaign(config))
-    for kind, extra in (("linear", []), ("random_forest", ["--trees", "2", "--max-depth", "3"])):
-        argv = ["train", "--log", d / "log.csv", "--model", kind, "--out", d / f"{kind}.json"]
-        assert _run(argv + extra)[0] == cli.EXIT_OK
+    log = campaign.read_measurements(d / "log.csv")
+    forest = calibrate.ModelSpec(calibrate.ModelKind.RANDOM_FOREST, n_trees=2, max_depth=3)
+    for spec in (calibrate.ModelSpec(calibrate.ModelKind.LINEAR), forest):
+        model = calibrate.train_and_score(spec, log, calibrate.FeatureMode.ALL_TX, 0)[0]
+        calibrate.save_model(model, d / f"{spec.kind.value}.json")
     return d
 
 

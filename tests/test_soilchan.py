@@ -65,6 +65,13 @@ class TestMixPermittivity:
         assert eps.real_part == pytest.approx(1.0, rel=1e-12)
         assert eps.imag_part == 0.0
 
+    def test_all_water_at_vacuum_permittivity(self):
+        # The index squares back to 0.9999999999999997: rounding, which the
+        # mix clips to vacuum's 1 rather than refuse.
+        soil = SoilState(1.0, 1.0, 3.0, Dielectric(1.0, 1.0625))
+        assert mix_permittivity(soil).real_part == 1.0
+        _assert_bit_parity(soil, LinkGeometry(np.array([0.0, 15.0]), 1.0, 1e8))
+
     def test_dry_half_porosity_hand_value(self):
         # (0.5*sqrt(5) + 0.5)^2, worked out by hand
         eps = mix_permittivity(SoilState(0.0, 0.5, solid_permittivity=5.0))
@@ -199,7 +206,7 @@ def _reference_path_loss(soil: SoilState, geom: LinkGeometry) -> float:
         + theta * cmath.sqrt(complex(water.real_part, -water.imag_part))
     )
     eff = index * index
-    eps_re, eps_im = eff.real, max(0.0, -eff.imag)
+    eps_re, eps_im = max(1.0, eff.real), max(0.0, -eff.imag)
 
     depth_m = geom.burial_depth_cm / 100.0
     height_m = geom.receiver_height_cm / 100.0
