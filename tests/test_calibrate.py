@@ -1,6 +1,9 @@
 import base64
+import functools
 import json
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -310,6 +313,23 @@ def _forests_and_repeated_rows(draw):
     return model, np.array(distinct)[rows]
 
 
+@functools.cache
+def _stock_all_tx_forest() -> TrainedModel:
+    """The forest `smol train` fits by default on the stock campaign."""
+    log = run_campaign(CampaignConfig())
+    return train_and_score(ModelSpec(ModelKind.RANDOM_FOREST), log, FeatureMode.ALL_TX, 0)[0]
+
+
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestForest:
     @pytest.mark.numpy_bits
     @given(drawn=_forests_and_repeated_rows())
@@ -322,6 +342,36 @@ class TestForest:
         reference = _reference_forest_outputs(model.params, X)
         assert _forest_outputs(model.params, X).tobytes() == reference.tobytes()
         assert preds.tobytes() == reference.mean(axis=1).tobytes()
+        # Descent blocks of one row; of all rows but one, so the last block
+        # is short (a budget one pair short of the rows also checks the
+        # floor division); of more rows than any input.
+        for pairs in (1, model.spec.n_trees * len(X) - 1, 10**9):
+            with mock.patch.object(calibrate, "_DESCENT_PAIRS", pairs):
+                assert _forest_outputs(model.params, X).tobytes() == reference.tobytes(), pairs
+
+    @pytest.mark.numpy_bits
+    def test_stock_forest_descends_an_inference_log_as_the_reference_does(self):
+        model = _stock_all_tx_forest()
+        log = run_campaign(CampaignConfig(training_mode=False))
+        X = np.unique(calibrate.feature_matrix(log, FeatureMode.ALL_TX)[1], axis=0)
+        assert len(X) > 3 * calibrate._DESCENT_PAIRS // model.spec.n_trees  # several blocks
+        reference = _reference_forest_outputs(model.params, X)
+        assert _forest_outputs(model.params, X).tobytes() == reference.tobytes()
+
+    def test_descent_working_set_does_not_grow_with_the_rows(self):
+        # 101 x 18 distinct rows. Past the first 256 rows (one block of the
+        # 100 stock trees), the peak may only grow by the output's extra rows
+        # and one block's worth of pairs.
+        params = _stock_all_tx_forest().params
+        n_trees = len(params["tree_sizes"])
+        rssi, tx = np.meshgrid(np.arange(-140.0, -39.0), np.arange(5.0, 23.0), indexing="ij")
+        X = np.column_stack([rssi.ravel(), tx.ravel()])
+        assert len(X) == 1818
+        _forest_outputs(params, X[:1])  # warm up outside the measurement
+        first = _peak_bytes(lambda: _forest_outputs(params, X[:256]))
+        every = _peak_bytes(lambda: _forest_outputs(params, X))
+        extra_output, one_block = (len(X) - 256) * n_trees * 8, 256 * n_trees * 8
+        assert every - first <= extra_output + one_block
 
     def test_single_full_tree_memorizes(self):
         rng = np.random.default_rng(7)
