@@ -151,6 +151,10 @@ class TrainedModel:
     params: dict
     median_tx_power: int | None = None
     metadata: dict = field(default_factory=dict)
+    # A loaded forest's _descent_tables, kept from load_model's checks; not a
+    # field, so never saved. A fitted forest builds them on each prediction:
+    # cached, they raised `smol train`'s peak RSS (in save_model) by 0.8 MiB.
+    _descent = None
 
     @property
     def n_features(self) -> int:
@@ -161,9 +165,10 @@ class TrainedModel:
 
         Raises ValueError when a feature is not finite, and FloatingPointError
         when an estimate is not finite, as when a huge coefficient or leaf
-        value overflows. A forest descends each distinct row once; the mean
-        over a row's trees does not depend on the other rows, so the result
-        is the same bits as one row at a time.
+        value overflows. A forest descends each distinct row once (rows that
+        compare equal, -0.0 and 0.0 too, are one); the mean over a row's
+        trees does not depend on the other rows, so the result is the same
+        bits as one row at a time.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -176,9 +181,8 @@ class TrainedModel:
         kind, params = self.spec.kind, self.params
         with np.errstate(over="ignore", invalid="ignore"):
             if kind == ModelKind.RANDOM_FOREST:
-                # The inverse's shape differs between NumPy 1.x and 2.x.
-                distinct, row_of = np.unique(X, axis=0, return_inverse=True)
-                out = _forest_outputs(params, distinct).mean(axis=1)[row_of.ravel()]
+                distinct, row_of = _distinct_rows(X)
+                out = _forest_outputs(params, distinct, self._descent).mean(axis=1)[row_of]
             elif kind == ModelKind.POLYNOMIAL:
                 out = polynomial_expand(X, params["powers"]) @ params["beta"]
             else:
@@ -485,11 +489,11 @@ def _grow_trees(
 
 
 def _left_children(feature: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each node's left child, counted across the forest; it means something
-    at split nodes only. The j-th split node of a tree, in node order, has
-    its children at 2j + 1 and 2j + 2 within the tree. Built in place, so
-    at most about three node-count arrays are live at once; a descent
-    builds it once per call, not once per block of rows."""
+    """Each node's left child, counted across the forest: the j-th split
+    node of a tree, in node order, has its children at 2j + 1 and 2j + 2
+    within the tree. At a leaf it is where a split there would put its
+    left child, which ``_descent_tables`` reads. Built in place, so at most
+    about three node-count arrays are live at once."""
     start = np.cumsum(sizes) - sizes
     split = feature >= 0
     left = np.cumsum(split)
@@ -500,7 +504,40 @@ def _left_children(feature: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return left
 
 
-def _forest_outputs(forest: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
+def _descent_tables(forest: dict[str, np.ndarray]) -> tuple[np.ndarray, int]:
+    """What a descent needs beyond the forest's arrays: each node's left
+    child, a leaf its own, and the depth of the deepest tree.
+
+    The depth comes from a walk over each tree's levels: level 0 is the
+    root, and a level's split nodes imply the next level, which ends just
+    before the left child that a split after the level's last node would
+    have. Raises ValueError unless every tree's levels end at its last node
+    and its last level holds no split node; then each split node's children
+    lie in the next level of its tree, so every descent stays in its tree
+    and ends at a leaf within the depth.
+    """
+    feature, sizes = forest["feature"], forest["tree_sizes"]
+    split = feature >= 0
+    left = _left_children(feature, sizes)
+    ends = np.cumsum(sizes) - 1  # each tree's last node
+    last = ends - sizes + 1  # the last node of each tree's level, from the root
+    depth = 0
+    while True:
+        below = left.take(last) + 2 * split.take(last) - 1  # the next level's last node
+        done = below == last
+        if ((below < last) | (below > ends) | (done & (last != ends))).any():
+            raise ValueError("a tree's nodes are not the levels its split nodes imply")
+        if done.all():
+            break
+        last, depth = below, depth + 1
+    leaf = ~split
+    left[leaf] = np.flatnonzero(leaf)
+    return left, depth
+
+
+def _forest_outputs(
+    forest: dict[str, np.ndarray], X: np.ndarray, descent: tuple[np.ndarray, int] | None = None
+) -> np.ndarray:
     """Every tree's prediction for every row, as a C-ordered (rows, trees) array.
 
     A forest is three flat arrays: ``tree_sizes`` counts each tree's nodes,
@@ -508,41 +545,38 @@ def _forest_outputs(forest: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     children in the order of their parents and siblings adjacent. So the
     layout implies the children (``_left_children``). A split node sends
     ``x[feature] <= value`` to its left child and the rest to the right
-    one; a leaf has ``feature`` -1 and predicts ``value``.
+    one; a leaf has ``feature`` -1 and predicts ``value``. ``descent`` is
+    the forest's ``_descent_tables``, built here when not given.
 
     The rows descend in blocks of ``_DESCENT_PAIRS // trees`` rows (at
     least one), so a step's temporaries stay cache-sized however many rows
-    there are. A block steps its (row, tree) pairs one level at a time until
-    none moves, then writes its leaves' values into the output. A step adds
-    ``x[column] > threshold`` to the node's left child; a leaf is its own
-    left child with threshold +inf, so it stays put. A pair's path depends
-    on its row and tree alone, so the block size never changes a bit.
-    ``x > t`` is "not ``x <= t``" only where ``x`` is not NaN, so the rows
-    must hold no NaN.
+    there are. A block steps its (row, tree) pairs one level at a time, as
+    many steps as the forest is deep, then writes its leaves' values into
+    the output. A step adds ``x[feature] > value`` to the node's left
+    child. Each row is laid out after a -inf cell, which a leaf's feature
+    -1 reads, and a leaf is its own left child, so a leaf stays put. A
+    pair's path depends on its row and tree alone, so the block size never
+    changes a bit. ``x > t`` is "not ``x <= t``" only where ``x`` is not
+    NaN, so the rows must hold no NaN.
     """
     feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
-    leaf = feature < 0
-    left = _left_children(feature, sizes)
-    left[leaf] = np.flatnonzero(leaf)
-    threshold = value.copy()
-    threshold[leaf] = np.inf
-    column = np.maximum(feature, 0)
+    left, depth = _descent_tables(forest) if descent is None else descent
     roots = np.cumsum(sizes) - sizes
-    x = X.ravel()
-    row_start = X.shape[1] * np.arange(len(X))[:, None]
+    padded = np.full((len(X), X.shape[1] + 1), -np.inf)
+    padded[:, 1:] = X
+    x = padded.ravel()
+    row_start = padded.shape[1] * np.arange(len(X))[:, None] + 1
 
     def leaves(starts: np.ndarray) -> np.ndarray:
         """The leaf of each (row, tree) pair; its temporaries die with it."""
         node = np.tile(roots, (len(starts), 1))
-        while True:
-            cell = column.take(node)
+        for _ in range(depth):
+            cell = feature.take(node)
             cell += starts
-            moved = x.take(cell) > threshold.take(node)
-            step = left.take(node)
-            step += moved
-            if np.array_equal(step, node):
-                return node
-            node = step
+            moved = x.take(cell) > value.take(node)
+            node = left.take(node)
+            node += moved
+        return node
 
     out = np.empty((len(X), len(sizes)))
     per_block = max(1, _DESCENT_PAIRS // len(sizes))
@@ -550,6 +584,19 @@ def _forest_outputs(forest: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
         block = slice(first, first + per_block)
         value.take(leaves(row_start[block]), out=out[block])
     return out
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X's distinct rows, by ``==`` (so -0.0 and 0.0 are one), and each
+    row's index among them: one lexicographic sort, then a new run wherever
+    a row differs from the one before it."""
+    order = np.lexsort(X.T)
+    ordered = X[order]
+    starts = np.ones(len(X), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    row_of = np.empty(len(X), dtype=np.intp)
+    row_of[order] = np.cumsum(starts) - 1
+    return ordered[starts], row_of
 
 
 def _fit_forest(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> dict:
@@ -655,10 +702,11 @@ _PARAM_KEYS = {
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Write a self-describing JSON model file, one key per TrainedModel field
-    (from ``vars``: ``asdict`` would copy the arrays); load_model inverts it.
+    (not ``asdict``, which would copy the arrays); load_model inverts it.
     A forest's arrays go in as base64 strings of their ``_FOREST_DTYPES``
     bytes, the other models' few coefficients as JSON numbers."""
-    payload = {"format": MODEL_FILE_FORMAT, "version": MODEL_FILE_VERSION, **vars(model)}
+    payload = {"format": MODEL_FILE_FORMAT, "version": MODEL_FILE_VERSION}
+    payload.update((f.name, getattr(model, f.name)) for f in fields(model))
     payload["spec"] = asdict(model.spec)
     if model.spec.kind == ModelKind.RANDOM_FOREST:
         payload["params"] = {
@@ -703,9 +751,12 @@ def _json_numbers(values, where: str) -> np.ndarray:
     return arr
 
 
-def _forest_from_json(params: dict, n_trees: int, n_features: int) -> dict[str, np.ndarray]:
+def _forest_from_json(
+    params: dict, spec: ModelSpec, n_features: int
+) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, int]]:
     """The forest's arrays, checked so that every row's descent through every
-    tree stays in that tree and ends at one of its leaves."""
+    tree stays in that tree and ends at one of its leaves, within the spec's
+    ``max_depth`` steps; and the descent tables that the checks built."""
     forest = {}
     for key, dtype in _FOREST_DTYPES.items():
         try:
@@ -720,30 +771,28 @@ def _forest_from_json(params: dict, n_trees: int, n_features: int) -> dict[str, 
     if len(feature) != n:
         raise ValueError("feature and value differ in length")
     # 32-bit sizes: their int64 sum cannot wrap around.
-    if len(sizes) != n_trees or (sizes < 1).any() or sizes.sum() != n:
-        raise ValueError(f"tree_sizes is not {n_trees} size(s) >= 1 summing to {n} nodes")
+    if len(sizes) != spec.n_trees or (sizes < 1).any() or sizes.sum() != n:
+        raise ValueError(f"tree_sizes is not {spec.n_trees} size(s) >= 1 summing to {n} nodes")
     if not np.isfinite(value).all():
         raise ValueError("value holds a non-finite value")
-    split = feature != -1
-    if not ((feature[split] >= 0) & (feature[split] < n_features)).all():
+    if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"feature index outside [0, {n_features})")
-    # A tree of k split nodes and 2k + 1 nodes keeps every implied child in it.
-    if (np.add.reduceat(split, np.cumsum(sizes) - sizes, dtype=np.intp) * 2 + 1 != sizes).any():
-        raise ValueError("a tree's node count is not 2k + 1 for its k split nodes")
-    if (_left_children(feature, sizes)[split] <= np.flatnonzero(split)).any():
-        raise ValueError("a split node's implied children are not after it")
-    return forest
+    descent = _descent_tables(forest)
+    if spec.max_depth is not None and descent[1] > spec.max_depth:
+        raise ValueError(f"a tree is {descent[1]} levels deep, past max_depth {spec.max_depth}")
+    return forest, descent
 
 
-def _params_from_json(params, kind: ModelKind, n_trees: int, n_features: int) -> dict:
-    _require_keys(params, _PARAM_KEYS[kind], "params")
-    if kind == ModelKind.RANDOM_FOREST:
-        return _forest_from_json(params, n_trees, n_features)
+def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, tuple | None]:
+    """The model's params, and a forest's descent tables (None for the others)."""
+    _require_keys(params, _PARAM_KEYS[spec.kind], "params")
+    if spec.kind == ModelKind.RANDOM_FOREST:
+        return _forest_from_json(params, spec, n_features)
     beta = _json_numbers(params["beta"], "beta")
-    if kind != ModelKind.POLYNOMIAL:
+    if spec.kind != ModelKind.POLYNOMIAL:
         if len(beta) != n_features + 1:
             raise ValueError(f"beta has {len(beta)} coefficient(s), want {n_features + 1}")
-        return {"beta": beta}
+        return {"beta": beta}, None
     powers = np.asarray(params["powers"])
     if (
         powers.shape != (len(beta), n_features)
@@ -754,7 +803,7 @@ def _params_from_json(params, kind: ModelKind, n_trees: int, n_features: int) ->
             f"powers is not a list of {len(beta)} non-negative exponent "
             f"list(s) of length {n_features}"
         )
-    return {"beta": beta, "powers": [tuple(p) for p in powers.tolist()]}
+    return {"beta": beta, "powers": [tuple(p) for p in powers.tolist()]}, None
 
 
 def _model_from_json(payload: dict) -> TrainedModel:
@@ -779,14 +828,17 @@ def _model_from_json(payload: dict) -> TrainedModel:
         raise ValueError("median_tx_power is not null, as all_tx mode needs")
     if not isinstance(payload["metadata"], dict):
         raise ValueError("metadata is not a JSON object")
-    return TrainedModel(
+    params, descent = _params_from_json(payload["params"], spec, len(names))
+    model = TrainedModel(
         spec=spec,
         feature_mode=mode,
         feature_names=names,
-        params=_params_from_json(payload["params"], spec.kind, spec.n_trees, len(names)),
+        params=params,
         median_tx_power=median,
         metadata=payload["metadata"],
     )
+    model._descent = descent
+    return model
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -284,11 +284,28 @@ def _reference_forest_outputs(forest, X):
         node = step
 
 
+def _tree_depths(forest) -> list[int]:
+    """Each tree's depth, by a walk from its root over the implied children."""
+    feature, sizes = forest["feature"], forest["tree_sizes"]
+    left = calibrate._left_children(feature, sizes)
+    depths = []
+    for root in (np.cumsum(sizes) - sizes).tolist():
+        level, depth = [root], 0
+        while True:
+            level = [c for i in level if feature[i] >= 0 for c in (left[i], left[i] + 1)]
+            if not level:
+                break
+            depth += 1
+        depths.append(depth)
+    return depths
+
+
 @st.composite
 def _forests_and_repeated_rows(draw):
     """A small fitted forest, and a feature matrix of few distinct rows
     repeated in any order. Cells come from the training grid, the forest's
-    split thresholds and the next float above each, and both zeros."""
+    split thresholds and the next float above each, and both zeros; some
+    rows also come with a twin whose zeros have the other sign."""
     n_features = draw(st.integers(1, 2))
     n = draw(st.integers(2, 24))
     cell = st.integers(-4, 4).map(float)
@@ -309,6 +326,8 @@ def _forests_and_repeated_rows(draw):
     distinct = draw(
         st.lists(st.lists(cells, min_size=n_features, max_size=n_features), min_size=1, max_size=6)
     )
+    twins = draw(st.lists(st.booleans(), min_size=len(distinct), max_size=len(distinct)))
+    distinct += [[-v if v == 0 else v for v in row] for row, twin in zip(distinct, twins) if twin]
     rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
     return model, np.array(distinct)[rows]
 
@@ -336,6 +355,9 @@ class TestForest:
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_predictions_are_the_bits_of_one_row_at_a_time(self, drawn):
         model, X = drawn
+        distinct, row_of = calibrate._distinct_rows(X)
+        assert len(distinct) == len(set(map(tuple, X.tolist())))  # -0.0 == 0.0 here too
+        assert np.array_equal(distinct[row_of], X)
         preds = model.predict_many(X)
         one_by_one = np.concatenate([model.predict_many(X[i : i + 1]) for i in range(len(X))])
         assert preds.tobytes() == one_by_one.tobytes()
@@ -357,6 +379,33 @@ class TestForest:
         assert len(X) > 3 * calibrate._DESCENT_PAIRS // model.spec.n_trees  # several blocks
         reference = _reference_forest_outputs(model.params, X)
         assert _forest_outputs(model.params, X).tobytes() == reference.tobytes()
+
+    @pytest.mark.numpy_bits
+    @pytest.mark.parametrize("shape", ["unbounded depth", "single leaves", "unequal depths"])
+    def test_descent_steps_the_depth_of_the_layout(self, shape):
+        # The descent steps as many levels as the deepest tree has, read from
+        # the layout: a max_depth=None forest has no depth in its spec, a
+        # forest of root leaves needs no step, and shallow trees wait at
+        # their leaves for the deep ones. Doubling targets make each cut
+        # split off the top few rows, so the trees grow past the default
+        # max_depth. The training rows reach every leaf.
+        rng = np.random.default_rng(14)
+        X = np.column_stack([rng.permutation(40), rng.integers(0, 5, 40)]).astype(float)
+        y = np.zeros(40) if shape == "single leaves" else 2.0 ** X[:, 0]
+        spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=4, max_depth=None, min_leaf=1, seed=6)
+        forest = fit(spec, _dataset(X, y)).params
+        if shape == "unequal depths":
+            stump = fit(replace(spec, max_depth=1), _dataset(X, y)).params
+            forest = {key: np.concatenate([stump[key], forest[key]]) for key in forest}
+        depths = _tree_depths(forest)
+        if shape == "single leaves":
+            assert depths == [0] * 4
+        else:
+            assert max(depths) > ModelSpec.max_depth, depths
+            assert min(depths) == (1 if shape == "unequal depths" else 15), depths
+        assert calibrate._descent_tables(forest)[1] == max(depths)
+        reference = _reference_forest_outputs(forest, X)
+        assert _forest_outputs(forest, X).tobytes() == reference.tobytes()
 
     def test_descent_working_set_does_not_grow_with_the_rows(self):
         # 101 x 18 distinct rows. Past the first 256 rows (one block of the
@@ -627,6 +676,37 @@ class TestPersistence:
             raw = base64.b64decode(payload["params"].pop(key), validate=True)
             assert np.array_equal(np.frombuffer(raw, dtype), model.params[key]), key
         assert payload["params"] == {}
+
+    def test_refuses_a_forest_deeper_than_its_max_depth(self, tmp_path):
+        rng = np.random.default_rng(15)
+        X = rng.uniform(-80, -20, (60, 2))
+        spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=3, max_depth=None, min_leaf=1)
+        all_tx = FeatureMode.ALL_TX
+        model = fit(spec, Dataset(X, X[:, 0] * X[:, 1], all_tx, calibrate.FEATURE_NAMES[all_tx]))
+        depth = max(_tree_depths(model.params))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        for max_depth in (depth - 1, depth, None):
+            payload["spec"]["max_depth"] = max_depth
+            path.write_text(json.dumps(payload))
+            if max_depth == depth - 1:
+                with pytest.raises(ValueError, match=f"{depth} levels deep, past max_depth"):
+                    load_model(path)
+            else:  # at its depth, or unbounded
+                loaded = load_model(path)
+                assert np.array_equal(loaded.predict_many(X), model.predict_many(X))
+
+    def test_load_keeps_its_tracemalloc_peak(self, tmp_path):
+        # The peak holds the file's text and its decoded JSON, base64
+        # strings and all: 3,161,364 B on the stock all-TX file before the
+        # descent began to keep the load's child table (CPython 3.11, NumPy
+        # 2.4). The slack is well under one more node-count table (54,374
+        # nodes, 435 KB), so none is built while the strings are alive.
+        path = tmp_path / "model.json"
+        save_model(_stock_all_tx_forest(), path)
+        load_model(path)  # warm up outside the measurement
+        assert _peak_bytes(lambda: load_model(path)) <= 3_161_364 + 64 * 1024
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -651,6 +651,7 @@ BAD_MODELS = {
     "child index not after parent": (
         "random_forest", _edit_array("feature", _root_leaf_and_last_leaf_split)
     ),
+    "trees deeper than max_depth": ("random_forest", lambda p: p["spec"].update(max_depth=1)),
     "feature index too large": ("random_forest", _set_root("feature", 2)),
     "negative feature index": ("random_forest", _set_root("feature", -2)),
     "non-finite threshold": ("random_forest", _set_root("value", math.inf)),
