@@ -4,7 +4,8 @@ Assembles feature matrices from sweep logs, fits linear, ridge, polynomial
 or random-forest regressors, scores them with R^2 / MAE on a held-out
 split and renders comparison tables. The forest is grown here, by an exact
 split search over runs of equal feature values in a fixed summation order
-(see ``_grow_trees``), so every tree is bit-reproducible under a seed.
+(see ``_grow_trees``), so every tree is bit-reproducible under a seed,
+in batches that forked processes share (see ``_fit_forest``).
 A fitted model persists as one JSON file; a forest's three arrays go into
 it as base64 strings of little-endian bytes (see ``save_model``).
 """
@@ -14,11 +15,15 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
+import pickle
+import signal
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from itertools import combinations_with_replacement, islice
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -599,16 +604,111 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], row_of
 
 
-def _fit_forest(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> dict:
+def _batch_plan(n: int, spec: ModelSpec) -> tuple[int, Iterator[np.ndarray]]:
+    """How many batches a forest on ``n`` rows grows in, and each batch's
+    samples (trees x ``n`` row indices), in batch order. A batch holds as
+    many trees as fit ``_BATCH_ROWS`` rows, at least one; the last holds the
+    rest. Each tree's rows are drawn as its batch is reached, one draw per
+    tree in tree order from one generator seeded by ``spec.seed``, so a
+    batch's samples do not depend on which process draws them, and none
+    holds more than one batch's."""
     rng = np.random.default_rng(spec.seed)
-    n = len(y)
-    # Each tree's rows, drawn as its batch grows: one draw per tree, in tree order.
     rows = (rng.integers(0, n, n) if spec.bootstrap else np.arange(n) for _ in range(spec.n_trees))
     per_batch = max(1, _BATCH_ROWS // n)
-    batches = [
-        _grow_trees(X, y, np.array(list(islice(rows, per_batch))), spec.max_depth, spec.min_leaf)
-        for _ in range(0, spec.n_trees, per_batch)
-    ]
+    starts = range(0, spec.n_trees, per_batch)
+    return len(starts), (np.array(list(islice(rows, per_batch))) for _ in starts)
+
+
+def _process_count() -> int:
+    """How many processes a forest fit grows its batches in: one per CPU this
+    process may run on, or one where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_grower(grow: Callable[[], list]) -> tuple[int, BinaryIO] | None:
+    """Fork a child that pickles ``grow()`` into a pipe and exits: 0 once the
+    whole payload is written, 1 on any exception. Returns the child's pid and
+    the pipe's read end, or None when no process can be made."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process left (EAGAIN, ENOMEM)
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child never returns: os._exit runs no atexit hook and flushes no stdio
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(grow(), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _fit_forest(X: np.ndarray, y: np.ndarray, spec: ModelSpec) -> dict:
+    """Grow the forest's batches (see ``_batch_plan``) in contiguous slices,
+    one per process (``_process_count``) and at most one per batch.
+
+    The caller grows the first slice; a forked child grows each other one
+    and pickles its batches into a pipe. The caller reads every pipe, reaps
+    every child and keeps the batches in batch order. A batch grows by the
+    same code from the same samples in any process, so the forest is the
+    same bit for bit at any process count; with one slice no child is made.
+    A slice whose child could not be forked, exits non-zero or sends a
+    payload that does not unpickle is grown again by the caller, so a fit
+    raises what a serial fit raises (a MemoryError, a RuntimeWarning turned
+    error). If the caller raises, KeyboardInterrupt too, it kills and reaps
+    every child first, so no child outlives the fit or hangs it on a full
+    pipe.
+
+    A child runs no BLAS, takes no lock that another thread may hold at the
+    fork, and leaves by ``os._exit``. So the DeprecationWarning with which
+    Python 3.12 and later meet a fork from a multi-threaded process (one
+    with an OpenBLAS pool, say) does not apply to it.
+    """
+    n = len(y)
+    n_batches = _batch_plan(n, spec)[0]
+    n_slices = min(n_batches, _process_count())
+    ends = [n_batches * k // n_slices for k in range(n_slices + 1)]
+
+    def grow(k: int) -> list[dict[str, np.ndarray]]:
+        samples = islice(_batch_plan(n, spec)[1], ends[k], ends[k + 1])
+        return [_grow_trees(X, y, s, spec.max_depth, spec.min_leaf) for s in samples]
+
+    pids: list[int] = []  # the children of slices 1, 2, ..., in order
+    pipes: list[BinaryIO] = []
+    try:
+        for k in range(1, n_slices):
+            child = _fork_grower(lambda k=k: grow(k))
+            if child is None:  # no process left: the caller grows the rest
+                break
+            pids.append(child[0])
+            pipes.append(child[1])
+        slices = [grow(0)]
+        payloads = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k in range(1, n_slices):
+        grown = None
+        if k <= len(pids) and statuses[k - 1] == 0:
+            with suppress(EOFError, pickle.UnpicklingError):
+                grown = pickle.loads(payloads[k - 1])
+        slices.append(grow(k) if grown is None else grown)
+    batches = [batch for part in slices for batch in part]
     return {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
 
 
@@ -713,10 +813,11 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
             key: base64.b64encode(model.params[key].astype(dtype).tobytes()).decode("ascii")
             for key, dtype in _FOREST_DTYPES.items()
         }
-    text = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=lambda a: a.tolist()
-    )
-    Path(path).write_text(text + "\n")
+    with Path(path).open("w") as handle:  # streamed: no whole-file string
+        json.dump(
+            payload, handle, sort_keys=True, separators=(",", ":"), default=lambda a: a.tolist()
+        )
+        handle.write("\n")
 
 
 def _require_keys(obj, keys: Sequence[str], where: str) -> None:

@@ -1,7 +1,12 @@
 import base64
 import functools
 import json
+import os
+import pickle
+import signal
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -516,6 +521,116 @@ class TestForest:
             ModelSpec(ModelKind.RANDOM_FOREST, min_leaf=0)
 
 
+@functools.cache
+def _stock_all_tx_train() -> Dataset:
+    """The rows `smol train` fits the stock all-TX forest on: ten batches."""
+    return split(assemble(run_campaign(CampaignConfig()), FeatureMode.ALL_TX), seed=0)[0]
+
+
+def _processes(count: int):
+    """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
+    return mock.patch.object(calibrate, "_process_count", lambda: count)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForestProcesses:
+    """A forest's batches grow in slices, each after the first in a forked child."""
+
+    @pytest.mark.numpy_bits
+    @pytest.mark.parametrize(
+        "failure", ["cannot be forked", "raises", "is killed", "sends a short payload"]
+    )
+    def test_a_failed_child_has_its_slice_grown_again(self, failure):
+        train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
+        with _processes(1):
+            serial = fit(spec, train).params
+        parent, grow_trees, fork, forks = os.getpid(), calibrate._grow_trees, os.fork, []
+        last = list(calibrate._batch_plan(len(train), spec)[1])[-1]
+
+        def grow(X, y, samples, *rest):
+            if os.getpid() != parent and np.array_equal(samples, last):  # the last child's
+                if failure == "raises":
+                    raise MemoryError
+                if failure == "is killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return grow_trees(X, y, samples, *rest)
+
+        def fork_once():  # the second child is not made
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError
+            return fork()
+
+        def short_dump(obj, file, protocol):  # every child's payload, cut; exit 0
+            file.write(pickle.dumps(obj, protocol)[:100])
+
+        with (
+            _processes(3),
+            mock.patch.object(calibrate, "_grow_trees", grow),
+            mock.patch.object(os, "fork", fork_once if failure == "cannot be forked" else fork),
+            mock.patch.object(
+                pickle, "dump", short_dump if failure == "sends a short payload" else pickle.dump
+            ),
+        ):
+            forked = fit(spec, train).params
+        assert forked.keys() == serial.keys()
+        for key in forked:
+            assert np.array_equal(forked[key], serial[key]), key
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("processes", [1, 3])
+    @pytest.mark.parametrize("error", [MemoryError, RuntimeWarning])
+    def test_an_error_in_a_child_is_raised_as_a_serial_fit_raises_it(self, error, processes):
+        # The last batch fails wherever it grows. A RuntimeWarning is an
+        # error under this suite's warning filters, in a child too.
+        train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
+        grow_trees = calibrate._grow_trees
+        last = list(calibrate._batch_plan(len(train), spec)[1])[-1]
+
+        def grow(X, y, samples, *rest):
+            if np.array_equal(samples, last):
+                if error is RuntimeWarning:
+                    warnings.warn("overflow in the last batch", RuntimeWarning)
+                raise MemoryError("the last batch")
+            return grow_trees(X, y, samples, *rest)
+
+        with _processes(processes), mock.patch.object(calibrate, "_grow_trees", grow):
+            with pytest.raises(error, match="last batch"):
+                fit(spec, train)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    @pytest.mark.parametrize("children", ["still growing", "blocked on full pipes"])
+    def test_an_error_in_the_caller_leaves_no_child(self, error, children):
+        # A child still growing would take a minute: it must be killed, not
+        # waited for. One blocked writing its payload must not hang the caller.
+        train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
+        parent, grow_trees, grown = os.getpid(), calibrate._grow_trees, []
+
+        def grow(X, y, samples, *rest):
+            if os.getpid() != parent and children == "still growing":
+                time.sleep(60.0)
+            grown.append(grow_trees(X, y, samples, *rest))
+            if os.getpid() == parent and len(grown) == 3:  # the caller's last batch
+                time.sleep(0.2)  # the children finish theirs
+                raise error
+            return grown[-1]
+
+        start = time.monotonic()
+        with _processes(3), mock.patch.object(calibrate, "_grow_trees", grow):
+            with pytest.raises(error):
+                fit(spec, train)
+        assert time.monotonic() - start < 30.0
+        _assert_no_child_left()
+        with _processes(3):
+            fit(spec, train)
+        _assert_no_child_left()
+
+
 class TestPredict:
     def test_linear_hand_example(self):
         model = TrainedModel(
@@ -707,6 +822,16 @@ class TestPersistence:
         save_model(_stock_all_tx_forest(), path)
         load_model(path)  # warm up outside the measurement
         assert _peak_bytes(lambda: load_model(path)) <= 3_161_364 + 64 * 1024
+
+    def test_save_keeps_its_tracemalloc_peak(self, tmp_path):
+        # Streamed through json.dump, the peak holds the base64 strings and
+        # the encoder's chunks, not the file's text: 2,041,372 B on the
+        # stock all-TX file (CPython 3.11, NumPy 2.4), against 3,489,760 B
+        # when json.dumps built the text and write_text copied it twice.
+        # The slack is well under one more copy of the 870,893-B file.
+        model, path = _stock_all_tx_forest(), tmp_path / "model.json"
+        save_model(model, path)  # warm up outside the measurement
+        assert _peak_bytes(lambda: save_model(model, path)) <= 2_041_372 + 64 * 1024
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.json"

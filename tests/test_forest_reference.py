@@ -145,6 +145,11 @@ SPECS = st.builds(
 )
 
 
+def _processes(count: int):
+    """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
+    return mock.patch.object(calibrate, "_process_count", lambda: count)
+
+
 @given(data=datasets(), spec=SPECS)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_vectorized_grower_matches_the_reference(data, spec):
@@ -157,11 +162,12 @@ def test_vectorized_grower_matches_the_reference(data, spec):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_batch_size_does_not_change_the_forest(data, spec, draw):
     # From one tree per batch (also when a tree's rows exceed the budget)
-    # to all trees in one batch.
+    # to all trees in one batch, the batches grown in one to three processes.
     budget = draw.draw(st.integers(1, spec.n_trees * len(data) + 1), label="budget")
-    with mock.patch.object(calibrate, "_BATCH_ROWS", 1):
+    processes = draw.draw(st.integers(1, 3), label="processes")
+    with mock.patch.object(calibrate, "_BATCH_ROWS", 1), _processes(1):
         reference = calibrate.fit(spec, data).params
-    with mock.patch.object(calibrate, "_BATCH_ROWS", budget):
+    with mock.patch.object(calibrate, "_BATCH_ROWS", budget), _processes(processes):
         batched = calibrate.fit(spec, data).params
     assert batched.keys() == reference.keys()
     for key in batched:
@@ -196,6 +202,24 @@ def test_stock_forests_match_the_reference(mode):
     _assert_growers_agree(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5), train)
 
 
+def test_stock_forest_is_the_same_in_one_two_and_three_processes():
+    # The stock all-TX forest grows in ten batches: slices of 10, of 5 + 5
+    # and of 3 + 3 + 4 batches.
+    log = campaign.run_campaign(campaign.CampaignConfig())
+    train, _ = calibrate.split(calibrate.assemble(log, FeatureMode.ALL_TX), seed=0)
+    spec = ModelSpec(ModelKind.RANDOM_FOREST)
+    assert calibrate._batch_plan(len(train), spec)[0] == 10
+    with _processes(1):
+        serial = calibrate.fit(spec, train).params
+    for processes in (2, 3):
+        with _processes(processes):
+            forked = calibrate.fit(spec, train).params
+        assert forked.keys() == serial.keys()
+        for key in forked:
+            assert forked[key].dtype == serial[key].dtype, key
+            assert np.array_equal(forked[key], serial[key]), (processes, key)
+
+
 def test_stock_forests_grow_in_batches_that_fit_the_budget():
     # Each node of a level holds a row, so a batch within the budget has at
     # most _BATCH_ROWS nodes per level. For two features the regroup's keys
@@ -204,23 +228,16 @@ def test_stock_forests_grow_in_batches_that_fit_the_budget():
     assert 3 * calibrate._BATCH_ROWS < 2**16
     log = campaign.run_campaign(campaign.CampaignConfig())
     spec = ModelSpec(ModelKind.RANDOM_FOREST)
-    grow_trees = calibrate._grow_trees
     for mode in FeatureMode:
         train, _ = calibrate.split(calibrate.assemble(log, mode), seed=0)
-        batches = []
-
-        def grow(X, y, samples, *rest):
-            batches.append(samples.shape)
-            return grow_trees(X, y, samples, *rest)
-
-        with mock.patch.object(calibrate, "_grow_trees", grow):
-            calibrate.fit(spec, train)
+        n_batches, samples = calibrate._batch_plan(len(train), spec)
+        batches = [batch.shape for batch in samples]
         per_batch = calibrate._BATCH_ROWS // len(train)
         expected = {
             FeatureMode.ALL_TX: math.ceil(spec.n_trees / per_batch),
             FeatureMode.MEDIAN_TX: 1,  # the whole forest at once
         }
-        assert len(batches) == expected[mode], mode
+        assert len(batches) == n_batches == expected[mode], mode
         assert sum(trees for trees, _ in batches) == spec.n_trees
         for trees, rows in batches:
             assert rows == len(train)
