@@ -28,6 +28,8 @@ from numpy.random.bit_generator import ISeedSequence
 from .calibrate import _read_json, _require_keys
 from .groundtruth import read_vwc
 from .soilchan import (
+    CARRIER_FREQUENCY_DEFAULT,
+    SOLID_PERMITTIVITY_DEFAULT,
     WATER_LOSS_FACTOR_DEFAULT,
     WATER_PERMITTIVITY_DEFAULT,
     Dielectric,
@@ -86,10 +88,10 @@ class CampaignConfig:
     scenarios: tuple[Scenario, ...] = DEFAULT_SCENARIOS
     vwc_grid: tuple[float, ...] = DEFAULT_VWC_GRID
     porosity: float = 0.45
-    solid_permittivity: float = 5.0
+    solid_permittivity: float = SOLID_PERMITTIVITY_DEFAULT
     water_eps_real: float = WATER_PERMITTIVITY_DEFAULT
     water_loss_factor: float = WATER_LOSS_FACTOR_DEFAULT
-    frequency_hz: float = 915e6
+    frequency_hz: float = CARRIER_FREQUENCY_DEFAULT
     tx_gain_db: float = 0.0
     rx_gain_db: float = 0.0
     power_levels: tuple[int, ...] = DEFAULT_POWER_LEVELS
@@ -144,12 +146,16 @@ class CampaignConfig:
                     f"scenario {s.label!r}: needs a text label and finite depths >= 0, "
                     "not both 0 (a zero-length link)"
                 )
+            try:
+                s.label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"scenario {s.label!r}: label is not UTF-8 text") from None
         if self.sweeps_per_cell < 1:
             raise ValueError("sweeps_per_cell must be >= 1")
         # Fail fast on anything the physics or protocol layer would reject later.
         self.soil_state(self.vwc_grid[0])
-        for s in self.scenarios:
-            self.geometry(s)
+        if self.frequency_hz <= 0.0:
+            raise ValueError(f"carrier frequency must be positive, got {self.frequency_hz}")
         # The plan's first packet checks the device id, without encoding a frame.
         SweepPacket(self.device_id, 0, PowerPlan(self.power_levels).levels[0])
 
@@ -159,15 +165,6 @@ class CampaignConfig:
             porosity=self.porosity,
             solid_permittivity=self.solid_permittivity,
             water_permittivity=Dielectric(self.water_eps_real, self.water_loss_factor),
-        )
-
-    def geometry(self, scenario: Scenario) -> LinkGeometry:
-        return LinkGeometry(
-            burial_depth_cm=scenario.burial_depth_cm,
-            receiver_height_cm=scenario.receiver_height_cm,
-            carrier_frequency_hz=self.frequency_hz,
-            tx_antenna_gain_db=self.tx_gain_db,
-            rx_antenna_gain_db=self.rx_gain_db,
         )
 
     def without_noise(self) -> "CampaignConfig":
@@ -205,9 +202,7 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     levels = len(config.vwc_grid)
     heights, depths = np.repeat(placements, levels, axis=0).T
     cell_vwc = np.tile(np.asarray(config.vwc_grid, dtype=float), len(config.scenarios))
-    # Every placement has the same antenna gains and carrier.
-    gains = config.geometry(config.scenarios[0])
-    cells = replace(gains, burial_depth_cm=depths, receiver_height_cm=heights)
+    cells = LinkGeometry(depths, heights, config.frequency_hz)
     loss = path_loss(config.soil_state(cell_vwc), cells)
     # Sweep i visits cell i // sweeps_per_cell.
     loss, vwc = np.repeat([loss, cell_vwc], config.sweeps_per_cell, axis=1)
@@ -239,7 +234,8 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     powers = np.array(plan.levels)
     if config.wrap_high_power:
         powers[powers == TX_POWER_MAX_DBM] = TX_POWER_MIN_DBM
-    rssi = sweep_rssi(powers[level], loss[sweep], gains, config.quantize_rssi, noise_db)
+    rssi = sweep_rssi(powers[level], loss[sweep], config.tx_gain_db, config.rx_gain_db,
+                      config.quantize_rssi, noise_db)
     place = sweep // (levels * config.sweeps_per_cell)
     labels = np.array([s.label for s in config.scenarios], dtype=object)
     return MeasurementLog(

@@ -2,10 +2,10 @@
 
 The model is one link budget: rssi = tx power + antenna gains - path
 loss + receiver noise. ``path_loss`` gives the loss of a soil state and
-placement, or of arrays of moisture levels and placements in one call;
-``sweep_rssi`` turns losses into RSSI for a sweep of transmit powers, or
-a whole (sweeps, powers) grid. The loss is
-deliberately simple and monotone:
+a placement (depth, height, carrier), or of arrays of moisture levels
+and placements in one call; ``sweep_rssi`` adds the antenna gains to
+turn losses into RSSI for a sweep of transmit powers, or a whole
+(sweeps, powers) grid. The loss is deliberately simple and monotone:
 
 - effective soil permittivity from a three-phase refractive (CRIM) mix of
   solids, air and water,
@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
+CARRIER_FREQUENCY_DEFAULT = 915e6  # the stock LoRa carrier, Hz
 
 # 1 Np = 20/ln(10) dB
 NEPER_TO_DB = 20.0 / math.log(10.0)
@@ -97,15 +98,13 @@ class SoilState:
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """One measurement scenario: buried depth, receiver height, carrier.
+    """Buried depth, receiver height and carrier: all ``path_loss`` reads.
 
     The depth and the height may be arrays: one placement per element."""
 
     burial_depth_cm: float | np.ndarray
     receiver_height_cm: float | np.ndarray
-    carrier_frequency_hz: float = 915e6
-    tx_antenna_gain_db: float = 0.0
-    rx_antenna_gain_db: float = 0.0
+    carrier_frequency_hz: float = CARRIER_FREQUENCY_DEFAULT
 
     def __post_init__(self) -> None:
         depth, height = self.burial_depth_cm, self.receiver_height_cm
@@ -233,22 +232,23 @@ def path_loss(soil: SoilState, geom: LinkGeometry) -> float | np.ndarray:
 def sweep_rssi(
     tx_powers: Sequence[float] | np.ndarray,
     loss_db: float | np.ndarray,
-    geom: LinkGeometry,
+    tx_gain_db: float,
+    rx_gain_db: float,
     quantize: bool,
     noise_db: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Received-signal-strength samples, dBm, one per transmit power, in order.
 
-    rssi = tx + antenna gains - loss_db + noise_db, rounded to integer dBm
-    when ``quantize`` is set. ``loss_db`` is the link's ``path_loss``, which
-    does not depend on the power, and ``noise_db`` the receiver noise drawn
-    by the caller. Both broadcast against ``tx_powers``, so one call covers
-    a (sweeps, levels) grid given a column of per-sweep losses.
+    rssi = (tx + tx_gain_db) + rx_gain_db - loss_db + noise_db, rounded to
+    integer dBm when ``quantize`` is set. ``loss_db`` is the link's path
+    loss, independent of the power, and ``noise_db`` the receiver noise
+    drawn by the caller. Both broadcast against ``tx_powers``, so one call
+    covers a (sweeps, levels) grid given a column of per-sweep losses.
 
     With no noise and quantization off, rssi(p) - rssi(q) == p - q holds
     exactly.
     """
-    sent = np.asarray(tx_powers, dtype=float) + geom.tx_antenna_gain_db + geom.rx_antenna_gain_db
+    sent = np.asarray(tx_powers, dtype=float) + tx_gain_db + rx_gain_db
     rssi = sent - loss_db + noise_db
     if quantize:
         rssi = np.floor(rssi + 0.5)

@@ -62,14 +62,16 @@ def test_criterion_1_physics_monotonicity():
 
 
 def _quiet_rssi(power, soil, geom):
-    return sweep_rssi([power], path_loss(soil, geom), geom, False).item()
+    return sweep_rssi([power], path_loss(soil, geom), 0.0, 0.0, False).item()
 
 
 def test_criterion_2_baseline_ordering():
     config = CampaignConfig().without_noise()
     ok = True
     for scenario in config.scenarios:
-        geom = config.geometry(scenario)
+        geom = LinkGeometry(
+            scenario.burial_depth_cm, scenario.receiver_height_cm, config.frequency_hz
+        )
         air = _quiet_rssi(13, SoilState(0.0, 1.0), geom)
         water_phase = config.soil_state(0.0).water_permittivity
         water = _quiet_rssi(13, SoilState(1.0, 1.0, water_permittivity=water_phase), geom)
@@ -87,7 +89,7 @@ def test_criterion_3_equal_offsets():
     for _ in range(5):
         porosity = float(rng.uniform(0.3, 0.6))
         soil = SoilState(float(rng.uniform(0.0, porosity)), porosity)
-        curve = dict(zip(plan, sweep_rssi(plan, path_loss(soil, geom), geom, False).tolist()))
+        curve = dict(zip(plan, sweep_rssi(plan, path_loss(soil, geom), 0.0, 0.0, False).tolist()))
         for i, p in enumerate(plan):
             for q in plan[i + 1:]:
                 worst = max(worst, abs((curve[q] - curve[p]) - (q - p)))

@@ -83,6 +83,10 @@ class TestConfigValidation:
             dict(scenarios=(Scenario("bench", 15.0, 0.0), Scenario("flat", 0.0, 0.0))),
             "scenario 'flat'.*zero-length",
         ),
+        "label UTF-8 cannot encode": (
+            dict(scenarios=(Scenario("a\udc80", 15.0, 0.0),)),
+            r"^scenario 'a\\udc80': label is not UTF-8 text$",
+        ),
         "zero sweep interval": (dict(sweep_interval_s=0.0), "sweep_interval_s"),
         "negative sweep interval": (dict(sweep_interval_s=-60.0), "sweep_interval_s"),
         "device id above a u16": (dict(device_id=70000), "^device_id 70000 not a u16$"),
@@ -230,7 +234,10 @@ class TestRunCampaign:
         for i in range(2 * 3 * 2):
             scenario = cfg.scenarios[i // 6]
             vwc = cfg.vwc_grid[i // 2 % 3]
-            loss = soilchan.path_loss(cfg.soil_state(vwc), cfg.geometry(scenario))
+            geom = soilchan.LinkGeometry(
+                scenario.burial_depth_cm, scenario.receiver_height_cm, cfg.frequency_hz
+            )
+            loss = soilchan.path_loss(cfg.soil_state(vwc), geom)
             streams = np.random.SeedSequence((cfg.seed, i))
             tdr, noise, drop = map(np.random.default_rng, [streams, *streams.spawn(2)])
             truth = float("nan")

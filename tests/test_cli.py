@@ -129,6 +129,8 @@ BAD_CONFIGS = {
         lambda d: d["scenarios"][0].update(receiver_height_cm=True)
     ),
     "number for a scenario label": _edit(lambda d: d["scenarios"][0].update(label=7)),
+    # A lone surrogate is valid JSON, but no UTF-8 log can hold it.
+    "label UTF-8 cannot encode": _edit(lambda d: d["scenarios"][0].update(label="a\udc80")),
     "tdr_error_bound above one": _edit(lambda d: d.update(tdr_error_bound=1e308)),
     "negative seed": _edit(lambda d: d.update(seed=-1)),
     "drop_prob above one": _edit(lambda d: d.update(drop_prob=1.5)),
@@ -153,6 +155,7 @@ NAMED_FIELDS = {
     "negative seed": ["seed"],
     "drop_prob above one": ["drop_prob"],
     "device_id above a u16": ["device_id 70000 not a u16"],
+    "label UTF-8 cannot encode": ["scenario 'a\\udc80': label is not UTF-8 text"],
     "version 1": ["version 1", "version 2", "spread_factor", "bandwidth_hz"],
     **dict.fromkeys(
         ["overflowing timestamps", "overflowing antenna gains", "overflowing burial depth"],
@@ -173,12 +176,12 @@ def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, case):
     stock = json.loads(json.dumps(campaign.config_to_dict(campaign.CampaignConfig())))
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(BAD_CONFIGS[case](stock)))
-    out = tmp_path / "x.csv"
-    code = main(["simulate", "--out", str(out), "--config", str(cfg_path)])
-    assert code == EXIT_VALIDATION
+    out, dumped = tmp_path / "x.csv", tmp_path / "dumped.json"
+    argv = ["simulate", "--out", str(out), "--config", str(cfg_path), "--dump-config", str(dumped)]
+    assert main(argv) == EXIT_VALIDATION
     line = _one_error_line(capsys)
     assert all(name in line for name in NAMED_FIELDS.get(case, [])), line
-    assert not out.exists()
+    assert not out.exists() and not dumped.exists()
 
 
 # Campaign values are set in the config file only: simulate sets the seed

@@ -39,7 +39,11 @@ noise and drops in one small campaign. The big-seed case was computed
 with the simulator that built a SeedSequence per sweep. Its seed is two
 32-bit words, so the spawned noise and drop streams hash more entropy
 words than the 4-word pool holds; the campaign that derives every sweep's
-streams at once must write the same bytes.
+streams at once must write the same bytes. The gains case was computed
+with the simulator whose ``LinkGeometry`` carried the antenna gains; its
+gains, 0.1 and 0.2 dB, do not add exactly, so it pins the budget's
+addition order, ``(tx + tx_gain) + rx_gain``, which the wrap case's exact
+gains cannot.
 
 The predictions file and curve file hashes were computed with the
 hand-kept CSV column tuple and positional cell parsers that the log's
@@ -74,6 +78,7 @@ GOLDEN_LOG_SHA256 = {
     "large": "054a48df042f4679d91ba7b248647302b2828f9f0677ef276538be3fb8f7aff4",
     "wrap": "0b3490eafb37be270c08c29dfa879ac9152247c3641ab9d3e3205f6e3048c244",
     "big-seed": "ff38c6e4bfe246f7e8ef61a7588e0729c36e7246c3ea98fd9a8615b681fa9a0b",
+    "gains": "647601c3f5d1f1384067666be9eed758ce34b1dbf268f638907b1dc45f38e9ce",
 }
 
 # Model files of `smol train` on the stock log, default flags otherwise.
@@ -238,7 +243,17 @@ def _big_seed_config() -> campaign.CampaignConfig:
     return campaign.CampaignConfig(seed=2**40 + 3, drop_prob=0.1, sweeps_per_cell=2)
 
 
-CONFIG_CASES = {"large": _large_config, "wrap": _wrap_config, "big-seed": _big_seed_config}
+def _gains_config() -> campaign.CampaignConfig:
+    """The stock campaign, unquantized, with gains whose sum rounds."""
+    return campaign.CampaignConfig(tx_gain_db=0.1, rx_gain_db=0.2, quantize_rssi=False)
+
+
+CONFIG_CASES = {
+    "large": _large_config,
+    "wrap": _wrap_config,
+    "big-seed": _big_seed_config,
+    "gains": _gains_config,
+}
 
 
 @pytest.mark.numpy_bits

@@ -25,9 +25,10 @@ AIR = SoilState(0.0, 1.0)
 WATER = SoilState(1.0, 1.0)
 
 
-def _rssi(powers, soil, geom, quantize=False, noise_db=0.0):
-    """Noise-free (or given-noise) RSSI of one sweep: path loss, then sweep_rssi."""
-    return sweep_rssi(powers, path_loss(soil, geom), geom, quantize, noise_db)
+def _rssi(powers, soil, geom, quantize=False, noise_db=0.0, gains=(0.0, 0.0)):
+    """Noise-free (or given-noise) RSSI of one sweep: path loss, then sweep_rssi
+    with the (tx, rx) antenna ``gains``."""
+    return sweep_rssi(powers, path_loss(soil, geom), *gains, quantize, noise_db)
 
 
 def _clamped_soil(vwc_frac, porosity, solid):
@@ -268,9 +269,7 @@ class TestBroadcastPathLoss:
         depths, heights = np.array(
             [(s.burial_depth_cm, s.receiver_height_cm) for s in config.scenarios]
         ).T
-        geom = replace(
-            config.geometry(config.scenarios[0]), burial_depth_cm=depths, receiver_height_cm=heights
-        )
+        geom = LinkGeometry(depths, heights, config.frequency_hz)
         _assert_bit_parity(config.soil_state(np.array(config.vwc_grid)[:, None]), geom)
 
     def test_edges(self):
@@ -348,9 +347,8 @@ class TestSynthRssi:
         assert rssi == int(rssi)
 
     def test_antenna_gains_add(self):
-        geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=2.0, rx_antenna_gain_db=3.0)
         [base] = _rssi([13], SoilState(0.2, 0.45), GEOM_BURIED)
-        [gained] = _rssi([13], SoilState(0.2, 0.45), geom)
+        [gained] = _rssi([13], SoilState(0.2, 0.45), GEOM_BURIED, gains=(2.0, 3.0))
         assert gained - base == pytest.approx(5.0, abs=1e-9)
 
     def test_rejects_negative_sigma(self):
@@ -369,8 +367,8 @@ class TestSweepCurve:
         assert len({p for p, _ in curve}) == 18
 
     def test_single_power_air_composition(self):
-        geom = LinkGeometry(0.0, 100.0, tx_antenna_gain_db=1.0, rx_antenna_gain_db=2.0)
-        [(p, rssi)] = zip([13], _rssi([13], AIR, geom).tolist())
+        geom = LinkGeometry(0.0, 100.0)
+        [(p, rssi)] = zip([13], _rssi([13], AIR, geom, gains=(1.0, 2.0)).tolist())
         expected = 13 + 3.0 - path_loss(AIR, geom)
         assert p == 13
         assert rssi == pytest.approx(expected, abs=1e-12)
@@ -385,31 +383,31 @@ class TestSweepRssi:
     @settings(max_examples=50)
     def test_one_sweep_draw_equals_one_draw_per_packet(self, seed, quantize):
         soil = SoilState(0.2, 0.45)
-        geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=1.5, rx_antenna_gain_db=-0.5)
+        gains = (1.5, -0.5)
         powers = [23, 5, 9, 13, 22]
         noise = np.random.default_rng(seed).normal(0.0, 2.0, len(powers))
-        swept = _rssi(powers, soil, geom, quantize, noise)
+        swept = _rssi(powers, soil, GEOM_BURIED, quantize, noise, gains)
         rng = np.random.default_rng(seed)
         one_by_one = [
-            _rssi([p], soil, geom, quantize, rng.normal(0.0, 2.0, 1)).item() for p in powers
+            _rssi([p], soil, GEOM_BURIED, quantize, rng.normal(0.0, 2.0, 1), gains).item()
+            for p in powers
         ]
         assert swept.tolist() == one_by_one
 
     def test_grid_equals_one_sweep_at_a_time(self):
-        geom = LinkGeometry(15.0, 195.0, tx_antenna_gain_db=1.5, rx_antenna_gain_db=-0.5)
         powers, losses = [23, 5, 9, 13, 22], [71.3, 80.05, 12.7]
         draws = [np.random.default_rng(i).normal(0.0, 2.0, len(powers)) for i in range(3)]
-        grid = sweep_rssi(powers, np.array(losses)[:, None], geom, True, np.array(draws))
-        rows = [sweep_rssi(powers, loss, geom, True, d) for loss, d in zip(losses, draws)]
+        grid = sweep_rssi(powers, np.array(losses)[:, None], 1.5, -0.5, True, np.array(draws))
+        rows = [sweep_rssi(powers, loss, 1.5, -0.5, True, d) for loss, d in zip(losses, draws)]
         assert grid.tolist() == [row.tolist() for row in rows]
 
     def test_quantized_samples_are_whole_dbm(self):
         noise = np.random.default_rng(3).normal(0.0, 2.0, 18)
-        rssi = sweep_rssi(list(range(5, 23)), 71.3, GEOM_BURIED, True, noise)
+        rssi = sweep_rssi(list(range(5, 23)), 71.3, 0.0, 0.0, True, noise)
         assert np.array_equal(rssi, np.round(rssi))
 
     def test_noise_free_offsets_are_exact(self):
-        rssi = sweep_rssi([5, 6, 22], 71.3, GEOM_BURIED, False)
+        rssi = sweep_rssi([5, 6, 22], 71.3, 0.0, 0.0, False)
         assert rssi.tolist() == [5 - 71.3, 6 - 71.3, 22 - 71.3]
 
 
