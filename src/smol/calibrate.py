@@ -30,7 +30,7 @@ import numpy as np
 from .sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 4
+MODEL_FILE_VERSION = 5
 
 # The share of a dataset's rows that a model is fit on; the rest score it.
 TRAIN_FRACTION = 0.8
@@ -43,6 +43,14 @@ _BATCH_ROWS = 10_400
 # (Row, tree) pairs per descent block (at least one row). A block's node and
 # row temporaries stay cache-sized; from 6,400 to 51,200 pairs time the same.
 _DESCENT_PAIRS = 25_600
+
+
+def _finite_number(value) -> bool:
+    """An int or float, not a bool, that is finite; an int beyond float range is not."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class SingularSystemError(ArithmeticError):
@@ -105,7 +113,7 @@ class ModelSpec:
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         lam = self.ridge_lambda
-        if type(lam) not in (int, float) or not math.isfinite(lam) or lam < 0.0:
+        if not _finite_number(lam) or lam < 0.0:
             raise ValueError(f"ridge_lambda must be a finite number >= 0, got {lam!r}")
         if type(self.bootstrap) is not bool:
             raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
@@ -189,7 +197,8 @@ class TrainedModel:
                 distinct, row_of = _distinct_rows(X)
                 out = _forest_outputs(params, distinct, self._descent).mean(axis=1)[row_of]
             elif kind == ModelKind.POLYNOMIAL:
-                out = polynomial_expand(X, params["powers"]) @ params["beta"]
+                powers = polynomial_powers(self.n_features, self.spec.poly_degree)
+                out = polynomial_expand(X, powers) @ params["beta"]
             else:
                 out = params["beta"][0] + X @ params["beta"][1:]
         bad = np.count_nonzero(~np.isfinite(out))
@@ -322,7 +331,7 @@ def _fit_polynomial(X: np.ndarray, y: np.ndarray, degree: int) -> dict:
     # An overflowing monomial is refused below as non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         design = polynomial_expand(X, powers)
-    return {"beta": _solve_least_squares(design, y), "powers": powers}
+    return {"beta": _solve_least_squares(design, y)}
 
 
 def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -792,13 +801,6 @@ def train_and_score(
 # A forest's arrays in the model file: base64 of little-endian bytes.
 _FOREST_DTYPES = dict(feature=np.dtype("<i4"), tree_sizes=np.dtype("<i4"), value=np.dtype("<f8"))
 
-_PARAM_KEYS = {
-    ModelKind.LINEAR: ("beta",),
-    ModelKind.RIDGE: ("beta",),
-    ModelKind.POLYNOMIAL: ("beta", "powers"),
-    ModelKind.RANDOM_FOREST: tuple(_FOREST_DTYPES),
-}
-
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Write a self-describing JSON model file, one key per TrainedModel field
@@ -886,25 +888,17 @@ def _forest_from_json(
 
 def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, tuple | None]:
     """The model's params, and a forest's descent tables (None for the others)."""
-    _require_keys(params, _PARAM_KEYS[spec.kind], "params")
     if spec.kind == ModelKind.RANDOM_FOREST:
+        _require_keys(params, list(_FOREST_DTYPES), "params")
         return _forest_from_json(params, spec, n_features)
+    _require_keys(params, ["beta"], "params")
     beta = _json_numbers(params["beta"], "beta")
-    if spec.kind != ModelKind.POLYNOMIAL:
-        if len(beta) != n_features + 1:
-            raise ValueError(f"beta has {len(beta)} coefficient(s), want {n_features + 1}")
-        return {"beta": beta}, None
-    powers = np.asarray(params["powers"])
-    if (
-        powers.shape != (len(beta), n_features)
-        or powers.dtype.kind != "i"
-        or (powers < 0).any()
-    ):
-        raise ValueError(
-            f"powers is not a list of {len(beta)} non-negative exponent "
-            f"list(s) of length {n_features}"
-        )
-    return {"beta": beta, "powers": [tuple(p) for p in powers.tolist()]}, None
+    # One coefficient per monomial of total degree <= d (linear: d = 1),
+    # counted without listing them, so a huge degree costs nothing.
+    degree = spec.poly_degree if spec.kind == ModelKind.POLYNOMIAL else 1
+    if len(beta) != (want := math.comb(degree + n_features, n_features)):
+        raise ValueError(f"beta has {len(beta)} coefficient(s), want {want}")
+    return {"beta": beta}, None
 
 
 def _model_from_json(payload: dict) -> TrainedModel:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .calibrate import _read_json, _require_keys
+from .calibrate import _finite_number, _read_json, _require_keys
 from .groundtruth import read_vwc
 from .soilchan import (
     CARRIER_FREQUENCY_DEFAULT,
@@ -73,11 +73,6 @@ DEFAULT_SCENARIOS: tuple[Scenario, ...] = (
 )
 
 DEFAULT_VWC_GRID: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
-
-
-def _finite_number(value) -> bool:
-    """An int or float, not a bool, that is finite."""
-    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -158,6 +153,16 @@ class CampaignConfig:
             raise ValueError(f"carrier frequency must be positive, got {self.frequency_hz}")
         # The plan's first packet checks the device id, without encoding a frame.
         SweepPacket(self.device_id, 0, PowerPlan(self.power_levels).levels[0])
+        # NumPy counts in int64, so larger counts wrap. A plan has a level,
+        # so the sweeps are never more than the planned packets.
+        sweeps = len(self.scenarios) * len(self.vwc_grid) * self.sweeps_per_cell
+        for name, count, what in (
+            ("sweeps_per_cell", sweeps * len(self.power_levels), "planned packets"),
+            ("tdr_spots", sweeps * self.tdr_spots, "probe draws"),
+        ):
+            if count >= 2**63:
+                raise ValueError(f"{name} {getattr(self, name)} makes {count} {what}, "
+                                 "not below 2**63")
 
     def soil_state(self, vwc: float | np.ndarray) -> SoilState:
         return SoilState(

@@ -220,7 +220,7 @@ class TestLinearFits:
                                match="^degree 10 needs 11 design columns, more than the 10 rows$"):
                 fit(ModelSpec(ModelKind.POLYNOMIAL, poly_degree=10), ds)
         # As many columns as rows can still be full rank.
-        assert len(fit(ModelSpec(ModelKind.POLYNOMIAL, poly_degree=9), ds).params["powers"]) == 10
+        assert len(fit(ModelSpec(ModelKind.POLYNOMIAL, poly_degree=9), ds).params["beta"]) == 10
 
     def test_empty_train_rejected(self):
         ds = _dataset(np.empty((0, 2)), np.empty(0))
@@ -786,11 +786,47 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         for key, dtype in (("feature", "<i4"), ("tree_sizes", "<i4"), ("value", "<f8")):
             raw = base64.b64decode(payload["params"].pop(key), validate=True)
             assert np.array_equal(np.frombuffer(raw, dtype), model.params[key]), key
         assert payload["params"] == {}
+
+    @pytest.mark.numpy_bits
+    @pytest.mark.parametrize("mode", list(FeatureMode))
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_polynomial_round_trip_predicts_identically(self, degree, mode, tmp_path):
+        # The file holds the coefficients only; the loader derives the basis.
+        rng = np.random.default_rng(degree)
+        names = calibrate.FEATURE_NAMES[mode]
+        X = rng.uniform(-80, -20, (40, len(names)))
+        y = -0.7 * X[:, 0] + rng.normal(0, 1, 40)
+        median = 13 if mode == FeatureMode.MEDIAN_TX else None
+        model = fit(ModelSpec(ModelKind.POLYNOMIAL, poly_degree=degree),
+                    Dataset(X, y, mode, names, median_tx_power=median))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert sorted(json.loads(path.read_text())["params"]) == ["beta"]
+        loaded = load_model(path)
+        probe = rng.uniform(-80, -20, (25, len(names)))
+        assert np.array_equal(model.predict_many(probe), loaded.predict_many(probe))
+        assert loaded.spec == model.spec
+
+    def test_a_huge_degree_is_refused_before_its_monomials_are_listed(self, tmp_path, monkeypatch):
+        def never(*args):
+            raise AssertionError("the monomials were listed")
+
+        X = np.random.default_rng(16).uniform(-80, -20, (40, 2))
+        all_tx = FeatureMode.ALL_TX
+        train = Dataset(X, X[:, 0] ** 2, all_tx, calibrate.FEATURE_NAMES[all_tx])
+        path = tmp_path / "model.json"
+        save_model(fit(ModelSpec(ModelKind.POLYNOMIAL), train), path)
+        payload = json.loads(path.read_text())
+        payload["spec"]["poly_degree"] = 10**6
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr(calibrate, "polynomial_powers", never)
+        with pytest.raises(ValueError, match=r": beta has 6 coefficient\(s\), want 500001500001$"):
+            load_model(path)
 
     def test_refuses_a_forest_deeper_than_its_max_depth(self, tmp_path):
         rng = np.random.default_rng(15)

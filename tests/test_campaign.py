@@ -91,7 +91,29 @@ class TestConfigValidation:
         "negative sweep interval": (dict(sweep_interval_s=-60.0), "sweep_interval_s"),
         "device id above a u16": (dict(device_id=70000), "^device_id 70000 not a u16$"),
         "negative device id": (dict(device_id=-1), "^device_id -1 not a u16$"),
+        "porosity beyond float range": (
+            dict(porosity=10**400), f"^porosity must be a finite number, got {10**400}$"
+        ),
+        # 3 cells x 18 levels, and 3 cells x 10 spots: counts past int64.
+        "sweeps_per_cell past int64 counts": (
+            dict(sweeps_per_cell=2**62),
+            rf"^sweeps_per_cell {2**62} makes {54 * 2**62} planned packets, not below 2\*\*63$",
+        ),
+        "tdr_spots past int64 counts": (
+            dict(tdr_spots=2**62),
+            rf"^tdr_spots {2**62} makes {3 * 2**62} probe draws, not below 2\*\*63$",
+        ),
     }
+
+    def test_counts_are_refused_from_2_to_the_63(self):
+        # One cell, one level, one spot: each count is the sweep count.
+        one = dict(vwc_grid=(0.2,), power_levels=(13,), tdr_spots=1)
+        small_config(**one, sweeps_per_cell=2**63 - 1)  # built, never run
+        with pytest.raises(ValueError, match="^sweeps_per_cell .* planned packets"):
+            small_config(**one, sweeps_per_cell=2**63)
+        # The probe's draws count whatever its error bound.
+        with pytest.raises(ValueError, match="^tdr_spots 2 makes .* probe draws"):
+            small_config(**(one | dict(tdr_spots=2, tdr_error_bound=0.0)), sweeps_per_cell=2**62)
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_refused_when_built_or_read(self, case):

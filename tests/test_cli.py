@@ -135,6 +135,8 @@ BAD_CONFIGS = {
     "negative seed": _edit(lambda d: d.update(seed=-1)),
     "drop_prob above one": _edit(lambda d: d.update(drop_prob=1.5)),
     "device_id above a u16": _edit(lambda d: d.update(device_id=70000)),
+    # A JSON integer that no float can hold is not a finite number.
+    "epoch beyond float range": _edit(lambda d: d.update(epoch=10**400)),
     "version 1": _edit(lambda d: d.update(version=1, spread_factor=7, bandwidth_hz=125e3)),
     # Finite values whose sums and products overflow in the simulated log.
     "overflowing timestamps": _edit(lambda d: d.update(epoch=1e308, sweep_interval_s=1e308)),
@@ -155,6 +157,7 @@ NAMED_FIELDS = {
     "negative seed": ["seed"],
     "drop_prob above one": ["drop_prob"],
     "device_id above a u16": ["device_id 70000 not a u16"],
+    "epoch beyond float range": ["epoch must be a finite number"],
     "label UTF-8 cannot encode": ["scenario 'a\\udc80': label is not UTF-8 text"],
     "version 1": ["version 1", "version 2", "spread_factor", "bandwidth_hz"],
     **dict.fromkeys(
@@ -611,6 +614,16 @@ def _one_feature(payload):
     payload["params"]["beta"].pop()
 
 
+def _stored_exponents(payload):
+    """Store the polynomial's exponent lists too, as version 4 did."""
+    payload["params"]["powers"] = [list(p) for p in calibrate.polynomial_powers(2, 2)]
+
+
+def _version_4_polynomial(payload):
+    _stored_exponents(payload)
+    payload["version"] = 4
+
+
 def _median_tx_without_median(payload):
     _one_feature(payload)
     payload.update(feature_mode="median_tx", median_tx_power=None)
@@ -625,6 +638,7 @@ BAD_MODELS = {
     "version 1": ("random_forest", lambda p: p.update(version=1)),
     "version 2": ("random_forest", lambda p: p.update(version=2)),
     "version 3": ("random_forest", lambda p: p.update(version=3)),
+    "version 4": ("polynomial", _version_4_polynomial),
     "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
     "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
     "missing spec key": ("random_forest", lambda p: p["spec"].pop("min_leaf")),
@@ -660,6 +674,8 @@ BAD_MODELS = {
     "non-finite threshold": ("random_forest", _set_root("value", math.inf)),
     "non-finite leaf value": ("random_forest", _edit_array("value", _nan_leaf)),
     "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
+    "polynomial beta too long": ("polynomial", lambda p: p["params"]["beta"].append(0.0)),
+    "polynomial with stored exponents": ("polynomial", _stored_exponents),
     "feature names not the mode's": ("linear", _one_feature),
     "median_tx without a median power": ("linear", _median_tx_without_median),
     "all_tx with a median power": ("linear", lambda p: p.update(median_tx_power=13)),
@@ -669,6 +685,17 @@ BAD_MODELS = {
         "random_forest", lambda p: p["spec"].update(ridge_lambda="x", bootstrap="yes")
     ),
     "linear spec out of range": ("linear", lambda p: p["spec"].update(n_trees=0, seed=1.5)),
+    "ridge_lambda beyond float range": (
+        "linear", lambda p: p["spec"].update(ridge_lambda=10**400)
+    ),
+}
+
+
+# What a case's error line must hold, where the message is the point.
+MODEL_ERRORS = {
+    "polynomial beta too long": "beta has 7 coefficient(s), want 6",
+    "polynomial with stored exponents": "params: unexpected key(s) 'powers'",
+    "ridge_lambda beyond float range": "ridge_lambda must be a finite number",
 }
 
 
@@ -689,6 +716,7 @@ def test_predict_rejects_a_malformed_model(tmp_path, small_log, capsys, case):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {model_path}: ")
     if case.startswith("version"):
         assert "retrain with `smol train`" in err
+    assert MODEL_ERRORS.get(case, "") in err
 
 
 def _huge_slope(payload):
@@ -810,6 +838,25 @@ def test_commands_refuse_a_log_that_is_not_utf8(tmp_path, small_log, capsys, com
             "report": ["report", "--log", str(bad_log), "--out-dir", str(tmp_path / "r")]}[command]
     assert main(argv) == EXIT_VALIDATION
     assert _one_error_line(capsys).startswith(f"error: {bad_log}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("field", ["sweeps_per_cell", "tdr_spots"])
+@pytest.mark.parametrize("size", [2**62, 2**63])
+def test_simulate_refuses_counts_past_int64(tmp_path, field, size):
+    """Counts that wrap NumPy's int64 are refused as the config is read. In
+    a child process: the campaigns they once ran crashed the interpreter."""
+    config = {**campaign.config_to_dict(campaign.CampaignConfig()), field: size}
+    config_path, out = tmp_path / "config.json", tmp_path / "log.csv"
+    config_path.write_text(json.dumps(config))
+    src = Path(campaign.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["-m", "smol.cli", "simulate", "--config", str(config_path), "--out", str(out)]
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_VALIDATION, done.stderr
+    assert done.stderr.startswith(f"error: {field} {size} makes "), done.stderr
+    assert done.stderr.endswith(", not below 2**63\n") and done.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_log_and_curve_files_are_utf8_under_an_ascii_locale(tmp_path):
