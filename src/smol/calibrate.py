@@ -30,7 +30,7 @@ import numpy as np
 from .sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 5
+MODEL_FILE_VERSION = 6
 
 # The share of a dataset's rows that a model is fit on; the rest score it.
 TRAIN_FRACTION = 0.8
@@ -62,6 +62,12 @@ class FeatureMode(str, Enum):
 
     ALL_TX = "all_tx"        # features [rssi, tx_power], every packet
     MEDIAN_TX = "median_tx"  # feature [rssi], packets at the plan's median power
+
+
+FEATURE_NAMES = {
+    FeatureMode.ALL_TX: ("rssi_dbm", "tx_power_dbm"),
+    FeatureMode.MEDIAN_TX: ("rssi_dbm",),
+}
 
 
 class ModelKind(str, Enum):
@@ -121,12 +127,11 @@ class ModelSpec:
 
 @dataclass
 class Dataset:
-    """Feature matrix + targets (VWC percent) under one feature mode."""
+    """Feature matrix (its mode's ``FEATURE_NAMES`` columns) + targets (VWC percent)."""
 
     features: np.ndarray
     targets: np.ndarray
     feature_mode: FeatureMode
-    feature_names: tuple[str, ...]
     median_tx_power: int | None = None
 
     def __post_init__(self) -> None:
@@ -136,8 +141,9 @@ class Dataset:
             raise ValueError("features must be a 2-D matrix")
         if len(self.features) != len(self.targets):
             raise ValueError("feature/target row counts differ")
-        if self.features.shape[1] != len(self.feature_names):
-            raise ValueError("feature name count does not match columns")
+        if self.features.shape[1] != (width := len(FEATURE_NAMES[self.feature_mode])):
+            raise ValueError(f"{self.feature_mode.value} mode has {width} feature column(s), "
+                             f"got {self.features.shape[1]}")
         if not (np.isfinite(self.features).all() and np.isfinite(self.targets).all()):
             raise ValueError("features and targets must be finite")
 
@@ -156,11 +162,11 @@ class Evaluation:
 
 @dataclass
 class TrainedModel:
-    """A fitted regressor plus everything needed to reuse it."""
+    """A fitted regressor plus everything needed to reuse it: its inputs are
+    its feature mode's ``FEATURE_NAMES``, at ``median_tx_power`` in MEDIAN_TX."""
 
     spec: ModelSpec
     feature_mode: FeatureMode
-    feature_names: tuple[str, ...]
     params: dict
     median_tx_power: int | None = None
     metadata: dict = field(default_factory=dict)
@@ -169,9 +175,21 @@ class TrainedModel:
     # cached, they raised `smol train`'s peak RSS (in save_model) by 0.8 MiB.
     _descent = None
 
+    def __post_init__(self) -> None:
+        median = self.median_tx_power
+        if self.feature_mode == FeatureMode.MEDIAN_TX and not (
+            type(median) is int and TX_POWER_MIN_DBM <= median <= TX_POWER_MAX_DBM
+        ):
+            raise ValueError(
+                f"median_tx_power {median!r} is not an integer in [{TX_POWER_MIN_DBM}, "
+                f"{TX_POWER_MAX_DBM}] dBm, as median_tx mode needs"
+            )
+        if self.feature_mode == FeatureMode.ALL_TX and median is not None:
+            raise ValueError("median_tx_power is not null, as all_tx mode needs")
+
     @property
     def n_features(self) -> int:
-        return len(self.feature_names)
+        return len(FEATURE_NAMES[self.feature_mode])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """Point estimates (VWC percent), one per feature row.
@@ -210,12 +228,6 @@ class TrainedModel:
 # ---------------------------------------------------------------------------
 # dataset assembly and splitting
 
-FEATURE_NAMES = {
-    FeatureMode.ALL_TX: ("rssi_dbm", "tx_power_dbm"),
-    FeatureMode.MEDIAN_TX: ("rssi_dbm",),
-}
-
-
 def feature_matrix(
     log: MeasurementLog,
     mode: FeatureMode,
@@ -243,7 +255,7 @@ def assemble(log: MeasurementLog, mode: FeatureMode) -> Dataset:
     log.require_ground_truth()
     med = log_median_power(log) if mode == FeatureMode.MEDIAN_TX else None
     kept, X = feature_matrix(log, mode, med)
-    return Dataset(X, 100.0 * kept.vwc_truth, mode, FEATURE_NAMES[mode], median_tx_power=med)
+    return Dataset(X, 100.0 * kept.vwc_truth, mode, median_tx_power=med)
 
 
 def check_split(seed: int) -> None:
@@ -746,7 +758,6 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
     return TrainedModel(
         spec=spec,
         feature_mode=train.feature_mode,
-        feature_names=train.feature_names,
         params=params,
         median_tx_power=train.median_tx_power,
     )
@@ -843,17 +854,6 @@ def _read_json(path: str | Path):
         raise ValueError(f"{path}: not readable as JSON ({err})") from None
 
 
-def _json_numbers(values, where: str) -> np.ndarray:
-    """A JSON list as a 1-D array of finite floats."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "if"):
-        raise ValueError(f"{where} is not a list of numbers")
-    arr = arr.astype(float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where} holds a non-finite value")
-    return arr
-
-
 def _forest_from_json(
     params: dict, spec: ModelSpec, n_features: int
 ) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, int]]:
@@ -892,13 +892,15 @@ def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, t
         _require_keys(params, list(_FOREST_DTYPES), "params")
         return _forest_from_json(params, spec, n_features)
     _require_keys(params, ["beta"], "params")
-    beta = _json_numbers(params["beta"], "beta")
+    beta = params["beta"]
+    if type(beta) is not list or not all(map(_finite_number, beta)):
+        raise ValueError("beta is not a list of finite numbers")
     # One coefficient per monomial of total degree <= d (linear: d = 1),
     # counted without listing them, so a huge degree costs nothing.
     degree = spec.poly_degree if spec.kind == ModelKind.POLYNOMIAL else 1
     if len(beta) != (want := math.comb(degree + n_features, n_features)):
         raise ValueError(f"beta has {len(beta)} coefficient(s), want {want}")
-    return {"beta": beta}, None
+    return {"beta": np.array(beta, dtype=float)}, None
 
 
 def _model_from_json(payload: dict) -> TrainedModel:
@@ -908,28 +910,14 @@ def _model_from_json(payload: dict) -> TrainedModel:
     _require_keys(spec_d, [f.name for f in fields(ModelSpec)], "spec")
     spec = ModelSpec(**{**spec_d, "kind": ModelKind(spec_d["kind"])})
     mode = FeatureMode(payload["feature_mode"])
-    names = FEATURE_NAMES[mode]
-    if payload["feature_names"] != list(names):
-        raise ValueError(f"feature_names is not {list(names)}, the {mode.value} features")
-    median = payload["median_tx_power"]
-    if mode == FeatureMode.MEDIAN_TX and not (
-        type(median) is int and TX_POWER_MIN_DBM <= median <= TX_POWER_MAX_DBM
-    ):
-        raise ValueError(
-            f"median_tx_power {median!r} is not an integer in [{TX_POWER_MIN_DBM}, "
-            f"{TX_POWER_MAX_DBM}] dBm, as median_tx mode needs"
-        )
-    if mode == FeatureMode.ALL_TX and median is not None:
-        raise ValueError("median_tx_power is not null, as all_tx mode needs")
     if not isinstance(payload["metadata"], dict):
         raise ValueError("metadata is not a JSON object")
-    params, descent = _params_from_json(payload["params"], spec, len(names))
+    params, descent = _params_from_json(payload["params"], spec, len(FEATURE_NAMES[mode]))
     model = TrainedModel(
         spec=spec,
         feature_mode=mode,
-        feature_names=names,
         params=params,
-        median_tx_power=median,
+        median_tx_power=payload["median_tx_power"],
         metadata=payload["metadata"],
     )
     model._descent = descent

@@ -500,8 +500,9 @@ def median_power_curves(log: MeasurementLog) -> dict[str, tuple[np.ndarray, ...]
     each curve file's name with its points as ``CURVE_COLUMNS``, one point
     per (scenario, height, logged reading) at the mean RSSI of its packets,
     sorted by reading. Raises ValueError if a (scenario, height) holds two
-    burial depths, which one curve would blend, or if two (scenario,
-    height) pairs map to one file name.
+    burial depths, which one curve would blend, if two (scenario, height)
+    pairs map to one file name, or if a name is longer than the 255 bytes
+    that common file systems take (it is ASCII: a byte per character).
     """
     log.require_ground_truth()
     at = log.take(log.tx_power == log_median_power(log))
@@ -523,6 +524,9 @@ def median_power_curves(log: MeasurementLog) -> dict[str, tuple[np.ndarray, ...]
         if len(depths) > 1:
             raise ValueError(f"scenario {key[0]!r} at height {key[1]!r} cm holds burial "
                              f"depths {depths} cm; one curve would blend them")
+        if len(name) > 255:
+            raise ValueError(f"scenario {key[0]!r} at height {key[1]!r} cm makes a "
+                             f"{len(name)}-byte curve file name, past 255 bytes")
         if name in curves:
             earlier = (curves[name][0][0], curves[name][1][0].item())
             raise ValueError(f"(scenario, height) {earlier} and {key} both map to {name}")

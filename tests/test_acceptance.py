@@ -182,21 +182,21 @@ def test_criterion_6_regression_sanity():
     rssi = rng.uniform(-90.0, -20.0, 50)
     planted = -1.7 * rssi + 4.0
     ds = calibrate.Dataset(
-        rssi.reshape(-1, 1), planted, FeatureMode.MEDIAN_TX, ("rssi_dbm",)
+        rssi.reshape(-1, 1), planted, FeatureMode.MEDIAN_TX, median_tx_power=13
     )
     beta = calibrate.fit(ModelSpec(ModelKind.LINEAR), ds).params["beta"]
     linear_ok = abs(beta[0] - 4.0) < 1e-6 and abs(beta[1] + 1.7) < 1e-6
 
     X = rng.uniform(-90.0, -20.0, (60, 2))
     y = 3.0 - 0.4 * X[:, 0] + 0.2 * X[:, 1] + rng.normal(0, 2, 60)
-    ds2 = calibrate.Dataset(X, y, FeatureMode.ALL_TX, ("rssi_dbm", "tx_power_dbm"))
+    ds2 = calibrate.Dataset(X, y, FeatureMode.ALL_TX)
     lin = calibrate.fit(ModelSpec(ModelKind.LINEAR), ds2).params["beta"]
     rid = calibrate.fit(ModelSpec(ModelKind.RIDGE, ridge_lambda=0.0), ds2).params["beta"]
     ridge_ok = bool(np.all(np.abs(lin - rid) < 1e-6))
 
     Xf = rng.uniform(0.0, 100.0, (20, 2))
     yf = rng.uniform(0.0, 40.0, 20)
-    dsf = calibrate.Dataset(Xf, yf, FeatureMode.ALL_TX, ("a", "b"))
+    dsf = calibrate.Dataset(Xf, yf, FeatureMode.ALL_TX)
     tree = calibrate.fit(
         ModelSpec(
             ModelKind.RANDOM_FOREST,
@@ -284,7 +284,6 @@ def test_criterion_9_split_contract():
             rng.uniform(0, 1, (n, 2)),
             np.arange(n, dtype=float),
             FeatureMode.ALL_TX,
-            ("a", "b"),
         )
         train, test = calibrate.split(ds, seed=int(rng.integers(0, 2**31)))
         want_train = -(-4 * n // 5)  # ceil(0.8 n) in exact integers

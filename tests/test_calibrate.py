@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import pickle
+import re
 import signal
 import time
 import tracemalloc
@@ -68,9 +69,13 @@ def _sweep_log(n_sweeps=10, levels=range(5, 23)):
     return _log(-30.0 - 60.0 * truth + 1.0 * (tx - 13), tx, truth)
 
 
-def _dataset(X, y, mode=FeatureMode.ALL_TX):
-    names = tuple(f"x{i}" for i in range(np.shape(X)[1]))
-    return Dataset(np.asarray(X, float), np.asarray(y, float), mode, names)
+def _dataset(X, y):
+    """A dataset whose mode fits its width: one column is median_tx at
+    13 dBm, two are all_tx."""
+    X, y = np.asarray(X, float), np.asarray(y, float)
+    if X.shape[1] == 1:
+        return Dataset(X, y, FeatureMode.MEDIAN_TX, median_tx_power=13)
+    return Dataset(X, y, FeatureMode.ALL_TX)
 
 
 class TestAssemble:
@@ -78,7 +83,7 @@ class TestAssemble:
         ds = assemble(_sweep_log(), FeatureMode.ALL_TX)
         assert len(ds) == 180
         assert ds.features.shape == (180, 2)
-        assert ds.feature_names == ("rssi_dbm", "tx_power_dbm")
+        assert calibrate.FEATURE_NAMES[ds.feature_mode] == ("rssi_dbm", "tx_power_dbm")
 
     def test_median_keeps_one_packet_per_sweep(self):
         ds = assemble(_sweep_log(), FeatureMode.MEDIAN_TX)
@@ -117,16 +122,64 @@ class TestAssemble:
 
 class TestDataset:
     @pytest.mark.parametrize(
-        "features, targets, names, why",
+        "features, targets, why",
         [
-            (np.zeros(3), np.zeros(3), ("x0",), "2-D"),
-            (np.zeros((3, 1)), np.zeros(2), ("x0",), "row counts differ"),
-            (np.zeros((3, 2)), np.zeros(3), ("x0",), "name count"),
+            (np.zeros(3), np.zeros(3), "2-D"),
+            (np.zeros((3, 1)), np.zeros(2), "row counts differ"),
         ],
     )
-    def test_rejects_mismatched_shapes(self, features, targets, names, why):
+    def test_rejects_mismatched_shapes(self, features, targets, why):
         with pytest.raises(ValueError, match=why):
-            Dataset(features, targets, FeatureMode.ALL_TX, names)
+            Dataset(features, targets, FeatureMode.MEDIAN_TX, median_tx_power=13)
+
+    @pytest.mark.parametrize("mode", list(FeatureMode))
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    def test_the_width_is_the_modes(self, mode, width):
+        # The mode's feature names are the columns; no other width is taken.
+        want = len(calibrate.FEATURE_NAMES[mode])
+        features, median = np.zeros((3, width)), 13 if mode == FeatureMode.MEDIAN_TX else None
+        if width == want:
+            assert Dataset(features, np.zeros(3), mode, median).features.shape == (3, want)
+        else:
+            message = f"^{mode.value} mode has {want} feature column\\(s\\), got {width}$"
+            with pytest.raises(ValueError, match=message):
+                Dataset(features, np.zeros(3), mode, median)
+
+
+# Feature mode and median power pairs that no model may hold, and the
+# error each raises.
+BAD_MEDIANS = {
+    (FeatureMode.MEDIAN_TX, None): "median_tx_power None is not an integer in [5, 23] dBm",
+    (FeatureMode.MEDIAN_TX, 99): "median_tx_power 99 is not an integer in [5, 23] dBm",
+    (FeatureMode.MEDIAN_TX, 4): "median_tx_power 4 is not an integer in [5, 23] dBm",
+    (FeatureMode.MEDIAN_TX, 13.0): "median_tx_power 13.0 is not an integer in [5, 23] dBm",
+    (FeatureMode.MEDIAN_TX, True): "median_tx_power True is not an integer in [5, 23] dBm",
+    (FeatureMode.ALL_TX, 13): "median_tx_power is not null, as all_tx mode needs",
+}
+
+
+class TestModeContract:
+    """A model's feature mode and median power obey one rule, fitted or loaded."""
+
+    @pytest.mark.parametrize("mode, median", sorted(BAD_MEDIANS, key=repr))
+    def test_a_model_refuses_a_mismatched_median_power(self, mode, median):
+        beta = np.zeros(len(calibrate.FEATURE_NAMES[mode]) + 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(BAD_MEDIANS[mode, median])}"):
+            TrainedModel(ModelSpec(ModelKind.LINEAR), mode, {"beta": beta}, median)
+
+    @pytest.mark.parametrize("mode, median", sorted(BAD_MEDIANS, key=repr))
+    def test_fit_refuses_a_mismatched_median_power(self, mode, median):
+        # The model save_model would write could never be loaded.
+        X = np.random.default_rng(5).uniform(-80, -20, (20, len(calibrate.FEATURE_NAMES[mode])))
+        train = Dataset(X, X[:, 0], mode, median_tx_power=median)
+        with pytest.raises(ValueError, match=f"^{re.escape(BAD_MEDIANS[mode, median])}"):
+            fit(ModelSpec(ModelKind.LINEAR), train)
+
+    @pytest.mark.parametrize("median", [5, 13, 23])
+    def test_every_radio_power_is_a_median_power(self, median):
+        model = TrainedModel(ModelSpec(ModelKind.LINEAR), FeatureMode.MEDIAN_TX,
+                             {"beta": np.array([1.0, 2.0])}, median)
+        assert model.n_features == 1 and model.median_tx_power == median
 
 
 class TestSplit:
@@ -636,8 +689,8 @@ class TestPredict:
         model = TrainedModel(
             spec=ModelSpec(ModelKind.LINEAR),
             feature_mode=FeatureMode.MEDIAN_TX,
-            feature_names=("rssi_dbm",),
             params={"beta": np.array([10.0, -2.0])},
+            median_tx_power=13,
         )
         assert model.predict_many(np.array([[-40.0]])) == pytest.approx([90.0])
 
@@ -660,7 +713,6 @@ class TestPredict:
         model = TrainedModel(
             spec=ModelSpec(kind),
             feature_mode=FeatureMode.ALL_TX,
-            feature_names=calibrate.FEATURE_NAMES[FeatureMode.ALL_TX],
             params=Untouchable(),
         )
         X = np.zeros((4, 2))
@@ -711,8 +763,8 @@ class TestMetrics:
         model = TrainedModel(
             spec=ModelSpec(ModelKind.LINEAR),
             feature_mode=FeatureMode.MEDIAN_TX,
-            feature_names=("rssi_dbm",),
             params={"beta": np.array([4.0, 0.0])},
+            median_tx_power=13,
         )
         ev = evaluate(model, ds)
         assert ev.r_squared is None
@@ -752,6 +804,22 @@ class TestMetrics:
             assert r_squared(y, yhat) == pytest.approx(r2_ref, rel=1e-9)
 
 
+# Linear all-TX betas that are not three JSON numbers.
+BAD_BETAS = {
+    "true first": [True, 1, 2],
+    "true in the middle": [1, True, 0.5],
+    "all booleans": [True, False, True],
+    "false last": [1, 2, False],
+    "a string item": [1, "2", 3],
+    "a null item": [1, None, 3],
+    "a nested list": [1, [2], 3],
+    "an integer beyond float range": [1, 10**400, 3],
+    "an object": {"0": 1, "1": 2, "2": 3},
+    "a string": "123",
+    "a number": 1,
+}
+
+
 class TestPersistence:
     @pytest.mark.numpy_bits
     @pytest.mark.parametrize(
@@ -767,9 +835,7 @@ class TestPersistence:
         rng = np.random.default_rng(13)
         X = rng.uniform(-80, -20, (40, 2))
         y = -0.7 * X[:, 0] + 0.1 * X[:, 1] + rng.normal(0, 1, 40)
-        # A model file's feature names must be its mode's.
-        all_tx = FeatureMode.ALL_TX
-        model = fit(spec, Dataset(X, y, all_tx, calibrate.FEATURE_NAMES[all_tx]))
+        model = fit(spec, Dataset(X, y, FeatureMode.ALL_TX))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -786,7 +852,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 5
+        assert payload["version"] == 6
         for key, dtype in (("feature", "<i4"), ("tree_sizes", "<i4"), ("value", "<f8")):
             raw = base64.b64decode(payload["params"].pop(key), validate=True)
             assert np.array_equal(np.frombuffer(raw, dtype), model.params[key]), key
@@ -798,17 +864,17 @@ class TestPersistence:
     def test_polynomial_round_trip_predicts_identically(self, degree, mode, tmp_path):
         # The file holds the coefficients only; the loader derives the basis.
         rng = np.random.default_rng(degree)
-        names = calibrate.FEATURE_NAMES[mode]
-        X = rng.uniform(-80, -20, (40, len(names)))
+        width = len(calibrate.FEATURE_NAMES[mode])
+        X = rng.uniform(-80, -20, (40, width))
         y = -0.7 * X[:, 0] + rng.normal(0, 1, 40)
         median = 13 if mode == FeatureMode.MEDIAN_TX else None
         model = fit(ModelSpec(ModelKind.POLYNOMIAL, poly_degree=degree),
-                    Dataset(X, y, mode, names, median_tx_power=median))
+                    Dataset(X, y, mode, median_tx_power=median))
         path = tmp_path / "model.json"
         save_model(model, path)
         assert sorted(json.loads(path.read_text())["params"]) == ["beta"]
         loaded = load_model(path)
-        probe = rng.uniform(-80, -20, (25, len(names)))
+        probe = rng.uniform(-80, -20, (25, width))
         assert np.array_equal(model.predict_many(probe), loaded.predict_many(probe))
         assert loaded.spec == model.spec
 
@@ -817,8 +883,7 @@ class TestPersistence:
             raise AssertionError("the monomials were listed")
 
         X = np.random.default_rng(16).uniform(-80, -20, (40, 2))
-        all_tx = FeatureMode.ALL_TX
-        train = Dataset(X, X[:, 0] ** 2, all_tx, calibrate.FEATURE_NAMES[all_tx])
+        train = Dataset(X, X[:, 0] ** 2, FeatureMode.ALL_TX)
         path = tmp_path / "model.json"
         save_model(fit(ModelSpec(ModelKind.POLYNOMIAL), train), path)
         payload = json.loads(path.read_text())
@@ -828,12 +893,55 @@ class TestPersistence:
         with pytest.raises(ValueError, match=r": beta has 6 coefficient\(s\), want 500001500001$"):
             load_model(path)
 
+    @staticmethod
+    def _linear_payload(tmp_path) -> dict:
+        """The file of a linear all-TX model fit on a plane, as JSON."""
+        X = np.random.default_rng(17).uniform(-80, -20, (20, 2))
+        path = tmp_path / "model.json"
+        save_model(fit(ModelSpec(ModelKind.LINEAR), _dataset(X, X @ [1.0, 2.0])), path)
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def _load(payload, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return load_model(path)
+
+    def test_a_model_file_holds_no_feature_names(self, tmp_path):
+        payload = self._linear_payload(tmp_path)
+        assert payload["version"] == 6 and "feature_names" not in payload
+        payload["feature_names"] = ["rssi_dbm", "tx_power_dbm"]
+        refusal = r": model file: unexpected key\(s\) 'feature_names'$"
+        with pytest.raises(ValueError, match=refusal):
+            self._load(payload, tmp_path)
+
+    def test_a_version_5_file_is_refused_with_the_retrain_line(self, tmp_path):
+        payload = self._linear_payload(tmp_path)
+        payload.update(version=5, feature_names=["rssi_dbm", "tx_power_dbm"])
+        with pytest.raises(ValueError, match=r": model file version 5 is not supported "
+                           r"\(this smol reads version 6\); retrain with `smol train`$"):
+            self._load(payload, tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_BETAS))
+    def test_beta_items_are_json_numbers(self, tmp_path, case):
+        # true and false are not numbers, as nowhere else in a smol file.
+        payload = self._linear_payload(tmp_path)
+        payload["params"]["beta"] = BAD_BETAS[case]
+        with pytest.raises(ValueError, match=r": beta is not a list of finite numbers$"):
+            self._load(payload, tmp_path)
+
+    def test_beta_takes_json_integers(self, tmp_path):
+        payload = self._linear_payload(tmp_path)
+        payload["params"]["beta"] = [1, -2, 3]
+        loaded = self._load(payload, tmp_path)
+        assert loaded.params["beta"].dtype == float
+        assert loaded.predict_many(np.array([[1.0, 1.0]])).tolist() == [2.0]
+
     def test_refuses_a_forest_deeper_than_its_max_depth(self, tmp_path):
         rng = np.random.default_rng(15)
         X = rng.uniform(-80, -20, (60, 2))
         spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=3, max_depth=None, min_leaf=1)
-        all_tx = FeatureMode.ALL_TX
-        model = fit(spec, Dataset(X, X[:, 0] * X[:, 1], all_tx, calibrate.FEATURE_NAMES[all_tx]))
+        model = fit(spec, Dataset(X, X[:, 0] * X[:, 1], FeatureMode.ALL_TX))
         depth = max(_tree_depths(model.params))
         path = tmp_path / "model.json"
         save_model(model, path)

@@ -232,6 +232,15 @@ def test_readme_names_only_flags_that_exist():
     assert named <= options, sorted(named - options)  # the one left out above is pip's
 
 
+def test_readme_names_the_file_versions_this_smol_writes():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r'"(smol-model|smol-campaign)",\s+"version": (\d+)', readme)
+    assert sorted(set(named)) == [
+        ("smol-campaign", str(campaign.CONFIG_FILE_VERSION)),
+        ("smol-model", str(calibrate.MODEL_FILE_VERSION)),
+    ]
+
+
 # Valid JSON nested deeper than the parser's recursion limit.
 DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
 
@@ -450,6 +459,29 @@ def test_report_refuses_two_scenarios_with_one_curve_file(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("length", [240, 241])
+def test_report_refuses_a_curve_file_name_past_255_bytes(tmp_path, capsys, length):
+    # "curve_<label>_h0cm.csv" is 15 bytes longer than its label. The short
+    # scenario's curve comes first, and must not be written either.
+    cfg = campaign.CampaignConfig(
+        scenarios=(campaign.Scenario("a", 15.0, 0.0), campaign.Scenario("b" * length, 15.0, 0.0)),
+        vwc_grid=(0.05, 0.20, 0.35),
+        sweeps_per_cell=2,
+    )
+    log = tmp_path / "log.csv"
+    campaign.write_measurements(log, campaign.run_campaign(cfg))
+    out_dir = tmp_path / "report"
+    code = main(["report", "--log", str(log), "--out-dir", str(out_dir)])
+    if length == 240:
+        assert code == EXIT_OK
+        assert (out_dir / f"curve_{'b' * length}_h0cm.csv").exists()
+        return
+    assert code == EXIT_VALIDATION
+    err = _one_error_line(capsys)
+    assert err.endswith("cm makes a 256-byte curve file name, past 255 bytes\n"), err
+    assert not out_dir.exists()
+
+
 def test_report_refuses_a_curve_that_would_blend_burial_depths(tmp_path, capsys):
     # One label at two depths: each noise-free point would average both.
     cfg = campaign.CampaignConfig(
@@ -609,8 +641,7 @@ def _two_byte_feature(payload):
 
 
 def _one_feature(payload):
-    """Name one feature, and cut beta to one slope to match."""
-    payload["feature_names"] = ["rssi_dbm"]
+    """Cut beta to one slope, as a median_tx model's one feature needs."""
     payload["params"]["beta"].pop()
 
 
@@ -622,6 +653,16 @@ def _stored_exponents(payload):
 def _version_4_polynomial(payload):
     _stored_exponents(payload)
     payload["version"] = 4
+
+
+def _stored_feature_names(payload):
+    """Store the mode's feature names too, as version 5 did."""
+    payload["feature_names"] = ["rssi_dbm", "tx_power_dbm"]
+
+
+def _version_5_linear(payload):
+    _stored_feature_names(payload)
+    payload["version"] = 5
 
 
 def _median_tx_without_median(payload):
@@ -639,6 +680,7 @@ BAD_MODELS = {
     "version 2": ("random_forest", lambda p: p.update(version=2)),
     "version 3": ("random_forest", lambda p: p.update(version=3)),
     "version 4": ("polynomial", _version_4_polynomial),
+    "version 5": ("linear", _version_5_linear),
     "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
     "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
     "missing spec key": ("random_forest", lambda p: p["spec"].pop("min_leaf")),
@@ -676,11 +718,12 @@ BAD_MODELS = {
     "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
     "polynomial beta too long": ("polynomial", lambda p: p["params"]["beta"].append(0.0)),
     "polynomial with stored exponents": ("polynomial", _stored_exponents),
-    "feature names not the mode's": ("linear", _one_feature),
+    "feature names stored": ("linear", _stored_feature_names),
     "median_tx without a median power": ("linear", _median_tx_without_median),
     "all_tx with a median power": ("linear", lambda p: p.update(median_tx_power=13)),
     "median power outside the radio's range": ("linear", _median_tx_at_99_dbm),
     "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
+    "linear beta holding true": ("linear", lambda p: p["params"].update(beta=[1, True, 0.5])),
     "forest spec of the wrong types": (
         "random_forest", lambda p: p["spec"].update(ridge_lambda="x", bootstrap="yes")
     ),
@@ -695,6 +738,9 @@ BAD_MODELS = {
 MODEL_ERRORS = {
     "polynomial beta too long": "beta has 7 coefficient(s), want 6",
     "polynomial with stored exponents": "params: unexpected key(s) 'powers'",
+    "feature names stored": "model file: unexpected key(s) 'feature_names'",
+    "version 5": "model file version 5 is not supported (this smol reads version 6)",
+    "linear beta holding true": "beta is not a list of finite numbers",
     "ridge_lambda beyond float range": "ridge_lambda must be a finite number",
 }
 

@@ -86,11 +86,12 @@ def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
     return {key: np.array(values) for key, values in forest.items()}
 
 
-def _assert_growers_agree(spec: ModelSpec, data: Dataset) -> dict[str, np.ndarray]:
-    """The grown forest, once it matches the reference's."""
-    grown = calibrate.fit(spec, data).params
+def _assert_growers_agree(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> dict:
+    """The forest grown on any number of feature columns, once it matches
+    the reference's."""
+    grown = calibrate._fit_forest(X, y, spec)
     with mock.patch.object(calibrate, "_grow_trees", grow_reference):
-        reference = calibrate.fit(spec, data).params
+        reference = calibrate._fit_forest(X, y, spec)
     left, sizes = reference.pop("left"), reference["tree_sizes"]
     implied = calibrate._left_children(reference["feature"], sizes) - np.repeat(
         np.cumsum(sizes) - sizes, sizes
@@ -103,9 +104,12 @@ def _assert_growers_agree(spec: ModelSpec, data: Dataset) -> dict[str, np.ndarra
 
 
 def _dataset(X, y) -> Dataset:
-    X = np.asarray(X, dtype=float)
-    names = tuple(f"x{j}" for j in range(X.shape[1]))
-    return Dataset(X, np.asarray(y, dtype=float), FeatureMode.ALL_TX, names)
+    """A dataset whose mode fits its width: one column is median_tx at
+    13 dBm, two are all_tx."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.shape[1] == 1:
+        return Dataset(X, y, FeatureMode.MEDIAN_TX, median_tx_power=13)
+    return Dataset(X, y, FeatureMode.ALL_TX)
 
 
 CELLS = {
@@ -120,7 +124,8 @@ TARGETS = st.one_of(
 
 
 @st.composite
-def datasets(draw) -> Dataset:
+def datasets(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Features of one to three columns and their targets, as floats."""
     n = draw(st.integers(1, 24))
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3))
     X = [[draw(CELLS[kind]) for kind in kinds] for _ in range(n)]
@@ -131,7 +136,7 @@ def datasets(draw) -> Dataset:
     for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):  # duplicated rows
         X.append(X[i])
         y.append(y[i])
-    return _dataset(X, y)
+    return np.array(X, dtype=float), np.array(y, dtype=float)
 
 
 SPECS = st.builds(
@@ -153,9 +158,9 @@ def _processes(count: int):
 @given(data=datasets(), spec=SPECS)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_vectorized_grower_matches_the_reference(data, spec):
-    sizes = _assert_growers_agree(spec, data)["tree_sizes"]
+    sizes = _assert_growers_agree(spec, *data)["tree_sizes"]
     # Every leaf holds min_leaf rows or more; _grow_trees sizes its arrays by this.
-    assert (sizes <= 2 * max(1, len(data) // spec.min_leaf) - 1).all()
+    assert (sizes <= 2 * max(1, len(data[1]) // spec.min_leaf) - 1).all()
 
 
 @given(data=datasets(), spec=SPECS, draw=st.data())
@@ -163,12 +168,12 @@ def test_vectorized_grower_matches_the_reference(data, spec):
 def test_batch_size_does_not_change_the_forest(data, spec, draw):
     # From one tree per batch (also when a tree's rows exceed the budget)
     # to all trees in one batch, the batches grown in one to three processes.
-    budget = draw.draw(st.integers(1, spec.n_trees * len(data) + 1), label="budget")
+    budget = draw.draw(st.integers(1, spec.n_trees * len(data[1]) + 1), label="budget")
     processes = draw.draw(st.integers(1, 3), label="processes")
     with mock.patch.object(calibrate, "_BATCH_ROWS", 1), _processes(1):
-        reference = calibrate.fit(spec, data).params
+        reference = calibrate._fit_forest(*data, spec)
     with mock.patch.object(calibrate, "_BATCH_ROWS", budget), _processes(processes):
-        batched = calibrate.fit(spec, data).params
+        batched = calibrate._fit_forest(*data, spec)
     assert batched.keys() == reference.keys()
     for key in batched:
         assert batched[key].dtype == reference[key].dtype, key
@@ -180,7 +185,7 @@ def test_gains_holding_nan_cut_nothing():
     data = _dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1e200, 0.0, 1e200])
     spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=1, min_leaf=1, bootstrap=False)
     with np.errstate(over="ignore"):
-        _assert_growers_agree(spec, data)
+        _assert_growers_agree(spec, data.features, data.targets)
         assert calibrate.fit(spec, data).params["feature"].tolist() == [-1]
 
 
@@ -189,17 +194,17 @@ def test_more_than_256_distinct_values_match_the_reference(bootstrap):
     # A feature of 300 distinct values ranks in 16 bits, not 8.
     rng = np.random.default_rng(7)
     X = np.column_stack([rng.permutation(300) / 7.0 - 20.0, rng.integers(-3, 4, 300)])
-    data = _dataset(X, rng.normal(0.0, 5.0, 300).round(1))
     assert len(np.unique(X[:, 0])) > 256
     spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=2, max_depth=3, min_leaf=1, bootstrap=bootstrap)
-    _assert_growers_agree(spec, data)
+    _assert_growers_agree(spec, X, rng.normal(0.0, 5.0, 300).round(1))
 
 
 @pytest.mark.parametrize("mode", list(FeatureMode))
 def test_stock_forests_match_the_reference(mode):
     dataset = calibrate.assemble(campaign.run_campaign(campaign.CampaignConfig()), mode)
     train, _ = calibrate.split(dataset, seed=0)
-    _assert_growers_agree(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5), train)
+    spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5)
+    _assert_growers_agree(spec, train.features, train.targets)
 
 
 def test_stock_forest_is_the_same_in_one_two_and_three_processes():
