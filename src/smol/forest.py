@@ -1,0 +1,460 @@
+"""The random forest engine: ``grow``, ``predict``, ``encode`` and ``decode``.
+
+Trees grow by an exact split search over runs of equal feature values in a
+fixed summation order (``_grow_trees``), bit-reproducible under a seed, in
+batches that forked processes share (``grow``). A spec is read by attribute.
+"""
+
+from __future__ import annotations
+
+import base64
+import os
+import pickle
+import signal
+from contextlib import suppress
+from itertools import islice
+from typing import BinaryIO, Callable, Iterator
+
+import numpy as np
+
+# Trees x training rows per batch (at least one tree). A batch's trees share
+# each level's NumPy calls; past ten stock all-TX trees it is no faster, only
+# bigger. Up to 21,845 rows, a two-feature level regroups by uint16 radix sort.
+_BATCH_ROWS = 10_400
+
+# (Row, tree) pairs per descent block (at least one row). A block's node and
+# row temporaries stay cache-sized; from 6,400 to 51,200 pairs time the same.
+_DESCENT_PAIRS = 25_600
+
+# A forest's arrays in a model file, as base64 of these little-endian bytes.
+DTYPES = dict(feature=np.dtype("<i4"), tree_sizes=np.dtype("<i4"), value=np.dtype("<f8"))
+
+
+def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Running sums along every segment ``values[:, start:start + size]``,
+    each from its segment's start, adding one term at a time.
+
+    The segments tile the columns in order. Each is padded to a power of 4
+    of its size, one block per padded width, so the work stays within 4
+    times the terms plus 4 per segment. A running sum never reads past its
+    own term, so the padding may hold whatever follows the segment.
+    """
+    pads, base, offset = [], np.empty(len(sizes), dtype=np.intp), 0
+    low, width = 0, 4
+    while low < sizes.max():
+        seg = np.flatnonzero((sizes > low) & (sizes <= width))
+        pads.append(np.minimum(starts[seg, None] + np.arange(width), values.shape[1] - 1))
+        base[seg] = offset + width * np.arange(len(seg)) - starts[seg]
+        offset += pads[-1].size
+        low, width = width, 4 * width
+    padded = [np.cumsum(values.take(pad, axis=1), axis=2).reshape(len(values), -1) for pad in pads]
+    at = np.repeat(base, sizes) + np.arange(values.shape[1])  # each term's padded place
+    return np.concatenate(padded, axis=1).take(at, axis=1)
+
+
+def _best_splits(
+    x: np.ndarray, codes: np.ndarray, y: np.ndarray, order: np.ndarray, n: np.ndarray,
+    sums: np.ndarray, min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The best cut of every searched node of a level, by the rules of ``_grow_trees``.
+
+    Node i holds ``n[i]`` rows, with target sum and sum of squares
+    ``sums[:, i]``; ``order[j]`` lists the rows node by node, each node's
+    by ``codes[j]``, the rank of ``x[:, j]``, ties in sample order. Returns
+    (feature, threshold) per node, feature -1 where the node is not cut.
+    """
+    (n_features, m), nodes = order.shape, len(n)
+    # One block of rows per (feature, node), feature-major.
+    blocks = (m * np.arange(n_features)[:, None] + np.cumsum(n) - n).ravel()
+    ranks = codes.ravel().take(order + len(y) * np.arange(n_features)[:, None]).ravel()
+    new_run = np.empty(len(ranks), dtype=bool)
+    np.not_equal(ranks[1:], ranks[:-1], out=new_run[1:])
+    new_run[blocks] = True
+    run = np.cumsum(new_run) - 1
+    run_at = np.flatnonzero(new_run)
+    first = run.take(blocks)  # each block's first run
+    n_runs = np.diff(first, append=len(run_at))
+    block = np.repeat(np.arange(len(blocks)), n_runs)
+    ys = y.take(order.ravel())  # a run's rows are in sample order, and bincount adds in it
+    run_sums = np.stack([np.bincount(run, ys), np.bincount(run, ys * ys)])
+    left = _running_sums(run_sums, first, n_runs)
+    left_n = np.append(run_at[1:], len(ranks)) - blocks.take(block)
+    right_n = np.tile(n, n_features).take(block) - left_n
+    with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at each node's end
+        right = np.tile(sums, n_features).take(block, axis=1) - left
+        node_sse = np.tile(sums[1] - sums[0] * sums[0] / n, n_features)
+        gains = (node_sse.take(block) - (left[1] - left[0] * left[0] / left_n)) - (
+            right[1] - right[0] * right[0] / right_n
+        )
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+    gains[~valid] = -np.inf
+    # each block's first max: the lowest threshold wins ties; NaN gains leave no max
+    top = np.maximum.reduceat(gains, first)
+    at = np.arange(len(gains))
+    k = np.minimum.reduceat(np.where(valid & (gains == top.take(block)), at, len(at)), first)
+    top[k == len(at)] = -np.inf
+    feature = np.argmax(top.reshape(n_features, nodes), axis=0)  # lowest feature wins ties
+    best = feature * nodes + np.arange(nodes)
+    split = top.take(best) > 0
+    k = k.take(best[split])
+    rows = order.ravel().take(run_at.take(np.stack([k, k + 1])))  # first rows of the cut's runs
+    lo, hi = x.ravel().take(n_features * rows + feature[split])
+    mid = (lo + hi) / 2.0
+    threshold = np.zeros(nodes)
+    threshold[split] = np.where(mid < hi, mid, lo)  # adjacent floats: the lower value
+    return np.where(split, feature, -1), threshold
+
+
+def _grow_trees(
+    X: np.ndarray, y: np.ndarray, samples: np.ndarray, max_depth: int | None, min_leaf: int
+) -> dict[str, np.ndarray]:
+    """Grow one tree per row of ``samples`` (row indices into ``X``/``y``).
+
+    The trees grow together, breadth-first: every node of one depth, in
+    every tree, is searched at once. A node becomes a leaf at
+    ``max_depth``, below ``2 * min_leaf`` rows, when its targets are all
+    equal, or when no cut reduces the squared error. The batch comes back
+    in the forest layout (see ``_forest_outputs``), which implies every
+    node's children, so none are stored.
+
+    Each feature is ranked once (equal values share a rank: ``==``, so -0.0
+    and 0.0 too) and each tree's rows sorted by rank; each level only
+    regroups the rows by node, stably, so a node's rows stay in value order,
+    ties in sample order. A cut falls between two runs of equal values, at
+    their midpoint, or at the lower value where the midpoint rounds to the
+    upper one. Ties go to the lowest feature index, then the lowest
+    threshold; a node whose gains on a feature hold NaN is not cut on it.
+
+    Summation rule: the target sum S and sum of squares S2 of a node, and
+    of each run within it, add one row at a time in sample order
+    (``np.bincount``). A cut's left sums add the node's runs one at a time
+    in ascending value (``np.cumsum``); its right sums are the node's minus
+    the left's. A squared error is ``S2 - S * S / n``, and a cut's gain is
+    the node's error minus the left's, minus the right's.
+    """
+    n_trees, n = samples.shape
+    x, y = X[samples.ravel()], y[samples.ravel()]  # x[i, j]: row i, feature j
+    n_rows, n_features = x.shape
+    # Ranks in the smallest unsigned type: up to 16 bits, a stable sort is a radix sort.
+    codes = np.stack([np.unique(column, return_inverse=True)[1] for column in X.T])
+    codes = codes.astype(np.min_scalar_type(codes.max())).take(samples.ravel(), axis=1)
+    by_value = np.argsort(codes.reshape(n_features, n_trees, n), axis=2, kind="stable")
+    order = (by_value + n * np.arange(n_trees)[:, None]).reshape(n_features, n_rows)
+    # Nodes of all trees are numbered level by level, each level ordered by
+    # tree and then by parent, so each tree's nodes keep their order. Every
+    # leaf holds min_leaf rows or more, which bounds a tree's node count.
+    n_nodes = n_trees * (2 * max(1, n // min_leaf) - 1)
+    feature = np.full(n_nodes, -1)
+    value = np.zeros(n_nodes)
+    tree = np.zeros(n_nodes, dtype=np.intp)
+    tree[:n_trees] = np.arange(n_trees)
+    rows = np.arange(n_rows)  # rows of the level's nodes, in sample order
+    node = rows // n  # each row's node, numbered within the level
+    first, width, depth = 0, n_trees, 0  # the level holds nodes first .. first + width - 1
+    while width:
+        counts = np.bincount(node, minlength=width)
+        ys = y.take(rows)
+        sums = np.stack([np.bincount(node, ys, width), np.bincount(node, ys * ys, width)])
+        some = np.empty(width)
+        some[node] = ys  # one target of each node
+        open_ = (counts >= 2 * min_leaf) & (np.bincount(node, ys != some.take(node), width) > 0)
+        open_ &= max_depth is None or depth < max_depth
+        level = slice(first, first + width)
+        level_feature, level_value = feature[level], value[level]  # views
+        if open_.any():
+            # Regroup each feature's rows by node: a stable sort of keys that fit
+            # 16 bits is a radix sort. Rows of nodes not searched sort last, cut off.
+            key_type = np.min_scalar_type((2 * n_features - 1) * width)
+            at_node = np.full(n_rows, n_features * width, key_type)
+            at_node[rows] = np.where(open_, np.arange(width), n_features * width).take(node)
+            key = at_node.take(order)
+            key += (width * np.arange(n_features, dtype=key_type))[:, None]
+            kept = np.argsort(key.ravel(), kind="stable")[: n_features * counts[open_].sum()]
+            order = order.ravel().take(kept).reshape(n_features, -1)
+            level_feature[open_], level_value[open_] = _best_splits(
+                x, codes, y, order, counts[open_], sums[:, open_], min_leaf
+            )
+
+        splits = level_feature >= 0
+        level_value[~splits] = (sums[0] / counts)[~splits]  # a leaf's value: its mean
+        rank = np.cumsum(splits) - 1
+        children = first + width + 2 * rank[splits]
+        tree[children] = tree[children + 1] = tree[level][splits]
+
+        inside = splits.take(node)
+        rows, node = rows[inside], node[inside]
+        cell = n_features * rows + level_feature.take(node)
+        goes_right = x.ravel().take(cell) > level_value.take(node)
+        node = 2 * rank.take(node) + goes_right
+        first, width, depth = first + width, 2 * len(children), depth + 1
+
+    # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
+    tree = tree[:first]
+    by_tree = np.argsort(tree, kind="stable")
+    return {
+        "feature": feature[by_tree],
+        "tree_sizes": np.bincount(tree, minlength=n_trees),
+        "value": value[by_tree],
+    }
+
+
+def _left_children(feature: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each node's left child, counted across the forest: the j-th split
+    node of a tree, in node order, has its children at 2j + 1 and 2j + 2
+    within the tree. At a leaf it is where a split there would put its
+    left child, which ``_descent_tables`` reads. Built in place, so at most
+    about three node-count arrays are live at once."""
+    start = np.cumsum(sizes) - sizes
+    split = feature >= 0
+    left = np.cumsum(split)
+    left -= split  # split nodes before each node
+    left -= np.repeat(left[start], sizes)  # ... within its tree
+    left *= 2
+    left += np.repeat(start + 1, sizes)
+    return left
+
+
+def _descent_tables(forest: dict[str, np.ndarray]) -> tuple[np.ndarray, int]:
+    """What a descent needs beyond the forest's arrays: each node's left
+    child, a leaf its own, and the depth of the deepest tree.
+
+    The depth comes from a walk over each tree's levels: level 0 is the
+    root, and a level's split nodes imply the next level, which ends just
+    before the left child that a split after the level's last node would
+    have. Raises ValueError unless every tree's levels end at its last node
+    and its last level holds no split node; then each split node's children
+    lie in the next level of its tree, so every descent stays in its tree
+    and ends at a leaf within the depth.
+    """
+    feature, sizes = forest["feature"], forest["tree_sizes"]
+    split = feature >= 0
+    left = _left_children(feature, sizes)
+    ends = np.cumsum(sizes) - 1  # each tree's last node
+    last = ends - sizes + 1  # the last node of each tree's level, from the root
+    depth = 0
+    while True:
+        below = left.take(last) + 2 * split.take(last) - 1  # the next level's last node
+        done = below == last
+        if ((below < last) | (below > ends) | (done & (last != ends))).any():
+            raise ValueError("a tree's nodes are not the levels its split nodes imply")
+        if done.all():
+            break
+        last, depth = below, depth + 1
+    leaf = ~split
+    left[leaf] = np.flatnonzero(leaf)
+    return left, depth
+
+
+def _forest_outputs(
+    forest: dict[str, np.ndarray], X: np.ndarray, descent: tuple[np.ndarray, int] | None = None
+) -> np.ndarray:
+    """Every tree's prediction for every row, as a C-ordered (rows, trees) array.
+
+    A forest is three flat arrays: ``tree_sizes`` counts each tree's nodes,
+    which follow tree after tree, each tree's level by level from its root,
+    children in the order of their parents and siblings adjacent. So the
+    layout implies the children (``_left_children``). A split node sends
+    ``x[feature] <= value`` to its left child and the rest to the right
+    one; a leaf has ``feature`` -1 and predicts ``value``. ``descent`` is
+    the forest's ``_descent_tables``, built here when not given.
+
+    The rows descend in blocks of ``_DESCENT_PAIRS // trees`` rows (at
+    least one), so a step's temporaries stay cache-sized however many rows
+    there are. A block steps its (row, tree) pairs one level at a time, as
+    many steps as the forest is deep, then writes its leaves' values into
+    the output. A step adds ``x[feature] > value`` to the node's left
+    child. Each row is laid out after a -inf cell, which a leaf's feature
+    -1 reads, and a leaf is its own left child, so a leaf stays put. A
+    pair's path depends on its row and tree alone, so the block size never
+    changes a bit. ``x > t`` is "not ``x <= t``" only where ``x`` is not
+    NaN, so the rows must hold no NaN.
+    """
+    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
+    left, depth = _descent_tables(forest) if descent is None else descent
+    roots = np.cumsum(sizes) - sizes
+    padded = np.full((len(X), X.shape[1] + 1), -np.inf)
+    padded[:, 1:] = X
+    x = padded.ravel()
+    row_start = padded.shape[1] * np.arange(len(X))[:, None] + 1
+
+    def leaves(starts: np.ndarray) -> np.ndarray:
+        """The leaf of each (row, tree) pair; its temporaries die with it."""
+        node = np.tile(roots, (len(starts), 1))
+        for _ in range(depth):
+            cell = feature.take(node)
+            cell += starts
+            moved = x.take(cell) > value.take(node)
+            node = left.take(node)
+            node += moved
+        return node
+
+    out = np.empty((len(X), len(sizes)))
+    per_block = max(1, _DESCENT_PAIRS // len(sizes))
+    for first in range(0, len(X), per_block):
+        block = slice(first, first + per_block)
+        value.take(leaves(row_start[block]), out=out[block])
+    return out
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X's distinct rows, by ``==`` (so -0.0 and 0.0 are one), and each
+    row's index among them: one lexicographic sort, then a new run wherever
+    a row differs from the one before it."""
+    order = np.lexsort(X.T)
+    ordered = X[order]
+    starts = np.ones(len(X), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    row_of = np.empty(len(X), dtype=np.intp)
+    row_of[order] = np.cumsum(starts) - 1
+    return ordered[starts], row_of
+
+
+def _batch_plan(n: int, spec) -> tuple[int, Iterator[np.ndarray]]:
+    """How many batches a forest on ``n`` rows grows in, and each batch's
+    samples (trees x ``n`` row indices), in batch order. A batch holds as
+    many trees as fit ``_BATCH_ROWS`` rows, at least one; the last holds the
+    rest. Each tree's rows are drawn as its batch is reached, one draw per
+    tree in tree order from one generator seeded by ``spec.seed``, so a
+    batch's samples do not depend on which process draws them, and none
+    holds more than one batch's."""
+    rng = np.random.default_rng(spec.seed)
+    rows = (rng.integers(0, n, n) if spec.bootstrap else np.arange(n) for _ in range(spec.n_trees))
+    per_batch = max(1, _BATCH_ROWS // n)
+    starts = range(0, spec.n_trees, per_batch)
+    return len(starts), (np.array(list(islice(rows, per_batch))) for _ in starts)
+
+
+def _process_count() -> int:
+    """How many processes a forest fit grows its batches in: one per CPU this
+    process may run on, or one where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_grower(work: Callable[[], list]) -> tuple[int, BinaryIO] | None:
+    """Fork a child that pickles ``work()`` into a pipe and exits: 0 once the
+    whole payload is written, 1 on any exception. Returns the child's pid and
+    the pipe's read end, or None when no process can be made."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process left (EAGAIN, ENOMEM)
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child never returns: os._exit runs no atexit hook and flushes no stdio
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(work(), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def grow(X: np.ndarray, y: np.ndarray, spec) -> dict:
+    """Grow the forest's batches (see ``_batch_plan``) in contiguous slices,
+    one per process (``_process_count``) and at most one per batch.
+
+    The caller grows the first slice; a forked child grows each other one
+    and pickles its batches into a pipe. The caller reads every pipe, reaps
+    every child and keeps the batches in batch order. A batch grows by the
+    same code from the same samples in any process, so the forest is the
+    same bit for bit at any process count; with one slice no child is made.
+    A slice whose child could not be forked, exits non-zero or sends a
+    payload that does not unpickle is grown again by the caller, so a fit
+    raises what a serial fit raises (a MemoryError, a RuntimeWarning turned
+    error). If the caller raises, KeyboardInterrupt too, it kills and reaps
+    every child first: none outlives the fit or hangs it on a full pipe.
+
+    A child runs no BLAS, takes no lock that another thread may hold at the
+    fork, and leaves by ``os._exit``. So the DeprecationWarning with which
+    Python 3.12+ meets a fork from a multi-threaded process does not apply.
+    """
+    n = len(y)
+    n_batches = _batch_plan(n, spec)[0]
+    n_slices = min(n_batches, _process_count())
+    ends = [n_batches * k // n_slices for k in range(n_slices + 1)]
+
+    def grow_slice(k: int) -> list[dict[str, np.ndarray]]:
+        samples = islice(_batch_plan(n, spec)[1], ends[k], ends[k + 1])
+        return [_grow_trees(X, y, s, spec.max_depth, spec.min_leaf) for s in samples]
+
+    pids: list[int] = []  # the children of slices 1, 2, ..., in order
+    pipes: list[BinaryIO] = []
+    try:
+        for k in range(1, n_slices):
+            child = _fork_grower(lambda k=k: grow_slice(k))
+            if child is None:  # no process left: the caller grows the rest
+                break
+            pids.append(child[0])
+            pipes.append(child[1])
+        slices = [grow_slice(0)]
+        payloads = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k in range(1, n_slices):
+        grown = None
+        if k <= len(pids) and statuses[k - 1] == 0:
+            with suppress(EOFError, pickle.UnpicklingError):
+                grown = pickle.loads(payloads[k - 1])
+        slices.append(grow_slice(k) if grown is None else grown)
+    batches = [batch for part in slices for batch in part]
+    return {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
+
+
+def predict(forest: dict[str, np.ndarray], X: np.ndarray, descent=None) -> np.ndarray:
+    """Each row's mean over the trees; ``descent`` is as in ``_forest_outputs``.
+    Equal rows (-0.0 and 0.0 too) descend once: the same bits as one at a time."""
+    distinct, row_of = _distinct_rows(X)
+    return _forest_outputs(forest, distinct, descent).mean(axis=1)[row_of]
+
+
+def encode(forest: dict[str, np.ndarray]) -> dict[str, str]:
+    """The forest's arrays as base64 strings of their ``DTYPES`` bytes."""
+    return {
+        key: base64.b64encode(forest[key].astype(dtype).tobytes()).decode("ascii")
+        for key, dtype in DTYPES.items()
+    }
+
+
+def decode(params: dict, spec, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]:
+    """The arrays of ``encode``'s strings, checked so that every row's descent
+    through every tree stays in that tree and ends at one of its leaves, within
+    the spec's ``max_depth`` steps; and the descent tables that the checks built."""
+    forest = {}
+    for key, dtype in DTYPES.items():
+        try:
+            raw = base64.b64decode(params[key], validate=True)  # a non-string: TypeError
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{key} is not a base64 string ({err})") from None
+        if len(raw) % dtype.itemsize:
+            raise ValueError(f"{key}: {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
+        forest[key] = np.frombuffer(raw, dtype).astype(np.intp if dtype.kind == "i" else float)
+    feature, sizes, value = forest["feature"], forest["tree_sizes"], forest["value"]
+    n = len(value)
+    if len(feature) != n:
+        raise ValueError("feature and value differ in length")
+    # 32-bit sizes: their int64 sum cannot wrap around.
+    if len(sizes) != spec.n_trees or (sizes < 1).any() or sizes.sum() != n:
+        raise ValueError(f"tree_sizes is not {spec.n_trees} size(s) >= 1 summing to {n} nodes")
+    if not np.isfinite(value).all():
+        raise ValueError("value holds a non-finite value")
+    if ((feature < -1) | (feature >= n_features)).any():
+        raise ValueError(f"feature index outside [0, {n_features})")
+    descent = _descent_tables(forest)
+    if spec.max_depth is not None and descent[1] > spec.max_depth:
+        raise ValueError(f"a tree is {descent[1]} levels deep, past max_depth {spec.max_depth}")
+    return forest, descent

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smol import calibrate
+from smol import calibrate, forest
 from smol.calibrate import (
     COMPARISON_KINDS,
     CompareRow,
@@ -26,7 +26,6 @@ from smol.calibrate import (
     ModelSpec,
     SingularSystemError,
     TrainedModel,
-    _forest_outputs,
     assemble,
     compare,
     evaluate,
@@ -323,14 +322,14 @@ class TestPolynomial:
             ModelSpec(ModelKind.POLYNOMIAL, poly_degree=1)
 
 
-def _reference_forest_outputs(forest, X):
+def _reference_forest_outputs(params, X):
     """Every tree's prediction for every row, by the plain descent: each
     step looks up the node's feature, tests ``x <= value`` and picks the
     left or the right child."""
-    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
+    feature, value, sizes = params["feature"], params["value"], params["tree_sizes"]
     leaf = feature < 0
     index = np.arange(len(feature))
-    left = np.where(leaf, index, calibrate._left_children(feature, sizes))
+    left = np.where(leaf, index, forest._left_children(feature, sizes))
     right = np.where(leaf, index, left + 1)
     feature = np.where(leaf, 0, feature)
     at_row = np.arange(len(X))[:, None]
@@ -342,10 +341,10 @@ def _reference_forest_outputs(forest, X):
         node = step
 
 
-def _tree_depths(forest) -> list[int]:
+def _tree_depths(params) -> list[int]:
     """Each tree's depth, by a walk from its root over the implied children."""
-    feature, sizes = forest["feature"], forest["tree_sizes"]
-    left = calibrate._left_children(feature, sizes)
+    feature, sizes = params["feature"], params["tree_sizes"]
+    left = forest._left_children(feature, sizes)
     depths = []
     for root in (np.cumsum(sizes) - sizes).tolist():
         level, depth = [root], 0
@@ -413,30 +412,30 @@ class TestForest:
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_predictions_are_the_bits_of_one_row_at_a_time(self, drawn):
         model, X = drawn
-        distinct, row_of = calibrate._distinct_rows(X)
+        distinct, row_of = forest._distinct_rows(X)
         assert len(distinct) == len(set(map(tuple, X.tolist())))  # -0.0 == 0.0 here too
         assert np.array_equal(distinct[row_of], X)
         preds = model.predict_many(X)
         one_by_one = np.concatenate([model.predict_many(X[i : i + 1]) for i in range(len(X))])
         assert preds.tobytes() == one_by_one.tobytes()
         reference = _reference_forest_outputs(model.params, X)
-        assert _forest_outputs(model.params, X).tobytes() == reference.tobytes()
+        assert forest._forest_outputs(model.params, X).tobytes() == reference.tobytes()
         assert preds.tobytes() == reference.mean(axis=1).tobytes()
         # Descent blocks of one row; of all rows but one, so the last block
         # is short (a budget one pair short of the rows also checks the
         # floor division); of more rows than any input.
         for pairs in (1, model.spec.n_trees * len(X) - 1, 10**9):
-            with mock.patch.object(calibrate, "_DESCENT_PAIRS", pairs):
-                assert _forest_outputs(model.params, X).tobytes() == reference.tobytes(), pairs
+            with mock.patch.object(forest, "_DESCENT_PAIRS", pairs):
+                assert forest._forest_outputs(model.params, X).tobytes() == reference.tobytes(), pairs
 
     @pytest.mark.numpy_bits
     def test_stock_forest_descends_an_inference_log_as_the_reference_does(self):
         model = _stock_all_tx_forest()
         log = run_campaign(CampaignConfig(training_mode=False))
         X = np.unique(calibrate.feature_matrix(log, FeatureMode.ALL_TX)[1], axis=0)
-        assert len(X) > 3 * calibrate._DESCENT_PAIRS // model.spec.n_trees  # several blocks
+        assert len(X) > 3 * forest._DESCENT_PAIRS // model.spec.n_trees  # several blocks
         reference = _reference_forest_outputs(model.params, X)
-        assert _forest_outputs(model.params, X).tobytes() == reference.tobytes()
+        assert forest._forest_outputs(model.params, X).tobytes() == reference.tobytes()
 
     @pytest.mark.numpy_bits
     @pytest.mark.parametrize("shape", ["unbounded depth", "single leaves", "unequal depths"])
@@ -451,19 +450,19 @@ class TestForest:
         X = np.column_stack([rng.permutation(40), rng.integers(0, 5, 40)]).astype(float)
         y = np.zeros(40) if shape == "single leaves" else 2.0 ** X[:, 0]
         spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=4, max_depth=None, min_leaf=1, seed=6)
-        forest = fit(spec, _dataset(X, y)).params
+        trees = fit(spec, _dataset(X, y)).params
         if shape == "unequal depths":
             stump = fit(replace(spec, max_depth=1), _dataset(X, y)).params
-            forest = {key: np.concatenate([stump[key], forest[key]]) for key in forest}
-        depths = _tree_depths(forest)
+            trees = {key: np.concatenate([stump[key], trees[key]]) for key in trees}
+        depths = _tree_depths(trees)
         if shape == "single leaves":
             assert depths == [0] * 4
         else:
             assert max(depths) > ModelSpec.max_depth, depths
             assert min(depths) == (1 if shape == "unequal depths" else 15), depths
-        assert calibrate._descent_tables(forest)[1] == max(depths)
-        reference = _reference_forest_outputs(forest, X)
-        assert _forest_outputs(forest, X).tobytes() == reference.tobytes()
+        assert forest._descent_tables(trees)[1] == max(depths)
+        reference = _reference_forest_outputs(trees, X)
+        assert forest._forest_outputs(trees, X).tobytes() == reference.tobytes()
 
     def test_descent_working_set_does_not_grow_with_the_rows(self):
         # 101 x 18 distinct rows. Past the first 256 rows (one block of the
@@ -474,9 +473,9 @@ class TestForest:
         rssi, tx = np.meshgrid(np.arange(-140.0, -39.0), np.arange(5.0, 23.0), indexing="ij")
         X = np.column_stack([rssi.ravel(), tx.ravel()])
         assert len(X) == 1818
-        _forest_outputs(params, X[:1])  # warm up outside the measurement
-        first = _peak_bytes(lambda: _forest_outputs(params, X[:256]))
-        every = _peak_bytes(lambda: _forest_outputs(params, X))
+        forest._forest_outputs(params, X[:1])  # warm up outside the measurement
+        first = _peak_bytes(lambda: forest._forest_outputs(params, X[:256]))
+        every = _peak_bytes(lambda: forest._forest_outputs(params, X))
         extra_output, one_block = (len(X) - 256) * n_trees * 8, 256 * n_trees * 8
         assert every - first <= extra_output + one_block
 
@@ -501,7 +500,7 @@ class TestForest:
         y = X[:, 0] + X[:, 1] + rng.normal(0, 0.5, 40)
         model = fit(ModelSpec(ModelKind.RANDOM_FOREST, n_trees=10, seed=3), _dataset(X, y))
         x = np.array([[4.0, 5.0]])
-        per_tree = _forest_outputs(model.params, x)[0]
+        per_tree = forest._forest_outputs(model.params, x)[0]
         assert len(per_tree) == 10
         assert model.predict_many(x)[0] == pytest.approx(per_tree.mean(), rel=1e-12)
 
@@ -531,9 +530,9 @@ class TestForest:
             ModelKind.RANDOM_FOREST, n_trees=1, max_depth=1, min_leaf=1, bootstrap=False
         )
         for columns, threshold in (([0, 1], 0.5), ([1, 0], 10.5)):
-            forest = fit(spec, _dataset(X[:, columns], y)).params
-            assert forest["feature"][:3].tolist() == [0, -1, -1]
-            assert forest["value"][0] == threshold
+            trees = fit(spec, _dataset(X[:, columns], y)).params
+            assert trees["feature"][:3].tolist() == [0, -1, -1]
+            assert trees["value"][0] == threshold
 
     @pytest.mark.numpy_bits
     def test_forest_layout_does_not_depend_on_the_batch_size(self, monkeypatch):
@@ -547,13 +546,13 @@ class TestForest:
         spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=7, max_depth=4, seed=4)
         forests = []
         for budget in (1, 5 * 60, spec.n_trees * 60):
-            monkeypatch.setattr(calibrate, "_BATCH_ROWS", budget)
+            monkeypatch.setattr(forest, "_BATCH_ROWS", budget)
             forests.append(fit(spec, ds).params)
-        for forest in forests[1:]:
-            assert forest.keys() == forests[0].keys()
-            for key in forest:
-                assert forest[key].dtype == forests[0][key].dtype
-                assert np.array_equal(forest[key], forests[0][key]), key
+        for trees in forests[1:]:
+            assert trees.keys() == forests[0].keys()
+            for key in trees:
+                assert trees[key].dtype == forests[0][key].dtype
+                assert np.array_equal(trees[key], forests[0][key]), key
 
     def test_learns_a_smooth_surface(self):
         rng = np.random.default_rng(10)
@@ -582,7 +581,7 @@ def _stock_all_tx_train() -> Dataset:
 
 def _processes(count: int):
     """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
-    return mock.patch.object(calibrate, "_process_count", lambda: count)
+    return mock.patch.object(forest, "_process_count", lambda: count)
 
 
 def _assert_no_child_left() -> None:
@@ -601,8 +600,8 @@ class TestForestProcesses:
         train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
         with _processes(1):
             serial = fit(spec, train).params
-        parent, grow_trees, fork, forks = os.getpid(), calibrate._grow_trees, os.fork, []
-        last = list(calibrate._batch_plan(len(train), spec)[1])[-1]
+        parent, grow_trees, fork, forks = os.getpid(), forest._grow_trees, os.fork, []
+        last = list(forest._batch_plan(len(train), spec)[1])[-1]
 
         def grow(X, y, samples, *rest):
             if os.getpid() != parent and np.array_equal(samples, last):  # the last child's
@@ -623,7 +622,7 @@ class TestForestProcesses:
 
         with (
             _processes(3),
-            mock.patch.object(calibrate, "_grow_trees", grow),
+            mock.patch.object(forest, "_grow_trees", grow),
             mock.patch.object(os, "fork", fork_once if failure == "cannot be forked" else fork),
             mock.patch.object(
                 pickle, "dump", short_dump if failure == "sends a short payload" else pickle.dump
@@ -641,8 +640,8 @@ class TestForestProcesses:
         # The last batch fails wherever it grows. A RuntimeWarning is an
         # error under this suite's warning filters, in a child too.
         train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
-        grow_trees = calibrate._grow_trees
-        last = list(calibrate._batch_plan(len(train), spec)[1])[-1]
+        grow_trees = forest._grow_trees
+        last = list(forest._batch_plan(len(train), spec)[1])[-1]
 
         def grow(X, y, samples, *rest):
             if np.array_equal(samples, last):
@@ -651,7 +650,7 @@ class TestForestProcesses:
                 raise MemoryError("the last batch")
             return grow_trees(X, y, samples, *rest)
 
-        with _processes(processes), mock.patch.object(calibrate, "_grow_trees", grow):
+        with _processes(processes), mock.patch.object(forest, "_grow_trees", grow):
             with pytest.raises(error, match="last batch"):
                 fit(spec, train)
         _assert_no_child_left()
@@ -662,7 +661,7 @@ class TestForestProcesses:
         # A child still growing would take a minute: it must be killed, not
         # waited for. One blocked writing its payload must not hang the caller.
         train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
-        parent, grow_trees, grown = os.getpid(), calibrate._grow_trees, []
+        parent, grow_trees, grown = os.getpid(), forest._grow_trees, []
 
         def grow(X, y, samples, *rest):
             if os.getpid() != parent and children == "still growing":
@@ -674,7 +673,7 @@ class TestForestProcesses:
             return grown[-1]
 
         start = time.monotonic()
-        with _processes(3), mock.patch.object(calibrate, "_grow_trees", grow):
+        with _processes(3), mock.patch.object(forest, "_grow_trees", grow):
             with pytest.raises(error):
                 fit(spec, train)
         assert time.monotonic() - start < 30.0

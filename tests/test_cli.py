@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smol import calibrate, campaign, cli
+from smol import calibrate, campaign, cli, forest
 from smol.calibrate import FeatureMode, ModelKind, ModelSpec
 from smol.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from smol.sweepproto import MeasurementLog
@@ -579,7 +579,7 @@ def _save_small_model(log_path, kind, path):
 def _edit_array(array, change):
     """Decode one of the forest's arrays, let ``change`` edit it as a list,
     and encode it back."""
-    dtype = calibrate._FOREST_DTYPES[array]
+    dtype = forest.DTYPES[array]
 
     def mutate(payload):
         forest = payload["params"]
@@ -589,8 +589,8 @@ def _edit_array(array, change):
     return mutate
 
 
-def _decoded(forest, array) -> list:
-    return np.frombuffer(base64.b64decode(forest[array]), calibrate._FOREST_DTYPES[array]).tolist()
+def _decoded(params, array) -> list:
+    return np.frombuffer(base64.b64decode(params[array]), forest.DTYPES[array]).tolist()
 
 
 def _set_root(array, value):

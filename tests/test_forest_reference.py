@@ -1,7 +1,7 @@
 """The vectorized forest grower against a plain per-node reference.
 
 ``grow_reference`` grows one tree at a time and one node at a time, in
-Python floats, by the rule that ``calibrate._grow_trees`` documents: a
+Python floats, by the rule that ``forest._grow_trees`` documents: a
 node's and a run's target sums add one row at a time in sample order, a
 cut's left sums add the node's runs one at a time in ascending value, its
 right sums are the node's minus the left's, and a squared error is
@@ -12,7 +12,9 @@ split node's left child as it places it; that must be the child the
 layout implies.
 """
 
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smol import calibrate, campaign
+from smol import calibrate, campaign, forest
 from smol.calibrate import Dataset, FeatureMode, ModelKind, ModelSpec
 
 pytestmark = pytest.mark.numpy_bits
@@ -62,10 +64,10 @@ def _best_cut(X, y, rows, min_leaf) -> tuple[int, float]:
 
 
 def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
-    """What ``calibrate._grow_trees`` returns, grown one node at a time, plus
+    """What ``forest._grow_trees`` returns, grown one node at a time, plus
     ``left``: each node's left child within its tree, or -1 at a leaf."""
     X, y = X.tolist(), y.tolist()
-    forest = {"feature": [], "left": [], "tree_sizes": [], "value": []}
+    trees = {"feature": [], "left": [], "tree_sizes": [], "value": []}
     for sample in samples.tolist():
         queue = [(sample, 0)]
         for rows, depth in queue:  # breadth-first: the queue is the layout
@@ -73,27 +75,27 @@ def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
             j, threshold = -1, 0.0
             if len(rows) >= 2 * min_leaf and depth != max_depth and len(set(targets)) > 1:
                 j, threshold = _best_cut(X, y, rows, min_leaf)
-            forest["feature"].append(j)
+            trees["feature"].append(j)
             if j < 0:
-                forest["left"].append(-1)
-                forest["value"].append(_sums(targets)[0] / len(rows))
+                trees["left"].append(-1)
+                trees["value"].append(_sums(targets)[0] / len(rows))
                 continue
-            forest["left"].append(len(queue))
-            forest["value"].append(threshold)
+            trees["left"].append(len(queue))
+            trees["value"].append(threshold)
             queue.append(([i for i in rows if X[i][j] <= threshold], depth + 1))
             queue.append(([i for i in rows if not X[i][j] <= threshold], depth + 1))
-        forest["tree_sizes"].append(len(queue))
-    return {key: np.array(values) for key, values in forest.items()}
+        trees["tree_sizes"].append(len(queue))
+    return {key: np.array(values) for key, values in trees.items()}
 
 
 def _assert_growers_agree(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """The forest grown on any number of feature columns, once it matches
     the reference's."""
-    grown = calibrate._fit_forest(X, y, spec)
-    with mock.patch.object(calibrate, "_grow_trees", grow_reference):
-        reference = calibrate._fit_forest(X, y, spec)
+    grown = forest.grow(X, y, spec)
+    with mock.patch.object(forest, "_grow_trees", grow_reference):
+        reference = forest.grow(X, y, spec)
     left, sizes = reference.pop("left"), reference["tree_sizes"]
-    implied = calibrate._left_children(reference["feature"], sizes) - np.repeat(
+    implied = forest._left_children(reference["feature"], sizes) - np.repeat(
         np.cumsum(sizes) - sizes, sizes
     )
     assert np.array_equal(left, np.where(reference["feature"] >= 0, implied, -1))
@@ -152,7 +154,7 @@ SPECS = st.builds(
 
 def _processes(count: int):
     """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
-    return mock.patch.object(calibrate, "_process_count", lambda: count)
+    return mock.patch.object(forest, "_process_count", lambda: count)
 
 
 @given(data=datasets(), spec=SPECS)
@@ -170,10 +172,10 @@ def test_batch_size_does_not_change_the_forest(data, spec, draw):
     # to all trees in one batch, the batches grown in one to three processes.
     budget = draw.draw(st.integers(1, spec.n_trees * len(data[1]) + 1), label="budget")
     processes = draw.draw(st.integers(1, 3), label="processes")
-    with mock.patch.object(calibrate, "_BATCH_ROWS", 1), _processes(1):
-        reference = calibrate._fit_forest(*data, spec)
-    with mock.patch.object(calibrate, "_BATCH_ROWS", budget), _processes(processes):
-        batched = calibrate._fit_forest(*data, spec)
+    with mock.patch.object(forest, "_BATCH_ROWS", 1), _processes(1):
+        reference = forest.grow(*data, spec)
+    with mock.patch.object(forest, "_BATCH_ROWS", budget), _processes(processes):
+        batched = forest.grow(*data, spec)
     assert batched.keys() == reference.keys()
     for key in batched:
         assert batched[key].dtype == reference[key].dtype, key
@@ -213,7 +215,7 @@ def test_stock_forest_is_the_same_in_one_two_and_three_processes():
     log = campaign.run_campaign(campaign.CampaignConfig())
     train, _ = calibrate.split(calibrate.assemble(log, FeatureMode.ALL_TX), seed=0)
     spec = ModelSpec(ModelKind.RANDOM_FOREST)
-    assert calibrate._batch_plan(len(train), spec)[0] == 10
+    assert forest._batch_plan(len(train), spec)[0] == 10
     with _processes(1):
         serial = calibrate.fit(spec, train).params
     for processes in (2, 3):
@@ -230,14 +232,14 @@ def test_stock_forests_grow_in_batches_that_fit_the_budget():
     # most _BATCH_ROWS nodes per level. For two features the regroup's keys
     # are at most 3 times that, at any min_leaf, so they fit the uint16 keys
     # of its radix sort.
-    assert 3 * calibrate._BATCH_ROWS < 2**16
+    assert 3 * forest._BATCH_ROWS < 2**16
     log = campaign.run_campaign(campaign.CampaignConfig())
     spec = ModelSpec(ModelKind.RANDOM_FOREST)
     for mode in FeatureMode:
         train, _ = calibrate.split(calibrate.assemble(log, mode), seed=0)
-        n_batches, samples = calibrate._batch_plan(len(train), spec)
+        n_batches, samples = forest._batch_plan(len(train), spec)
         batches = [batch.shape for batch in samples]
-        per_batch = calibrate._BATCH_ROWS // len(train)
+        per_batch = forest._BATCH_ROWS // len(train)
         expected = {
             FeatureMode.ALL_TX: math.ceil(spec.n_trees / per_batch),
             FeatureMode.MEDIAN_TX: 1,  # the whole forest at once
@@ -246,4 +248,67 @@ def test_stock_forests_grow_in_batches_that_fit_the_budget():
         assert sum(trees for trees, _ in batches) == spec.n_trees
         for trees, rows in batches:
             assert rows == len(train)
-            assert trees * rows <= calibrate._BATCH_ROWS or trees == 1
+            assert trees * rows <= forest._BATCH_ROWS or trees == 1
+
+
+# The engine's names while it lived in calibrate, and the new names of the renamed ones.
+MOVED = (
+    "_running_sums", "_best_splits", "_grow_trees", "_left_children", "_descent_tables",
+    "_forest_outputs", "_distinct_rows", "_batch_plan", "_process_count", "_fork_grower",
+    "_fit_forest", "_BATCH_ROWS", "_DESCENT_PAIRS", "_FOREST_DTYPES", "_forest_from_json",
+)
+RENAMED = {"_fit_forest": "grow", "_FOREST_DTYPES": "DTYPES", "_forest_from_json": "decode"}
+
+
+def _parsed(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The functions and classes a module defines, at any depth, and the
+    names its module-level assignments bind."""
+    names = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _imported(tree: ast.Module) -> list[tuple[str | None, int, str]]:
+    """(module, level, bound name) of every import: ``import a.b`` binds a."""
+    return [
+        (node.module, node.level, alias.asname or alias.name)
+        if isinstance(node, ast.ImportFrom)
+        else (alias.name, 0, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+
+
+def test_calibrate_reaches_the_engine_through_its_public_names_only():
+    engine, caller = _parsed(forest), _parsed(calibrate)
+    # forest imports no smol module, so there is no import cycle.
+    for module, level, _ in _imported(engine):
+        assert level == 0 and module.split(".")[0] != "smol", module
+    # calibrate reaches forest as a module, through names without a leading underscore.
+    reached = {
+        node.attr for node in ast.walk(caller)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "forest"
+    }
+    assert {"grow", "predict", "encode", "decode", "DTYPES"} <= reached
+    assert not [name for name in reached if name.startswith("_")]
+    assert [(m, lvl) for m, lvl, name in _imported(caller) if name == "forest"] == [(None, 1)]
+    # No moved name, nor any name forest defines, is defined or imported in
+    # calibrate, and no module-level assignment there aliases forest's.
+    bound = _defined(caller) | {name for _, _, name in _imported(caller)}
+    assert not bound & (set(MOVED) | _defined(engine))
+    for node in caller.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            names = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+            assert "forest" not in names, ast.unparse(node)
+    assert all(hasattr(forest, RENAMED.get(name, name)) for name in MOVED)

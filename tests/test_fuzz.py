@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smol import calibrate, campaign, cli
+from smol import calibrate, campaign, cli, forest
 
 # A fixed example sequence and a bounded budget: a few seconds of tier-1 time.
 FUZZ = settings(max_examples=50, deadline=1000, derandomize=True)
@@ -54,8 +54,8 @@ def valid(tmp_path_factory):
     campaign.save_config(config, d / "config.json")
     campaign.write_measurements(d / "log.csv", campaign.run_campaign(config))
     log = campaign.read_measurements(d / "log.csv")
-    forest = calibrate.ModelSpec(calibrate.ModelKind.RANDOM_FOREST, n_trees=2, max_depth=3)
-    for spec in (calibrate.ModelSpec(calibrate.ModelKind.LINEAR), forest):
+    two_trees = calibrate.ModelSpec(calibrate.ModelKind.RANDOM_FOREST, n_trees=2, max_depth=3)
+    for spec in (calibrate.ModelSpec(calibrate.ModelKind.LINEAR), two_trees):
         model = calibrate.train_and_score(spec, log, calibrate.FeatureMode.ALL_TX, 0)[0]
         calibrate.save_model(model, d / f"{spec.kind.value}.json")
     return d
@@ -165,7 +165,7 @@ def test_mutated_model_file(valid, data, kind, mutation):
 @FUZZ
 @given(
     data=st.data(),
-    array=st.sampled_from(sorted(calibrate._FOREST_DTYPES)),
+    array=st.sampled_from(sorted(forest.DTYPES)),
     edit=st.sampled_from(["truncate", "overwrite"]),
     byte=st.sampled_from([0x00, 0x01, 0x02, 0x7F, 0x80, 0xF0, 0xFE, 0xFF]),
 )
