@@ -22,10 +22,14 @@ from . import forest
 from .sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 6
+MODEL_FILE_VERSION = 7
 
 # The share of a dataset's rows that a model is fit on; the rest score it.
 TRAIN_FRACTION = 0.8
+
+# Each family's fixed hyperparameters; the forest's are ``forest.grow``'s defaults.
+RIDGE_LAMBDA = 1.0  # L2 penalty on ridge's slopes
+POLY_DEGREE = 2  # polynomial: every monomial of total degree <= 2
 
 
 def _finite_number(value) -> bool:
@@ -75,37 +79,12 @@ MODE_LABELS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Hyperparameters for one regressor family.
-
-    Only the fields relevant to ``kind`` matter; the rest ride along so a
-    spec stays a plain value object, and every field is checked whatever
-    the kind. ``bootstrap=False`` lets a single fully-grown tree see every
-    training row (useful for sanity checks).
-    """
+    """Which regressor family to fit; each fits at its fixed hyperparameters."""
 
     kind: ModelKind
-    poly_degree: int = 2
-    ridge_lambda: float = 1.0
-    n_trees: int = 100
-    max_depth: int | None = 10
-    min_leaf: int = 2
-    bootstrap: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         ModelKind(self.kind)  # an unknown kind raises ValueError
-        minimums = {"poly_degree": 2, "n_trees": 1, "min_leaf": 1, "seed": 0}
-        if self.max_depth is not None:  # None: unbounded depth
-            minimums["max_depth"] = 1
-        for name, low in minimums.items():
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        lam = self.ridge_lambda
-        if not _finite_number(lam) or lam < 0.0:
-            raise ValueError(f"ridge_lambda must be a finite number >= 0, got {lam!r}")
-        if type(self.bootstrap) is not bool:
-            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass
@@ -191,7 +170,7 @@ class TrainedModel:
             if kind == ModelKind.RANDOM_FOREST:
                 out = forest.predict(params, X, self._descent)
             elif kind == ModelKind.POLYNOMIAL:
-                powers = polynomial_powers(self.n_features, self.spec.poly_degree)
+                powers = polynomial_powers(self.n_features, POLY_DEGREE)
                 out = polynomial_expand(X, powers) @ params["beta"]
             else:
                 out = params["beta"][0] + X @ params["beta"][1:]
@@ -294,8 +273,6 @@ def _fit_linear(X: np.ndarray, y: np.ndarray) -> dict:
 
 
 def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
-    if lam == 0.0:
-        return _fit_linear(X, y)
     n, d = X.shape
     # Augmented rows sqrt(lam)*I penalize the slope coefficients only;
     # the intercept column stays unpenalized.
@@ -309,16 +286,9 @@ def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
 
 
 def _fit_polynomial(X: np.ndarray, y: np.ndarray, degree: int) -> dict:
-    # More monomials than rows cannot have full rank: refuse before listing them.
-    columns = math.comb(degree + X.shape[1], X.shape[1])
-    if columns > len(y):
-        raise SingularSystemError(
-            f"degree {degree} needs {columns} design columns, more than the {len(y)} rows"
-        )
-    powers = polynomial_powers(X.shape[1], degree)
     # An overflowing monomial is refused below as non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        design = polynomial_expand(X, powers)
+        design = polynomial_expand(X, polynomial_powers(X.shape[1], degree))
     return {"beta": _solve_least_squares(design, y)}
 
 
@@ -326,8 +296,9 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
     """Fit one regressor on the training rows.
 
     Linear and ridge solve least squares with an intercept (ridge adds an
-    L2 penalty on the slopes only); polynomial expands to all monomials
-    of total degree <= poly_degree first. The forest bootstraps seeded
+    L2 penalty ``RIDGE_LAMBDA`` on the slopes only); polynomial expands to
+    all monomials of total degree <= ``POLY_DEGREE`` first. The forest
+    (``forest.grow`` at its default settings) bootstraps seeded
     resamples and grows greedy variance-reduction trees. Rank-deficient
     linear solves raise SingularSystemError rather than regularizing
     silently; a design holding a non-finite value, such as an overflowing
@@ -339,11 +310,11 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
     if spec.kind == ModelKind.LINEAR:
         params = _fit_linear(X, y)
     elif spec.kind == ModelKind.RIDGE:
-        params = _fit_ridge(X, y, spec.ridge_lambda)
+        params = _fit_ridge(X, y, RIDGE_LAMBDA)
     elif spec.kind == ModelKind.POLYNOMIAL:
-        params = _fit_polynomial(X, y, spec.poly_degree)
+        params = _fit_polynomial(X, y, POLY_DEGREE)
     else:
-        params = forest.grow(X, y, spec)
+        params = forest.grow(X, y)
     return TrainedModel(
         spec=spec,
         feature_mode=train.feature_mode,
@@ -440,14 +411,13 @@ def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, t
     """The model's params, and a forest's descent tables (None for the others)."""
     if spec.kind == ModelKind.RANDOM_FOREST:
         _require_keys(params, list(forest.DTYPES), "params")
-        return forest.decode(params, spec, n_features)
+        return forest.decode(params, n_features)
     _require_keys(params, ["beta"], "params")
     beta = params["beta"]
     if type(beta) is not list or not all(map(_finite_number, beta)):
         raise ValueError("beta is not a list of finite numbers")
-    # One coefficient per monomial of total degree <= d (linear: d = 1),
-    # counted without listing them, so a huge degree costs nothing.
-    degree = spec.poly_degree if spec.kind == ModelKind.POLYNOMIAL else 1
+    # One coefficient per monomial of total degree <= d (linear: d = 1).
+    degree = POLY_DEGREE if spec.kind == ModelKind.POLYNOMIAL else 1
     if len(beta) != (want := math.comb(degree + n_features, n_features)):
         raise ValueError(f"beta has {len(beta)} coefficient(s), want {want}")
     return {"beta": np.array(beta, dtype=float)}, None
@@ -458,7 +428,7 @@ def _model_from_json(payload: dict) -> TrainedModel:
     _require_keys(payload, keys, "model file")
     spec_d = payload["spec"]
     _require_keys(spec_d, [f.name for f in fields(ModelSpec)], "spec")
-    spec = ModelSpec(**{**spec_d, "kind": ModelKind(spec_d["kind"])})
+    spec = ModelSpec(ModelKind(spec_d["kind"]))
     mode = FeatureMode(payload["feature_mode"])
     if not isinstance(payload["metadata"], dict):
         raise ValueError("metadata is not a JSON object")
@@ -498,8 +468,8 @@ def load_model(path: str | Path) -> TrainedModel:
 # ---------------------------------------------------------------------------
 # side-by-side comparison
 
-# The headline comparison: three model families, each at its ModelSpec
-# defaults, x two feature modes. Ridge stays available through fit() but
+# The headline comparison: three model families, each at its fixed
+# hyperparameters, x two feature modes. Ridge stays available through fit() but
 # is not part of this preset.
 COMPARISON_KINDS = (ModelKind.RANDOM_FOREST, ModelKind.POLYNOMIAL, ModelKind.LINEAR)
 
@@ -529,8 +499,8 @@ def rank_rows(rows: list[CompareRow]) -> list[CompareRow]:
 
 
 def compare(log: MeasurementLog, split_seed: int = 0) -> list[CompareRow]:
-    """``train_and_score`` every COMPARISON_KINDS kind, at its ModelSpec
-    defaults, in every feature mode, on one split seed.
+    """``train_and_score`` every COMPARISON_KINDS kind, at its fixed
+    hyperparameters, in every feature mode, on one split seed.
 
     A bad seed raises ValueError; a combination that fails on the data
     becomes an error row instead of aborting the whole comparison. Rows

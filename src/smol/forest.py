@@ -2,7 +2,7 @@
 
 Trees grow by an exact split search over runs of equal feature values in a
 fixed summation order (``_grow_trees``), bit-reproducible under a seed, in
-batches that forked processes share (``grow``). A spec is read by attribute.
+batches that forked processes share (``grow``).
 """
 
 from __future__ import annotations
@@ -309,18 +309,18 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], row_of
 
 
-def _batch_plan(n: int, spec) -> tuple[int, Iterator[np.ndarray]]:
-    """How many batches a forest on ``n`` rows grows in, and each batch's
-    samples (trees x ``n`` row indices), in batch order. A batch holds as
-    many trees as fit ``_BATCH_ROWS`` rows, at least one; the last holds the
-    rest. Each tree's rows are drawn as its batch is reached, one draw per
-    tree in tree order from one generator seeded by ``spec.seed``, so a
-    batch's samples do not depend on which process draws them, and none
-    holds more than one batch's."""
-    rng = np.random.default_rng(spec.seed)
-    rows = (rng.integers(0, n, n) if spec.bootstrap else np.arange(n) for _ in range(spec.n_trees))
+def _batch_plan(n: int, n_trees: int, bootstrap: bool, seed: int) -> tuple[int, Iterator]:
+    """How many batches a forest of ``n_trees`` trees on ``n`` rows grows in,
+    and each batch's samples (trees x ``n`` row indices), in batch order. A
+    batch holds as many trees as fit ``_BATCH_ROWS`` rows, at least one; the
+    last holds the rest. Each tree's rows are drawn as its batch is reached,
+    a bootstrap resample or else every row, one draw per tree in tree order
+    from one generator seeded by ``seed``, so a batch's samples do not
+    depend on which process draws them, and none holds more than one batch's."""
+    rng = np.random.default_rng(seed)
+    rows = (rng.integers(0, n, n) if bootstrap else np.arange(n) for _ in range(n_trees))
     per_batch = max(1, _BATCH_ROWS // n)
-    starts = range(0, spec.n_trees, per_batch)
+    starts = range(0, n_trees, per_batch)
     return len(starts), (np.array(list(islice(rows, per_batch))) for _ in starts)
 
 
@@ -358,8 +358,14 @@ def _fork_grower(work: Callable[[], list]) -> tuple[int, BinaryIO] | None:
     return pid, open(read_fd, "rb")
 
 
-def grow(X: np.ndarray, y: np.ndarray, spec) -> dict:
-    """Grow the forest's batches (see ``_batch_plan``) in contiguous slices,
+def grow(
+    X: np.ndarray, y: np.ndarray, n_trees: int = 100, max_depth: int | None = 10,
+    min_leaf: int = 2, bootstrap: bool = True, seed: int = 0,
+) -> dict:
+    """A forest of ``n_trees`` trees (``_grow_trees``; ``max_depth`` None: unbounded),
+    each on a seeded bootstrap resample of the rows, or on every row without ``bootstrap``.
+
+    The forest's batches (see ``_batch_plan``) grow in contiguous slices,
     one per process (``_process_count``) and at most one per batch.
 
     The caller grows the first slice; a forked child grows each other one
@@ -377,14 +383,14 @@ def grow(X: np.ndarray, y: np.ndarray, spec) -> dict:
     fork, and leaves by ``os._exit``. So the DeprecationWarning with which
     Python 3.12+ meets a fork from a multi-threaded process does not apply.
     """
-    n = len(y)
-    n_batches = _batch_plan(n, spec)[0]
+    plan = (len(y), n_trees, bootstrap, seed)
+    n_batches = _batch_plan(*plan)[0]
     n_slices = min(n_batches, _process_count())
     ends = [n_batches * k // n_slices for k in range(n_slices + 1)]
 
     def grow_slice(k: int) -> list[dict[str, np.ndarray]]:
-        samples = islice(_batch_plan(n, spec)[1], ends[k], ends[k + 1])
-        return [_grow_trees(X, y, s, spec.max_depth, spec.min_leaf) for s in samples]
+        samples = islice(_batch_plan(*plan)[1], ends[k], ends[k + 1])
+        return [_grow_trees(X, y, s, max_depth, min_leaf) for s in samples]
 
     pids: list[int] = []  # the children of slices 1, 2, ..., in order
     pipes: list[BinaryIO] = []
@@ -430,10 +436,11 @@ def encode(forest: dict[str, np.ndarray]) -> dict[str, str]:
     }
 
 
-def decode(params: dict, spec, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]:
-    """The arrays of ``encode``'s strings, checked so that every row's descent
-    through every tree stays in that tree and ends at one of its leaves, within
-    the spec's ``max_depth`` steps; and the descent tables that the checks built."""
+def decode(params: dict, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]:
+    """The arrays of ``encode``'s strings, checked so that the forest holds
+    one tree or more and every row's descent through every tree stays in that
+    tree and ends at one of its leaves; and the descent tables that the checks
+    built, the depth among them."""
     forest = {}
     for key, dtype in DTYPES.items():
         try:
@@ -448,13 +455,10 @@ def decode(params: dict, spec, n_features: int) -> tuple[dict, tuple[np.ndarray,
     if len(feature) != n:
         raise ValueError("feature and value differ in length")
     # 32-bit sizes: their int64 sum cannot wrap around.
-    if len(sizes) != spec.n_trees or (sizes < 1).any() or sizes.sum() != n:
-        raise ValueError(f"tree_sizes is not {spec.n_trees} size(s) >= 1 summing to {n} nodes")
+    if len(sizes) < 1 or (sizes < 1).any() or sizes.sum() != n:
+        raise ValueError(f"tree_sizes is not one or more sizes >= 1 summing to {n} nodes")
     if not np.isfinite(value).all():
         raise ValueError("value holds a non-finite value")
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"feature index outside [0, {n_features})")
-    descent = _descent_tables(forest)
-    if spec.max_depth is not None and descent[1] > spec.max_depth:
-        raise ValueError(f"a tree is {descent[1]} levels deep, past max_depth {spec.max_depth}")
-    return forest, descent
+    return forest, _descent_tables(forest)

@@ -12,7 +12,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from smol import calibrate, campaign, cli
+from smol import calibrate, campaign, cli, forest
 from smol.calibrate import FeatureMode, ModelKind, ModelSpec
 from smol.campaign import CampaignConfig
 from smol.soilchan import LinkGeometry, SoilState, path_loss, sweep_rssi
@@ -191,23 +191,13 @@ def test_criterion_6_regression_sanity():
     y = 3.0 - 0.4 * X[:, 0] + 0.2 * X[:, 1] + rng.normal(0, 2, 60)
     ds2 = calibrate.Dataset(X, y, FeatureMode.ALL_TX)
     lin = calibrate.fit(ModelSpec(ModelKind.LINEAR), ds2).params["beta"]
-    rid = calibrate.fit(ModelSpec(ModelKind.RIDGE, ridge_lambda=0.0), ds2).params["beta"]
+    rid = calibrate._fit_ridge(X, y, 0.0)["beta"]
     ridge_ok = bool(np.all(np.abs(lin - rid) < 1e-6))
 
     Xf = rng.uniform(0.0, 100.0, (20, 2))
     yf = rng.uniform(0.0, 40.0, 20)
-    dsf = calibrate.Dataset(Xf, yf, FeatureMode.ALL_TX)
-    tree = calibrate.fit(
-        ModelSpec(
-            ModelKind.RANDOM_FOREST,
-            n_trees=1,
-            max_depth=None,
-            min_leaf=1,
-            bootstrap=False,
-        ),
-        dsf,
-    )
-    tree_ok = bool(np.array_equal(tree.predict_many(Xf), yf))
+    tree = forest.grow(Xf, yf, n_trees=1, max_depth=None, min_leaf=1, bootstrap=False)
+    tree_ok = bool(np.array_equal(forest.predict(tree, Xf), yf))
 
     ok = linear_ok and ridge_ok and tree_ok
     _report(

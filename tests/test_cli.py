@@ -1,6 +1,7 @@
 import argparse
 import base64
 import csv
+import functools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,7 +211,7 @@ def test_simulate_rejects_non_finite_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-# Each model family is fit at its ModelSpec defaults: train refuses the
+# Each model family is fit at its fixed hyperparameters: train refuses the
 # flags that once set them, as argparse refuses any unknown flag.
 @pytest.mark.parametrize(
     "flag",
@@ -386,24 +388,6 @@ def test_singular_fit_is_a_numerical_error(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
-def test_a_polynomial_degree_beyond_the_rows_is_refused_at_once(small_log, monkeypatch):
-    """Degree 10^6 in two features would list about 5 * 10^11 monomials;
-    87 training rows cannot give that many columns full rank."""
-    def never(*args):
-        raise AssertionError("listed or expanded the monomials")
-
-    for name in ("polynomial_powers", "polynomial_expand"):
-        monkeypatch.setattr(calibrate, name, never)
-    spec = ModelSpec(ModelKind.POLYNOMIAL, poly_degree=10**6)
-    with pytest.raises(calibrate.SingularSystemError) as refused:
-        calibrate.train_and_score(
-            spec, campaign.read_measurements(small_log), FeatureMode.ALL_TX, 0
-        )
-    assert str(refused.value) == (
-        "degree 1000000 needs 500001500001 design columns, more than the 87 rows"
-    )
-
-
 def test_an_overflowing_design_is_a_numerical_error(tmp_path, capfd):
     """Every 7th RSSI at -1e200, which the reader accepts: its square
     overflows, and no polynomial design with it reaches LAPACK."""
@@ -571,9 +555,10 @@ def test_predict_writes_predict_many_outputs(tmp_path, small_log, kind, mode):
 def _save_small_model(log_path, kind, path):
     """The model file ``smol train`` writes for ``kind``, at the default
     mode and split seed, but with a two-tree forest."""
-    spec = ModelSpec(ModelKind(kind), n_trees=2)
-    log = campaign.read_measurements(log_path)
-    calibrate.save_model(calibrate.train_and_score(spec, log, FeatureMode.ALL_TX, 0)[0], path)
+    spec, log = ModelSpec(ModelKind(kind)), campaign.read_measurements(log_path)
+    with mock.patch.object(forest, "grow", functools.partial(forest.grow, n_trees=2)):
+        model = calibrate.train_and_score(spec, log, FeatureMode.ALL_TX, 0)[0]
+    calibrate.save_model(model, path)
 
 
 def _edit_array(array, change):
@@ -665,6 +650,13 @@ def _version_5_linear(payload):
     payload["version"] = 5
 
 
+def _version_6_forest(payload):
+    """Store the forest's settings in its spec, as version 6 did."""
+    payload["spec"].update(poly_degree=2, ridge_lambda=1.0, n_trees=2, max_depth=10)
+    payload["spec"].update(min_leaf=2, bootstrap=True, seed=0)
+    payload["version"] = 6
+
+
 def _median_tx_without_median(payload):
     _one_feature(payload)
     payload.update(feature_mode="median_tx", median_tx_power=None)
@@ -681,9 +673,11 @@ BAD_MODELS = {
     "version 3": ("random_forest", lambda p: p.update(version=3)),
     "version 4": ("polynomial", _version_4_polynomial),
     "version 5": ("linear", _version_5_linear),
+    "version 6": ("random_forest", _version_6_forest),
     "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
     "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
-    "missing spec key": ("random_forest", lambda p: p["spec"].pop("min_leaf")),
+    "missing spec key": ("random_forest", lambda p: p["spec"].pop("kind")),
+    "spec holding a version 6 key": ("random_forest", lambda p: p["spec"].update(n_trees=2)),
     "missing params key": ("random_forest", lambda p: p["params"].pop("tree_sizes")),
     "missing forest array": ("random_forest", lambda p: p["params"].pop("value")),
     "extra forest array": (
@@ -710,7 +704,6 @@ BAD_MODELS = {
     "child index not after parent": (
         "random_forest", _edit_array("feature", _root_leaf_and_last_leaf_split)
     ),
-    "trees deeper than max_depth": ("random_forest", lambda p: p["spec"].update(max_depth=1)),
     "feature index too large": ("random_forest", _set_root("feature", 2)),
     "negative feature index": ("random_forest", _set_root("feature", -2)),
     "non-finite threshold": ("random_forest", _set_root("value", math.inf)),
@@ -724,13 +717,6 @@ BAD_MODELS = {
     "median power outside the radio's range": ("linear", _median_tx_at_99_dbm),
     "non-finite linear beta": ("linear", lambda p: p["params"].update(beta=[1.0, math.inf, 0.0])),
     "linear beta holding true": ("linear", lambda p: p["params"].update(beta=[1, True, 0.5])),
-    "forest spec of the wrong types": (
-        "random_forest", lambda p: p["spec"].update(ridge_lambda="x", bootstrap="yes")
-    ),
-    "linear spec out of range": ("linear", lambda p: p["spec"].update(n_trees=0, seed=1.5)),
-    "ridge_lambda beyond float range": (
-        "linear", lambda p: p["spec"].update(ridge_lambda=10**400)
-    ),
 }
 
 
@@ -739,9 +725,11 @@ MODEL_ERRORS = {
     "polynomial beta too long": "beta has 7 coefficient(s), want 6",
     "polynomial with stored exponents": "params: unexpected key(s) 'powers'",
     "feature names stored": "model file: unexpected key(s) 'feature_names'",
-    "version 5": "model file version 5 is not supported (this smol reads version 6)",
+    "version 5": "model file version 5 is not supported (this smol reads version 7)",
+    "version 6": "model file version 6 is not supported (this smol reads version 7)",
+    "missing spec key": "spec: missing key(s) 'kind'",
+    "spec holding a version 6 key": "spec: unexpected key(s) 'n_trees'",
     "linear beta holding true": "beta is not a list of finite numbers",
-    "ridge_lambda beyond float range": "ridge_lambda must be a finite number",
 }
 
 

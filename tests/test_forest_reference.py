@@ -88,12 +88,12 @@ def grow_reference(X, y, samples, max_depth, min_leaf) -> dict[str, np.ndarray]:
     return {key: np.array(values) for key, values in trees.items()}
 
 
-def _assert_growers_agree(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> dict:
-    """The forest grown on any number of feature columns, once it matches
-    the reference's."""
-    grown = forest.grow(X, y, spec)
+def _assert_growers_agree(settings: dict, X: np.ndarray, y: np.ndarray) -> dict:
+    """The forest ``forest.grow`` grows at ``settings`` on any number of
+    feature columns, once it matches the reference's."""
+    grown = forest.grow(X, y, **settings)
     with mock.patch.object(forest, "_grow_trees", grow_reference):
-        reference = forest.grow(X, y, spec)
+        reference = forest.grow(X, y, **settings)
     left, sizes = reference.pop("left"), reference["tree_sizes"]
     implied = forest._left_children(reference["feature"], sizes) - np.repeat(
         np.cumsum(sizes) - sizes, sizes
@@ -141,14 +141,15 @@ def datasets(draw) -> tuple[np.ndarray, np.ndarray]:
     return np.array(X, dtype=float), np.array(y, dtype=float)
 
 
-SPECS = st.builds(
-    ModelSpec,
-    kind=st.just(ModelKind.RANDOM_FOREST),
-    n_trees=st.integers(1, 7),
-    max_depth=st.one_of(st.none(), st.integers(1, 6)),
-    min_leaf=st.integers(1, 4),
-    bootstrap=st.booleans(),
-    seed=st.integers(0, 1000),
+# forest.grow's settings.
+SETTINGS = st.fixed_dictionaries(
+    {
+        "n_trees": st.integers(1, 7),
+        "max_depth": st.one_of(st.none(), st.integers(1, 6)),
+        "min_leaf": st.integers(1, 4),
+        "bootstrap": st.booleans(),
+        "seed": st.integers(0, 1000),
+    }
 )
 
 
@@ -157,25 +158,25 @@ def _processes(count: int):
     return mock.patch.object(forest, "_process_count", lambda: count)
 
 
-@given(data=datasets(), spec=SPECS)
+@given(data=datasets(), grow=SETTINGS)
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_vectorized_grower_matches_the_reference(data, spec):
-    sizes = _assert_growers_agree(spec, *data)["tree_sizes"]
+def test_vectorized_grower_matches_the_reference(data, grow):
+    sizes = _assert_growers_agree(grow, *data)["tree_sizes"]
     # Every leaf holds min_leaf rows or more; _grow_trees sizes its arrays by this.
-    assert (sizes <= 2 * max(1, len(data[1]) // spec.min_leaf) - 1).all()
+    assert (sizes <= 2 * max(1, len(data[1]) // grow["min_leaf"]) - 1).all()
 
 
-@given(data=datasets(), spec=SPECS, draw=st.data())
+@given(data=datasets(), grow=SETTINGS, draw=st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_batch_size_does_not_change_the_forest(data, spec, draw):
+def test_batch_size_does_not_change_the_forest(data, grow, draw):
     # From one tree per batch (also when a tree's rows exceed the budget)
     # to all trees in one batch, the batches grown in one to three processes.
-    budget = draw.draw(st.integers(1, spec.n_trees * len(data[1]) + 1), label="budget")
+    budget = draw.draw(st.integers(1, grow["n_trees"] * len(data[1]) + 1), label="budget")
     processes = draw.draw(st.integers(1, 3), label="processes")
     with mock.patch.object(forest, "_BATCH_ROWS", 1), _processes(1):
-        reference = forest.grow(*data, spec)
+        reference = forest.grow(*data, **grow)
     with mock.patch.object(forest, "_BATCH_ROWS", budget), _processes(processes):
-        batched = forest.grow(*data, spec)
+        batched = forest.grow(*data, **grow)
     assert batched.keys() == reference.keys()
     for key in batched:
         assert batched[key].dtype == reference[key].dtype, key
@@ -185,10 +186,9 @@ def test_batch_size_does_not_change_the_forest(data, spec, draw):
 def test_gains_holding_nan_cut_nothing():
     # Squares of 1e200 overflow, so every gain is inf - inf: no cut anywhere.
     data = _dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1e200, 0.0, 1e200])
-    spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=1, min_leaf=1, bootstrap=False)
+    grow = dict(n_trees=1, min_leaf=1, bootstrap=False)
     with np.errstate(over="ignore"):
-        _assert_growers_agree(spec, data.features, data.targets)
-        assert calibrate.fit(spec, data).params["feature"].tolist() == [-1]
+        assert _assert_growers_agree(grow, data.features, data.targets)["feature"].tolist() == [-1]
 
 
 @pytest.mark.parametrize("bootstrap", [False, True])
@@ -197,16 +197,15 @@ def test_more_than_256_distinct_values_match_the_reference(bootstrap):
     rng = np.random.default_rng(7)
     X = np.column_stack([rng.permutation(300) / 7.0 - 20.0, rng.integers(-3, 4, 300)])
     assert len(np.unique(X[:, 0])) > 256
-    spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=2, max_depth=3, min_leaf=1, bootstrap=bootstrap)
-    _assert_growers_agree(spec, X, rng.normal(0.0, 5.0, 300).round(1))
+    grow = dict(n_trees=2, max_depth=3, min_leaf=1, bootstrap=bootstrap)
+    _assert_growers_agree(grow, X, rng.normal(0.0, 5.0, 300).round(1))
 
 
 @pytest.mark.parametrize("mode", list(FeatureMode))
 def test_stock_forests_match_the_reference(mode):
     dataset = calibrate.assemble(campaign.run_campaign(campaign.CampaignConfig()), mode)
     train, _ = calibrate.split(dataset, seed=0)
-    spec = ModelSpec(ModelKind.RANDOM_FOREST, n_trees=5)
-    _assert_growers_agree(spec, train.features, train.targets)
+    _assert_growers_agree({"n_trees": 5}, train.features, train.targets)
 
 
 def test_stock_forest_is_the_same_in_one_two_and_three_processes():
@@ -215,7 +214,7 @@ def test_stock_forest_is_the_same_in_one_two_and_three_processes():
     log = campaign.run_campaign(campaign.CampaignConfig())
     train, _ = calibrate.split(calibrate.assemble(log, FeatureMode.ALL_TX), seed=0)
     spec = ModelSpec(ModelKind.RANDOM_FOREST)
-    assert forest._batch_plan(len(train), spec)[0] == 10
+    assert forest._batch_plan(len(train), 100, True, 0)[0] == 10  # grow's defaults
     with _processes(1):
         serial = calibrate.fit(spec, train).params
     for processes in (2, 3):
@@ -234,18 +233,18 @@ def test_stock_forests_grow_in_batches_that_fit_the_budget():
     # of its radix sort.
     assert 3 * forest._BATCH_ROWS < 2**16
     log = campaign.run_campaign(campaign.CampaignConfig())
-    spec = ModelSpec(ModelKind.RANDOM_FOREST)
+    n_trees = 100  # grow's default
     for mode in FeatureMode:
         train, _ = calibrate.split(calibrate.assemble(log, mode), seed=0)
-        n_batches, samples = forest._batch_plan(len(train), spec)
+        n_batches, samples = forest._batch_plan(len(train), n_trees, True, 0)
         batches = [batch.shape for batch in samples]
         per_batch = forest._BATCH_ROWS // len(train)
         expected = {
-            FeatureMode.ALL_TX: math.ceil(spec.n_trees / per_batch),
+            FeatureMode.ALL_TX: math.ceil(n_trees / per_batch),
             FeatureMode.MEDIAN_TX: 1,  # the whole forest at once
         }
         assert len(batches) == n_batches == expected[mode], mode
-        assert sum(trees for trees, _ in batches) == spec.n_trees
+        assert sum(trees for trees, _ in batches) == n_trees
         for trees, rows in batches:
             assert rows == len(train)
             assert trees * rows <= forest._BATCH_ROWS or trees == 1

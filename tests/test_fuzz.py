@@ -13,9 +13,11 @@ their bytes are fuzzed after decoding.
 
 import base64
 import contextlib
+import functools
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -54,10 +56,12 @@ def valid(tmp_path_factory):
     campaign.save_config(config, d / "config.json")
     campaign.write_measurements(d / "log.csv", campaign.run_campaign(config))
     log = campaign.read_measurements(d / "log.csv")
-    two_trees = calibrate.ModelSpec(calibrate.ModelKind.RANDOM_FOREST, n_trees=2, max_depth=3)
-    for spec in (calibrate.ModelSpec(calibrate.ModelKind.LINEAR), two_trees):
-        model = calibrate.train_and_score(spec, log, calibrate.FeatureMode.ALL_TX, 0)[0]
-        calibrate.save_model(model, d / f"{spec.kind.value}.json")
+    two_trees = functools.partial(forest.grow, n_trees=2, max_depth=3)
+    for kind in (calibrate.ModelKind.LINEAR, calibrate.ModelKind.RANDOM_FOREST):
+        spec = calibrate.ModelSpec(kind)
+        with mock.patch.object(forest, "grow", two_trees):
+            model = calibrate.train_and_score(spec, log, calibrate.FeatureMode.ALL_TX, 0)[0]
+        calibrate.save_model(model, d / f"{kind.value}.json")
     return d
 
 
