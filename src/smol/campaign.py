@@ -385,37 +385,68 @@ class _Echo:
 
 
 def _cell_texts(values: np.ndarray, show=repr) -> tuple[np.ndarray, np.ndarray]:
-    """The CSV text of each distinct value of a column, and each row's index into them.
+    """The CSV text of each run of equal cells in a column, and which rows start a run.
 
-    Each distinct value is formatted once. Numbers are written by ``show``,
-    by default ``repr`` as ``csv`` writes them, at full precision; their texts
-    never need quoting. Other values (scenario labels) are written by ``csv``
-    itself. Floats are told apart by their bits, so ``-0.0`` is not written
-    as ``0.0``.
+    A run starts at the first row and at each row whose cell differs from the
+    row before it. Distinct values are found among the runs' cells only, and
+    each is formatted once. Numbers are written by ``show``, by default
+    ``repr`` as ``csv`` writes them, at full precision; their texts never need
+    quoting. Other values (scenario labels) are written by ``csv`` itself.
+    Floats are compared by their bits, so ``-0.0`` is not written as ``0.0``.
     """
     keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
-    _, first, text_of_row = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = values[first].tolist()
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    runs = np.flatnonzero(starts)
+    _, first, text_of_run = np.unique(keys[runs], return_index=True, return_inverse=True)
+    distinct = values[runs[first]].tolist()
     if values.dtype.kind in "biuf":
         texts = list(map(show, distinct))
     else:
         line = csv.writer(_Echo()).writerow
         # Each value goes first in a two-cell row: csv quotes a row's lone empty cell.
         texts = [line((value, ""))[: -len(",\r\n")] for value in distinct]
-    return np.array(texts, dtype=object), text_of_row
+    # The inverse's shape differs between NumPy 1.x and 2.x.
+    return np.array(texts, dtype=object)[text_of_run.ravel()], starts
+
+
+def _row_pieces(cells: list[tuple[np.ndarray, np.ndarray]], starts: np.ndarray) -> np.ndarray:
+    """Each row's text of adjacent columns' ``_cell_texts``, joined by commas
+    once per run; ``starts`` marks the rows where any of them starts a run."""
+    if len(cells) == 1:
+        texts = cells[0][0]
+    else:
+        at = np.flatnonzero(starts)
+        parts = [texts[np.cumsum(runs)[at] - 1].tolist() for texts, runs in cells]
+        texts = np.array(list(map(",".join, zip(*parts))), dtype=object)
+    return texts if starts.all() else texts[np.cumsum(starts) - 1]
 
 
 def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence, **show) -> None:
     """Write the ``header`` line (names that need no quoting), then a row per
     cell of the equal-length ``columns``; ``show`` maps the header of a number
-    column to its formatter, by default ``repr``."""
+    column to its formatter, by default ``repr``.
+
+    Adjacent columns that together start a run (``_cell_texts``) on at most
+    half of the rows are joined once per run, so in a log a sweep's shared
+    cells become two pieces and each row joins four pieces, not eight.
+    """
     cells = [_cell_texts(np.asarray(column), show.get(name, repr))
              for name, column in zip(header, columns)]
+    rows = len(cells[0][1])
+    groups, starts = [], []
+    for cell in cells:
+        if groups and 2 * np.count_nonzero(joined := starts[-1] | cell[1]) <= rows:
+            groups[-1].append(cell)
+            starts[-1] = joined
+        else:
+            groups.append([cell])
+            starts.append(cell[1])
+    pieces = list(map(_row_pieces, groups, starts))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
-        for start in range(0, len(cells[0][1]), _ROWS_PER_CHUNK):
-            stop = start + _ROWS_PER_CHUNK
-            chunk = [texts[rows[start:stop]].tolist() for texts, rows in cells]
+        for start in range(0, rows, _ROWS_PER_CHUNK):
+            chunk = [texts[start:start + _ROWS_PER_CHUNK].tolist() for texts in pieces]
             handle.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
 
 

@@ -381,28 +381,86 @@ ROWS = st.tuples(
 )
 
 
+# Each column's hostile values, taken in turn; vwc_pred_pct is an extra column.
+HOSTILE_COLUMNS = {
+    "timestamp": [0.0, -0.0, 1e-320, 1e308, 0.1],
+    "device_id": [0, 1, 0xFFFF],
+    "tx_power": [TX_POWER_MIN_DBM, 13, TX_POWER_MAX_DBM],
+    "rssi": HOSTILE_FLOATS,
+    "height_cm": [-0.0, 0.0, 5e-324, 1e300],
+    "depth_cm": [15.0, 0.0, -0.0],
+    "scenario": HOSTILE_LABELS,
+    "vwc_truth": [0.0, -0.0, 0.1, math.nan, 1.0, 5e-324],
+    "vwc_pred_pct": [-0.0, math.inf, math.nan, 0.0, -math.inf, 2.5e-310],
+}
+
+
+def hostile_cells(rows: int, **runs: int) -> tuple[MeasurementLog, np.ndarray]:
+    """A log and its extra column of ``HOSTILE_COLUMNS``' values, each value
+    held for its column's run of rows (``runs``, by default 1)."""
+    cells = {
+        name: [values[i // runs.get(name, 1) % len(values)] for i in range(rows)]
+        for name, values in HOSTILE_COLUMNS.items()
+    }
+    extra = np.array(cells.pop("vwc_pred_pct"))
+    return MeasurementLog(**cells), extra
+
+
+# A sweep's shared cells, held over its packets, and each packet's own cells.
+# Zeros of both signs and NaN truths make runs that only bits tell apart.
+SHARED_FLOATS = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e300)
+SWEEPS = st.tuples(
+    st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 0xFFFF),
+    SHARED_FLOATS,
+    SHARED_FLOATS,
+    st.sampled_from(HOSTILE_LABELS),
+    st.sampled_from([0.0, -0.0, math.nan]) | st.floats(0.0, 1.0),
+    st.lists(
+        st.tuples(
+            st.integers(TX_POWER_MIN_DBM, TX_POWER_MAX_DBM),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+
+
 @pytest.mark.numpy_bits
 class TestCsvWriter:
     def test_hostile_cells_match_the_csv_module(self):
         n = campaign._ROWS_PER_CHUNK + 37  # across a chunk boundary
-
-        def cycle(values):
-            return [values[i % len(values)] for i in range(n)]
-
-        log = MeasurementLog(
-            timestamp=cycle([0.0, -0.0, 1e-320, 1e308, 0.1]),
-            device_id=cycle([0, 1, 0xFFFF]),
-            tx_power=cycle([TX_POWER_MIN_DBM, 13, TX_POWER_MAX_DBM]),
-            rssi=cycle(HOSTILE_FLOATS),
-            height_cm=cycle([-0.0, 0.0, 5e-324, 1e300]),
-            depth_cm=cycle([15.0, 0.0, -0.0]),
-            scenario=cycle(HOSTILE_LABELS),
-            vwc_truth=cycle([0.0, -0.0, 0.1, math.nan, 1.0, 5e-324]),
-        )
-        extra = np.array(cycle([-0.0, math.inf, math.nan, 0.0, -math.inf, 2.5e-310]))
+        log, extra = hostile_cells(n)
         written = written_log_bytes(log, vwc_pred_pct=extra)
         assert written == reference_log_bytes(log, vwc_pred_pct=extra)
         assert written.count(b"\r\n") > n
+
+    def test_hostile_cells_held_in_runs_match_the_csv_module(self):
+        # Timestamp and device change together, as height, depth and label
+        # do; the truth and the extra column change on rows of their own.
+        n = campaign._ROWS_PER_CHUNK + 37  # runs of 3, 5 and 6 cross the boundary
+        log, extra = hostile_cells(n, timestamp=6, device_id=6, rssi=2, height_cm=3,
+                                   depth_cm=3, scenario=6, vwc_truth=5, vwc_pred_pct=4)
+        with mock.patch.object(campaign, "_row_pieces", wraps=campaign._row_pieces) as pieces:
+            written = written_log_bytes(log, vwc_pred_pct=extra)
+        assert written == reference_log_bytes(log, vwc_pred_pct=extra)
+        # Columns join while they start a run on at most half of the rows.
+        assert [len(call.args[0]) for call in pieces.call_args_list] == [2, 1, 1, 4, 1]
+
+    @given(sweeps=st.lists(SWEEPS, max_size=6))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_the_csv_module_on_drawn_sweeps(self, sweeps):
+        rows = [(stamp, device, tx, rssi, height, depth, label, truth, extra)
+                for stamp, device, height, depth, label, truth, packets in sweeps
+                for tx, rssi, extra in packets]
+        *columns, extra = list(zip(*rows)) or [[]] * 9
+        log, extra = MeasurementLog(*columns), np.array(extra, dtype=float)
+        # Chunks of three rows: a sweep's run of rows crosses their boundaries.
+        with mock.patch.object(campaign, "_ROWS_PER_CHUNK", 3):
+            written = written_log_bytes(log, extra=extra)
+        assert written == reference_log_bytes(log, extra=extra)
 
     @given(rows=st.lists(ROWS, max_size=12))
     @settings(max_examples=100, deadline=None, derandomize=True)
