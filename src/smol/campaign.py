@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from decimal import Decimal
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -192,9 +193,11 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     Each cell is visited ``sweeps_per_cell`` times. Every visit has its own
     random streams (``sweep_seed_words``) and timestamp, so the log is a pure
     function of the config; a config whose timestamps round two sweeps to one
-    raises ValueError. One ``path_loss`` call gives every cell's loss. Per
-    sweep, ``_draws`` draws the probe's spots, the drops over the plan and the
-    noise over the delivered frames; the rest is array work over all sweeps.
+    raises ValueError. One ``path_loss`` call gives every cell's loss. One
+    ``_draws`` request draws every sweep's probe spots and drops over the plan,
+    from one generator per stream or, for many sweeps, from all streams at
+    once (``_pcg64_random``); another draws the noise over the delivered
+    frames, a generator per sweep. The rest is array work over all sweeps.
     ``wrap_high_power`` sends a frame that asks for 23 dBm at 5 dBm, as the
     hardware does. Frames arrive unaltered, so each is decoded once, for all
     of its deliveries.
@@ -219,17 +222,20 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
         raise ValueError(f"epoch {config.epoch!r} + i * sweep_interval_s "
                          f"{config.sweep_interval_s!r} stamps two sweeps alike")
     tdr_words, noise_words, drop_words = sweep_seed_words(config.seed, sweeps)
+    # The probe's spots and the drops over the plan are uniform draws, made in
+    # one request. A noiseless probe draws nothing, and random() is never
+    # below 0, so a drop probability of 0 keeps every frame without a draw.
+    spots = config.tdr_spots if config.training_mode and config.tdr_error_bound else 0
+    counts = np.repeat([spots, len(plan) if config.drop_prob else 0], sweeps)
+    drawn = counts > 0
+    uniform = _draws(np.concatenate([tdr_words, drop_words])[drawn], counts[drawn], "random")
+    probe, drops = uniform[:sweeps * spots], uniform[sweeps * spots:]
     truth = np.full(sweeps, math.nan)
     if config.training_mode:
-        draws = np.empty((sweeps, 0))  # a noiseless probe draws nothing
-        if config.tdr_error_bound:
-            draws = _draws(tdr_words, [config.tdr_spots] * sweeps, "random")
-        truth = read_vwc(vwc, config.tdr_error_bound, draws.reshape(sweeps, -1)) / 100.0
-    # random() is never below 0, so a drop probability of 0 keeps every frame.
+        truth = read_vwc(vwc, config.tdr_error_bound, probe.reshape(sweeps, spots)) / 100.0
     delivered = np.ones((sweeps, len(plan)), dtype=bool)
     if config.drop_prob:
-        draws = _draws(drop_words, [len(plan)] * sweeps, "random")
-        delivered = draws.reshape(delivered.shape) >= config.drop_prob
+        delivered = drops.reshape(delivered.shape) >= config.drop_prob
     sweep, level = np.nonzero(delivered)
     noise_db = 0.0
     if config.rssi_sigma_db:
@@ -312,15 +318,77 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _draws(words: np.ndarray, counts: Sequence[int], draw: str) -> np.ndarray:
+# PCG64 (O'Neill 2014, XSL-RR 128/64, as numpy/random/src/pcg64) for many
+# streams at once: each row's 128-bit LCG state and increment are (high, low)
+# pairs of uint64 words. NumPy has no 64 x 64 -> 128-bit product, so the high
+# word of low x multiplier is built from 32-bit limbs. Every constant is an
+# np.uint64: NumPy 1.x would cast the arrays by the value of a Python int.
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HIGH, _MULT_LOW = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+_LIMB_0, _LIMB_1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW_HALF = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63 = map(np.uint64, (1, 11, 32, 58, 63))
+
+
+def _pcg_step(high, low, inc_high, inc_low) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's state times the multiplier plus its increment, modulo 2**128."""
+    low_0, low_1 = low & _LOW_HALF, low >> _U32
+    part = low_1 * _LIMB_0 + (low_0 * _LIMB_0 >> _U32)
+    mid = low_0 * _LIMB_1 + (part & _LOW_HALF)
+    carried = low_1 * _LIMB_1 + (part >> _U32) + (mid >> _U32)  # of low * _MULT_LOW
+    next_low = low * _MULT_LOW + inc_low
+    next_high = carried + low * _MULT_HIGH + high * _MULT_LOW + inc_high
+    return next_high + (next_low < inc_low), next_low
+
+
+def _pcg_seed(words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """PCG64's (state high, state low, inc high, inc low) seeded from each row
+    of ``generate_state(4, np.uint64)`` words: inc = (w2:w3 << 1) | 1 and
+    state 0; a step; w0:w1 added; a step. The first step leaves inc."""
+    inc_high = words[:, 2] << _U1 | words[:, 3] >> _U63
+    inc_low = words[:, 3] << _U1 | _U1
+    low = inc_low + words[:, 1]
+    high = inc_high + words[:, 0] + (low < inc_low)
+    return *_pcg_step(high, low, inc_high, inc_low), inc_high, inc_low
+
+
+def _pcg64_random(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` values of ``Generator(PCG64(...)).random()`` for
+    the stream that each row of ``words`` seeds, as a (rows, count) array."""
+    # Allocated first, so that a size beyond memory fails before any step.
+    out = np.empty((len(words), count))
+    high, low, inc_high, inc_low = _pcg_seed(words)
+    for draw in range(count):
+        high, low = _pcg_step(high, low, inc_high, inc_low)
+        # XSL-RR: the xor of the halves, rotated right by the top six bits.
+        folded, turn = high ^ low, high >> _U58
+        out[:, draw] = (folded >> turn | folded << (-turn & _U63)) >> _U11
+    # random() keeps the top 53 bits.
+    out *= 2.0**-53
+    return out
+
+
+def _draws(words: np.ndarray, counts: np.ndarray, draw: str) -> np.ndarray:
     """Row i of ``words`` seeds one PCG64 stream, as SeedSequence would seed
     it, whose first ``counts[i]`` values of ``draw`` (``"random"`` or
     ``"standard_normal"``) fill the next slice of the returned buffer."""
-    ends = np.cumsum(counts).tolist()
+    most = int(counts.max(initial=0))
+    # One Generator costs about 1.2 us a row; a _pcg64_random step about 11 us
+    # however many rows it takes, and a stream steps about twice to seed and
+    # once a draw. They break even at 100-200 rows for 10-18 draws, so the
+    # kernel takes a request of at least 10 rows per step. standard_normal
+    # always takes Generators: Python cannot reach the ziggurat tables that
+    # NumPy draws it with.
+    if draw == "random" and len(words) >= 10 * (most + 2):
+        table = _pcg64_random(words, most)
+        return table[np.arange(most) < counts[:, None]]  # row by row, its first counts[i]
+    # Python ints: the probe's and the drops' draws together may pass int64.
+    ends = [0, *accumulate(counts.tolist())]
     out = np.empty(ends[-1])
-    for row, start, end in zip(words, [0, *ends], ends):
-        stream = np.random.Generator(np.random.PCG64(_StateWords(row)))
-        getattr(stream, draw)(out=out[start:end])
+    generator, pcg64 = np.random.Generator, np.random.PCG64  # looked up once, not per row
+    for row, start, end in zip(words, ends, ends[1:]):
+        getattr(generator(pcg64(_StateWords(row))), draw)(out=out[start:end])
     return out
 
 
@@ -398,8 +466,9 @@ def _cell_texts(values: np.ndarray, show=repr) -> tuple[np.ndarray, np.ndarray]:
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = keys[1:] != keys[:-1]
     runs = np.flatnonzero(starts)
-    _, first, text_of_run = np.unique(keys[runs], return_index=True, return_inverse=True)
-    distinct = values[runs[first]].tolist()
+    distinct, text_of_run = np.unique(keys[runs], return_inverse=True)
+    # A float key viewed back is its value, -0.0 and NaN bits kept.
+    distinct = distinct.view(values.dtype).tolist()
     if values.dtype.kind in "biuf":
         texts = list(map(show, distinct))
     else:

@@ -27,6 +27,7 @@ from smol.campaign import (
     write_measurements,
 )
 from smol.sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog
+from test_golden import _large_config
 
 TEN_STEP_GRID = tuple(round(0.04 * i, 2) for i in range(1, 11))
 
@@ -702,27 +703,40 @@ class TestConfigFile:
 
 @pytest.mark.numpy_bits
 class TestSweepStreams:
-    # One PCG64 stream per sweep for each of the probe, the drops and the
-    # noise; none for a noiseless probe, a drop probability of 0 or sigma 0.
-    @pytest.mark.parametrize("config, streams", [
-        (CampaignConfig(), 72 * 2),
-        (CampaignConfig().without_noise(), 0),
-        (CampaignConfig(drop_prob=0.1), 72 * 3),
-        (CampaignConfig(training_mode=False), 72),
-        (CampaignConfig(tdr_error_bound=0.0), 72),
-        (CampaignConfig(rssi_sigma_db=0.0), 72),
-    ], ids=["stock", "no-noise", "drops", "inference", "noiseless-probe", "sigma-0"])
-    def test_streams_per_campaign(self, monkeypatch, config, streams):
+    # One stream (a row of seed words handed to _draws) per sweep for each of
+    # the probe, the drops and the noise; none for a noiseless probe, a drop
+    # probability of 0 or sigma 0. Each stream is a Generator or a row of the
+    # PCG64 kernel, which takes the probe and drop streams of a large campaign.
+    @pytest.mark.parametrize("config, streams, kernel_rows", [
+        (CampaignConfig(), 72 * 2, 0),
+        (CampaignConfig().without_noise(), 0, 0),
+        (CampaignConfig(drop_prob=0.1), 72 * 3, 0),
+        (CampaignConfig(training_mode=False), 72, 0),
+        (CampaignConfig(tdr_error_bound=0.0), 72, 0),
+        (CampaignConfig(rssi_sigma_db=0.0), 72, 0),
+        (_large_config(), 1728 * 3, 1728 * 2),
+    ], ids=["stock", "no-noise", "drops", "inference", "noiseless-probe", "sigma-0", "large"])
+    def test_streams_per_campaign(self, monkeypatch, config, streams, kernel_rows):
+        rows = {"streams": 0, "kernel": 0}
         built = []
-        real = np.random.PCG64
+        real_pcg64 = np.random.PCG64
 
-        def counted(*args):
+        def rows_of(name, fn):
+            def counted(words, *args):
+                rows[name] += len(words)
+                return fn(words, *args)
+            return counted
+
+        def counted_pcg64(*args):
             built.append(args)
-            return real(*args)
+            return real_pcg64(*args)
 
-        monkeypatch.setattr(np.random, "PCG64", counted)
+        monkeypatch.setattr(campaign, "_draws", rows_of("streams", campaign._draws))
+        monkeypatch.setattr(campaign, "_pcg64_random", rows_of("kernel", campaign._pcg64_random))
+        monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
         assert len(run_campaign(config)) > 0
-        assert len(built) == streams
+        assert rows == {"streams": streams, "kernel": kernel_rows}
+        assert len(built) == streams - kernel_rows
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70, 2**128 + 5])
     def test_seed_words_match_numpy(self, seed):
@@ -732,3 +746,60 @@ class TestSweepStreams:
             expected = [sequence, *sequence.spawn(2)]
             for words, stream in zip((parent, noise, drop), expected):
                 assert np.array_equal(words[sweep], stream.generate_state(4, np.uint64))
+
+
+def _word_rows() -> np.ndarray:
+    """Seed-word rows over the whole uint64 range, the all-zero and all-ones
+    rows, and rows whose w[3] has its top bit set, which inc's shift carries
+    into its high word."""
+    drawn = np.random.default_rng(34).integers(0, 2**64, size=(2000, 4), dtype=np.uint64)
+    carried = drawn[:100] | np.array([0, 0, 0, 2**63], dtype=np.uint64)
+    extremes = np.array([[0] * 4, [2**64 - 1] * 4], dtype=np.uint64)
+    return np.concatenate([drawn, extremes, carried])
+
+
+def _generator(row: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(campaign._StateWords(row)))
+
+
+@pytest.mark.numpy_bits
+class TestPcg64Kernel:
+    def test_seeding_matches_pcg64_state(self):
+        words = _word_rows()
+        seeded = zip(*(part.tolist() for part in campaign._pcg_seed(words)))
+        for row, (high, low, inc_high, inc_low) in zip(words, seeded):
+            state = np.random.PCG64(campaign._StateWords(row)).state["state"]
+            assert state == {"state": high << 64 | low, "inc": inc_high << 64 | inc_low}
+
+    @pytest.mark.parametrize("count", [1, 10, 18, 37])
+    def test_matches_generator_random(self, count):
+        words = _word_rows()
+        expected = np.array([_generator(row).random(count) for row in words])
+        drawn = campaign._pcg64_random(words, count)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    # Counts 0-10 per row: the kernel takes 10 * (10 + 2) = 120 rows or more.
+    @pytest.mark.parametrize("rows, draw, kernel", [
+        (119, "random", False),
+        (120, "random", True),
+        (400, "standard_normal", False),
+    ])
+    def test_draws_equal_one_generator_per_row(self, monkeypatch, rows, draw, kernel):
+        words, counts = _word_rows()[:rows], np.arange(rows) % 11
+        expected = np.concatenate([getattr(_generator(row), draw)(count)
+                                   for row, count in zip(words, counts)])
+        calls = []
+        real = campaign._pcg64_random
+        monkeypatch.setattr(campaign, "_pcg64_random",
+                            lambda *args: calls.append(args) or real(*args))
+        drawn = campaign._draws(words, counts, draw)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+        assert len(calls) == kernel
+
+    def test_a_count_beyond_memory_fails_before_a_step(self, monkeypatch):
+        def step(*args):
+            raise AssertionError("stepped before allocating")
+
+        monkeypatch.setattr(campaign, "_pcg_step", step)
+        with pytest.raises(MemoryError):
+            campaign._pcg64_random(_word_rows()[:2], 10**15)

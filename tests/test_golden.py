@@ -61,7 +61,10 @@ streams at once must write the same bytes. The gains case was computed
 with the simulator whose ``LinkGeometry`` carried the antenna gains; its
 gains, 0.1 and 0.2 dB, do not add exactly, so it pins the budget's
 addition order, ``(tx + tx_gain) + rx_gain``, which the wrap case's exact
-gains cannot.
+gains cannot. The large case was computed with one ``Generator`` per
+stream; its 1,728 sweeps are enough for its probe and drop streams to come
+from the uint64 PCG64 kernel (``campaign._pcg64_random``), which must
+write the same bytes.
 
 The predictions file and curve file hashes were computed with the
 hand-kept CSV column tuple and positional cell parsers that the log's
