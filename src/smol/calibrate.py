@@ -22,7 +22,7 @@ from . import forest
 from .sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 7
+MODEL_FILE_VERSION = 8
 
 # The share of a dataset's rows that a model is fit on; the rest score it.
 TRAIN_FRACTION = 0.8
@@ -400,9 +400,15 @@ def _require_keys(obj, keys: Sequence[str], where: str) -> None:
 
 
 def _read_json(path: str | Path):
-    """The JSON document at ``path``; malformed or too deeply nested JSON raises ValueError."""
+    """The JSON document at ``path``, UTF-8 text; another encoding, malformed
+    or too deeply nested JSON raises ValueError. The bytes are decoded once,
+    with no newline pass: JSON reads a CR LF line end as white space either way."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+    try:
+        return json.loads(text)
     except (ValueError, RecursionError) as err:
         raise ValueError(f"{path}: not readable as JSON ({err})") from None
 

@@ -154,15 +154,21 @@ class CampaignConfig:
             raise ValueError(f"carrier frequency must be positive, got {self.frequency_hz}")
         # The plan's first packet checks the device id, without encoding a frame.
         SweepPacket(self.device_id, 0, PowerPlan(self.power_levels).levels[0])
-        # NumPy counts in int64, so larger counts wrap. A plan has a level,
-        # so the sweeps are never more than the planned packets.
+        # NumPy sizes an array in int64 bytes. run_campaign's largest hold
+        # 8 bytes a planned packet, and 8 bytes a uniform draw: _draws takes
+        # every sweep's probe and drop streams, whatever tdr_error_bound and
+        # drop_prob, into at most a table of rows as long as the longer
+        # request (the kernel's). That request names its field.
         sweeps = len(self.scenarios) * len(self.vwc_grid) * self.sweeps_per_cell
-        for name, count, what in (
-            ("sweeps_per_cell", sweeps * len(self.power_levels), "planned packets"),
-            ("tdr_spots", sweeps * self.tdr_spots, "probe draws"),
+        levels = len(self.power_levels)
+        longest = max(self.tdr_spots, levels)
+        for name, size, what in (
+            ("sweeps_per_cell", 8 * sweeps * levels, "planned packets"),
+            ("tdr_spots" if self.tdr_spots > levels else "sweeps_per_cell",
+             8 * 2 * sweeps * longest, "uniform draws"),
         ):
-            if count >= 2**63:
-                raise ValueError(f"{name} {getattr(self, name)} makes {count} {what}, "
+            if size >= 2**63:
+                raise ValueError(f"{name} {getattr(self, name)} makes {size} bytes of {what}, "
                                  "not below 2**63")
 
     def soil_state(self, vwc: float | np.ndarray) -> SoilState:

@@ -2,7 +2,8 @@
 
 Trees grow by an exact split search over runs of equal feature values in a
 fixed summation order (``_grow_trees``), bit-reproducible under a seed, in
-batches that forked processes share (``grow``).
+batches that forked processes share (``grow``). Rows descend in parts that
+threads share (``_forest_outputs``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import base64
 import os
 import pickle
 import signal
+import threading
 from contextlib import suppress
 from itertools import islice
 from typing import BinaryIO, Callable, Iterator
@@ -26,8 +28,9 @@ _BATCH_ROWS = 10_400
 # row temporaries stay cache-sized; from 6,400 to 51,200 pairs time the same.
 _DESCENT_PAIRS = 25_600
 
-# A forest's arrays in a model file, as base64 of these little-endian bytes.
-DTYPES = dict(feature=np.dtype("<i4"), tree_sizes=np.dtype("<i4"), value=np.dtype("<f8"))
+# A forest's arrays in a model file, as base64 of these little-endian bytes:
+# a feature index takes one byte.
+DTYPES = dict(feature=np.dtype("<i1"), tree_sizes=np.dtype("<i4"), value=np.dtype("<f8"))
 
 
 def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -245,6 +248,35 @@ def _descent_tables(forest: dict[str, np.ndarray]) -> tuple[np.ndarray, int]:
     return left, depth
 
 
+def _descend(
+    forest: dict[str, np.ndarray], descent: tuple[np.ndarray, int], x: np.ndarray,
+    row_start: np.ndarray, out: np.ndarray,
+) -> None:
+    """Write every tree's prediction for the rows that start at ``row_start``
+    in ``x`` into ``out``, in blocks of ``_DESCENT_PAIRS // trees`` rows (at
+    least one), as ``_forest_outputs`` describes."""
+    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
+    left, depth = descent
+    roots = np.cumsum(sizes) - sizes
+
+    def leaves(starts: np.ndarray) -> np.ndarray:
+        """The leaf of each (row, tree) pair; its temporaries die with it."""
+        node = np.tile(roots, (len(starts), 1))
+        for _ in range(depth):
+            cell = feature.take(node)
+            cell += starts
+            cell = x.take(cell)  # the values there: the indices die before the next gather
+            moved = cell > value.take(node)
+            node = left.take(node)
+            node += moved
+        return node
+
+    per_block = max(1, _DESCENT_PAIRS // len(sizes))
+    for first in range(0, len(out), per_block):
+        block = slice(first, first + per_block)
+        value.take(leaves(row_start[block]), out=out[block])
+
+
 def _forest_outputs(
     forest: dict[str, np.ndarray], X: np.ndarray, descent: tuple[np.ndarray, int] | None = None
 ) -> np.ndarray:
@@ -264,35 +296,54 @@ def _forest_outputs(
     many steps as the forest is deep, then writes its leaves' values into
     the output. A step adds ``x[feature] > value`` to the node's left
     child. Each row is laid out after a -inf cell, which a leaf's feature
-    -1 reads, and a leaf is its own left child, so a leaf stays put. A
-    pair's path depends on its row and tree alone, so the block size never
-    changes a bit. ``x > t`` is "not ``x <= t``" only where ``x`` is not
-    NaN, so the rows must hold no NaN.
+    -1 reads, and a leaf is its own left child, so a leaf stays put. ``x >
+    t`` is "not ``x <= t``" only where ``x`` is not NaN, so the rows must
+    hold no NaN.
+
+    The rows split into contiguous parts, one per CPU (``_process_count``)
+    but at least one whole block each. The caller descends the first part
+    and a thread each other one, or the caller all that no thread could be
+    started for; NumPy's ``take`` and comparisons let go of the GIL. A
+    pair's path depends on its row and tree alone, so neither the block
+    size nor the part count changes a bit. A step only gathers, compares
+    and adds integers, none of which warns, so no ``np.errstate`` needs to
+    reach a thread. What a part raises is raised here once every thread has
+    joined: none outlives the call.
     """
-    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
-    left, depth = _descent_tables(forest) if descent is None else descent
-    roots = np.cumsum(sizes) - sizes
+    descent = _descent_tables(forest) if descent is None else descent
     padded = np.full((len(X), X.shape[1] + 1), -np.inf)
     padded[:, 1:] = X
     x = padded.ravel()
     row_start = padded.shape[1] * np.arange(len(X))[:, None] + 1
+    out = np.empty((len(X), len(forest["tree_sizes"])))
+    per_block = max(1, _DESCENT_PAIRS // out.shape[1])
+    n_parts = max(1, min(_process_count(), len(X) // per_block))
+    ends = [len(X) * k // n_parts for k in range(n_parts + 1)]
+    parts = [(forest, descent, x, row_start[a:b], out[a:b]) for a, b in zip(ends, ends[1:])]
+    errors: list[BaseException] = []
 
-    def leaves(starts: np.ndarray) -> np.ndarray:
-        """The leaf of each (row, tree) pair; its temporaries die with it."""
-        node = np.tile(roots, (len(starts), 1))
-        for _ in range(depth):
-            cell = feature.take(node)
-            cell += starts
-            moved = x.take(cell) > value.take(node)
-            node = left.take(node)
-            node += moved
-        return node
+    def descend(part: tuple) -> None:
+        try:
+            _descend(*part)
+        except BaseException as err:  # for the caller to raise
+            errors.append(err)
 
-    out = np.empty((len(X), len(sizes)))
-    per_block = max(1, _DESCENT_PAIRS // len(sizes))
-    for first in range(0, len(X), per_block):
-        block = slice(first, first + per_block)
-        value.take(leaves(row_start[block]), out=out[block])
+    threads: list[threading.Thread] = []
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=descend, args=(part,))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread left: the caller descends the rest
+                break
+            threads.append(thread)
+        for part in (parts[0], *parts[1 + len(threads):]):
+            _descend(*part)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -325,8 +376,9 @@ def _batch_plan(n: int, n_trees: int, bootstrap: bool, seed: int) -> tuple[int, 
 
 
 def _process_count() -> int:
-    """How many processes a forest fit grows its batches in: one per CPU this
-    process may run on, or one where ``os.fork`` does not exist."""
+    """How many parts a forest fit grows its batches in (processes) and a
+    descent steps its rows in (threads): one per CPU this process may run
+    on, or one where ``os.fork`` does not exist."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -429,11 +481,16 @@ def predict(forest: dict[str, np.ndarray], X: np.ndarray, descent=None) -> np.nd
 
 
 def encode(forest: dict[str, np.ndarray]) -> dict[str, str]:
-    """The forest's arrays as base64 strings of their ``DTYPES`` bytes."""
-    return {
-        key: base64.b64encode(forest[key].astype(dtype).tobytes()).decode("ascii")
-        for key, dtype in DTYPES.items()
-    }
+    """The forest's arrays as base64 strings of their ``DTYPES`` bytes. An
+    integer that its type cannot hold, such as a feature index past 127,
+    raises ValueError."""
+    encoded = {}
+    for key, dtype in DTYPES.items():
+        data = forest[key].astype(dtype)
+        if dtype.kind == "i" and not np.array_equal(data, forest[key]):
+            raise ValueError(f"{key} holds a value that {dtype.itemsize}-byte integers cannot")
+        encoded[key] = base64.b64encode(data.tobytes()).decode("ascii")
+    return encoded
 
 
 def decode(params: dict, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]:
@@ -449,7 +506,10 @@ def decode(params: dict, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]
             raise ValueError(f"{key} is not a base64 string ({err})") from None
         if len(raw) % dtype.itemsize:
             raise ValueError(f"{key}: {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
-        forest[key] = np.frombuffer(raw, dtype).astype(np.intp if dtype.kind == "i" else float)
+        # Integers widen to intp. A little-endian host's float64 needs no
+        # copy: the array stays a read-only view of the decoded bytes.
+        wide = np.intp if dtype.kind == "i" else float
+        forest[key] = np.frombuffer(raw, dtype).astype(wide, copy=False)
     feature, sizes, value = forest["feature"], forest["tree_sizes"], forest["value"]
     n = len(value)
     if len(feature) != n:

@@ -5,6 +5,8 @@ import os
 import pickle
 import re
 import signal
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -419,10 +421,13 @@ class TestForest:
         assert preds.tobytes() == reference.mean(axis=1).tobytes()
         # Descent blocks of one row; of all rows but one, so the last block
         # is short (a budget one pair short of the rows also checks the
-        # floor division); of more rows than any input.
+        # floor division); of more rows than any input. Each in parts for
+        # 1, 2, 3 and 8 CPUs, as many as there are whole blocks.
         for pairs in (1, len(model.params["tree_sizes"]) * len(X) - 1, 10**9):
-            with mock.patch.object(forest, "_DESCENT_PAIRS", pairs):
-                assert forest._forest_outputs(model.params, X).tobytes() == reference.tobytes(), pairs
+            for cpus in (1, 2, 3, 8):
+                with mock.patch.object(forest, "_DESCENT_PAIRS", pairs), _processes(cpus):
+                    outputs = forest._forest_outputs(model.params, X)
+                assert outputs.tobytes() == reference.tobytes(), (pairs, cpus)
 
     @pytest.mark.numpy_bits
     def test_stock_forest_descends_an_inference_log_as_the_reference_does(self):
@@ -461,20 +466,91 @@ class TestForest:
         reference = _reference_forest_outputs(trees, X)
         assert forest._forest_outputs(trees, X).tobytes() == reference.tobytes()
 
-    def test_descent_working_set_does_not_grow_with_the_rows(self):
-        # 101 x 18 distinct rows. Past the first 256 rows (one block of the
-        # 100 stock trees), the peak may only grow by the output's extra rows
-        # and one block's worth of pairs.
+    @staticmethod
+    def _descent_peaks(cpus: int) -> tuple[int, int, int]:
+        """The tracemalloc peaks of descending ``cpus`` blocks (256 rows of
+        the 100 stock trees each) and 101 x 18 distinct rows on ``cpus``
+        CPUs, and the bytes of the output's extra rows."""
         params = _stock_all_tx_forest().params
         n_trees = len(params["tree_sizes"])
         rssi, tx = np.meshgrid(np.arange(-140.0, -39.0), np.arange(5.0, 23.0), indexing="ij")
         X = np.column_stack([rssi.ravel(), tx.ravel()])
         assert len(X) == 1818
-        forest._forest_outputs(params, X[:1])  # warm up outside the measurement
-        first = _peak_bytes(lambda: forest._forest_outputs(params, X[:256]))
-        every = _peak_bytes(lambda: forest._forest_outputs(params, X))
-        extra_output, one_block = (len(X) - 256) * n_trees * 8, 256 * n_trees * 8
+        first_rows = cpus * 256
+        with _processes(cpus):
+            forest._forest_outputs(params, X[:first_rows])  # warm up outside the measurement
+            first = _peak_bytes(lambda: forest._forest_outputs(params, X[:first_rows]))
+            every = _peak_bytes(lambda: forest._forest_outputs(params, X))
+        return first, every, (len(X) - first_rows) * n_trees * 8
+
+    def test_descent_working_set_does_not_grow_with_the_rows(self):
+        # Past the first 256 rows (one block), the peak may only grow by the
+        # output's extra rows and one block's worth of pairs.
+        first, every, extra_output = self._descent_peaks(1)
+        one_block = 256 * 100 * 8
         assert every - first <= extra_output + one_block
+
+    def test_descent_working_set_grows_by_a_block_per_part(self):
+        # Two parts, each descending one block at a time: past the first two
+        # blocks, the peak may only grow by the output's extra rows and one
+        # block's worth of pairs per part.
+        first, every, extra_output = self._descent_peaks(2)
+        one_block = 256 * 100 * 8
+        assert every - first <= extra_output + 2 * one_block
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_an_error_in_a_thread_is_raised_after_every_thread_joined(self, error):
+        # Three parts of the stock forest's three blocks; the second part's
+        # descent raises. The third part still finishes, and no thread is left.
+        params = _stock_all_tx_forest().params
+        X = np.column_stack([np.linspace(-120.0, -40.0, 3 * 256), np.full(3 * 256, 13.0)])
+        descend, finished = forest._descend, []
+
+        def fail_in_the_second_part(forest_, descent, x, row_start, out):
+            if row_start[0, 0] == 3 * 256 + 1:  # the second part's first row
+                raise error("the second part")
+            descend(forest_, descent, x, row_start, out)
+            finished.append(row_start[0, 0])
+
+        before = threading.active_count()
+        with _processes(3), mock.patch.object(forest, "_descend", fail_in_the_second_part):
+            with pytest.raises(error, match="the second part"):
+                forest.predict(params, X)
+        assert threading.active_count() == before
+        assert sorted(finished) == [1, 2 * 3 * 256 + 1]
+
+    def test_parts_give_the_serial_bits_under_a_short_switch_interval(self):
+        # More threads than CPUs, handing the GIL over every few microseconds:
+        # each part writes only its own rows of the output.
+        params = _stock_all_tx_forest().params
+        X = np.column_stack([np.linspace(-120.0, -40.0, 2048), np.tile([5.0, 13.0], 1024)])
+        with _processes(1):
+            serial = forest._forest_outputs(params, X)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _processes(8):
+                for _ in range(3):
+                    assert forest._forest_outputs(params, X).tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_part_no_thread_can_take_is_descended_by_the_caller(self):
+        params = _stock_all_tx_forest().params
+        X = np.column_stack([np.linspace(-120.0, -40.0, 1000), np.full(1000, 13.0)])
+        with _processes(1):
+            serial = forest._forest_outputs(params, X)
+        start, started = threading.Thread.start, []
+
+        def start_one(thread):  # the second thread cannot be started
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        with _processes(3), mock.patch.object(threading.Thread, "start", start_one):
+            assert forest._forest_outputs(params, X).tobytes() == serial.tobytes()
+        assert len(started) == 1 and not started[0].is_alive()
 
     def test_single_full_tree_memorizes(self):
         rng = np.random.default_rng(7)
@@ -831,11 +907,22 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 7 and payload["spec"] == {"kind": "random_forest"}
-        for key, dtype in (("feature", "<i4"), ("tree_sizes", "<i4"), ("value", "<f8")):
+        assert payload["version"] == 8 and payload["spec"] == {"kind": "random_forest"}
+        for key, dtype in (("feature", "<i1"), ("tree_sizes", "<i4"), ("value", "<f8")):
             raw = base64.b64decode(payload["params"].pop(key), validate=True)
             assert np.array_equal(np.frombuffer(raw, dtype), model.params[key]), key
         assert payload["params"] == {}
+
+    def test_a_feature_index_one_byte_cannot_hold_is_not_written(self, tmp_path):
+        X = np.random.default_rng(13).uniform(-80, -20, (40, 2))
+        model = _forest(X, X[:, 0], n_trees=3)
+        model.params["feature"][model.params["feature"] >= 0] = 128
+        refusal = "^feature holds a value that 1-byte integers cannot$"
+        with pytest.raises(ValueError, match=refusal):
+            save_model(model, tmp_path / "model.json")
+        model.params["feature"][model.params["feature"] >= 0] = 127  # the largest that fits
+        raw = base64.b64decode(forest.encode(model.params)["feature"])
+        assert np.array_equal(np.frombuffer(raw, "<i1"), model.params["feature"])
 
     @pytest.mark.numpy_bits
     @pytest.mark.parametrize("mode", list(FeatureMode))
@@ -871,7 +958,7 @@ class TestPersistence:
 
     def test_a_model_file_holds_no_feature_names(self, tmp_path):
         payload = self._linear_payload(tmp_path)
-        assert payload["version"] == 7 and "feature_names" not in payload
+        assert payload["version"] == 8 and "feature_names" not in payload
         payload["feature_names"] = ["rssi_dbm", "tx_power_dbm"]
         refusal = r": model file: unexpected key\(s\) 'feature_names'$"
         with pytest.raises(ValueError, match=refusal):
@@ -884,7 +971,7 @@ class TestPersistence:
         payload["spec"].update(poly_degree=2, ridge_lambda=1.0, n_trees=100, max_depth=10)
         payload["spec"].update(min_leaf=2, bootstrap=True, seed=0)
         with pytest.raises(ValueError, match=r": model file version 6 is not supported "
-                           r"\(this smol reads version 7\); retrain with `smol train`$"):
+                           r"\(this smol reads version 8\); retrain with `smol train`$"):
             self._load(payload, tmp_path)
 
     @pytest.mark.parametrize("case", sorted(BAD_BETAS))
@@ -920,24 +1007,26 @@ class TestPersistence:
 
     def test_load_keeps_its_tracemalloc_peak(self, tmp_path):
         # The peak holds the file's text and its decoded JSON, base64
-        # strings and all: 3,161,364 B on the stock all-TX file before the
-        # descent began to keep the load's child table (CPython 3.11, NumPy
-        # 2.4). The slack is well under one more node-count table (54,374
-        # nodes, 435 KB), so none is built while the strings are alive.
+        # strings and all: 2,507,703 B on the stock all-TX file of model
+        # file version 8, whose `value` stays a view of its decoded bytes
+        # (CPython 3.11, NumPy 2.4); 3,161,364 B at version 7, with a copy.
+        # The slack is well under one more node-count table (54,374 nodes,
+        # 435 KB), so none is built while the strings are alive.
         path = tmp_path / "model.json"
         save_model(_stock_all_tx_forest(), path)
         load_model(path)  # warm up outside the measurement
-        assert _peak_bytes(lambda: load_model(path)) <= 3_161_364 + 64 * 1024
+        assert _peak_bytes(lambda: load_model(path)) <= 2_507_703 + 64 * 1024
 
     def test_save_keeps_its_tracemalloc_peak(self, tmp_path):
         # Streamed through json.dump, the peak holds the base64 strings and
-        # the encoder's chunks, not the file's text: 2,041,372 B on the
-        # stock all-TX file (CPython 3.11, NumPy 2.4), against 3,489,760 B
-        # when json.dumps built the text and write_text copied it twice.
-        # The slack is well under one more copy of the 870,893-B file.
+        # the encoder's chunks, not the file's text: 1,823,971 B on the
+        # stock all-TX file of model file version 8 (CPython 3.11, NumPy
+        # 2.4); 2,041,372 B at version 7, and 3,489,760 B when json.dumps
+        # built the text and write_text copied it twice. The slack is well
+        # under one more copy of the 653,250-B file.
         model, path = _stock_all_tx_forest(), tmp_path / "model.json"
         save_model(model, path)  # warm up outside the measurement
-        assert _peak_bytes(lambda: save_model(model, path)) <= 2_041_372 + 64 * 1024
+        assert _peak_bytes(lambda: save_model(model, path)) <= 1_823_971 + 64 * 1024
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -620,9 +620,9 @@ def _root_leaf_and_last_leaf_split(feature, forest):
     feature[0], feature[last] = -1, 0
 
 
-def _two_byte_feature(payload):
-    raw = base64.b64decode(payload["params"]["feature"])
-    payload["params"]["feature"] = base64.b64encode(raw[:-2]).decode("ascii")
+def _two_bytes_short_tree_sizes(payload):
+    raw = base64.b64decode(payload["params"]["tree_sizes"])
+    payload["params"]["tree_sizes"] = base64.b64encode(raw[:-2]).decode("ascii")
 
 
 def _one_feature(payload):
@@ -657,6 +657,13 @@ def _version_6_forest(payload):
     payload["version"] = 6
 
 
+def _version_7_forest(payload):
+    """Store the forest's feature indices as <i4, as version 7 did."""
+    feature = np.frombuffer(base64.b64decode(payload["params"]["feature"]), "<i1")
+    payload["params"]["feature"] = base64.b64encode(feature.astype("<i4").tobytes()).decode()
+    payload["version"] = 7
+
+
 def _median_tx_without_median(payload):
     _one_feature(payload)
     payload.update(feature_mode="median_tx", median_tx_power=None)
@@ -674,6 +681,7 @@ BAD_MODELS = {
     "version 4": ("polynomial", _version_4_polynomial),
     "version 5": ("linear", _version_5_linear),
     "version 6": ("random_forest", _version_6_forest),
+    "version 7": ("random_forest", _version_7_forest),
     "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
     "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
     "missing spec key": ("random_forest", lambda p: p["spec"].pop("kind")),
@@ -689,7 +697,7 @@ BAD_MODELS = {
     "forest array not base64": (  # a decoder that skips foreign characters would pass it
         "random_forest", lambda p: p["params"].update(feature="*" + p["params"]["feature"])
     ),
-    "forest array of part items": ("random_forest", _two_byte_feature),
+    "forest array of part items": ("random_forest", _two_bytes_short_tree_sizes),
     "too few trees": ("random_forest", _edit_array("tree_sizes", lambda s, f: s.pop())),
     "tree sizes not summing to the node count": (
         "random_forest", _edit_array("tree_sizes", lambda s, f: s.__setitem__(0, s[0] + 1))
@@ -725,8 +733,10 @@ MODEL_ERRORS = {
     "polynomial beta too long": "beta has 7 coefficient(s), want 6",
     "polynomial with stored exponents": "params: unexpected key(s) 'powers'",
     "feature names stored": "model file: unexpected key(s) 'feature_names'",
-    "version 5": "model file version 5 is not supported (this smol reads version 7)",
-    "version 6": "model file version 6 is not supported (this smol reads version 7)",
+    "version 5": "model file version 5 is not supported (this smol reads version 8)",
+    "version 6": "model file version 6 is not supported (this smol reads version 8)",
+    "version 7": "model file version 7 is not supported (this smol reads version 8)",
+    "forest array of part items": "bytes, not whole 4-byte items",
     "missing spec key": "spec: missing key(s) 'kind'",
     "spec holding a version 6 key": "spec: unexpected key(s) 'n_trees'",
     "linear beta holding true": "beta is not a list of finite numbers",
@@ -855,6 +865,45 @@ def test_commands_refuse_a_header_only_log(tmp_path, small_log, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("file", ["config", "model"])
+def test_a_json_file_that_is_not_utf8_is_refused(tmp_path, small_log, capsys, file):
+    path = tmp_path / f"{file}.json"
+    if file == "config":
+        path.write_text(json.dumps(campaign.config_to_dict(campaign.CampaignConfig())))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+    else:
+        _save_small_model(small_log, "linear", path)
+        argv = ["predict", "--model", str(path), "--log", str(small_log),
+                "--out", str(tmp_path / "p.csv")]
+    # A Latin-1 byte inside a JSON string: no UTF-8 text holds it there.
+    path.write_bytes(path.read_bytes().replace(b'"format"', b'"form\xe4t"', 1))
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    assert _one_error_line(capsys).startswith(f"error: {path}: not UTF-8 text (")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("file", ["config", "model"])
+def test_a_json_file_with_crlf_line_ends_reads_as_before(tmp_path, small_log, file):
+    path, crlf = tmp_path / f"{file}.json", tmp_path / f"{file}-crlf.json"
+    if file == "config":
+        path.write_text(json.dumps(campaign.config_to_dict(campaign.CampaignConfig()), indent=2))
+    else:
+        _save_small_model(small_log, "random_forest", path)
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert crlf.read_bytes().count(b"\r\n") > 10
+    outputs = []
+    for read in (path, crlf):
+        outputs.append(tmp_path / f"{read.stem}.csv")
+        if file == "config":
+            argv = ["simulate", "--config", str(read)]
+        else:
+            argv = ["predict", "--model", str(read), "--log", str(small_log)]
+        assert main([*argv, "--out", str(outputs[-1])]) == EXIT_OK
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 @pytest.mark.parametrize("command", ["train", "predict", "report"])
 @pytest.mark.parametrize("line", [0, 4])
 def test_commands_refuse_a_log_that_is_not_utf8(tmp_path, small_log, capsys, command, line):
@@ -874,12 +923,20 @@ def test_commands_refuse_a_log_that_is_not_utf8(tmp_path, small_log, capsys, com
     assert _one_error_line(capsys).startswith(f"error: {bad_log}: not UTF-8 text")
 
 
-@pytest.mark.parametrize("field", ["sweeps_per_cell", "tdr_spots"])
-@pytest.mark.parametrize("size", [2**62, 2**63])
-def test_simulate_refuses_counts_past_int64(tmp_path, field, size):
-    """Counts that wrap NumPy's int64 are refused as the config is read. In
-    a child process: the campaigns they once ran crashed the interpreter."""
-    config = {**campaign.config_to_dict(campaign.CampaignConfig()), field: size}
+@pytest.mark.parametrize("field, size, changes", [
+    *(pytest.param(field, size, {}, id=f"{size}-{field}")
+      for size in (2**62, 2**63) for field in ("sweeps_per_cell", "tdr_spots")),
+    # Fewer than 2**63 draws, or 2**63 only with the drops, but 2**63 bytes
+    # or more of them, which NumPy cannot size: its own line names no field.
+    pytest.param("tdr_spots", 2**62 // 72, {}, id="tdr_spots past 2**63 bytes"),
+    pytest.param("tdr_spots", 2**63 // 72 - 5, {"drop_prob": 0.1},
+                 id="tdr_spots with drops past 2**63 draws"),
+])
+def test_simulate_refuses_counts_past_int64(tmp_path, field, size, changes):
+    """Counts whose arrays NumPy cannot size in int64 bytes are refused as
+    the config is read. In a child process: the campaigns they once ran
+    crashed the interpreter."""
+    config = {**campaign.config_to_dict(campaign.CampaignConfig()), field: size, **changes}
     config_path, out = tmp_path / "config.json", tmp_path / "log.csv"
     config_path.write_text(json.dumps(config))
     src = Path(campaign.__file__).resolve().parents[1]
