@@ -8,6 +8,7 @@ same arguments reproduce every output file byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +34,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process, however many commands it runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="smol",

@@ -2,8 +2,8 @@
 
 Trees grow by an exact split search over runs of equal feature values in a
 fixed summation order (``_grow_trees``), bit-reproducible under a seed, in
-batches that forked processes share (``grow``). Rows descend in parts that
-threads share (``_forest_outputs``).
+batches that forked processes share (``grow``). Rows descend in blocks that
+threads take from one queue (``_forest_outputs``).
 """
 
 from __future__ import annotations
@@ -248,35 +248,6 @@ def _descent_tables(forest: dict[str, np.ndarray]) -> tuple[np.ndarray, int]:
     return left, depth
 
 
-def _descend(
-    forest: dict[str, np.ndarray], descent: tuple[np.ndarray, int], x: np.ndarray,
-    row_start: np.ndarray, out: np.ndarray,
-) -> None:
-    """Write every tree's prediction for the rows that start at ``row_start``
-    in ``x`` into ``out``, in blocks of ``_DESCENT_PAIRS // trees`` rows (at
-    least one), as ``_forest_outputs`` describes."""
-    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
-    left, depth = descent
-    roots = np.cumsum(sizes) - sizes
-
-    def leaves(starts: np.ndarray) -> np.ndarray:
-        """The leaf of each (row, tree) pair; its temporaries die with it."""
-        node = np.tile(roots, (len(starts), 1))
-        for _ in range(depth):
-            cell = feature.take(node)
-            cell += starts
-            cell = x.take(cell)  # the values there: the indices die before the next gather
-            moved = cell > value.take(node)
-            node = left.take(node)
-            node += moved
-        return node
-
-    per_block = max(1, _DESCENT_PAIRS // len(sizes))
-    for first in range(0, len(out), per_block):
-        block = slice(first, first + per_block)
-        value.take(leaves(row_start[block]), out=out[block])
-
-
 def _forest_outputs(
     forest: dict[str, np.ndarray], X: np.ndarray, descent: tuple[np.ndarray, int] | None = None
 ) -> np.ndarray:
@@ -300,45 +271,63 @@ def _forest_outputs(
     t`` is "not ``x <= t``" only where ``x`` is not NaN, so the rows must
     hold no NaN.
 
-    The rows split into contiguous parts, one per CPU (``_process_count``)
-    but at least one whole block each. The caller descends the first part
-    and a thread each other one, or the caller all that no thread could be
-    started for; NumPy's ``take`` and comparisons let go of the GIL. A
+    The caller and a thread per further CPU (``_process_count``), as long
+    as each gets a whole block, take the blocks in turn from one queue;
+    NumPy's ``take`` and comparisons let go of the GIL. A thread that
+    cannot be started, or gets no CPU, leaves its blocks to the others. A
     pair's path depends on its row and tree alone, so neither the block
-    size nor the part count changes a bit. A step only gathers, compares
-    and adds integers, none of which warns, so no ``np.errstate`` needs to
-    reach a thread. What a part raises is raised here once every thread has
-    joined: none outlives the call.
+    size nor who descends a block changes a bit. A step only gathers,
+    compares and adds integers, none of which warns, so no ``np.errstate``
+    needs to reach a thread. After an error no worker takes another block,
+    and the first error is raised here once every thread has joined: none
+    outlives the call.
     """
-    descent = _descent_tables(forest) if descent is None else descent
+    feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
+    left, depth = _descent_tables(forest) if descent is None else descent
+    roots = np.cumsum(sizes) - sizes
     padded = np.full((len(X), X.shape[1] + 1), -np.inf)
     padded[:, 1:] = X
     x = padded.ravel()
     row_start = padded.shape[1] * np.arange(len(X))[:, None] + 1
-    out = np.empty((len(X), len(forest["tree_sizes"])))
-    per_block = max(1, _DESCENT_PAIRS // out.shape[1])
-    n_parts = max(1, min(_process_count(), len(X) // per_block))
-    ends = [len(X) * k // n_parts for k in range(n_parts + 1)]
-    parts = [(forest, descent, x, row_start[a:b], out[a:b]) for a, b in zip(ends, ends[1:])]
+    out = np.empty((len(X), len(sizes)))
+    per_block = max(1, _DESCENT_PAIRS // len(sizes))
+    blocks, lock = iter(range(0, len(X), per_block)), threading.Lock()
     errors: list[BaseException] = []
 
-    def descend(part: tuple) -> None:
+    def leaves(starts: np.ndarray) -> np.ndarray:
+        """The leaf of each (row, tree) pair; its temporaries die with it."""
+        node = np.tile(roots, (len(starts), 1))
+        for _ in range(depth):
+            cell = feature.take(node)
+            cell += starts
+            cell = x.take(cell)  # the values there: the indices die before the next gather
+            moved = cell > value.take(node)
+            node = left.take(node)
+            node += moved
+        return node
+
+    def descend() -> None:
         try:
-            _descend(*part)
+            while not errors:
+                with lock:
+                    first = next(blocks, None)
+                if first is None:
+                    return
+                block = slice(first, first + per_block)
+                value.take(leaves(row_start[block]), out=out[block])
         except BaseException as err:  # for the caller to raise
             errors.append(err)
 
     threads: list[threading.Thread] = []
     try:
-        for part in parts[1:]:
-            thread = threading.Thread(target=descend, args=(part,))
+        for _ in range(min(_process_count(), len(X) // per_block) - 1):
+            thread = threading.Thread(target=descend)
             try:
                 thread.start()
-            except RuntimeError:  # no thread left: the caller descends the rest
+            except RuntimeError:  # no thread left: the others take its blocks
                 break
             threads.append(thread)
-        for part in (parts[0], *parts[1 + len(threads):]):
-            _descend(*part)
+        descend()
     finally:
         for thread in threads:
             thread.join()
@@ -376,9 +365,9 @@ def _batch_plan(n: int, n_trees: int, bootstrap: bool, seed: int) -> tuple[int, 
 
 
 def _process_count() -> int:
-    """How many parts a forest fit grows its batches in (processes) and a
-    descent steps its rows in (threads): one per CPU this process may run
-    on, or one where ``os.fork`` does not exist."""
+    """How many processes grow a fit's batch slices, and how many workers
+    (the caller and its threads) take a descent's blocks from one queue:
+    one per usable CPU, or one where ``os.fork`` does not exist."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):

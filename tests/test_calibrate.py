@@ -421,8 +421,8 @@ class TestForest:
         assert preds.tobytes() == reference.mean(axis=1).tobytes()
         # Descent blocks of one row; of all rows but one, so the last block
         # is short (a budget one pair short of the rows also checks the
-        # floor division); of more rows than any input. Each in parts for
-        # 1, 2, 3 and 8 CPUs, as many as there are whole blocks.
+        # floor division); of more rows than any input. Each on 1, 2, 3 and
+        # 8 CPUs, as many workers as there are whole blocks.
         for pairs in (1, len(model.params["tree_sizes"]) * len(X) - 1, 10**9):
             for cpus in (1, 2, 3, 8):
                 with mock.patch.object(forest, "_DESCENT_PAIRS", pairs), _processes(cpus):
@@ -491,37 +491,40 @@ class TestForest:
         assert every - first <= extra_output + one_block
 
     def test_descent_working_set_grows_by_a_block_per_part(self):
-        # Two parts, each descending one block at a time: past the first two
-        # blocks, the peak may only grow by the output's extra rows and one
-        # block's worth of pairs per part.
+        # Two workers, each descending one block at a time: past the first
+        # two blocks, the peak may only grow by the output's extra rows and
+        # one block's worth of pairs per worker.
         first, every, extra_output = self._descent_peaks(2)
         one_block = 256 * 100 * 8
         assert every - first <= extra_output + 2 * one_block
 
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
     def test_an_error_in_a_thread_is_raised_after_every_thread_joined(self, error):
-        # Three parts of the stock forest's three blocks; the second part's
-        # descent raises. The third part still finishes, and no thread is left.
+        # Three blocks of the stock forest on three CPUs. The caller waits
+        # until a thread has taken a block, whose descent raises, late: only
+        # the caller's join on that thread lets the error reach it, and no
+        # thread is left.
         params = _stock_all_tx_forest().params
         X = np.column_stack([np.linspace(-120.0, -40.0, 3 * 256), np.full(3 * 256, 13.0)])
-        descend, finished = forest._descend, []
+        tile, taken = np.tile, threading.Event()
 
-        def fail_in_the_second_part(forest_, descent, x, row_start, out):
-            if row_start[0, 0] == 3 * 256 + 1:  # the second part's first row
-                raise error("the second part")
-            descend(forest_, descent, x, row_start, out)
-            finished.append(row_start[0, 0])
+        def tile_failing_in_a_thread(*args):  # a block's first step
+            if threading.current_thread() is threading.main_thread():
+                assert taken.wait(10)
+                return tile(*args)
+            taken.set()
+            time.sleep(0.05)  # the caller runs out of blocks first
+            raise error("a thread's block")
 
         before = threading.active_count()
-        with _processes(3), mock.patch.object(forest, "_descend", fail_in_the_second_part):
-            with pytest.raises(error, match="the second part"):
+        with _processes(3), mock.patch.object(np, "tile", tile_failing_in_a_thread):
+            with pytest.raises(error, match="a thread's block"):
                 forest.predict(params, X)
         assert threading.active_count() == before
-        assert sorted(finished) == [1, 2 * 3 * 256 + 1]
 
     def test_parts_give_the_serial_bits_under_a_short_switch_interval(self):
         # More threads than CPUs, handing the GIL over every few microseconds:
-        # each part writes only its own rows of the output.
+        # each block is taken once and writes only its own rows of the output.
         params = _stock_all_tx_forest().params
         X = np.column_stack([np.linspace(-120.0, -40.0, 2048), np.tile([5.0, 13.0], 1024)])
         with _processes(1):
@@ -536,13 +539,15 @@ class TestForest:
             sys.setswitchinterval(interval)
 
     def test_a_part_no_thread_can_take_is_descended_by_the_caller(self):
+        # Four blocks on three CPUs, but the second thread cannot be started:
+        # the caller and the one thread take its blocks.
         params = _stock_all_tx_forest().params
         X = np.column_stack([np.linspace(-120.0, -40.0, 1000), np.full(1000, 13.0)])
         with _processes(1):
             serial = forest._forest_outputs(params, X)
         start, started = threading.Thread.start, []
 
-        def start_one(thread):  # the second thread cannot be started
+        def start_one(thread):
             if started:
                 raise RuntimeError("can't start new thread")
             started.append(thread)
@@ -551,6 +556,50 @@ class TestForest:
         with _processes(3), mock.patch.object(threading.Thread, "start", start_one):
             assert forest._forest_outputs(params, X).tobytes() == serial.tobytes()
         assert len(started) == 1 and not started[0].is_alive()
+
+    def test_the_blocks_of_a_held_back_thread_are_descended_by_the_caller(self):
+        # Four blocks on two CPUs, but the thread starts only when the caller
+        # joins it, as one that gets no CPU would: the caller has taken every
+        # block by then, and none waits for the thread.
+        params = _stock_all_tx_forest().params
+        X = np.column_stack([np.linspace(-120.0, -40.0, 4 * 256), np.full(4 * 256, 13.0)])
+        with _processes(1):
+            serial = forest._forest_outputs(params, X)
+        start, join, tile, tiled_in = threading.Thread.start, threading.Thread.join, np.tile, []
+
+        def start_at_join(thread, timeout=None):
+            start(thread)
+            join(thread, timeout)
+
+        def tile_and_note(*args):  # a block's first step
+            tiled_in.append(threading.current_thread())
+            return tile(*args)
+
+        with _processes(2), mock.patch.object(np, "tile", tile_and_note):
+            with mock.patch.object(threading.Thread, "start", lambda thread: None):
+                with mock.patch.object(threading.Thread, "join", start_at_join):
+                    outputs = forest._forest_outputs(params, X)
+        assert outputs.tobytes() == serial.tobytes()
+        assert tiled_in == [threading.main_thread()] * 4
+
+    @pytest.mark.parametrize("rows, threads", [(511, 0), (512, 1)])
+    def test_a_thread_starts_only_for_a_whole_block_per_worker(self, rows, threads):
+        # On two CPUs the 100 stock trees descend in blocks of 256 rows, and
+        # the caller and its thread each need a whole block of distinct rows:
+        # the stock test split's 259 start no thread, which would keep its
+        # malloc arena resident.
+        params = _stock_all_tx_forest().params
+        assert forest._DESCENT_PAIRS // len(params["tree_sizes"]) == 256
+        distinct = np.column_stack([np.linspace(-120.0, -40.0, rows), np.full(rows, 13.0)])
+        start, started = threading.Thread.start, []
+
+        def note_start(thread):
+            started.append(thread)
+            start(thread)
+
+        with _processes(2), mock.patch.object(threading.Thread, "start", note_start):
+            forest.predict(params, np.concatenate([distinct, distinct[:100]]))
+        assert len(started) == threads
 
     def test_single_full_tree_memorizes(self):
         rng = np.random.default_rng(7)

@@ -225,6 +225,23 @@ def test_train_refuses_the_hyperparameter_flags(tmp_path, small_log, capsys, fla
     assert not out.exists()
 
 
+def test_main_builds_its_parser_once_per_process(tmp_path):
+    # A caller that runs several commands in one process, as the benchmark's
+    # client does, parses each command line with the one parser.
+    made, init = [], cli._Parser.__init__
+
+    def note(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        made.append(parser.prog)
+
+    missing = [str(tmp_path / name) for name in ("model.json", "log.csv", "out.csv")]
+    argv = ["predict", "--model", missing[0], "--log", missing[1], "--out", missing[2]]
+    cli._build_parser.cache_clear()
+    with mock.patch.object(cli._Parser, "__init__", note):
+        assert main(argv) == main(argv) == EXIT_IO
+    assert made.count("smol") == 1 and len(made) == len(set(made)), made
+
+
 def test_readme_names_only_flags_that_exist():
     parser = cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
