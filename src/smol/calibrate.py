@@ -22,7 +22,7 @@ from . import forest
 from .sweepproto import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, MeasurementLog, log_median_power
 
 MODEL_FILE_FORMAT = "smol-model"
-MODEL_FILE_VERSION = 8
+MODEL_FILE_VERSION = 9
 
 # The share of a dataset's rows that a model is fit on; the rest score it.
 TRAIN_FRACTION = 0.8
@@ -416,7 +416,7 @@ def _read_json(path: str | Path):
 def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, tuple | None]:
     """The model's params, and a forest's descent tables (None for the others)."""
     if spec.kind == ModelKind.RANDOM_FOREST:
-        _require_keys(params, list(forest.DTYPES), "params")
+        _require_keys(params, forest.KEYS, "params")
         return forest.decode(params, n_features)
     _require_keys(params, ["beta"], "params")
     beta = params["beta"]

@@ -29,8 +29,10 @@ _BATCH_ROWS = 10_400
 _DESCENT_PAIRS = 25_600
 
 # A forest's arrays in a model file, as base64 of these little-endian bytes:
-# a feature index takes one byte.
-DTYPES = dict(feature=np.dtype("<i1"), tree_sizes=np.dtype("<i4"), value=np.dtype("<f8"))
+# a feature index takes one byte. The node values are a table of the distinct
+# ones and, per node, an index into it, in the type ``_index_dtype`` gives.
+DTYPES = dict(feature=np.dtype("<i1"), tree_sizes=np.dtype("<i4"), value_table=np.dtype("<f8"))
+KEYS = (*DTYPES, "value_index")
 
 
 def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -261,18 +263,21 @@ def _forest_outputs(
     one; a leaf has ``feature`` -1 and predicts ``value``. ``descent`` is
     the forest's ``_descent_tables``, built here when not given.
 
-    The rows descend in blocks of ``_DESCENT_PAIRS // trees`` rows (at
-    least one), so a step's temporaries stay cache-sized however many rows
-    there are. A block steps its (row, tree) pairs one level at a time, as
-    many steps as the forest is deep, then writes its leaves' values into
-    the output. A step adds ``x[feature] > value`` to the node's left
-    child. Each row is laid out after a -inf cell, which a leaf's feature
-    -1 reads, and a leaf is its own left child, so a leaf stays put. ``x >
-    t`` is "not ``x <= t``" only where ``x`` is not NaN, so the rows must
-    hold no NaN.
+    The rows descend in blocks of at most ``_DESCENT_PAIRS // trees`` rows
+    (at least one), so a step's temporaries stay cache-sized however many
+    rows there are. The blocks are as equal as the rows allow, and their
+    count is a multiple of the workers, so the workers that get a CPU share
+    the rows evenly. A block steps its (row, tree) pairs one level at a
+    time, as many steps as the forest is deep, then writes its leaves'
+    values into the output. A step adds ``x[feature] > value`` to the
+    node's left child. Each row is laid out after a -inf cell, which a
+    leaf's feature -1 reads, and a leaf is its own left child, so a leaf
+    stays put. ``x > t`` is "not ``x <= t``" only where ``x`` is not NaN,
+    so the rows must hold no NaN.
 
     The caller and a thread per further CPU (``_process_count``), as long
-    as each gets a whole block, take the blocks in turn from one queue;
+    as there are ``_DESCENT_PAIRS // trees`` rows per worker, take the
+    blocks in turn from one queue;
     NumPy's ``take`` and comparisons let go of the GIL. A thread that
     cannot be started, or gets no CPU, leaves its blocks to the others. A
     pair's path depends on its row and tree alone, so neither the block
@@ -291,6 +296,9 @@ def _forest_outputs(
     row_start = padded.shape[1] * np.arange(len(X))[:, None] + 1
     out = np.empty((len(X), len(sizes)))
     per_block = max(1, _DESCENT_PAIRS // len(sizes))
+    workers = max(1, min(_process_count(), len(X) // per_block))
+    n_blocks = workers * -(-len(X) // (workers * per_block))  # a multiple of the workers
+    per_block = -(-len(X) // max(1, n_blocks)) or 1  # equal blocks, none above the budget
     blocks, lock = iter(range(0, len(X), per_block)), threading.Lock()
     errors: list[BaseException] = []
 
@@ -320,7 +328,7 @@ def _forest_outputs(
 
     threads: list[threading.Thread] = []
     try:
-        for _ in range(min(_process_count(), len(X) // per_block) - 1):
+        for _ in range(workers - 1):
             thread = threading.Thread(target=descend)
             try:
                 thread.start()
@@ -469,45 +477,86 @@ def predict(forest: dict[str, np.ndarray], X: np.ndarray, descent=None) -> np.nd
     return _forest_outputs(forest, distinct, descent).mean(axis=1)[row_of]
 
 
+def _index_dtype(table_size: int) -> np.dtype:
+    """The smallest little-endian unsigned type that holds ``table_size - 1``."""
+    return np.dtype(np.min_scalar_type(max(table_size - 1, 0))).newbyteorder("<")
+
+
+def _value_table(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values by bits (so -0.0 and 0.0 are two), in the order
+    of their bits as int64, and each value's place among them, in
+    ``_index_dtype``: one argsort, then a new entry wherever a sorted value
+    differs from the one before it. At most two node-count arrays of eight
+    bytes are live at once; np.unique's inverse would take four."""
+    bits = np.ascontiguousarray(value, "<f8").view("<i8")
+    order = np.argsort(bits)
+    ordered = bits.take(order)
+    starts = np.ones(len(bits), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    table = ordered[starts]
+    del ordered
+    places = np.cumsum(starts, dtype=_index_dtype(len(table)))
+    places -= 1
+    index = np.empty_like(places)
+    index[order] = places
+    return table.view("<f8"), index
+
+
 def encode(forest: dict[str, np.ndarray]) -> dict[str, str]:
-    """The forest's arrays as base64 strings of their ``DTYPES`` bytes. An
+    """The forest's arrays as base64 strings of their ``DTYPES`` bytes, and
+    ``value`` as ``value_table`` and ``value_index`` (``_value_table``). An
     integer that its type cannot hold, such as a feature index past 127,
     raises ValueError."""
+    table, index = _value_table(forest["value"])
+    arrays = {**forest, "value_table": table}
     encoded = {}
     for key, dtype in DTYPES.items():
-        data = forest[key].astype(dtype)
-        if dtype.kind == "i" and not np.array_equal(data, forest[key]):
+        data = arrays[key].astype(dtype)
+        if dtype.kind == "i" and not np.array_equal(data, arrays[key]):
             raise ValueError(f"{key} holds a value that {dtype.itemsize}-byte integers cannot")
         encoded[key] = base64.b64encode(data.tobytes()).decode("ascii")
+    encoded["value_index"] = base64.b64encode(index.tobytes()).decode("ascii")
     return encoded
 
 
+def _decoded(params: dict, key: str, dtype: np.dtype) -> np.ndarray:
+    """The array of ``params[key]``, a base64 string of whole ``dtype`` items.
+    Signed integers widen to intp; on a little-endian host the others stay
+    read-only views of the decoded bytes."""
+    try:
+        raw = base64.b64decode(params[key], validate=True)  # a non-string: TypeError
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{key} is not a base64 string ({err})") from None
+    if len(raw) % dtype.itemsize:
+        raise ValueError(f"{key}: {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
+    wide = np.intp if dtype.kind == "i" else dtype.newbyteorder("=")
+    return np.frombuffer(raw, dtype).astype(wide, copy=False)
+
+
 def decode(params: dict, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]:
-    """The arrays of ``encode``'s strings, checked so that the forest holds
-    one tree or more and every row's descent through every tree stays in that
-    tree and ends at one of its leaves; and the descent tables that the checks
-    built, the depth among them."""
-    forest = {}
-    for key, dtype in DTYPES.items():
-        try:
-            raw = base64.b64decode(params[key], validate=True)  # a non-string: TypeError
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{key} is not a base64 string ({err})") from None
-        if len(raw) % dtype.itemsize:
-            raise ValueError(f"{key}: {len(raw)} bytes, not whole {dtype.itemsize}-byte items")
-        # Integers widen to intp. A little-endian host's float64 needs no
-        # copy: the array stays a read-only view of the decoded bytes.
-        wide = np.intp if dtype.kind == "i" else float
-        forest[key] = np.frombuffer(raw, dtype).astype(wide, copy=False)
-    feature, sizes, value = forest["feature"], forest["tree_sizes"], forest["value"]
-    n = len(value)
+    """The arrays of ``encode``'s strings, ``value`` gathered from its table,
+    checked so that the forest holds one tree or more, every node's value is
+    a finite one of the table, and every row's descent through every tree
+    stays in that tree and ends at one of its leaves; and the descent tables
+    that the checks built, the depth among them. The index's type follows
+    from the table's length (``_index_dtype``)."""
+    forest = {key: _decoded(params, key, dtype) for key, dtype in DTYPES.items()}
+    table = forest.pop("value_table")
+    index = _decoded(params, "value_index", _index_dtype(len(table)))
+    feature, sizes = forest["feature"], forest["tree_sizes"]
+    n = len(index)
     if len(feature) != n:
-        raise ValueError("feature and value differ in length")
+        raise ValueError("feature and value_index differ in length")
     # 32-bit sizes: their int64 sum cannot wrap around.
     if len(sizes) < 1 or (sizes < 1).any() or sizes.sum() != n:
         raise ValueError(f"tree_sizes is not one or more sizes >= 1 summing to {n} nodes")
-    if not np.isfinite(value).all():
-        raise ValueError("value holds a non-finite value")
+    if not len(table):
+        raise ValueError(f"value_table is empty, but the forest has {n} nodes")
+    if index.max() >= len(table):
+        raise ValueError(f"value_index points past value_table's {len(table)} values")
+    if not np.isfinite(table).all():
+        raise ValueError("value_table holds a non-finite value")
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"feature index outside [0, {n_features})")
+    forest["value"] = table.take(index)
     return forest, _descent_tables(forest)

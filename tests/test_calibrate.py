@@ -469,31 +469,43 @@ class TestForest:
     @staticmethod
     def _descent_peaks(cpus: int) -> tuple[int, int, int]:
         """The tracemalloc peaks of descending ``cpus`` blocks (256 rows of
-        the 100 stock trees each) and 101 x 18 distinct rows on ``cpus``
-        CPUs, and the bytes of the output's extra rows."""
+        the 100 stock trees each), one per worker, and 101 x 18 distinct
+        rows (eight blocks of 228 rows, the last 222) on ``cpus`` CPUs; and
+        the bytes of the output's extra rows. In the first descent no worker
+        steps before every worker holds its block, as a worker whose thread
+        starts late would not: its block would go to the caller."""
         params = _stock_all_tx_forest().params
         n_trees = len(params["tree_sizes"])
         rssi, tx = np.meshgrid(np.arange(-140.0, -39.0), np.arange(5.0, 23.0), indexing="ij")
         X = np.column_stack([rssi.ravel(), tx.ravel()])
         assert len(X) == 1818
         first_rows = cpus * 256
+        tile, barrier = np.tile, threading.Barrier(cpus, timeout=10)
+
+        def tile_and_wait(*args):  # a block's first step
+            node = tile(*args)
+            barrier.wait()
+            return node
+
         with _processes(cpus):
-            forest._forest_outputs(params, X[:first_rows])  # warm up outside the measurement
-            first = _peak_bytes(lambda: forest._forest_outputs(params, X[:first_rows]))
+            with mock.patch.object(np, "tile", tile_and_wait):
+                forest._forest_outputs(params, X[:first_rows])  # warm up outside the measurement
+                first = _peak_bytes(lambda: forest._forest_outputs(params, X[:first_rows]))
             every = _peak_bytes(lambda: forest._forest_outputs(params, X))
         return first, every, (len(X) - first_rows) * n_trees * 8
 
     def test_descent_working_set_does_not_grow_with_the_rows(self):
-        # Past the first 256 rows (one block), the peak may only grow by the
-        # output's extra rows and one block's worth of pairs.
+        # Past the first block of 256 rows, the peak may only grow by the
+        # output's extra rows and one 256-row block's worth of pairs.
         first, every, extra_output = self._descent_peaks(1)
         one_block = 256 * 100 * 8
         assert every - first <= extra_output + one_block
 
     def test_descent_working_set_grows_by_a_block_per_part(self):
         # Two workers, each descending one block at a time: past the first
-        # two blocks, the peak may only grow by the output's extra rows and
-        # one block's worth of pairs per worker.
+        # two blocks of 256 rows, both held at once, the peak may only grow
+        # by the output's extra rows and one 256-row block's worth of pairs
+        # per worker.
         first, every, extra_output = self._descent_peaks(2)
         one_block = 256 * 100 * 8
         assert every - first <= extra_output + 2 * one_block
@@ -539,8 +551,8 @@ class TestForest:
             sys.setswitchinterval(interval)
 
     def test_a_part_no_thread_can_take_is_descended_by_the_caller(self):
-        # Four blocks on three CPUs, but the second thread cannot be started:
-        # the caller and the one thread take its blocks.
+        # Six blocks of 167 rows on three CPUs, but the second thread cannot
+        # be started: the caller and the one thread take its blocks.
         params = _stock_all_tx_forest().params
         X = np.column_stack([np.linspace(-120.0, -40.0, 1000), np.full(1000, 13.0)])
         with _processes(1):
@@ -948,7 +960,7 @@ class TestPersistence:
         assert loaded.spec == model.spec
         assert loaded.feature_mode == model.feature_mode
 
-    def test_forest_file_holds_three_base64_arrays(self, tmp_path):
+    def test_forest_file_holds_four_base64_arrays(self, tmp_path):
         rng = np.random.default_rng(13)
         X = rng.uniform(-80, -20, (40, 2))
         model = _forest(X, X[:, 0], n_trees=3)
@@ -956,11 +968,61 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == 8 and payload["spec"] == {"kind": "random_forest"}
-        for key, dtype in (("feature", "<i1"), ("tree_sizes", "<i4"), ("value", "<f8")):
+        assert payload["version"] == 9 and payload["spec"] == {"kind": "random_forest"}
+        arrays = {}
+        for key, dtype in (("feature", "<i1"), ("tree_sizes", "<i4"), ("value_table", "<f8"),
+                           ("value_index", "<u1")):
             raw = base64.b64decode(payload["params"].pop(key), validate=True)
-            assert np.array_equal(np.frombuffer(raw, dtype), model.params[key]), key
+            arrays[key] = np.frombuffer(raw, dtype)
         assert payload["params"] == {}
+        for key in ("feature", "tree_sizes"):
+            assert np.array_equal(arrays[key], model.params[key]), key
+        table, value = arrays["value_table"], model.params["value"]
+        # The distinct values by bits, in the order of their bits as int64.
+        assert table.tobytes() == np.unique(value.view("<i8")).tobytes() and len(table) < 256
+        assert table.take(arrays["value_index"]).tobytes() == value.tobytes()
+
+    @staticmethod
+    def _leaves(values) -> dict[str, np.ndarray]:
+        """A forest of single-leaf trees, one per value."""
+        n = len(values)
+        return {"feature": np.full(n, -1), "tree_sizes": np.ones(n, dtype=int),
+                "value": np.asarray(values, dtype=float)}
+
+    @pytest.mark.numpy_bits
+    @pytest.mark.parametrize(
+        "distinct, width", [(1, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)]
+    )
+    def test_value_index_takes_the_smallest_width_that_holds_the_table(self, distinct, width):
+        # Each distinct value thrice, in an order the table's does not follow.
+        values = np.tile(np.arange(distinct) * -0.5, 3)
+        np.random.default_rng(distinct).shuffle(values)
+        trees = self._leaves(values)
+        encoded = forest.encode(trees)
+        table = base64.b64decode(encoded["value_table"], validate=True)
+        index = base64.b64decode(encoded["value_index"], validate=True)
+        assert len(table) == 8 * distinct and len(index) == width * len(values)
+        assert forest._index_dtype(distinct) == np.dtype(f"<u{width}")
+        decoded, (_, depth) = forest.decode(encoded, 1)
+        assert depth == 0
+        for key in trees:
+            assert decoded[key].tobytes() == trees[key].astype(decoded[key].dtype).tobytes()
+
+    @pytest.mark.numpy_bits
+    def test_negative_and_positive_zero_keep_their_bits(self):
+        trees = self._leaves([0.0, -0.0, -0.0, 0.0, 1.5])
+        encoded = forest.encode(trees)
+        assert len(base64.b64decode(encoded["value_table"])) == 3 * 8
+        value = forest.decode(encoded, 1)[0]["value"]
+        assert value.tobytes() == trees["value"].tobytes()
+        assert np.signbit(value).tolist() == [False, True, True, False, False]
+
+    @pytest.mark.numpy_bits
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(_stock_all_tx_forest(), first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_a_feature_index_one_byte_cannot_hold_is_not_written(self, tmp_path):
         X = np.random.default_rng(13).uniform(-80, -20, (40, 2))
@@ -1007,7 +1069,7 @@ class TestPersistence:
 
     def test_a_model_file_holds_no_feature_names(self, tmp_path):
         payload = self._linear_payload(tmp_path)
-        assert payload["version"] == 8 and "feature_names" not in payload
+        assert payload["version"] == 9 and "feature_names" not in payload
         payload["feature_names"] = ["rssi_dbm", "tx_power_dbm"]
         refusal = r": model file: unexpected key\(s\) 'feature_names'$"
         with pytest.raises(ValueError, match=refusal):
@@ -1020,7 +1082,7 @@ class TestPersistence:
         payload["spec"].update(poly_degree=2, ridge_lambda=1.0, n_trees=100, max_depth=10)
         payload["spec"].update(min_leaf=2, bootstrap=True, seed=0)
         with pytest.raises(ValueError, match=r": model file version 6 is not supported "
-                           r"\(this smol reads version 8\); retrain with `smol train`$"):
+                           r"\(this smol reads version 9\); retrain with `smol train`$"):
             self._load(payload, tmp_path)
 
     @pytest.mark.parametrize("case", sorted(BAD_BETAS))
@@ -1056,26 +1118,31 @@ class TestPersistence:
 
     def test_load_keeps_its_tracemalloc_peak(self, tmp_path):
         # The peak holds the file's text and its decoded JSON, base64
-        # strings and all: 2,507,703 B on the stock all-TX file of model
-        # file version 8, whose `value` stays a view of its decoded bytes
-        # (CPython 3.11, NumPy 2.4); 3,161,364 B at version 7, with a copy.
-        # The slack is well under one more node-count table (54,374 nodes,
+        # strings and all: 2,337,783 B on the stock all-TX file of model
+        # file version 9, whose `value` is gathered from a table of its
+        # 8,349 distinct values by a two-byte index (CPython 3.11, NumPy
+        # 2.4); 2,507,703 B at version 8, whose `value` stayed a view of
+        # its decoded bytes, and 3,161,364 B at version 7, with a copy. The
+        # slack is well under one more node-count table (54,374 nodes,
         # 435 KB), so none is built while the strings are alive.
         path = tmp_path / "model.json"
         save_model(_stock_all_tx_forest(), path)
         load_model(path)  # warm up outside the measurement
-        assert _peak_bytes(lambda: load_model(path)) <= 2_507_703 + 64 * 1024
+        assert _peak_bytes(lambda: load_model(path)) <= 2_337_783 + 64 * 1024
 
     def test_save_keeps_its_tracemalloc_peak(self, tmp_path):
         # Streamed through json.dump, the peak holds the base64 strings and
-        # the encoder's chunks, not the file's text: 1,823,971 B on the
-        # stock all-TX file of model file version 8 (CPython 3.11, NumPy
-        # 2.4); 2,041,372 B at version 7, and 3,489,760 B when json.dumps
-        # built the text and write_text copied it twice. The slack is well
-        # under one more copy of the 653,250-B file.
+        # the encoder's chunks, not the file's text; at model file version
+        # 9 it is building the value table, whose argsort and sorted values
+        # are the only node-count arrays: 992,478 B on the stock all-TX
+        # file (CPython 3.11, NumPy 2.4), where np.unique's inverse read
+        # 2,298,193 B. 1,823,971 B at version 8, 2,041,372 B at version 7,
+        # and 3,489,760 B when json.dumps built the text and write_text
+        # copied it twice. The slack is well under one more node-count
+        # table (54,374 nodes, 435 KB).
         model, path = _stock_all_tx_forest(), tmp_path / "model.json"
         save_model(model, path)  # warm up outside the measurement
-        assert _peak_bytes(lambda: save_model(model, path)) <= 1_823_971 + 64 * 1024
+        assert _peak_bytes(lambda: save_model(model, path)) <= 992_478 + 64 * 1024
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -578,21 +578,50 @@ def _save_small_model(log_path, kind, path):
     calibrate.save_model(model, path)
 
 
+def _dtype(params, array) -> np.dtype:
+    """The type of one of the forest's arrays in a model file: the index's
+    follows from the table's length."""
+    if array == "value_index":
+        return forest._index_dtype(len(_decoded(params, "value_table")))
+    return forest.DTYPES[array]
+
+
+def _encoded(values, dtype) -> str:
+    return base64.b64encode(np.array(values, dtype).tobytes()).decode("ascii")
+
+
 def _edit_array(array, change):
     """Decode one of the forest's arrays, let ``change`` edit it as a list,
     and encode it back."""
-    dtype = forest.DTYPES[array]
-
     def mutate(payload):
         forest = payload["params"]
+        dtype = _dtype(forest, array)
         values = np.frombuffer(base64.b64decode(forest[array]), dtype).tolist()
         change(values, forest)
-        forest[array] = base64.b64encode(np.array(values, dtype).tobytes()).decode("ascii")
+        forest[array] = _encoded(values, dtype)
     return mutate
 
 
 def _decoded(params, array) -> list:
-    return np.frombuffer(base64.b64decode(params[array]), forest.DTYPES[array]).tolist()
+    return np.frombuffer(base64.b64decode(params[array]), _dtype(params, array)).tolist()
+
+
+def _node_values(params) -> list:
+    """Each node's value: its entry of the table."""
+    table = _decoded(params, "value_table")
+    return [table[i] for i in _decoded(params, "value_index")]
+
+
+def _edit_values(change):
+    """Let ``change`` edit each node's value as a list, and store the values
+    back as a table and an index, as a model file holds them."""
+    def mutate(payload):
+        params = payload["params"]
+        values = _node_values(params)
+        change(values, params)
+        arrays = {key: np.array(_decoded(params, key)) for key in ("feature", "tree_sizes")}
+        params.update(forest.encode({**arrays, "value": np.array(values)}))
+    return mutate
 
 
 def _set_root(array, value):
@@ -604,6 +633,26 @@ def _set_root(array, value):
 
 def _nan_leaf(values, forest):
     values[_decoded(forest, "feature").index(-1)] = math.nan
+
+
+def _index_past_the_table(index, forest):
+    index[0] = len(_decoded(forest, "value_table"))
+
+
+def _index_of_part_items(payload):
+    """Pad the table with unused values past 256, so that an index takes two
+    bytes, and cut the last byte of the index."""
+    params = payload["params"]
+    table, index = _decoded(params, "value_table"), _decoded(params, "value_index")
+    table += [1000.0 + k for k in range(257 - len(table))]
+    params["value_table"] = _encoded(table, "<f8")
+    params["value_index"] = base64.b64encode(np.array(index, "<u2").tobytes()[:-1]).decode()
+
+
+def _unused_nan_in_the_table(payload):
+    payload["params"]["value_table"] = _encoded(
+        _decoded(payload["params"], "value_table") + [math.nan], "<f8"
+    )
 
 
 def _empty_first_tree(sizes, forest):
@@ -674,8 +723,17 @@ def _version_6_forest(payload):
     payload["version"] = 6
 
 
+def _version_8_forest(payload):
+    """Store each node's value as <f8, as version 8 did."""
+    params = payload["params"]
+    params["value"] = _encoded(_node_values(params), "<f8")
+    del params["value_table"], params["value_index"]
+    payload["version"] = 8
+
+
 def _version_7_forest(payload):
     """Store the forest's feature indices as <i4, as version 7 did."""
+    _version_8_forest(payload)
     feature = np.frombuffer(base64.b64decode(payload["params"]["feature"]), "<i1")
     payload["params"]["feature"] = base64.b64encode(feature.astype("<i4").tobytes()).decode()
     payload["version"] = 7
@@ -699,17 +757,19 @@ BAD_MODELS = {
     "version 5": ("linear", _version_5_linear),
     "version 6": ("random_forest", _version_6_forest),
     "version 7": ("random_forest", _version_7_forest),
+    "version 8": ("random_forest", _version_8_forest),
     "missing top-level key": ("random_forest", lambda p: p.pop("metadata")),
     "extra top-level key": ("random_forest", lambda p: p.update(notes="hi")),
     "missing spec key": ("random_forest", lambda p: p["spec"].pop("kind")),
     "spec holding a version 6 key": ("random_forest", lambda p: p["spec"].update(n_trees=2)),
     "missing params key": ("random_forest", lambda p: p["params"].pop("tree_sizes")),
-    "missing forest array": ("random_forest", lambda p: p["params"].pop("value")),
+    "missing forest array": ("random_forest", lambda p: p["params"].pop("value_index")),
     "extra forest array": (
         "random_forest", lambda p: p["params"].update(left=p["params"]["feature"])
     ),
     "forest array not a string": (
-        "random_forest", lambda p: p["params"].update(value=_decoded(p["params"], "value"))
+        "random_forest",
+        lambda p: p["params"].update(value_table=_decoded(p["params"], "value_table")),
     ),
     "forest array not base64": (  # a decoder that skips foreign characters would pass it
         "random_forest", lambda p: p["params"].update(feature="*" + p["params"]["feature"])
@@ -731,8 +791,21 @@ BAD_MODELS = {
     ),
     "feature index too large": ("random_forest", _set_root("feature", 2)),
     "negative feature index": ("random_forest", _set_root("feature", -2)),
-    "non-finite threshold": ("random_forest", _set_root("value", math.inf)),
-    "non-finite leaf value": ("random_forest", _edit_array("value", _nan_leaf)),
+    "non-finite threshold": (
+        "random_forest", _edit_values(lambda v, f: v.__setitem__(0, math.inf))
+    ),
+    "non-finite leaf value": ("random_forest", _edit_values(_nan_leaf)),
+    "non-finite table entry": ("random_forest", _unused_nan_in_the_table),
+    "value index past the table": (
+        "random_forest", _edit_array("value_index", _index_past_the_table)
+    ),
+    "value index of part items": ("random_forest", _index_of_part_items),
+    "empty value table with nodes": (
+        "random_forest", lambda p: p["params"].update(value_table="")
+    ),
+    "leftover version 8 value key": (
+        "random_forest", lambda p: p["params"].update(value=p["params"]["value_table"])
+    ),
     "linear beta too short": ("linear", lambda p: p["params"].update(beta=[1.0])),
     "polynomial beta too long": ("polynomial", lambda p: p["params"]["beta"].append(0.0)),
     "polynomial with stored exponents": ("polynomial", _stored_exponents),
@@ -750,10 +823,18 @@ MODEL_ERRORS = {
     "polynomial beta too long": "beta has 7 coefficient(s), want 6",
     "polynomial with stored exponents": "params: unexpected key(s) 'powers'",
     "feature names stored": "model file: unexpected key(s) 'feature_names'",
-    "version 5": "model file version 5 is not supported (this smol reads version 8)",
-    "version 6": "model file version 6 is not supported (this smol reads version 8)",
-    "version 7": "model file version 7 is not supported (this smol reads version 8)",
+    "version 5": "model file version 5 is not supported (this smol reads version 9)",
+    "version 6": "model file version 6 is not supported (this smol reads version 9)",
+    "version 7": "model file version 7 is not supported (this smol reads version 9)",
+    "version 8": "model file version 8 is not supported (this smol reads version 9)",
     "forest array of part items": "bytes, not whole 4-byte items",
+    "non-finite threshold": "value_table holds a non-finite value",
+    "non-finite leaf value": "value_table holds a non-finite value",
+    "non-finite table entry": "value_table holds a non-finite value",
+    "value index past the table": "value_index points past value_table's",
+    "value index of part items": "value_index: 215 bytes, not whole 2-byte items",
+    "empty value table with nodes": "value_table is empty, but the forest has",
+    "leftover version 8 value key": "params: unexpected key(s) 'value'",
     "missing spec key": "spec: missing key(s) 'kind'",
     "spec holding a version 6 key": "spec: unexpected key(s) 'n_trees'",
     "linear beta holding true": "beta is not a list of finite numbers",
@@ -794,7 +875,7 @@ def _huge_leaf_values(values, forest):
 # forest has two trees, and the mean of two 1.7e308 leaves does.
 OVERFLOWING_MODELS = {
     "linear": _huge_slope,
-    "random_forest": _edit_array("value", _huge_leaf_values),
+    "random_forest": _edit_values(_huge_leaf_values),
 }
 
 

@@ -299,7 +299,7 @@ def test_calibrate_reaches_the_engine_through_its_public_names_only():
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name) and node.value.id == "forest"
     }
-    assert {"grow", "predict", "encode", "decode", "DTYPES"} <= reached
+    assert {"grow", "predict", "encode", "decode", "KEYS"} <= reached
     assert not [name for name in reached if name.startswith("_")]
     assert [(m, lvl) for m, lvl, name in _imported(caller) if name == "forest"] == [(None, 1)]
     # No moved name, nor any name forest defines, is defined or imported in

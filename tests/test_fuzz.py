@@ -169,7 +169,7 @@ def test_mutated_model_file(valid, data, kind, mutation):
 @FUZZ
 @given(
     data=st.data(),
-    array=st.sampled_from(sorted(forest.DTYPES)),
+    array=st.sampled_from(sorted(forest.KEYS)),
     edit=st.sampled_from(["truncate", "overwrite"]),
     byte=st.sampled_from([0x00, 0x01, 0x02, 0x7F, 0x80, 0xF0, 0xFE, 0xFF]),
 )

@@ -55,6 +55,16 @@ from 7 to 8 in both files, and the forest's ``feature`` array went from
 version field set to 8 and its feature array re-encoded at one byte per
 node, is the version 8 file byte for byte.
 
+They were re-pinned for version 9, and only they: the version field moved
+from 8 to 9 in both files, and the forest's ``value`` array became
+``value_table``, its distinct values by bits in the order of their bits as
+``<i8``, and ``value_index``, each node's place in the table in the
+smallest unsigned type that holds the table's last place (``<u2`` for the
+stock all-TX forest's 8,349 values). Each version 8 file, with its version
+field set to 9 and its ``value`` array replaced by the table and the index
+that ``np.unique(..., return_inverse=True)`` of its ``<i8`` view gives, is
+the version 9 file byte for byte.
+
 The log hashes were computed with the packet-at-a-time simulator, which
 drew one drop decision and one noise sample per packet and recomputed the
 path loss for each; the sweep-at-a-time simulator must write the same
@@ -110,8 +120,8 @@ GOLDEN_LOG_SHA256 = {
 
 # Model files of `smol train` on the stock log, default flags otherwise.
 GOLDEN_MODEL_SHA256 = {
-    ("random_forest", "all_tx"): "6df990094703d5ef56ddce70ed800d87afe1f7c037bbafcfdcd0cb7d7c240c9c",
-    ("polynomial", "median_tx"): "636136aae69858843ef524a514ea8a69936b89578e69d17510a32a00e10d7f08",
+    ("random_forest", "all_tx"): "df2d83de23390adeeb42d350f71d9be7003f05b417043ec62a89baabe72efe04",
+    ("polynomial", "median_tx"): "e051c75d92525160b4de72259fe4343291b40ec9b4b739559699f1cb95495a48",
 }
 
 # The stock forests' arrays, fit on the 80% split (seed 0), default spec.
