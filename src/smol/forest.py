@@ -1,9 +1,9 @@
 """The random forest engine: ``grow``, ``predict``, ``encode`` and ``decode``.
 
-Trees grow by an exact split search over runs of equal feature values in a
-fixed summation order (``_grow_trees``), bit-reproducible under a seed, in
-batches that forked processes share (``grow``). Rows descend in blocks that
-threads take from one queue (``_forest_outputs``).
+Trees grow level by level, their rows never moving, by an exact split search
+over runs of equal feature values in a fixed summation order (``_grow_trees``),
+bit-reproducible under a seed, in batches that forked processes share (``grow``).
+Rows descend in blocks that threads take from one queue (``_forest_outputs``).
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-# Trees x training rows per batch (at least one tree). A batch's trees share
-# each level's NumPy calls; past ten stock all-TX trees it is no faster, only
-# bigger. Up to 21,845 rows, a two-feature level regroups by uint16 radix sort.
+# Trees x training rows per batch (at least one tree). A batch's trees share each
+# level's NumPy calls: a bigger batch grows faster serially, but shares out worse.
 _BATCH_ROWS = 10_400
 
 # (Row, tree) pairs per descent block (at least one row). A block's node and
@@ -36,78 +35,71 @@ KEYS = (*DTYPES, "value_index")
 
 
 def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Running sums along every segment ``values[:, start:start + size]``,
-    each from its segment's start, adding one term at a time.
-
-    The segments tile the columns in order. Each is padded to a power of 4
-    of its size, one block per padded width, so the work stays within 4
-    times the terms plus 4 per segment. A running sum never reads past its
-    own term, so the padding may hold whatever follows the segment.
-    """
-    pads, base, offset = [], np.empty(len(sizes), dtype=np.intp), 0
-    low, width = 0, 4
-    while low < sizes.max():
-        seg = np.flatnonzero((sizes > low) & (sizes <= width))
-        pads.append(np.minimum(starts[seg, None] + np.arange(width), values.shape[1] - 1))
+    """Running sums along every segment ``values[:, start:start + size]``, which
+    tile the columns, each from its start, one term at a time; a segment's last
+    term, which ends no cut, gets 0. Each segment but its last term is padded
+    to a power of 4 of its length, one block per width, so the work stays
+    within 4 times the terms plus 4 per segment. A running sum never reads
+    past its own term, so the padding may hold whatever follows the segment."""
+    padded, base, offset = [np.zeros((len(values), 1))], np.zeros(len(sizes), dtype=np.intp), 1
+    low, width, terms = 0, 4, sizes - 1
+    while low < terms.max():
+        seg = np.flatnonzero((terms > low) & (terms <= width))
+        block = values.take(starts[seg, None] + np.arange(width), axis=1, mode="clip")
+        if width > 4:
+            np.cumsum(block, axis=2, out=block)
+        for k in range(1, 4 if width == 4 else 0):  # faster than np.cumsum's short runs
+            block[..., k] += block[..., k - 1]
+        padded.append(block.reshape(len(values), -1))
         base[seg] = offset + width * np.arange(len(seg)) - starts[seg]
-        offset += pads[-1].size
+        offset += width * len(seg)
         low, width = width, 4 * width
-    padded = [np.cumsum(values.take(pad, axis=1), axis=2).reshape(len(values), -1) for pad in pads]
-    at = np.repeat(base, sizes) + np.arange(values.shape[1])  # each term's padded place
+    at = np.repeat(base, sizes) + np.arange(values.shape[1])  # each term's padded place; 0: none
+    at[starts + terms] = 0
     return np.concatenate(padded, axis=1).take(at, axis=1)
 
 
 def _best_splits(
-    x: np.ndarray, codes: np.ndarray, y: np.ndarray, order: np.ndarray, n: np.ndarray,
-    sums: np.ndarray, min_leaf: int,
+    feature: np.ndarray, node: np.ndarray, value: np.ndarray, count: np.ndarray,
+    run_sums: np.ndarray, n: np.ndarray, sums: np.ndarray, min_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The best cut of every searched node of a level, by the rules of ``_grow_trees``.
-
-    Node i holds ``n[i]`` rows, with target sum and sum of squares
-    ``sums[:, i]``; ``order[j]`` lists the rows node by node, each node's
-    by ``codes[j]``, the rank of ``x[:, j]``, ties in sample order. Returns
-    (feature, threshold) per node, feature -1 where the node is not cut.
-    """
-    (n_features, m), nodes = order.shape, len(n)
-    # One block of rows per (feature, node), feature-major.
-    blocks = (m * np.arange(n_features)[:, None] + np.cumsum(n) - n).ravel()
-    ranks = codes.ravel().take(order + len(y) * np.arange(n_features)[:, None]).ravel()
-    new_run = np.empty(len(ranks), dtype=bool)
-    np.not_equal(ranks[1:], ranks[:-1], out=new_run[1:])
-    new_run[blocks] = True
-    run = np.cumsum(new_run) - 1
-    run_at = np.flatnonzero(new_run)
-    first = run.take(blocks)  # each block's first run
-    n_runs = np.diff(first, append=len(run_at))
-    block = np.repeat(np.arange(len(blocks)), n_runs)
-    ys = y.take(order.ravel())  # a run's rows are in sample order, and bincount adds in it
-    run_sums = np.stack([np.bincount(run, ys), np.bincount(run, ys * ys)])
-    left = _running_sums(run_sums, first, n_runs)
-    left_n = np.append(run_at[1:], len(ranks)) - blocks.take(block)
-    right_n = np.tile(n, n_features).take(block) - left_n
+    """The best cut of every node of a level, by the rules of ``_grow_trees``:
+    node i holds ``n[i]`` rows with target sums ``sums[:, i]``; run r, the equal
+    ``value[r]`` of ``feature[r]`` in ``node[r]``, holds ``count[r]`` rows with
+    sums ``run_sums[:, r]``, and the runs of each (feature, node) are one block,
+    in ascending value, the blocks in any order. Returns (feature, threshold)
+    per node, feature -1 where the node is not cut."""
+    new = np.ones(len(node), dtype=bool)  # each block's first run
+    new[1:] = (node[1:] != node[:-1]) | (feature[1:] != feature[:-1])
+    block = np.cumsum(new) - 1
+    starts, sizes = np.flatnonzero(new), np.bincount(block)
+    left = _running_sums(run_sums, starts, sizes)
+    left_n = np.cumsum(count)
+    left_n -= (left_n.take(starts) - count.take(starts)).take(block)
+    right_n = n.take(node) - left_n
     with np.errstate(divide="ignore", invalid="ignore"):  # right_n is 0 at each node's end
-        right = np.tile(sums, n_features).take(block, axis=1) - left
-        node_sse = np.tile(sums[1] - sums[0] * sums[0] / n, n_features)
-        gains = (node_sse.take(block) - (left[1] - left[0] * left[0] / left_n)) - (
+        right = sums.take(node, axis=1) - left
+        node_sse = sums[1] - sums[0] * sums[0] / n
+        gains = (node_sse.take(node) - (left[1] - left[0] * left[0] / left_n)) - (
             right[1] - right[0] * right[0] / right_n
         )
     valid = (left_n >= min_leaf) & (right_n >= min_leaf)
     gains[~valid] = -np.inf
     # each block's first max: the lowest threshold wins ties; NaN gains leave no max
-    top = np.maximum.reduceat(gains, first)
+    top = np.maximum.reduceat(gains, starts)
     at = np.arange(len(gains))
-    k = np.minimum.reduceat(np.where(valid & (gains == top.take(block)), at, len(at)), first)
+    k = np.minimum.reduceat(np.where(valid & (gains == top.take(block)), at, len(at)), starts)
     top[k == len(at)] = -np.inf
-    feature = np.argmax(top.reshape(n_features, nodes), axis=0)  # lowest feature wins ties
-    best = feature * nodes + np.arange(nodes)
+    blocks = np.empty((len(starts) // len(n), len(n)), dtype=np.intp)  # by (feature, node)
+    blocks[feature.take(starts), node.take(starts)] = np.arange(len(starts))
+    best = blocks[np.argmax(top.take(blocks), axis=0), np.arange(len(n))]  # lowest feature first
     split = top.take(best) > 0
     k = k.take(best[split])
-    rows = order.ravel().take(run_at.take(np.stack([k, k + 1])))  # first rows of the cut's runs
-    lo, hi = x.ravel().take(n_features * rows + feature[split])
+    lo, hi = value.take(k), value.take(k + 1)  # the values of the cut's two runs
     mid = (lo + hi) / 2.0
-    threshold = np.zeros(nodes)
+    threshold = np.zeros(len(n))
     threshold[split] = np.where(mid < hi, mid, lo)  # adjacent floats: the lower value
-    return np.where(split, feature, -1), threshold
+    return np.where(split, feature.take(starts.take(best)), -1), threshold
 
 
 def _grow_trees(
@@ -115,92 +107,100 @@ def _grow_trees(
 ) -> dict[str, np.ndarray]:
     """Grow one tree per row of ``samples`` (row indices into ``X``/``y``).
 
-    The trees grow together, breadth-first: every node of one depth, in
-    every tree, is searched at once. A node becomes a leaf at
-    ``max_depth``, below ``2 * min_leaf`` rows, when its targets are all
-    equal, or when no cut reduces the squared error. The batch comes back
-    in the forest layout (see ``_forest_outputs``), which implies every
-    node's children, so none are stored.
+    The trees grow together, breadth-first: every node of one depth, in every
+    tree, is searched at once. A node becomes a leaf at ``max_depth``, below
+    ``2 * min_leaf`` rows, when its targets are all equal, or when no cut
+    reduces the squared error. The batch comes back in the forest layout (see
+    ``_forest_outputs``), which implies every node's children, so none are stored.
 
-    Each feature is ranked once (equal values share a rank: ``==``, so -0.0
-    and 0.0 too) and each tree's rows sorted by rank; each level only
-    regroups the rows by node, stably, so a node's rows stay in value order,
-    ties in sample order. A cut falls between two runs of equal values, at
-    their midpoint, or at the lower value where the midpoint rounds to the
-    upper one. Ties go to the lowest feature index, then the lowest
-    threshold; a node whose gains on a feature hold NaN is not cut on it.
+    The rows never move: each carries its node's label and, per feature, its
+    run's (a run is that feature's equal values, by ``==``, so -0.0 and 0.0
+    too, in a searched node); each level relabels both through small tables.
+    A cut falls between two adjacent runs of a node, at the midpoint of their
+    values, or at the lower value where the midpoint rounds to the upper one.
+    Ties go to the lowest feature index, then the lowest threshold; a node
+    whose gains on a feature hold NaN is not cut on it.
 
-    Summation rule: the target sum S and sum of squares S2 of a node, and
-    of each run within it, add one row at a time in sample order
-    (``np.bincount``). A cut's left sums add the node's runs one at a time
-    in ascending value (``np.cumsum``); its right sums are the node's minus
-    the left's. A squared error is ``S2 - S * S / n``, and a cut's gain is
-    the node's error minus the left's, minus the right's.
+    Summation rule: the target sum S and sum of squares S2 of a node, and of
+    each run within it, add one row at a time in sample order (``np.bincount``).
+    A cut's left sums add the node's runs one at a time in ascending value
+    (``np.cumsum``); its right sums are the node's minus the left's. A squared
+    error is ``S2 - S * S / n``, and a cut's gain is the node's error minus the
+    left's, minus the right's.
     """
-    n_trees, n = samples.shape
-    x, y = X[samples.ravel()], y[samples.ravel()]  # x[i, j]: row i, feature j
-    n_rows, n_features = x.shape
-    # Ranks in the smallest unsigned type: up to 16 bits, a stable sort is a radix sort.
-    codes = np.stack([np.unique(column, return_inverse=True)[1] for column in X.T])
-    codes = codes.astype(np.min_scalar_type(codes.max())).take(samples.ravel(), axis=1)
-    by_value = np.argsort(codes.reshape(n_features, n_trees, n), axis=2, kind="stable")
-    order = (by_value + n * np.arange(n_trees)[:, None]).reshape(n_features, n_rows)
+    (n_trees, n), rows = samples.shape, samples.ravel()
+    y = y[rows]
+    y2 = y * y
+    # Level -1: one node of all rows, whose children are the trees, and a run per
+    # distinct value of each feature; ranks stay in the smallest unsigned type.
+    ranked = [np.unique(column, return_inverse=True) for column in X.T]
+    run_value = np.concatenate([values for values, _ in ranked])
+    run_feature = np.repeat(np.arange(len(ranked)), [len(values) for values, _ in ranked])
+    runs = np.array([  # each row's run of each feature
+        np.add(codes.astype(np.min_scalar_type(len(values) - 1)).take(rows), start, dtype=np.intp)
+        for (values, codes), start in zip(ranked, np.searchsorted(run_feature, range(len(ranked))))
+    ])
+    run_left = np.zeros(len(run_value), dtype=np.intp)  # the first child of each run's node
     # Nodes of all trees are numbered level by level, each level ordered by
     # tree and then by parent, so each tree's nodes keep their order. Every
     # leaf holds min_leaf rows or more, which bounds a tree's node count.
     n_nodes = n_trees * (2 * max(1, n // min_leaf) - 1)
-    feature = np.full(n_nodes, -1)
-    value = np.zeros(n_nodes)
-    tree = np.zeros(n_nodes, dtype=np.intp)
+    feature, value, tree = np.full(n_nodes, -1), np.zeros(n_nodes), np.zeros(n_nodes, np.intp)
     tree[:n_trees] = np.arange(n_trees)
-    rows = np.arange(n_rows)  # rows of the level's nodes, in sample order
-    node = rows // n  # each row's node, numbered within the level
+    node = np.repeat(np.arange(n_trees), n)  # each row's node in the level; width: none
     first, width, depth = 0, n_trees, 0  # the level holds nodes first .. first + width - 1
     while width:
-        counts = np.bincount(node, minlength=width)
-        ys = y.take(rows)
-        sums = np.stack([np.bincount(node, ys, width), np.bincount(node, ys * ys, width)])
-        some = np.empty(width)
-        some[node] = ys  # one target of each node
-        open_ = (counts >= 2 * min_leaf) & (np.bincount(node, ys != some.take(node), width) > 0)
+        counts = np.bincount(node, minlength=width + 1)[:width]
+        sums = np.array([np.bincount(node, w, width + 1)[:width] for w in (y, y2)])
+        some = np.empty(width + 1)
+        some[node] = y  # one target of each node
+        open_ = (counts >= 2 * min_leaf) & (np.bincount(node, y != some.take(node))[:width] > 0)
         open_ &= max_depth is None or depth < max_depth
-        level = slice(first, first + width)
-        level_feature, level_value = feature[level], value[level]  # views
+        level_feature, level_value = feature[first : first + width], value[first : first + width]
         if open_.any():
-            # Regroup each feature's rows by node: a stable sort of keys that fit
-            # 16 bits is a radix sort. Rows of nodes not searched sort last, cut off.
-            key_type = np.min_scalar_type((2 * n_features - 1) * width)
-            at_node = np.full(n_rows, n_features * width, key_type)
-            at_node[rows] = np.where(open_, np.arange(width), n_features * width).take(node)
-            key = at_node.take(order)
-            key += (width * np.arange(n_features, dtype=key_type))[:, None]
-            kept = np.argsort(key.ravel(), kind="stable")[: n_features * counts[open_].sum()]
-            order = order.ravel().take(kept).reshape(n_features, -1)
-            level_feature[open_], level_value[open_] = _best_splits(
-                x, codes, y, order, counts[open_], sums[:, open_], min_leaf
+            # Old run r's rows in open child run_left[r] + w make run (w, r); R is none.
+            R, ways = len(run_left), n_trees if depth == 0 else 2
+            pairs = runs + (node if depth == 0 else node & 1) * (R + 1)
+            pc = np.bincount(pairs.ravel(), minlength=ways * (R + 1))
+            child = run_left + np.arange(ways)[:, None]
+            occupied = np.append(open_, np.zeros(ways, bool)).take(child)
+            occupied &= pc.reshape(ways, R + 1)[:, :R] > 0
+            pair = np.flatnonzero(occupied)  # each new run's (way, old run)
+            way = pair // R
+            table = np.full(ways * (R + 1), len(pair))
+            table[pair + way] = np.arange(len(pair))
+            runs, r, run_count = table.take(pairs), pair - way * R, pc.take(pair + way)
+            run_node = np.cumsum(open_).take(child.take(pair)) - 1  # among the open nodes
+            run_feature, run_value, R = run_feature.take(r), run_value.take(r), len(pair)
+            del pairs, pc, child, occupied, pair, way, table, r  # before the search's peak
+            # Adding the other features' 0.0 changes at most a zero's sign: only squares see it.
+            run_sums = np.array([sum(np.bincount(f, w, R + 1) for f in runs)[:R] for w in (y, y2)])
+            cut, cut_value = level_feature[open_], level_value[open_] = _best_splits(
+                run_feature, run_node, run_value, run_count, run_sums, counts[open_],
+                sums[:, open_], min_leaf,
             )
 
         splits = level_feature >= 0
         level_value[~splits] = (sums[0] / counts)[~splits]  # a leaf's value: its mean
         rank = np.cumsum(splits) - 1
         children = first + width + 2 * rank[splits]
-        tree[children] = tree[children + 1] = tree[level][splits]
-
-        inside = splits.take(node)
-        rows, node = rows[inside], node[inside]
-        cell = n_features * rows + level_feature.take(node)
-        goes_right = x.ravel().take(cell) > level_value.take(node)
-        node = 2 * rank.take(node) + goes_right
+        tree[children] = tree[children + 1] = tree[first : first + width][splits]
         first, width, depth = first + width, 2 * len(children), depth + 1
+        if not width:
+            break
+        # A row's child is that of its run of the feature its node is cut on.
+        run_left = np.where(cut >= 0, 2 * rank[open_], width).take(run_node)
+        right = run_value > cut_value.take(run_node)
+        run_child = np.where(cut.take(run_node) == run_feature, run_left + right, width)
+        node = np.append(run_child, width).take(runs).min(axis=0)
+        if depth != max_depth and 2 * counts[splits].sum() <= len(y):  # drop the leaves' rows
+            keep = np.flatnonzero(node < width)
+            y, y2, node, runs = y[keep], y2[keep], node[keep], runs[:, keep]
 
     # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
     tree = tree[:first]
-    by_tree = np.argsort(tree, kind="stable")
-    return {
-        "feature": feature[by_tree],
-        "tree_sizes": np.bincount(tree, minlength=n_trees),
-        "value": value[by_tree],
-    }
+    by_tree, sizes = np.argsort(tree, kind="stable"), np.bincount(tree, minlength=n_trees)
+    return {"feature": feature[by_tree], "tree_sizes": sizes, "value": value[by_tree]}
 
 
 def _left_children(feature: np.ndarray, sizes: np.ndarray) -> np.ndarray:

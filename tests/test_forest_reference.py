@@ -201,6 +201,25 @@ def test_more_than_256_distinct_values_match_the_reference(bootstrap):
     _assert_growers_agree(grow, X, rng.normal(0.0, 5.0, 300).round(1))
 
 
+@pytest.mark.parametrize(("max_depth", "min_leaf"), [(3, 1), (None, 150)])
+def test_five_columns_match_the_reference(max_depth, min_leaf):
+    # Five columns, so five blocks of run labels: one of a single value, one
+    # of 300 distinct values (16-bit ranks), one of -0.0, 0.0 and 1.0, and
+    # two of few integers. With min_leaf 150, half of the 300 rows, a tree is
+    # cut only where a column's 150th and 151st values differ; some are not.
+    rng = np.random.default_rng(11)
+    X = np.column_stack([
+        np.full(300, 4.0),
+        rng.permutation(300) / 7.0 - 20.0,
+        rng.choice([-0.0, 0.0, 1.0], 300),
+        rng.integers(-3, 4, 300),
+        rng.integers(0, 2, 300),
+    ]).astype(float)
+    grow = dict(n_trees=8, max_depth=max_depth, min_leaf=min_leaf, seed=5)
+    sizes = _assert_growers_agree(grow, X, rng.normal(0.0, 5.0, 300).round(1))["tree_sizes"]
+    assert (sizes > 1).all() if min_leaf == 1 else 0 < (sizes == 1).sum() < len(sizes)
+
+
 @pytest.mark.parametrize("mode", list(FeatureMode))
 def test_stock_forests_match_the_reference(mode):
     dataset = calibrate.assemble(campaign.run_campaign(campaign.CampaignConfig()), mode)
@@ -227,11 +246,6 @@ def test_stock_forest_is_the_same_in_one_two_and_three_processes():
 
 
 def test_stock_forests_grow_in_batches_that_fit_the_budget():
-    # Each node of a level holds a row, so a batch within the budget has at
-    # most _BATCH_ROWS nodes per level. For two features the regroup's keys
-    # are at most 3 times that, at any min_leaf, so they fit the uint16 keys
-    # of its radix sort.
-    assert 3 * forest._BATCH_ROWS < 2**16
     log = campaign.run_campaign(campaign.CampaignConfig())
     n_trees = 100  # grow's default
     for mode in FeatureMode:

@@ -4,9 +4,12 @@ The all-TX forest pins (its prediction hash, its table row and its model
 file hash) were computed with the presorted run-length grower and, with
 the same values, with the per-node reference grower of
 ``test_forest_reference.py``. The median-TX prediction hash dates from the
-recursive grower that the array-backed forest replaced and still holds. A
-forest rewrite that changes any split, threshold, leaf value or the order
-of a float summation moves at least one of them. The forest pins rest on
+recursive grower that the array-backed forest replaced and still holds.
+Every forest pin held, unchanged, when the grower stopped re-sorting each
+feature's rows by node at every level and began to keep the rows in place,
+relabelling their nodes and runs through small tables. A forest rewrite
+that changes any split, threshold, leaf value or the order of a float
+summation moves at least one of them. The forest pins rest on
 sequential sums only (``np.bincount``, ``np.cumsum``), not on NumPy's
 pairwise ``np.sum`` or the C library's ``pow``; the linear and polynomial
 rows of the table rest on LAPACK.
