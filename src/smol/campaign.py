@@ -155,10 +155,9 @@ class CampaignConfig:
         # The plan's first packet checks the device id, without encoding a frame.
         SweepPacket(self.device_id, 0, PowerPlan(self.power_levels).levels[0])
         # NumPy sizes an array in int64 bytes. run_campaign's largest hold
-        # 8 bytes a planned packet, and 8 bytes a uniform draw: _draws takes
-        # every sweep's probe and drop streams, whatever tdr_error_bound and
-        # drop_prob, into at most a table of rows as long as the longer
-        # request (the kernel's). That request names its field.
+        # 8 bytes a planned packet, and 8 bytes a uniform draw: the probe's and
+        # the drops' draws, whatever tdr_error_bound and drop_prob, are counted
+        # as two requests as long as the longer one, which names its field.
         sweeps = len(self.scenarios) * len(self.vwc_grid) * self.sweeps_per_cell
         levels = len(self.power_levels)
         longest = max(self.tdr_spots, levels)
@@ -199,11 +198,11 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
     Each cell is visited ``sweeps_per_cell`` times. Every visit has its own
     random streams (``sweep_seed_words``) and timestamp, so the log is a pure
     function of the config; a config whose timestamps round two sweeps to one
-    raises ValueError. One ``path_loss`` call gives every cell's loss. One
-    ``_draws`` request draws every sweep's probe spots and drops over the plan,
-    from one generator per stream or, for many sweeps, from all streams at
-    once (``_pcg64_random``); another draws the noise over the delivered
-    frames, a generator per sweep. The rest is array work over all sweeps.
+    raises ValueError. One ``path_loss`` call gives every cell's loss.
+    ``_pcg64_random`` steps every sweep's probe stream at once for its spots,
+    and every drop stream for the plan; ``_normals`` draws the noise over the
+    delivered frames, a generator per sweep. The rest is array work over all
+    sweeps.
     ``wrap_high_power`` sends a frame that asks for 23 dBm at 5 dBm, as the
     hardware does. Frames arrive unaltered, so each is decoded once, for all
     of its deliveries.
@@ -228,25 +227,20 @@ def run_campaign(config: CampaignConfig) -> MeasurementLog:
         raise ValueError(f"epoch {config.epoch!r} + i * sweep_interval_s "
                          f"{config.sweep_interval_s!r} stamps two sweeps alike")
     tdr_words, noise_words, drop_words = sweep_seed_words(config.seed, sweeps)
-    # The probe's spots and the drops over the plan are uniform draws, made in
-    # one request. A noiseless probe draws nothing, and random() is never
-    # below 0, so a drop probability of 0 keeps every frame without a draw.
-    spots = config.tdr_spots if config.training_mode and config.tdr_error_bound else 0
-    counts = np.repeat([spots, len(plan) if config.drop_prob else 0], sweeps)
-    drawn = counts > 0
-    uniform = _draws(np.concatenate([tdr_words, drop_words])[drawn], counts[drawn], "random")
-    probe, drops = uniform[:sweeps * spots], uniform[sweeps * spots:]
+    # A noiseless probe draws nothing, and random() is never below 0, so a
+    # drop probability of 0 keeps every frame without a draw.
     truth = np.full(sweeps, math.nan)
     if config.training_mode:
-        truth = read_vwc(vwc, config.tdr_error_bound, probe.reshape(sweeps, spots)) / 100.0
+        probe = _pcg64_random(tdr_words, config.tdr_spots if config.tdr_error_bound else 0)
+        truth = read_vwc(vwc, config.tdr_error_bound, probe) / 100.0
     delivered = np.ones((sweeps, len(plan)), dtype=bool)
     if config.drop_prob:
-        delivered = drops.reshape(delivered.shape) >= config.drop_prob
+        delivered = _pcg64_random(drop_words, len(plan)) >= config.drop_prob
     sweep, level = np.nonzero(delivered)
     noise_db = 0.0
     if config.rssi_sigma_db:
         # Generator.normal(loc, scale) is loc + scale * standard_normal().
-        heard = _draws(noise_words, np.count_nonzero(delivered, axis=1), "standard_normal")
+        heard = _normals(noise_words, np.count_nonzero(delivered, axis=1))
         noise_db = 0.0 + config.rssi_sigma_db * heard
     powers = np.array(plan.levels)
     if config.wrap_high_power:
@@ -375,26 +369,17 @@ def _pcg64_random(words: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _draws(words: np.ndarray, counts: np.ndarray, draw: str) -> np.ndarray:
+def _normals(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row i of ``words`` seeds one PCG64 stream, as SeedSequence would seed
-    it, whose first ``counts[i]`` values of ``draw`` (``"random"`` or
-    ``"standard_normal"``) fill the next slice of the returned buffer."""
-    most = int(counts.max(initial=0))
-    # One Generator costs about 1.2 us a row; a _pcg64_random step about 11 us
-    # however many rows it takes, and a stream steps about twice to seed and
-    # once a draw. They break even at 100-200 rows for 10-18 draws, so the
-    # kernel takes a request of at least 10 rows per step. standard_normal
-    # always takes Generators: Python cannot reach the ziggurat tables that
-    # NumPy draws it with.
-    if draw == "random" and len(words) >= 10 * (most + 2):
-        table = _pcg64_random(words, most)
-        return table[np.arange(most) < counts[:, None]]  # row by row, its first counts[i]
-    # Python ints: the probe's and the drops' draws together may pass int64.
+    it, whose first ``counts[i]`` values of ``standard_normal()`` fill the
+    next slice of the returned buffer. Each stream takes a Generator:
+    standard_normal draws through NumPy's ziggurat tables, which Python
+    cannot reach."""
     ends = [0, *accumulate(counts.tolist())]
     out = np.empty(ends[-1])
     generator, pcg64 = np.random.Generator, np.random.PCG64  # looked up once, not per row
     for row, start, end in zip(words, ends, ends[1:]):
-        getattr(generator(pcg64(_StateWords(row))), draw)(out=out[start:end])
+        generator(pcg64(_StateWords(row))).standard_normal(out=out[start:end])
     return out
 
 

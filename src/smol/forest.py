@@ -193,9 +193,6 @@ def _grow_trees(
         right = run_value > cut_value.take(run_node)
         run_child = np.where(cut.take(run_node) == run_feature, run_left + right, width)
         node = np.append(run_child, width).take(runs).min(axis=0)
-        if depth != max_depth and 2 * counts[splits].sum() <= len(y):  # drop the leaves' rows
-            keep = np.flatnonzero(node < width)
-            y, y2, node, runs = y[keep], y2[keep], node[keep], runs[:, keep]
 
     # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
     tree = tree[:first]

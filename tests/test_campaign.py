@@ -712,40 +712,35 @@ class TestConfigFile:
 
 @pytest.mark.numpy_bits
 class TestSweepStreams:
-    # One stream (a row of seed words handed to _draws) per sweep for each of
-    # the probe, the drops and the noise; none for a noiseless probe, a drop
-    # probability of 0 or sigma 0. Each stream is a Generator or a row of the
-    # PCG64 kernel, which takes the probe and drop streams of a large campaign.
-    @pytest.mark.parametrize("config, streams, kernel_rows", [
-        (CampaignConfig(), 72 * 2, 0),
+    # Each sweep's noise stream is a Generator; its probe and drop streams are
+    # rows of the PCG64 kernel, which draws tdr_spots and then one value per
+    # power level. Nothing is drawn for a noiseless probe, a drop probability
+    # of 0 or sigma 0.
+    @pytest.mark.parametrize("config, generators, kernel_values", [
+        (CampaignConfig(), 72, 72 * 10),
         (CampaignConfig().without_noise(), 0, 0),
-        (CampaignConfig(drop_prob=0.1), 72 * 3, 0),
+        (CampaignConfig(drop_prob=0.1), 72, 72 * (10 + 18)),
         (CampaignConfig(training_mode=False), 72, 0),
         (CampaignConfig(tdr_error_bound=0.0), 72, 0),
-        (CampaignConfig(rssi_sigma_db=0.0), 72, 0),
-        (_large_config(), 1728 * 3, 1728 * 2),
+        (CampaignConfig(rssi_sigma_db=0.0), 0, 72 * 10),
+        (_large_config(), 1728, 1728 * (10 + 18)),
     ], ids=["stock", "no-noise", "drops", "inference", "noiseless-probe", "sigma-0", "large"])
-    def test_streams_per_campaign(self, monkeypatch, config, streams, kernel_rows):
-        rows = {"streams": 0, "kernel": 0}
-        built = []
-        real_pcg64 = np.random.PCG64
+    def test_streams_per_campaign(self, monkeypatch, config, generators, kernel_values):
+        drawn, built = [], []
+        real_kernel, real_pcg64 = campaign._pcg64_random, np.random.PCG64
 
-        def rows_of(name, fn):
-            def counted(words, *args):
-                rows[name] += len(words)
-                return fn(words, *args)
-            return counted
+        def counted_kernel(words, count):
+            drawn.append(len(words) * count)
+            return real_kernel(words, count)
 
         def counted_pcg64(*args):
             built.append(args)
             return real_pcg64(*args)
 
-        monkeypatch.setattr(campaign, "_draws", rows_of("streams", campaign._draws))
-        monkeypatch.setattr(campaign, "_pcg64_random", rows_of("kernel", campaign._pcg64_random))
+        monkeypatch.setattr(campaign, "_pcg64_random", counted_kernel)
         monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
         assert len(run_campaign(config)) > 0
-        assert rows == {"streams": streams, "kernel": kernel_rows}
-        assert len(built) == streams - kernel_rows
+        assert (len(built), sum(drawn)) == (generators, kernel_values)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70, 2**128 + 5])
     def test_seed_words_match_numpy(self, seed):
@@ -787,23 +782,24 @@ class TestPcg64Kernel:
         drawn = campaign._pcg64_random(words, count)
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
-    # Counts 0-10 per row: the kernel takes 10 * (10 + 2) = 120 rows or more.
-    @pytest.mark.parametrize("rows, draw, kernel", [
-        (119, "random", False),
-        (120, "random", True),
-        (400, "standard_normal", False),
-    ])
-    def test_draws_equal_one_generator_per_row(self, monkeypatch, rows, draw, kernel):
-        words, counts = _word_rows()[:rows], np.arange(rows) % 11
-        expected = np.concatenate([getattr(_generator(row), draw)(count)
-                                   for row, count in zip(words, counts)])
-        calls = []
-        real = campaign._pcg64_random
-        monkeypatch.setattr(campaign, "_pcg64_random",
-                            lambda *args: calls.append(args) or real(*args))
-        drawn = campaign._draws(words, counts, draw)
+    # A campaign's probe and drop requests: one sweep to a stock grid's 72,
+    # for no spot (a noiseless probe), one, the stock spots or the stock plan.
+    @pytest.mark.parametrize("rows", [1, 2, 3, 72])
+    @pytest.mark.parametrize("count", [0, 1, 10, 18])
+    def test_matches_generator_random_at_campaign_sizes(self, rows, count):
+        words = _word_rows()[-rows:]
+        expected = np.array([_generator(row).random(count) for row in words])
+        drawn = campaign._pcg64_random(words, count)
+        assert drawn.shape == (rows, count)
         assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
-        assert len(calls) == kernel
+
+    @pytest.mark.parametrize("rows", [1, 72, 400])
+    def test_normals_equal_one_generator_per_row(self, rows):
+        words, counts = _word_rows()[:rows], np.arange(rows) % 11
+        expected = np.concatenate([_generator(row).standard_normal(count)
+                                   for row, count in zip(words, counts)])
+        drawn = campaign._normals(words, counts)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
     def test_a_count_beyond_memory_fails_before_a_step(self, monkeypatch):
         def step(*args):

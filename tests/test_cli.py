@@ -251,6 +251,19 @@ def test_readme_names_only_flags_that_exist():
     assert named <= options, sorted(named - options)  # the one left out above is pip's
 
 
+def test_readme_speed_list_names_only_code_that_exists():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Code that exists only for speed\n")[1].split("\n#")[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| ")][1:]
+    modules = {"calibrate": calibrate, "campaign": campaign, "forest": forest}
+    for mechanism, where, _ in rows:
+        names = re.findall(r"`(\w+)\.([\w.]+)`", where)
+        assert names, mechanism
+        for module, path in names:
+            *owners, name = path.split(".")
+            assert hasattr(functools.reduce(getattr, owners, modules[module]), name), path
+
+
 def test_readme_names_the_file_versions_this_smol_writes():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     named = re.findall(r'"(smol-model|smol-campaign)",\s+"version": (\d+)', readme)

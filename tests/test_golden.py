@@ -81,9 +81,11 @@ with the simulator whose ``LinkGeometry`` carried the antenna gains; its
 gains, 0.1 and 0.2 dB, do not add exactly, so it pins the budget's
 addition order, ``(tx + tx_gain) + rx_gain``, which the wrap case's exact
 gains cannot. The large case was computed with one ``Generator`` per
-stream; its 1,728 sweeps are enough for its probe and drop streams to come
-from the uint64 PCG64 kernel (``campaign._pcg64_random``), which must
-write the same bytes.
+stream. Every campaign's probe and drop streams now come from the uint64
+PCG64 kernel (``campaign._pcg64_random``), which must write every case's
+bytes. The one-sweep case was computed while a campaign of few sweeps
+still drew from one ``Generator`` per stream; it asks the kernel for one
+row at a time, and for more probe spots than the plan has levels.
 
 The predictions file and curve file hashes were computed with the
 hand-kept CSV column tuple and positional cell parsers that the log's
@@ -119,6 +121,7 @@ GOLDEN_LOG_SHA256 = {
     "wrap": "0b3490eafb37be270c08c29dfa879ac9152247c3641ab9d3e3205f6e3048c244",
     "big-seed": "ff38c6e4bfe246f7e8ef61a7588e0729c36e7246c3ea98fd9a8615b681fa9a0b",
     "gains": "647601c3f5d1f1384067666be9eed758ce34b1dbf268f638907b1dc45f38e9ce",
+    "one-sweep": "0320d90d0fdfe39327bd067bf16c71e3f2c7ecf1e57544cd3ac08f379899052c",
 }
 
 # Model files of `smol train` on the stock log, default flags otherwise.
@@ -288,11 +291,24 @@ def _gains_config() -> campaign.CampaignConfig:
     return campaign.CampaignConfig(tx_gain_db=0.1, rx_gain_db=0.2, quantize_rssi=False)
 
 
+def _one_sweep_config() -> campaign.CampaignConfig:
+    """One sweep of one cell, with drops and more probe spots than power levels."""
+    return campaign.CampaignConfig(
+        scenarios=(campaign.Scenario("one", 15.0, 0.0),),
+        vwc_grid=(0.2,),
+        sweeps_per_cell=1,
+        tdr_spots=25,
+        drop_prob=0.3,
+        seed=11,
+    )
+
+
 CONFIG_CASES = {
     "large": _large_config,
     "wrap": _wrap_config,
     "big-seed": _big_seed_config,
     "gains": _gains_config,
+    "one-sweep": _one_sweep_config,
 }
 
 
