@@ -170,9 +170,8 @@ class TrainedModel:
             if kind == ModelKind.RANDOM_FOREST:
                 out = forest.predict(params, X, self._descent)
             elif kind == ModelKind.POLYNOMIAL:
-                powers = polynomial_powers(self.n_features, POLY_DEGREE)
-                out = polynomial_expand(X, powers) @ params["beta"]
-            else:
+                out = least_squares_design(kind, X) @ params["beta"]
+            else:  # not [1, X] @ beta, which moves the last bits of the table's linear rows
                 out = params["beta"][0] + X @ params["beta"][1:]
         bad = np.count_nonzero(~np.isfinite(out))
         if bad:
@@ -255,6 +254,16 @@ def polynomial_expand(X: np.ndarray, powers: Sequence[tuple[int, ...]]) -> np.nd
     return np.column_stack(cols)
 
 
+def least_squares_design(kind: ModelKind, X: np.ndarray) -> np.ndarray:
+    """The columns a least-squares kind fits: every monomial of total degree
+    <= ``POLY_DEGREE`` (polynomial) or 1 (linear, ridge) of X's features, in
+    ``polynomial_powers`` order, so the constant first. An overflowing
+    monomial is left non-finite for the caller to refuse."""
+    degree = POLY_DEGREE if kind == ModelKind.POLYNOMIAL else 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        return polynomial_expand(X, polynomial_powers(X.shape[1], degree))
+
+
 def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     bad = np.count_nonzero(~np.isfinite(design))
     if bad:
@@ -267,54 +276,31 @@ def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _fit_linear(X: np.ndarray, y: np.ndarray) -> dict:
-    design = np.column_stack([np.ones(len(y)), X])
-    return {"beta": _solve_least_squares(design, y)}
-
-
-def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
-    n, d = X.shape
-    # Augmented rows sqrt(lam)*I penalize the slope coefficients only;
-    # the intercept column stays unpenalized.
-    design = np.column_stack([np.ones(n), X])
-    penalty = np.hstack([np.zeros((d, 1)), math.sqrt(lam) * np.eye(d)])
-    return {
-        "beta": _solve_least_squares(
-            np.vstack([design, penalty]), np.concatenate([y, np.zeros(d)])
-        )
-    }
-
-
-def _fit_polynomial(X: np.ndarray, y: np.ndarray, degree: int) -> dict:
-    # An overflowing monomial is refused below as non-finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        design = polynomial_expand(X, polynomial_powers(X.shape[1], degree))
-    return {"beta": _solve_least_squares(design, y)}
-
-
 def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
     """Fit one regressor on the training rows.
 
-    Linear and ridge solve least squares with an intercept (ridge adds an
-    L2 penalty ``RIDGE_LAMBDA`` on the slopes only); polynomial expands to
-    all monomials of total degree <= ``POLY_DEGREE`` first. The forest
-    (``forest.grow`` at its default settings) bootstraps seeded
-    resamples and grows greedy variance-reduction trees. Rank-deficient
-    linear solves raise SingularSystemError rather than regularizing
-    silently; a design holding a non-finite value, such as an overflowing
-    monomial, raises FloatingPointError before it reaches LAPACK.
+    Linear, ridge and polynomial solve least squares on their
+    ``least_squares_design``: an intercept and a slope per feature, or every
+    monomial of total degree <= ``POLY_DEGREE``. Ridge appends the rows
+    sqrt(``RIDGE_LAMBDA``) * I under its slopes, an L2 penalty that leaves the
+    intercept free (Hoerl and Kennard, 1970). The forest (``forest.grow`` at
+    its default settings) bootstraps seeded resamples and grows greedy
+    variance-reduction trees. Rank-deficient linear solves raise
+    SingularSystemError rather than regularizing silently; a design holding a
+    non-finite value, such as an overflowing monomial, raises
+    FloatingPointError before it reaches LAPACK.
     """
     if len(train) == 0:
         raise ValueError("cannot fit on an empty training set")
     X, y = train.features, train.targets
-    if spec.kind == ModelKind.LINEAR:
-        params = _fit_linear(X, y)
-    elif spec.kind == ModelKind.RIDGE:
-        params = _fit_ridge(X, y, RIDGE_LAMBDA)
-    elif spec.kind == ModelKind.POLYNOMIAL:
-        params = _fit_polynomial(X, y, POLY_DEGREE)
-    else:
+    if spec.kind == ModelKind.RANDOM_FOREST:
         params = forest.grow(X, y)
+    else:
+        design = least_squares_design(spec.kind, X)
+        if spec.kind == ModelKind.RIDGE:
+            penalty = math.sqrt(RIDGE_LAMBDA) * np.eye(design.shape[1])[1:]
+            design, y = np.vstack([design, penalty]), np.concatenate([y, np.zeros(len(penalty))])
+        params = {"beta": _solve_least_squares(design, y)}
     return TrainedModel(
         spec=spec,
         feature_mode=train.feature_mode,
@@ -422,9 +408,8 @@ def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, t
     beta = params["beta"]
     if type(beta) is not list or not all(map(_finite_number, beta)):
         raise ValueError("beta is not a list of finite numbers")
-    # One coefficient per monomial of total degree <= d (linear: d = 1).
-    degree = POLY_DEGREE if spec.kind == ModelKind.POLYNOMIAL else 1
-    if len(beta) != (want := math.comb(degree + n_features, n_features)):
+    want = least_squares_design(spec.kind, np.empty((0, n_features))).shape[1]
+    if len(beta) != want:
         raise ValueError(f"beta has {len(beta)} coefficient(s), want {want}")
     return {"beta": np.array(beta, dtype=float)}, None
 

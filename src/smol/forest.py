@@ -46,10 +46,7 @@ def _running_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> 
     while low < terms.max():
         seg = np.flatnonzero((terms > low) & (terms <= width))
         block = values.take(starts[seg, None] + np.arange(width), axis=1, mode="clip")
-        if width > 4:
-            np.cumsum(block, axis=2, out=block)
-        for k in range(1, 4 if width == 4 else 0):  # faster than np.cumsum's short runs
-            block[..., k] += block[..., k - 1]
+        np.cumsum(block, axis=2, out=block)
         padded.append(block.reshape(len(values), -1))
         base[seg] = offset + width * np.arange(len(seg)) - starts[seg]
         offset += width * len(seg)

@@ -176,7 +176,7 @@ def test_criterion_5_metric_oracle():
     _report(5, "R^2/MAE agree with brute-force oracle on 100 random sets + hand case", ok)
 
 
-def test_criterion_6_regression_sanity():
+def test_criterion_6_regression_sanity(monkeypatch):
     rng = np.random.default_rng(21)
 
     rssi = rng.uniform(-90.0, -20.0, 50)
@@ -191,7 +191,8 @@ def test_criterion_6_regression_sanity():
     y = 3.0 - 0.4 * X[:, 0] + 0.2 * X[:, 1] + rng.normal(0, 2, 60)
     ds2 = calibrate.Dataset(X, y, FeatureMode.ALL_TX)
     lin = calibrate.fit(ModelSpec(ModelKind.LINEAR), ds2).params["beta"]
-    rid = calibrate._fit_ridge(X, y, 0.0)["beta"]
+    monkeypatch.setattr(calibrate, "RIDGE_LAMBDA", 0.0)
+    rid = calibrate.fit(ModelSpec(ModelKind.RIDGE), ds2).params["beta"]
     ridge_ok = bool(np.all(np.abs(lin - rid) < 1e-6))
 
     Xf = rng.uniform(0.0, 100.0, (20, 2))

@@ -32,6 +32,7 @@ from smol.calibrate import (
     compare,
     evaluate,
     fit,
+    least_squares_design,
     load_model,
     mean_absolute_error,
     polynomial_expand,
@@ -243,21 +244,24 @@ class TestLinearFits:
         assert beta[1] == pytest.approx(-2.0, abs=1e-6)
         assert evaluate(model, ds).mae == pytest.approx(0.0, abs=1e-9)
 
-    def test_ridge_zero_penalty_equals_linear(self):
+    def test_ridge_zero_penalty_equals_linear(self, monkeypatch):
         rng = np.random.default_rng(1)
         X = rng.uniform(-90, -20, (50, 2))
         y = 3.0 - 0.5 * X[:, 0] + 0.25 * X[:, 1] + rng.normal(0, 1, 50)
         lin = fit(ModelSpec(ModelKind.LINEAR), _dataset(X, y)).params["beta"]
-        rid = calibrate._fit_ridge(X, y, 0.0)["beta"]
+        monkeypatch.setattr(calibrate, "RIDGE_LAMBDA", 0.0)
+        rid = fit(ModelSpec(ModelKind.RIDGE), _dataset(X, y)).params["beta"]
         assert np.allclose(lin, rid, atol=1e-6)
 
-    def test_ridge_penalty_shrinks_slopes(self):
+    def test_ridge_penalty_shrinks_slopes(self, monkeypatch):
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (60, 2))
         y = 5.0 + 4.0 * X[:, 0] - 3.0 * X[:, 1]
-        free = calibrate._fit_ridge(X, y, 0.0)["beta"]
-        tight = calibrate._fit_ridge(X, y, 1e4)["beta"]
-        assert np.abs(tight[1:]).sum() < np.abs(free[1:]).sum()
+        slopes = {}
+        for lam in (0.0, 1e4):
+            monkeypatch.setattr(calibrate, "RIDGE_LAMBDA", lam)
+            slopes[lam] = fit(ModelSpec(ModelKind.RIDGE), _dataset(X, y)).params["beta"][1:]
+        assert np.abs(slopes[1e4]).sum() < np.abs(slopes[0.0]).sum()
 
     def test_singular_design_is_reported(self):
         # duplicated feature column: rank-deficient, no silent fallback
@@ -311,6 +315,16 @@ class TestPolynomial:
     def test_degree_two_on_two_features(self):
         powers = polynomial_powers(2, 2)
         assert powers == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.RIDGE])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_degree_one_design_is_the_intercept_column_and_the_features(self, kind, width):
+        values = np.array([0.0, -0.0, 1.5, -3.25, 1e300, -1e300, 5e-324, -90.0])
+        X = np.column_stack([values, values[::-1]])[:, :width]
+        design = least_squares_design(kind, X)
+        want = np.column_stack([np.ones(len(X)), X])
+        assert design.dtype == want.dtype and design.shape == want.shape
+        assert design.tobytes() == want.tobytes()
 
     def test_fits_a_quadratic_exactly(self):
         x = np.linspace(-5, 5, 25).reshape(-1, 1)

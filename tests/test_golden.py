@@ -68,6 +68,13 @@ field set to 9 and its ``value`` array replaced by the table and the index
 that ``np.unique(..., return_inverse=True)`` of its ``<i8`` view gives, is
 the version 9 file byte for byte.
 
+The other five least-squares model files (linear and ridge in both modes,
+polynomial all-TX) were pinned at version 9 with a fit helper per kind,
+which built the degree-1 design as ``np.column_stack([ones, X])`` and
+ridge's penalty rows apart; the one least-squares design must write the
+same bytes. Like the polynomial median-TX file, their coefficients rest
+on LAPACK's least-squares solve.
+
 The log hashes were computed with the packet-at-a-time simulator, which
 drew one drop decision and one noise sample per packet and recomputed the
 path loss for each; the sweep-at-a-time simulator must write the same
@@ -128,6 +135,11 @@ GOLDEN_LOG_SHA256 = {
 GOLDEN_MODEL_SHA256 = {
     ("random_forest", "all_tx"): "df2d83de23390adeeb42d350f71d9be7003f05b417043ec62a89baabe72efe04",
     ("polynomial", "median_tx"): "e051c75d92525160b4de72259fe4343291b40ec9b4b739559699f1cb95495a48",
+    ("polynomial", "all_tx"): "a1dc53c5ed5c86c5c71e0a9610be09fc28b32dbaabbc57fef59347726af905b0",
+    ("linear", "all_tx"): "50fc138d4832fa3a485aaae9b978f814aa6d3362e73c8046c8a090b1b535e8c4",
+    ("linear", "median_tx"): "92f5430f75ae4202a155fd2b566c580c82158b7d36b398bbb3362418deefacc7",
+    ("ridge", "all_tx"): "49cdf821566f6984c33a8c0e79f94137a663bc39925131dde54b43e177248ef7",
+    ("ridge", "median_tx"): "8e6c00b92adb8121989a628314225de6e446779281f12bb15b868365fa4ab8d4",
 }
 
 # The stock forests' arrays, fit on the 80% split (seed 0), default spec.
