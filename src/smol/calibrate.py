@@ -40,10 +40,6 @@ def _finite_number(value) -> bool:
         return False
 
 
-class SingularSystemError(ArithmeticError):
-    """A linear fit hit a rank-deficient design matrix."""
-
-
 class FeatureMode(str, Enum):
     """Which inputs the regressor sees."""
 
@@ -235,33 +231,19 @@ def split(d: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 # fitting
 
-def polynomial_powers(n_features: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of all monomials with total degree <= degree,
-    ordered by total degree then feature index; one feature and degree 2
-    give [(0,), (1,), (2,)], i.e. the basis [1, x, x^2]."""
-    powers: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        for combo in combinations_with_replacement(range(n_features), total):
-            exps = [0] * n_features
-            for j in combo:
-                exps[j] += 1
-            powers.append(tuple(exps))
-    return powers
-
-
-def polynomial_expand(X: np.ndarray, powers: Sequence[tuple[int, ...]]) -> np.ndarray:
-    cols = [np.prod(X ** np.array(p), axis=1) for p in powers]
-    return np.column_stack(cols)
-
-
 def least_squares_design(kind: ModelKind, X: np.ndarray) -> np.ndarray:
     """The columns a least-squares kind fits: every monomial of total degree
-    <= ``POLY_DEGREE`` (polynomial) or 1 (linear, ridge) of X's features, in
-    ``polynomial_powers`` order, so the constant first. An overflowing
-    monomial is left non-finite for the caller to refuse."""
+    <= ``POLY_DEGREE`` (polynomial) or 1 (linear, ridge) of X's features, by
+    total degree then feature index (one feature at degree 2: [1, x, x^2]).
+    An overflowing monomial is left non-finite for the caller to refuse."""
     degree = POLY_DEGREE if kind == ModelKind.POLYNOMIAL else 1
+    k = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return polynomial_expand(X, polynomial_powers(X.shape[1], degree))
+        return np.column_stack([
+            np.prod(X ** np.bincount(np.array(combo, dtype=np.intp), minlength=k), axis=1)
+            for total in range(degree + 1)
+            for combo in combinations_with_replacement(range(k), total)
+        ])
 
 
 def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -270,9 +252,7 @@ def _solve_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise FloatingPointError(f"{bad} of {design.size} design matrix values are not finite")
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
-        raise SingularSystemError(
-            f"design matrix rank {rank} < {design.shape[1]} columns"
-        )
+        raise FloatingPointError(f"design matrix rank {rank} < {design.shape[1]} columns")
     return beta
 
 
@@ -285,10 +265,10 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedModel:
     sqrt(``RIDGE_LAMBDA``) * I under its slopes, an L2 penalty that leaves the
     intercept free (Hoerl and Kennard, 1970). The forest (``forest.grow`` at
     its default settings) bootstraps seeded resamples and grows greedy
-    variance-reduction trees. Rank-deficient linear solves raise
-    SingularSystemError rather than regularizing silently; a design holding a
-    non-finite value, such as an overflowing monomial, raises
-    FloatingPointError before it reaches LAPACK.
+    variance-reduction trees. A rank-deficient design raises
+    FloatingPointError rather than regularizing silently, and so does a design
+    holding a non-finite value, such as an overflowing monomial, before it
+    reaches LAPACK.
     """
     if len(train) == 0:
         raise ValueError("cannot fit on an empty training set")
@@ -504,7 +484,7 @@ def compare(log: MeasurementLog, split_seed: int = 0) -> list[CompareRow]:
             try:
                 ev = train_and_score(ModelSpec(kind), log, mode, split_seed)[1]
                 rows.append(CompareRow(kind, mode, ev.r_squared, ev.mae))
-            except (ValueError, SingularSystemError, FloatingPointError) as err:
+            except (ValueError, FloatingPointError) as err:
                 rows.append(CompareRow(kind, mode, error=str(err)))
     return rank_rows(rows)
 

@@ -154,21 +154,16 @@ class CampaignConfig:
             raise ValueError(f"carrier frequency must be positive, got {self.frequency_hz}")
         # The plan's first packet checks the device id, without encoding a frame.
         SweepPacket(self.device_id, 0, PowerPlan(self.power_levels).levels[0])
-        # NumPy sizes an array in int64 bytes. run_campaign's largest hold
-        # 8 bytes a planned packet, and 8 bytes a uniform draw: the probe's and
-        # the drops' draws, whatever tdr_error_bound and drop_prob, are counted
-        # as two requests as long as the longer one, which names its field.
+        # NumPy sizes an array in int64 bytes. run_campaign's largest holds
+        # 8 bytes per planned packet or per probe draw (whatever
+        # tdr_error_bound), the longer of a sweep's two, which names its field.
         sweeps = len(self.scenarios) * len(self.vwc_grid) * self.sweeps_per_cell
         levels = len(self.power_levels)
-        longest = max(self.tdr_spots, levels)
-        for name, size, what in (
-            ("sweeps_per_cell", 8 * sweeps * levels, "planned packets"),
-            ("tdr_spots" if self.tdr_spots > levels else "sweeps_per_cell",
-             8 * 2 * sweeps * longest, "uniform draws"),
-        ):
-            if size >= 2**63:
-                raise ValueError(f"{name} {getattr(self, name)} makes {size} bytes of {what}, "
-                                 "not below 2**63")
+        name = "tdr_spots" if self.tdr_spots > levels else "sweeps_per_cell"
+        size = 8 * sweeps * max(self.tdr_spots, levels)
+        if size >= 2**63:
+            raise ValueError(f"{name} {getattr(self, name)} makes an array of {size} bytes, "
+                             "not below 2**63")
 
     def soil_state(self, vwc: float | np.ndarray) -> SoilState:
         return SoilState(

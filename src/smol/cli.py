@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import calibrate, campaign
-from .calibrate import FeatureMode, ModelKind, ModelSpec, SingularSystemError
+from .calibrate import FeatureMode, ModelKind, ModelSpec
 from .campaign import CampaignConfig
 
 EXIT_OK = 0
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (SingularSystemError, FloatingPointError) as err:
+    except FloatingPointError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

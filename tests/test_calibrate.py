@@ -1,6 +1,7 @@
 import base64
 import functools
 import json
+import math
 import os
 import pickle
 import re
@@ -26,7 +27,6 @@ from smol.calibrate import (
     FeatureMode,
     ModelKind,
     ModelSpec,
-    SingularSystemError,
     TrainedModel,
     assemble,
     compare,
@@ -35,8 +35,6 @@ from smol.calibrate import (
     least_squares_design,
     load_model,
     mean_absolute_error,
-    polynomial_expand,
-    polynomial_powers,
     r_squared,
     rank_rows,
     render_table,
@@ -267,7 +265,7 @@ class TestLinearFits:
         # duplicated feature column: rank-deficient, no silent fallback
         X = np.column_stack([np.arange(10.0), np.arange(10.0)])
         ds = _dataset(X, np.arange(10.0))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(FloatingPointError):
             fit(ModelSpec(ModelKind.LINEAR), ds)
 
     def test_more_monomials_than_rows_are_refused(self):
@@ -275,7 +273,7 @@ class TestLinearFits:
         # full rank.
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 2))
         ds = _dataset(X, X[:, 0] ** 3)
-        with pytest.raises(SingularSystemError, match="^design matrix rank 5 < 6 columns$"):
+        with pytest.raises(FloatingPointError, match="^design matrix rank 5 < 6 columns$"):
             fit(ModelSpec(ModelKind.POLYNOMIAL), _dataset(X[:5], ds.targets[:5]))
         # As many columns as rows can still be full rank.
         assert len(fit(ModelSpec(ModelKind.POLYNOMIAL), ds).params["beta"]) == 6
@@ -305,17 +303,28 @@ class TestLinearFits:
 
 
 class TestPolynomial:
+    @pytest.mark.numpy_bits
     def test_degree_two_single_feature_basis(self):
-        powers = polynomial_powers(1, 2)
-        assert powers == [(0,), (1,), (2,)]
         x = np.array([[3.0], [-2.0]])
-        expanded = polynomial_expand(x, powers)
-        assert np.array_equal(expanded, [[1.0, 3.0, 9.0], [1.0, -2.0, 4.0]])
+        design = least_squares_design(ModelKind.POLYNOMIAL, x)
+        assert np.array_equal(design, [[1.0, 3.0, 9.0], [1.0, -2.0, 4.0]])
 
+    @pytest.mark.numpy_bits
     def test_degree_two_on_two_features(self):
-        powers = polynomial_powers(2, 2)
-        assert powers == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        # By total degree, then feature index: 1, x, y, x^2, xy, y^2.
+        design = least_squares_design(ModelKind.POLYNOMIAL, np.array([[2.0, 3.0]]))
+        assert design.tolist() == [[1.0, 2.0, 3.0, 4.0, 6.0, 9.0]]
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("kind, degree", [
+        (ModelKind.LINEAR, 1), (ModelKind.RIDGE, 1), (ModelKind.POLYNOMIAL, 2),
+    ])
+    def test_a_design_has_a_column_per_monomial(self, kind, degree, width):
+        # The count a model file's beta is checked against.
+        design = least_squares_design(kind, np.empty((0, width)))
+        assert design.shape == (0, math.comb(width + degree, degree))
+
+    @pytest.mark.numpy_bits
     @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.RIDGE])
     @pytest.mark.parametrize("width", [1, 2])
     def test_degree_one_design_is_the_intercept_column_and_the_features(self, kind, width):

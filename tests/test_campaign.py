@@ -95,35 +95,32 @@ class TestConfigValidation:
         "porosity beyond float range": (
             dict(porosity=10**400), f"^porosity must be a finite number, got {10**400}$"
         ),
-        # 3 cells x 18 levels x 8 bytes, and 2 x 3 streams x 2**62 spots x 8
+        # 3 cells x 18 levels x 8 bytes, and 3 sweeps x 2**62 spots x 8
         # bytes: arrays past 2**63 bytes.
         "sweeps_per_cell past int64 counts": (
             dict(sweeps_per_cell=2**62),
-            rf"^sweeps_per_cell {2**62} makes {8 * 54 * 2**62} bytes of planned packets, "
+            rf"^sweeps_per_cell {2**62} makes an array of {8 * 54 * 2**62} bytes, "
             r"not below 2\*\*63$",
         ),
         "tdr_spots past int64 counts": (
             dict(tdr_spots=2**62),
-            rf"^tdr_spots {2**62} makes {8 * 6 * 2**62} bytes of uniform draws, "
+            rf"^tdr_spots {2**62} makes an array of {8 * 3 * 2**62} bytes, "
             r"not below 2\*\*63$",
         ),
     }
 
     def test_counts_are_refused_from_2_to_the_63(self):
-        # Bytes, not counts. One cell, one level, one spot: 8 bytes a packet
-        # and 16 a sweep's two uniform streams, whose longer request, a tie
-        # here, names sweeps_per_cell.
+        # Bytes, not counts. One cell, one level, one spot: 8 bytes a sweep,
+        # and a tie between levels and spots names sweeps_per_cell.
         one = dict(vwc_grid=(0.2,), power_levels=(13,), tdr_spots=1)
-        small_config(**one, sweeps_per_cell=2**59 - 1)  # built, never run
-        with pytest.raises(ValueError, match="^sweeps_per_cell .* bytes of uniform draws"):
-            small_config(**one, sweeps_per_cell=2**59)
-        with pytest.raises(ValueError, match="^sweeps_per_cell .* bytes of planned packets"):
+        small_config(**one, sweeps_per_cell=2**60 - 1)  # built, never run
+        with pytest.raises(ValueError, match=rf"^sweeps_per_cell {2**60} makes an array of "):
             small_config(**one, sweeps_per_cell=2**60)
         # The probe's draws count whatever its error bound, and past the
-        # plan's levels a probe request is the longer one.
-        small_config(**(one | dict(tdr_spots=2)), sweeps_per_cell=2**58 - 1)
-        with pytest.raises(ValueError, match="^tdr_spots 2 makes .* bytes of uniform draws"):
-            small_config(**(one | dict(tdr_spots=2, tdr_error_bound=0.0)), sweeps_per_cell=2**58)
+        # plan's levels the probe's spots make the longer array.
+        small_config(**(one | dict(tdr_spots=2)), sweeps_per_cell=2**59 - 1)
+        with pytest.raises(ValueError, match=f"^tdr_spots 2 makes an array of {2**63} bytes"):
+            small_config(**(one | dict(tdr_spots=2, tdr_error_bound=0.0)), sweeps_per_cell=2**59)
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_refused_when_built_or_read(self, case):
