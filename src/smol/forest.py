@@ -20,8 +20,8 @@ from typing import BinaryIO, Callable, Iterator
 import numpy as np
 
 # Trees x training rows per batch (at least one tree). A batch's trees share each
-# level's NumPy calls: a bigger batch grows faster serially, but shares out worse.
-_BATCH_ROWS = 10_400
+# level's NumPy calls. The stock all-TX forest: 6 batches of 16-17 trees on 1-3 CPUs.
+_BATCH_ROWS = 18_000
 
 # (Row, tree) pairs per descent block (at least one row). A block's node and
 # row temporaries stay cache-sized; from 6,400 to 51,200 pairs time the same.
@@ -139,13 +139,10 @@ def _grow_trees(
     ])
     run_left = np.zeros(len(run_value), dtype=np.intp)  # the first child of each run's node
     # Nodes of all trees are numbered level by level, each level ordered by
-    # tree and then by parent, so each tree's nodes keep their order. Every
-    # leaf holds min_leaf rows or more, which bounds a tree's node count.
-    n_nodes = n_trees * (2 * max(1, n // min_leaf) - 1)
-    feature, value, tree = np.full(n_nodes, -1), np.zeros(n_nodes), np.zeros(n_nodes, np.intp)
-    tree[:n_trees] = np.arange(n_trees)
+    # tree and then by parent, so each tree's nodes keep their order.
+    levels, trees = [], [np.arange(n_trees)]  # per level: (feature, value); each node's tree
     node = np.repeat(np.arange(n_trees), n)  # each row's node in the level; width: none
-    first, width, depth = 0, n_trees, 0  # the level holds nodes first .. first + width - 1
+    width, depth = n_trees, 0
     while width:
         counts = np.bincount(node, minlength=width + 1)[:width]
         sums = np.array([np.bincount(node, w, width + 1)[:width] for w in (y, y2)])
@@ -153,12 +150,13 @@ def _grow_trees(
         some[node] = y  # one target of each node
         open_ = (counts >= 2 * min_leaf) & (np.bincount(node, y != some.take(node))[:width] > 0)
         open_ &= max_depth is None or depth < max_depth
-        level_feature, level_value = feature[first : first + width], value[first : first + width]
+        level_feature, level_value = np.full(width, -1), np.zeros(width)
+        levels.append((level_feature, level_value))
         if open_.any():
             # Old run r's rows in open child run_left[r] + w make run (w, r); R is none.
             R, ways = len(run_left), n_trees if depth == 0 else 2
-            pairs = runs + (node if depth == 0 else node & 1) * (R + 1)
-            pc = np.bincount(pairs.ravel(), minlength=ways * (R + 1))
+            runs += (node if depth == 0 else node & 1) * (R + 1)  # each row's (way, old run)
+            pc = np.bincount(runs.ravel(), minlength=ways * (R + 1))
             child = run_left + np.arange(ways)[:, None]
             occupied = np.append(open_, np.zeros(ways, bool)).take(child)
             occupied &= pc.reshape(ways, R + 1)[:, :R] > 0
@@ -166,10 +164,11 @@ def _grow_trees(
             way = pair // R
             table = np.full(ways * (R + 1), len(pair))
             table[pair + way] = np.arange(len(pair))
-            runs, r, run_count = table.take(pairs), pair - way * R, pc.take(pair + way)
+            table.take(runs, out=runs, mode="clip")  # in place: every label is in the table
+            r, run_count = pair - way * R, pc.take(pair + way)
             run_node = np.cumsum(open_).take(child.take(pair)) - 1  # among the open nodes
             run_feature, run_value, R = run_feature.take(r), run_value.take(r), len(pair)
-            del pairs, pc, child, occupied, pair, way, table, r  # before the search's peak
+            del pc, child, occupied, pair, way, table, r  # before the search's peak
             # Adding the other features' 0.0 changes at most a zero's sign: only squares see it.
             run_sums = np.array([sum(np.bincount(f, w, R + 1) for f in runs)[:R] for w in (y, y2)])
             cut, cut_value = level_feature[open_], level_value[open_] = _best_splits(
@@ -180,20 +179,23 @@ def _grow_trees(
         splits = level_feature >= 0
         level_value[~splits] = (sums[0] / counts)[~splits]  # a leaf's value: its mean
         rank = np.cumsum(splits) - 1
-        children = first + width + 2 * rank[splits]
-        tree[children] = tree[children + 1] = tree[first : first + width][splits]
-        first, width, depth = first + width, 2 * len(children), depth + 1
+        trees.append(np.repeat(trees[-1][splits], 2))  # siblings are adjacent
+        width, depth = len(trees[-1]), depth + 1
         if not width:
             break
         # A row's child is that of its run of the feature its node is cut on.
         run_left = np.where(cut >= 0, 2 * rank[open_], width).take(run_node)
         right = run_value > cut_value.take(run_node)
         run_child = np.where(cut.take(run_node) == run_feature, run_left + right, width)
-        node = np.append(run_child, width).take(runs).min(axis=0)
+        run_child = np.append(run_child, width)
+        node = run_child.take(runs[0])
+        for labels in runs[1:]:  # one gather per feature: no features x rows temporary
+            np.minimum(node, run_child.take(labels), out=node)
 
     # Put the nodes tree by tree, keeping their order; siblings stay adjacent.
-    tree = tree[:first]
+    tree = np.concatenate(trees)
     by_tree, sizes = np.argsort(tree, kind="stable"), np.bincount(tree, minlength=n_trees)
+    feature, value = map(np.concatenate, zip(*levels))
     return {"feature": feature[by_tree], "tree_sizes": sizes, "value": value[by_tree]}
 
 
@@ -351,19 +353,25 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], row_of
 
 
-def _batch_plan(n: int, n_trees: int, bootstrap: bool, seed: int) -> tuple[int, Iterator]:
+def _batch_plan(
+    n: int, n_trees: int, bootstrap: bool, seed: int, processes: int
+) -> tuple[int, Iterator]:
     """How many batches a forest of ``n_trees`` trees on ``n`` rows grows in,
-    and each batch's samples (trees x ``n`` row indices), in batch order. A
-    batch holds as many trees as fit ``_BATCH_ROWS`` rows, at least one; the
-    last holds the rest. Each tree's rows are drawn as its batch is reached,
-    a bootstrap resample or else every row, one draw per tree in tree order
-    from one generator seeded by ``seed``, so a batch's samples do not
-    depend on which process draws them, and none holds more than one batch's."""
+    and each batch's samples (trees x ``n`` row indices), in batch order. The
+    batches are the fewest within ``_BATCH_ROWS`` rows each (or one tree),
+    rounded up to a multiple of the slices, ``min(processes, batches)``, but
+    not past one per tree; their sizes differ by at most one tree. Each tree's
+    rows are drawn as its batch is reached, a bootstrap resample or else every
+    row, one draw per tree in tree order from one generator seeded by ``seed``,
+    so a batch's samples do not depend on which process draws them, and none
+    holds more than one batch's."""
     rng = np.random.default_rng(seed)
     rows = (rng.integers(0, n, n) if bootstrap else np.arange(n) for _ in range(n_trees))
-    per_batch = max(1, _BATCH_ROWS // n)
-    starts = range(0, n_trees, per_batch)
-    return len(starts), (np.array(list(islice(rows, per_batch))) for _ in starts)
+    need = -(-n_trees // max(1, _BATCH_ROWS // n))  # batches within the budget
+    slices = min(processes, need)
+    n_batches = min(n_trees, slices * -(-need // slices))
+    ends = [n_trees * k // n_batches for k in range(n_batches + 1)]
+    return n_batches, (np.array(list(islice(rows, b - a))) for a, b in zip(ends, ends[1:]))
 
 
 def _process_count() -> int:
@@ -408,8 +416,8 @@ def grow(
     """A forest of ``n_trees`` trees (``_grow_trees``; ``max_depth`` None: unbounded),
     each on a seeded bootstrap resample of the rows, or on every row without ``bootstrap``.
 
-    The forest's batches (see ``_batch_plan``) grow in contiguous slices,
-    one per process (``_process_count``) and at most one per batch.
+    The forest's batches (see ``_batch_plan``) grow in contiguous, equal slices,
+    one per process (``_process_count``, read once per fit) and at most one per batch.
 
     The caller grows the first slice; a forked child grows each other one
     and pickles its batches into a pipe. The caller reads every pipe, reaps
@@ -426,9 +434,10 @@ def grow(
     fork, and leaves by ``os._exit``. So the DeprecationWarning with which
     Python 3.12+ meets a fork from a multi-threaded process does not apply.
     """
-    plan = (len(y), n_trees, bootstrap, seed)
+    processes = _process_count()
+    plan = (len(y), n_trees, bootstrap, seed, processes)
     n_batches = _batch_plan(*plan)[0]
-    n_slices = min(n_batches, _process_count())
+    n_slices = min(n_batches, processes)
     ends = [n_batches * k // n_slices for k in range(n_slices + 1)]
 
     def grow_slice(k: int) -> list[dict[str, np.ndarray]]:

@@ -715,14 +715,15 @@ class TestForest:
         ("mode", "peak"), [(FeatureMode.ALL_TX, 2_512_295), (FeatureMode.MEDIAN_TX, 1_179_309)]
     )
     def test_growing_a_stock_batch_keeps_its_tracemalloc_peak(self, mode, peak):
-        # The first batch of each stock forest at grow's defaults: 10 trees
-        # of 1,037 rows (all-TX), 100 trees of 58 (median-TX). The rows keep
-        # their place and each level relabels them through small tables:
-        # 1,804,911 and 935,600 B (CPython 3.11, NumPy 2.4). The bounds are
-        # the peaks of the grower that re-sorted each feature's rows by node
-        # at every level, plus 64 KiB.
+        # The first batch of each stock forest at grow's defaults in one
+        # process, the largest at any process count: 16 trees of 1,037 rows
+        # (all-TX), 100 trees of 58 (median-TX). The rows keep their place,
+        # each level relabels them in place through small tables, and the
+        # nodes are kept level by level as they grow: 2,093,106 and 768,334 B
+        # (CPython 3.11, NumPy 2.4). The bounds are the peaks of the grower
+        # that re-sorted each feature's rows by node at every level, plus 64 KiB.
         train = split(assemble(run_campaign(CampaignConfig()), mode), seed=0)[0]
-        samples = next(forest._batch_plan(len(train), 100, True, 0)[1])
+        samples = next(forest._batch_plan(len(train), 100, True, 0, 1)[1])
 
         def grow():
             forest._grow_trees(train.features, train.targets, samples, 10, 2)
@@ -733,13 +734,21 @@ class TestForest:
 
 @functools.cache
 def _stock_all_tx_train() -> Dataset:
-    """The rows `smol train` fits the stock all-TX forest on: ten batches."""
+    """The rows `smol train` fits the stock all-TX forest on: six batches on
+    one to three CPUs."""
     return split(assemble(run_campaign(CampaignConfig()), FeatureMode.ALL_TX), seed=0)[0]
 
 
 def _processes(count: int):
     """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
     return mock.patch.object(forest, "_process_count", lambda: count)
+
+
+def _stock_plan(train: Dataset) -> tuple[int, list[np.ndarray]]:
+    """The batch plan of a stock forest at grow's defaults, for as many
+    processes as ``_process_count`` gives where it is called."""
+    n_batches, samples = forest._batch_plan(len(train), 100, True, 0, forest._process_count())
+    return n_batches, list(samples)
 
 
 def _assert_no_child_left() -> None:
@@ -759,7 +768,8 @@ class TestForestProcesses:
         with _processes(1):
             serial = fit(spec, train).params
         parent, grow_trees, fork, forks = os.getpid(), forest._grow_trees, os.fork, []
-        last = list(forest._batch_plan(len(train), 100, True, 0)[1])[-1]  # grow's defaults
+        with _processes(3):
+            last = _stock_plan(train)[1][-1]
 
         def grow(X, y, samples, *rest):
             if os.getpid() != parent and np.array_equal(samples, last):  # the last child's
@@ -799,7 +809,8 @@ class TestForestProcesses:
         # error under this suite's warning filters, in a child too.
         train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
         grow_trees = forest._grow_trees
-        last = list(forest._batch_plan(len(train), 100, True, 0)[1])[-1]  # grow's defaults
+        with _processes(processes):
+            last = _stock_plan(train)[1][-1]
 
         def grow(X, y, samples, *rest):
             if np.array_equal(samples, last):
@@ -820,12 +831,14 @@ class TestForestProcesses:
         # waited for. One blocked writing its payload must not hang the caller.
         train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
         parent, grow_trees, grown = os.getpid(), forest._grow_trees, []
+        with _processes(3):
+            caller_batches = _stock_plan(train)[0] // 3  # the first of three equal slices
 
         def grow(X, y, samples, *rest):
             if os.getpid() != parent and children == "still growing":
                 time.sleep(60.0)
             grown.append(grow_trees(X, y, samples, *rest))
-            if os.getpid() == parent and len(grown) == 3:  # the caller's last batch
+            if os.getpid() == parent and len(grown) == caller_batches:  # the caller's last batch
                 time.sleep(0.2)  # the children finish theirs
                 raise error
             return grown[-1]
