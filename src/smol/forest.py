@@ -20,7 +20,8 @@ from typing import BinaryIO, Callable, Iterator
 import numpy as np
 
 # Trees x training rows per batch (at least one tree). A batch's trees share each
-# level's NumPy calls. The stock all-TX forest: 6 batches of 16-17 trees on 1-3 CPUs.
+# level's NumPy calls: a bigger batch grows faster serially, but shares out worse.
+# Chosen on report-stock (17 trees of 1,037 rows a batch); the grouped log is unmeasured.
 _BATCH_ROWS = 18_000
 
 # (Row, tree) pairs per descent block (at least one row). A block's node and
@@ -162,7 +163,7 @@ def _grow_trees(
             occupied &= pc.reshape(ways, R + 1)[:, :R] > 0
             pair = np.flatnonzero(occupied)  # each new run's (way, old run)
             way = pair // R
-            table = np.full(ways * (R + 1), len(pair))
+            table = np.full(ways * (R + 1), len(pair), np.intp)
             table[pair + way] = np.arange(len(pair))
             table.take(runs, out=runs, mode="clip")  # in place: every label is in the table
             r, run_count = pair - way * R, pc.take(pair + way)
@@ -353,25 +354,19 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], row_of
 
 
-def _batch_plan(
-    n: int, n_trees: int, bootstrap: bool, seed: int, processes: int
-) -> tuple[int, Iterator]:
+def _batch_plan(n: int, n_trees: int, bootstrap: bool, seed: int) -> tuple[int, Iterator]:
     """How many batches a forest of ``n_trees`` trees on ``n`` rows grows in,
-    and each batch's samples (trees x ``n`` row indices), in batch order. The
-    batches are the fewest within ``_BATCH_ROWS`` rows each (or one tree),
-    rounded up to a multiple of the slices, ``min(processes, batches)``, but
-    not past one per tree; their sizes differ by at most one tree. Each tree's
-    rows are drawn as its batch is reached, a bootstrap resample or else every
-    row, one draw per tree in tree order from one generator seeded by ``seed``,
-    so a batch's samples do not depend on which process draws them, and none
-    holds more than one batch's."""
+    and each batch's samples (trees x ``n`` row indices), in batch order. A
+    batch holds as many trees as fit ``_BATCH_ROWS`` rows, at least one; the
+    last holds the rest. Each tree's rows are drawn as its batch is reached,
+    a bootstrap resample or else every row, one draw per tree in tree order
+    from one generator seeded by ``seed``, so a batch's samples do not
+    depend on which process draws them, and none holds more than one batch's."""
     rng = np.random.default_rng(seed)
     rows = (rng.integers(0, n, n) if bootstrap else np.arange(n) for _ in range(n_trees))
-    need = -(-n_trees // max(1, _BATCH_ROWS // n))  # batches within the budget
-    slices = min(processes, need)
-    n_batches = min(n_trees, slices * -(-need // slices))
-    ends = [n_trees * k // n_batches for k in range(n_batches + 1)]
-    return n_batches, (np.array(list(islice(rows, b - a))) for a, b in zip(ends, ends[1:]))
+    per_batch = max(1, _BATCH_ROWS // n)
+    starts = range(0, n_trees, per_batch)
+    return len(starts), (np.array(list(islice(rows, per_batch))) for _ in starts)
 
 
 def _process_count() -> int:
@@ -416,8 +411,8 @@ def grow(
     """A forest of ``n_trees`` trees (``_grow_trees``; ``max_depth`` None: unbounded),
     each on a seeded bootstrap resample of the rows, or on every row without ``bootstrap``.
 
-    The forest's batches (see ``_batch_plan``) grow in contiguous, equal slices,
-    one per process (``_process_count``, read once per fit) and at most one per batch.
+    The forest's batches (see ``_batch_plan``) grow in contiguous slices,
+    one per process (``_process_count``) and at most one per batch.
 
     The caller grows the first slice; a forked child grows each other one
     and pickles its batches into a pipe. The caller reads every pipe, reaps
@@ -434,10 +429,9 @@ def grow(
     fork, and leaves by ``os._exit``. So the DeprecationWarning with which
     Python 3.12+ meets a fork from a multi-threaded process does not apply.
     """
-    processes = _process_count()
-    plan = (len(y), n_trees, bootstrap, seed, processes)
+    plan = (len(y), n_trees, bootstrap, seed)
     n_batches = _batch_plan(*plan)[0]
-    n_slices = min(n_batches, processes)
+    n_slices = min(n_batches, _process_count())
     ends = [n_batches * k // n_slices for k in range(n_slices + 1)]
 
     def grow_slice(k: int) -> list[dict[str, np.ndarray]]:

@@ -715,40 +715,32 @@ class TestForest:
         ("mode", "peak"), [(FeatureMode.ALL_TX, 2_512_295), (FeatureMode.MEDIAN_TX, 1_179_309)]
     )
     def test_growing_a_stock_batch_keeps_its_tracemalloc_peak(self, mode, peak):
-        # The first batch of each stock forest at grow's defaults in one
-        # process, the largest at any process count: 16 trees of 1,037 rows
-        # (all-TX), 100 trees of 58 (median-TX). The rows keep their place,
-        # each level relabels them in place through small tables, and the
-        # nodes are kept level by level as they grow: 2,093,106 and 768,334 B
-        # (CPython 3.11, NumPy 2.4). The bounds are the peaks of the grower
-        # that re-sorted each feature's rows by node at every level, plus 64 KiB.
+        # Every batch of each stock forest at grow's defaults: five of 17 trees
+        # and one of 15, of 1,037 rows (all-TX); one of 100 trees of 58
+        # (median-TX). The rows keep their place, each level relabels them in
+        # place through small tables, and the nodes are kept level by level as
+        # they grow: at most 2,234,363 and 767,980 B (CPython 3.11, NumPy 2.4).
+        # The bounds are the peaks of the grower that re-sorted each feature's
+        # rows by node at every level, plus 64 KiB.
         train = split(assemble(run_campaign(CampaignConfig()), mode), seed=0)[0]
-        samples = next(forest._batch_plan(len(train), 100, True, 0, 1)[1])
+        batches = list(forest._batch_plan(len(train), 100, True, 0)[1])
 
-        def grow():
-            forest._grow_trees(train.features, train.targets, samples, 10, 2)
+        def grow(samples):
+            return lambda: forest._grow_trees(train.features, train.targets, samples, 10, 2)
 
-        grow()  # warm up outside the measurement
-        assert _peak_bytes(grow) <= peak + 64 * 1024
+        grow(batches[0])()  # warm up outside the measurement
+        assert max(_peak_bytes(grow(samples)) for samples in batches) <= peak + 64 * 1024
 
 
 @functools.cache
 def _stock_all_tx_train() -> Dataset:
-    """The rows `smol train` fits the stock all-TX forest on: six batches on
-    one to three CPUs."""
+    """The rows `smol train` fits the stock all-TX forest on: six batches."""
     return split(assemble(run_campaign(CampaignConfig()), FeatureMode.ALL_TX), seed=0)[0]
 
 
 def _processes(count: int):
     """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
     return mock.patch.object(forest, "_process_count", lambda: count)
-
-
-def _stock_plan(train: Dataset) -> tuple[int, list[np.ndarray]]:
-    """The batch plan of a stock forest at grow's defaults, for as many
-    processes as ``_process_count`` gives where it is called."""
-    n_batches, samples = forest._batch_plan(len(train), 100, True, 0, forest._process_count())
-    return n_batches, list(samples)
 
 
 def _assert_no_child_left() -> None:
@@ -768,8 +760,7 @@ class TestForestProcesses:
         with _processes(1):
             serial = fit(spec, train).params
         parent, grow_trees, fork, forks = os.getpid(), forest._grow_trees, os.fork, []
-        with _processes(3):
-            last = _stock_plan(train)[1][-1]
+        last = list(forest._batch_plan(len(train), 100, True, 0)[1])[-1]  # grow's defaults
 
         def grow(X, y, samples, *rest):
             if os.getpid() != parent and np.array_equal(samples, last):  # the last child's
@@ -809,8 +800,7 @@ class TestForestProcesses:
         # error under this suite's warning filters, in a child too.
         train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
         grow_trees = forest._grow_trees
-        with _processes(processes):
-            last = _stock_plan(train)[1][-1]
+        last = list(forest._batch_plan(len(train), 100, True, 0)[1])[-1]  # grow's defaults
 
         def grow(X, y, samples, *rest):
             if np.array_equal(samples, last):
@@ -831,14 +821,12 @@ class TestForestProcesses:
         # waited for. One blocked writing its payload must not hang the caller.
         train, spec = _stock_all_tx_train(), ModelSpec(ModelKind.RANDOM_FOREST)
         parent, grow_trees, grown = os.getpid(), forest._grow_trees, []
-        with _processes(3):
-            caller_batches = _stock_plan(train)[0] // 3  # the first of three equal slices
 
         def grow(X, y, samples, *rest):
             if os.getpid() != parent and children == "still growing":
                 time.sleep(60.0)
             grown.append(grow_trees(X, y, samples, *rest))
-            if os.getpid() == parent and len(grown) == caller_batches:  # the caller's last batch
+            if os.getpid() == parent and len(grown) == 2:  # the caller's last batch
                 time.sleep(0.2)  # the children finish theirs
                 raise error
             return grown[-1]

@@ -227,25 +227,17 @@ def test_stock_forests_match_the_reference(mode):
     _assert_growers_agree({"n_trees": 5}, train.features, train.targets)
 
 
-def _stock_plan(train: Dataset) -> tuple[int, list[np.ndarray]]:
-    """The batch plan of a stock forest at grow's defaults, for as many
-    processes as ``_process_count`` gives where it is called."""
-    n_batches, samples = forest._batch_plan(len(train), 100, True, 0, forest._process_count())
-    return n_batches, list(samples)
-
-
 def test_stock_forest_is_the_same_in_one_two_and_three_processes():
-    # The stock all-TX forest grows in six batches on one to three CPUs:
-    # slices of 6, of 3 + 3 and of 2 + 2 + 2 batches.
+    # The stock all-TX forest grows in six batches: slices of 6, of 3 + 3
+    # and of 2 + 2 + 2 batches.
     log = campaign.run_campaign(campaign.CampaignConfig())
     train, _ = calibrate.split(calibrate.assemble(log, FeatureMode.ALL_TX), seed=0)
     spec = ModelSpec(ModelKind.RANDOM_FOREST)
+    assert forest._batch_plan(len(train), 100, True, 0)[0] == 6  # grow's defaults
     with _processes(1):
-        assert _stock_plan(train)[0] == 6
         serial = calibrate.fit(spec, train).params
     for processes in (2, 3):
         with _processes(processes):
-            assert _stock_plan(train)[0] == 6
             forked = calibrate.fit(spec, train).params
         assert forked.keys() == serial.keys()
         for key in forked:
@@ -258,52 +250,27 @@ def test_stock_forests_grow_in_batches_that_fit_the_budget():
     n_trees = 100  # grow's default
     for mode in FeatureMode:
         train, _ = calibrate.split(calibrate.assemble(log, mode), seed=0)
+        n_batches, samples = forest._batch_plan(len(train), n_trees, True, 0)
+        batches = [batch.shape for batch in samples]
         per_batch = forest._BATCH_ROWS // len(train)
-        for processes in (1, 2, 3, 4):
-            with _processes(processes):
-                n_batches, samples = _stock_plan(train)
-            batches = [batch.shape for batch in samples]
-            expected = {
-                # The fewest that fit, 6; on 4 CPUs, 4 slices of 2 batches.
-                FeatureMode.ALL_TX: 8 if processes == 4 else math.ceil(n_trees / per_batch),
-                FeatureMode.MEDIAN_TX: 1,  # the whole forest at once
-            }
-            assert len(batches) == n_batches == expected[mode], (mode, processes)
-            assert sum(trees for trees, _ in batches) == n_trees
-            for trees, rows in batches:
-                assert rows == len(train)
-                assert trees * rows <= forest._BATCH_ROWS or trees == 1
-
-
-@given(
-    n=st.integers(1, 300), n_trees=st.integers(1, 120), budget=st.integers(1, 40_000),
-    processes=st.integers(1, 8), seed=st.integers(0, 1000),
-)
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_the_batch_plan_splits_the_trees_evenly_within_the_budget(
-    n, n_trees, budget, processes, seed
-):
-    with mock.patch.object(forest, "_BATCH_ROWS", budget):
-        n_batches, samples = forest._batch_plan(n, n_trees, True, seed, processes)
-        batches = list(samples)
-    rng = np.random.default_rng(seed)  # every tree's draw, in tree order
-    assert np.array_equal(np.concatenate(batches), [rng.integers(0, n, n) for _ in range(n_trees)])
-    sizes = [len(batch) for batch in batches]
-    assert len(sizes) == n_batches and min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    assert all(trees * n <= budget or trees == 1 for trees in sizes)
-    slices = min(n_batches, processes)  # as grow takes them
-    assert n_batches % slices == 0 or n_batches == n_trees
-    if n_batches > slices:  # a multiple of the slices fewer would not fit
-        assert math.ceil(n_trees / (n_batches - slices)) * n > budget
+        expected = {
+            FeatureMode.ALL_TX: math.ceil(n_trees / per_batch),
+            FeatureMode.MEDIAN_TX: 1,  # the whole forest at once
+        }
+        assert len(batches) == n_batches == expected[mode], mode
+        assert sum(trees for trees, _ in batches) == n_trees
+        for trees, rows in batches:
+            assert rows == len(train)
+            assert trees * rows <= forest._BATCH_ROWS or trees == 1
 
 
 def test_the_stock_median_tx_forest_is_one_batch_at_every_process_count():
     log = campaign.run_campaign(campaign.CampaignConfig())
     train, _ = calibrate.split(calibrate.assemble(log, FeatureMode.MEDIAN_TX), seed=0)
     spec = ModelSpec(ModelKind.RANDOM_FOREST)
+    assert forest._batch_plan(len(train), 100, True, 0)[0] == 1  # grow's defaults
     for processes in range(1, 9):
         with _processes(processes), mock.patch("os.fork", wraps=forest.os.fork) as fork:
-            assert _stock_plan(train)[0] == 1
             calibrate.fit(spec, train)
         fork.assert_not_called()
 
