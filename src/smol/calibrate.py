@@ -128,9 +128,6 @@ class TrainedModel:
     params: dict
     median_tx_power: int | None = None
     metadata: dict = field(default_factory=dict)
-    # A loaded forest's forest._descent_tables, from forest.decode's checks; not a field,
-    # so never saved. A fitted forest builds them per prediction (cached: +0.8 MiB RSS).
-    _descent = None
 
     def __post_init__(self) -> None:
         median = self.median_tx_power
@@ -164,7 +161,7 @@ class TrainedModel:
         kind, params = self.spec.kind, self.params
         with np.errstate(over="ignore", invalid="ignore"):
             if kind == ModelKind.RANDOM_FOREST:
-                out = forest.predict(params, X, self._descent)
+                out = forest.predict(params, X)
             elif kind == ModelKind.POLYNOMIAL:
                 out = least_squares_design(kind, X) @ params["beta"]
             else:  # not [1, X] @ beta, which moves the last bits of the table's linear rows
@@ -379,8 +376,7 @@ def _read_json(path: str | Path):
         raise ValueError(f"{path}: not readable as JSON ({err})") from None
 
 
-def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, tuple | None]:
-    """The model's params, and a forest's descent tables (None for the others)."""
+def _params_from_json(params, spec: ModelSpec, n_features: int) -> dict:
     if spec.kind == ModelKind.RANDOM_FOREST:
         _require_keys(params, forest.KEYS, "params")
         return forest.decode(params, n_features)
@@ -391,7 +387,7 @@ def _params_from_json(params, spec: ModelSpec, n_features: int) -> tuple[dict, t
     want = least_squares_design(spec.kind, np.empty((0, n_features))).shape[1]
     if len(beta) != want:
         raise ValueError(f"beta has {len(beta)} coefficient(s), want {want}")
-    return {"beta": np.array(beta, dtype=float)}, None
+    return {"beta": np.array(beta, dtype=float)}
 
 
 def _model_from_json(payload: dict) -> TrainedModel:
@@ -403,16 +399,13 @@ def _model_from_json(payload: dict) -> TrainedModel:
     mode = FeatureMode(payload["feature_mode"])
     if not isinstance(payload["metadata"], dict):
         raise ValueError("metadata is not a JSON object")
-    params, descent = _params_from_json(payload["params"], spec, len(FEATURE_NAMES[mode]))
-    model = TrainedModel(
+    return TrainedModel(
         spec=spec,
         feature_mode=mode,
-        params=params,
+        params=_params_from_json(payload["params"], spec, len(FEATURE_NAMES[mode])),
         median_tx_power=payload["median_tx_power"],
         metadata=payload["metadata"],
     )
-    model._descent = descent
-    return model
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -130,13 +130,13 @@ def _grow_trees(
     y = y[rows]
     y2 = y * y
     # Level -1: one node of all rows, whose children are the trees, and a run per
-    # distinct value of each feature; ranks stay in the smallest unsigned type.
-    ranked = [np.unique(column, return_inverse=True) for column in X.T]
+    # distinct value of each feature, ranked as np.unique ranks them.
+    ranked = [_distinct(column, np.argsort(column)) for column in X.T]
     run_value = np.concatenate([values for values, _ in ranked])
     run_feature = np.repeat(np.arange(len(ranked)), [len(values) for values, _ in ranked])
     runs = np.array([  # each row's run of each feature
-        np.add(codes.astype(np.min_scalar_type(len(values) - 1)).take(rows), start, dtype=np.intp)
-        for (values, codes), start in zip(ranked, np.searchsorted(run_feature, range(len(ranked))))
+        np.add(codes.take(rows), start, dtype=np.intp)
+        for (_, codes), start in zip(ranked, np.searchsorted(run_feature, range(len(ranked))))
     ])
     run_left = np.zeros(len(run_value), dtype=np.intp)  # the first child of each run's node
     # Nodes of all trees are numbered level by level, each level ordered by
@@ -247,9 +247,7 @@ def _descent_tables(forest: dict[str, np.ndarray]) -> tuple[np.ndarray, int]:
     return left, depth
 
 
-def _forest_outputs(
-    forest: dict[str, np.ndarray], X: np.ndarray, descent: tuple[np.ndarray, int] | None = None
-) -> np.ndarray:
+def _forest_outputs(forest: dict, X: np.ndarray) -> np.ndarray:
     """Every tree's prediction for every row, as a C-ordered (rows, trees) array.
 
     A forest is three flat arrays: ``tree_sizes`` counts each tree's nodes,
@@ -257,8 +255,10 @@ def _forest_outputs(
     children in the order of their parents and siblings adjacent. So the
     layout implies the children (``_left_children``). A split node sends
     ``x[feature] <= value`` to its left child and the rest to the right
-    one; a leaf has ``feature`` -1 and predicts ``value``. ``descent`` is
-    the forest's ``_descent_tables``, built here when not given.
+    one; a leaf has ``feature`` -1 and predicts ``value``. A forest from
+    ``decode`` holds its ``_descent_tables`` as ``descent``; a grown one
+    has them built on each call, as holding them from ``grow`` on raised a
+    fresh ``smol train``'s peak RSS by about 1.3 MiB.
 
     The rows descend in blocks of at most ``_DESCENT_PAIRS // trees`` rows
     (at least one), so a step's temporaries stay cache-sized however many
@@ -285,7 +285,7 @@ def _forest_outputs(
     outlives the call.
     """
     feature, value, sizes = forest["feature"], forest["value"], forest["tree_sizes"]
-    left, depth = _descent_tables(forest) if descent is None else descent
+    left, depth = forest.get("descent") or _descent_tables(forest)
     roots = np.cumsum(sizes) - sizes
     padded = np.full((len(X), X.shape[1] + 1), -np.inf)
     padded[:, 1:] = X
@@ -339,19 +339,6 @@ def _forest_outputs(
     if errors:
         raise errors[0]
     return out
-
-
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X's distinct rows, by ``==`` (so -0.0 and 0.0 are one), and each
-    row's index among them: one lexicographic sort, then a new run wherever
-    a row differs from the one before it."""
-    order = np.lexsort(X.T)
-    ordered = X[order]
-    starts = np.ones(len(X), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    row_of = np.empty(len(X), dtype=np.intp)
-    row_of[order] = np.cumsum(starts) - 1
-    return ordered[starts], row_of
 
 
 def _batch_plan(n: int, n_trees: int, bootstrap: bool, seed: int) -> tuple[int, Iterator]:
@@ -467,11 +454,11 @@ def grow(
     return {key: np.concatenate([b[key] for b in batches]) for key in batches[0]}
 
 
-def predict(forest: dict[str, np.ndarray], X: np.ndarray, descent=None) -> np.ndarray:
-    """Each row's mean over the trees; ``descent`` is as in ``_forest_outputs``.
-    Equal rows (-0.0 and 0.0 too) descend once: the same bits as one at a time."""
-    distinct, row_of = _distinct_rows(X)
-    return _forest_outputs(forest, distinct, descent).mean(axis=1)[row_of]
+def predict(forest: dict, X: np.ndarray) -> np.ndarray:
+    """Each row's mean over the trees. Equal rows (-0.0 and 0.0 too)
+    descend once: the same bits as one at a time."""
+    distinct, row_of = _distinct(X, np.lexsort(X.T))
+    return _forest_outputs(forest, distinct).mean(axis=1)[row_of]
 
 
 def _index_dtype(table_size: int) -> np.dtype:
@@ -479,33 +466,34 @@ def _index_dtype(table_size: int) -> np.dtype:
     return np.dtype(np.min_scalar_type(max(table_size - 1, 0))).newbyteorder("<")
 
 
-def _value_table(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values by bits (so -0.0 and 0.0 are two), in the order
-    of their bits as int64, and each value's place among them, in
-    ``_index_dtype``: one argsort, then a new entry wherever a sorted value
-    differs from the one before it. At most two node-count arrays of eight
-    bytes are live at once; np.unique's inverse would take four."""
-    bits = np.ascontiguousarray(value, "<f8").view("<i8")
-    order = np.argsort(bits)
-    ordered = bits.take(order)
-    starts = np.ones(len(bits), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    table = ordered[starts]
+def _distinct(keys: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys (1-D values, or 2-D rows), in the order ``order``
+    sorts them, and each key's place among them, in ``_index_dtype``: a new
+    entry wherever a sorted key differs from the one before it by ``!=``,
+    so -0.0 and 0.0 are one, but two as int64 bits. These are np.unique's
+    steps, with at most two key-count arrays of eight bytes live at once;
+    np.unique's inverse would take four."""
+    ordered = keys.take(order, axis=0)
+    starts = np.ones(len(keys), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=tuple(range(1, keys.ndim)), out=starts[1:])
+    distinct = ordered[starts]
     del ordered
-    places = np.cumsum(starts, dtype=_index_dtype(len(table)))
+    places = np.cumsum(starts, dtype=_index_dtype(len(distinct)))
     places -= 1
     index = np.empty_like(places)
     index[order] = places
-    return table.view("<f8"), index
+    return distinct, index
 
 
-def encode(forest: dict[str, np.ndarray]) -> dict[str, str]:
+def encode(forest: dict) -> dict[str, str]:
     """The forest's arrays as base64 strings of their ``DTYPES`` bytes, and
-    ``value`` as ``value_table`` and ``value_index`` (``_value_table``). An
+    ``value`` as ``value_table``, its distinct values by bits in the order
+    of their bits as int64, and ``value_index`` (``_distinct``). An
     integer that its type cannot hold, such as a feature index past 127,
     raises ValueError."""
-    table, index = _value_table(forest["value"])
-    arrays = {**forest, "value_table": table}
+    bits = np.ascontiguousarray(forest["value"], "<f8").view("<i8")
+    table, index = _distinct(bits, np.argsort(bits))
+    arrays = {**forest, "value_table": table.view("<f8")}
     encoded = {}
     for key, dtype in DTYPES.items():
         data = arrays[key].astype(dtype)
@@ -530,12 +518,12 @@ def _decoded(params: dict, key: str, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(raw, dtype).astype(wide, copy=False)
 
 
-def decode(params: dict, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]:
+def decode(params: dict, n_features: int) -> dict:
     """The arrays of ``encode``'s strings, ``value`` gathered from its table,
     checked so that the forest holds one tree or more, every node's value is
     a finite one of the table, and every row's descent through every tree
-    stays in that tree and ends at one of its leaves; and the descent tables
-    that the checks built, the depth among them. The index's type follows
+    stays in that tree and ends at one of its leaves; and, as ``descent``,
+    the descent tables that the checks built. The index's type follows
     from the table's length (``_index_dtype``)."""
     forest = {key: _decoded(params, key, dtype) for key, dtype in DTYPES.items()}
     table = forest.pop("value_table")
@@ -556,4 +544,5 @@ def decode(params: dict, n_features: int) -> tuple[dict, tuple[np.ndarray, int]]
     if ((feature < -1) | (feature >= n_features)).any():
         raise ValueError(f"feature index outside [0, {n_features})")
     forest["value"] = table.take(index)
-    return forest, _descent_tables(forest)
+    forest["descent"] = _descent_tables(forest)
+    return forest

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _processes
 from smol import calibrate, forest
 from smol.calibrate import (
     COMPARISON_KINDS,
@@ -433,7 +434,7 @@ class TestForest:
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_predictions_are_the_bits_of_one_row_at_a_time(self, drawn):
         model, X = drawn
-        distinct, row_of = forest._distinct_rows(X)
+        distinct, row_of = forest._distinct(X, np.lexsort(X.T))
         assert len(distinct) == len(set(map(tuple, X.tolist())))  # -0.0 == 0.0 here too
         assert np.array_equal(distinct[row_of], X)
         preds = model.predict_many(X)
@@ -451,6 +452,35 @@ class TestForest:
                 with mock.patch.object(forest, "_DESCENT_PAIRS", pairs), _processes(cpus):
                     outputs = forest._forest_outputs(model.params, X)
                 assert outputs.tobytes() == reference.tobytes(), (pairs, cpus)
+
+    @pytest.mark.numpy_bits
+    @given(
+        extra=st.lists(st.integers(-200, 200), max_size=300),
+        rows=st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0])] * 2),
+                      min_size=1, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_distinct_finds_the_keys_and_places_np_unique_finds(self, extra, rows, seed):
+        # 300 quarter steps, 0.0 among them, then repeats, and -0.0 twice, shuffled:
+        # more than 256 distinct values, so each place takes two bytes.
+        column = np.concatenate([np.arange(-150, 150) * 0.25, np.array(extra) * 0.25, [-0.0] * 2])
+        np.random.default_rng(seed).shuffle(column)
+        values, places = forest._distinct(column, np.argsort(column))
+        unique, inverse = np.unique(column, return_inverse=True)
+        assert values.tobytes() == unique.tobytes() and len(values) > 256
+        assert np.array_equal(places, inverse)
+        assert places.dtype == forest._index_dtype(len(values))
+        # By int64 bits, -0.0 and 0.0 are two.
+        bits = column.view("<i8")
+        table, index = forest._distinct(bits, np.argsort(bits))
+        assert len(table) == len(unique) + 1
+        assert {0, np.iinfo(np.int64).min} <= set(table.tolist())  # 0.0 and -0.0
+        assert table.take(index).tobytes() == bits.tobytes()
+        X = np.array(rows)
+        distinct, row_of = forest._distinct(X, np.lexsort(X.T))
+        assert np.array_equal(distinct[row_of], X)
+        assert len(distinct) == len(set(map(tuple, X.tolist())))  # -0.0 == 0.0 here too
 
     @pytest.mark.numpy_bits
     def test_stock_forest_descends_an_inference_log_as_the_reference_does(self):
@@ -736,11 +766,6 @@ class TestForest:
 def _stock_all_tx_train() -> Dataset:
     """The rows `smol train` fits the stock all-TX forest on: six batches."""
     return split(assemble(run_campaign(CampaignConfig()), FeatureMode.ALL_TX), seed=0)[0]
-
-
-def _processes(count: int):
-    """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
-    return mock.patch.object(forest, "_process_count", lambda: count)
 
 
 def _assert_no_child_left() -> None:
@@ -1046,8 +1071,8 @@ class TestPersistence:
         index = base64.b64decode(encoded["value_index"], validate=True)
         assert len(table) == 8 * distinct and len(index) == width * len(values)
         assert forest._index_dtype(distinct) == np.dtype(f"<u{width}")
-        decoded, (_, depth) = forest.decode(encoded, 1)
-        assert depth == 0
+        decoded = forest.decode(encoded, 1)
+        assert decoded["descent"][1] == 0
         for key in trees:
             assert decoded[key].tobytes() == trees[key].astype(decoded[key].dtype).tobytes()
 
@@ -1056,7 +1081,7 @@ class TestPersistence:
         trees = self._leaves([0.0, -0.0, -0.0, 0.0, 1.5])
         encoded = forest.encode(trees)
         assert len(base64.b64decode(encoded["value_table"])) == 3 * 8
-        value = forest.decode(encoded, 1)[0]["value"]
+        value = forest.decode(encoded, 1)["value"]
         assert value.tobytes() == trees["value"].tobytes()
         assert np.signbit(value).tolist() == [False, True, True, False, False]
 
@@ -1156,7 +1181,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert len(loaded.params["tree_sizes"]) == 3 and loaded._descent[1] == depth
+        assert len(loaded.params["tree_sizes"]) == 3 and loaded.params["descent"][1] == depth
         assert loaded.predict_many(X).tobytes() == model.predict_many(X).tobytes()
 
     def test_load_keeps_its_tracemalloc_peak(self, tmp_path):

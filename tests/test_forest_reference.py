@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _processes
 from smol import calibrate, campaign, forest
 from smol.calibrate import Dataset, FeatureMode, ModelKind, ModelSpec
 
@@ -153,11 +154,6 @@ SETTINGS = st.fixed_dictionaries(
 )
 
 
-def _processes(count: int):
-    """Grow a fit's batches in ``count`` processes, whatever the CPUs."""
-    return mock.patch.object(forest, "_process_count", lambda: count)
-
-
 @given(data=datasets(), grow=SETTINGS)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_vectorized_grower_matches_the_reference(data, grow):
@@ -281,7 +277,10 @@ MOVED = (
     "_forest_outputs", "_distinct_rows", "_batch_plan", "_process_count", "_fork_grower",
     "_fit_forest", "_BATCH_ROWS", "_DESCENT_PAIRS", "_FOREST_DTYPES", "_forest_from_json",
 )
-RENAMED = {"_fit_forest": "grow", "_FOREST_DTYPES": "DTYPES", "_forest_from_json": "decode"}
+RENAMED = {
+    "_fit_forest": "grow", "_FOREST_DTYPES": "DTYPES", "_forest_from_json": "decode",
+    "_distinct_rows": "_distinct",
+}
 
 
 def _parsed(module) -> ast.Module:
